@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
 carries the first-mismatch witness), 2 the scenario file did not parse
-or validate against the schema.
+or validate against the schema, or the report could not be written.
 """
 
 from __future__ import annotations
@@ -62,13 +62,18 @@ def cmd_verify(args) -> int:
     except SchemaError as err:
         print(f"schema error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError:
-        print(f"schema error: {path}: no such file", file=sys.stderr)
+    except OSError as err:
+        print(f"schema error: {path}: {err.strerror}", file=sys.stderr)
         return 2
     payload = report_to_json(report)
     outdir = Path(args.out).parent if args.out else (_default_outdir() or path.parent)
     out_path = Path(args.out) if args.out else outdir / (path.stem + ".report.json")
-    out_path.write_text(payload, encoding="utf-8")
+    try:
+        out_path.write_text(payload, encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write report to {out_path}: {err.strerror}",
+              file=sys.stderr)
+        return 2
     if args.json:
         sys.stdout.write(payload)
     else:

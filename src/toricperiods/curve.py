@@ -42,6 +42,53 @@ def mobius(n: int) -> int:
     return m
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by integer Newton iteration from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def is_prime_power(q: int) -> bool:
+    """True when q = p^k for a prime p and k >= 1, i.e. a field F_q exists."""
+    if q < 2:
+        return False
+    for k in range(1, q.bit_length() + 1):
+        r = _iroot(q, k)
+        if r ** k == q and _is_prime(r):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class Curve:
     """P^1 over F_q with its canonical spin data.
@@ -56,8 +103,8 @@ class Curve:
     spin: tuple[tuple[int, int], ...] = ((1, -1),)
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("q must be a prime power >= 2")
+        if not is_prime_power(self.q):
+            raise ValueError(f"q = {self.q} is not a prime power")
         if self.genus != 0:
             raise ValueError("only genus zero is supported")
         total = sum(2 * m * d for d, m in self.spin)
@@ -103,18 +150,18 @@ def zeta_series(curve: Curve, order: int) -> TruncatedSeries:
     """prod over places (1 - t^deg)^(-1), truncated at t^order.
 
     Returned as a series in a single formal exponent slot (the u-slot
-    doubles as the t-slot; there are no character variables).
+    doubles as the t-slot; there are no character variables).  The
+    product goes through the same kernel as every period.
     """
-    out = TruncatedSeries.one(0, 1, order)
-    if order < 1:
-        return out
-    table = place_counts(curve, order)
+    from .periods import euler_product
+
     one = Cyc.one(1)
-    for d in table.degrees():
-        geo = TruncatedSeries.from_dict(
+
+    def geometric(d: int) -> TruncatedSeries:
+        return TruncatedSeries.from_dict(
             {k: {(): one} for k in range(0, order + 1, d)}, 0, 1, order)
-        out = out * geo.power(table.a(d))
-    return out
+
+    return euler_product(geometric, curve, order)
 
 
 def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:

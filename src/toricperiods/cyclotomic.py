@@ -12,15 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
 def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
     """Exact division of integer polynomials (remainder must vanish)."""
     num = list(num)

@@ -139,12 +139,20 @@ def _accumulate(data: dict, mon: Monomial, order: int):
 def euler_product(local_factor, curve: Curve, order: int,
                   jobs: int | None = None,
                   max_degree: int | None = None) -> TruncatedSeries:
-    """prod over degrees of local_factor(degree)^(number of places).
+    """prod over degrees d of local_factor(d)^(a_d), a_d the places of degree d.
+
+    Computed as exp(sum_d a_d * log local_factor(d)): every local factor
+    is 1 plus terms at u > 0, so its logarithm and the one exponential of
+    the sum are exact O(U^2) row recurrences over Q(zeta_N)[z^{±1}], and
+    the cost no longer grows with log2(a_d) as binary powering does.  The
+    factor for each degree is still enumerated at that degree; it is not
+    obtained from the degree-one factor by u -> u^d, because zeta -> zeta^d
+    is not an automorphism of Q(zeta_N) when gcd(d, N) > 1.
 
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero
     point may tighten the cutoff further through max_degree.  Factors for
-    distinct degrees may be evaluated concurrently and are multiplied in
+    distinct degrees may be evaluated concurrently and are combined in
     degree order, so the result is schedule-independent.
     """
     top = max(order, 0)
@@ -152,18 +160,19 @@ def euler_product(local_factor, curve: Curve, order: int,
         top = min(top, max_degree)
     degrees = list(range(1, top + 1))
     if not degrees:
-        return local_factor(1).power(0)
+        f = local_factor(1)
+        return TruncatedSeries.one(f.nvars, f.order, f.trunc)
     table = place_counts(curve, len(degrees))
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             factors = list(pool.map(local_factor, degrees))
     else:
         factors = [local_factor(d) for d in degrees]
-    out = None
+    total = None
     for d, f in zip(degrees, factors):
-        piece = f.power(table.a(d))
-        out = piece if out is None else out * piece
-    return out
+        term = f.log().scale(table.a(d))
+        total = term if total is None else total + term
+    return total.exp()
 
 
 def monoid_weight_minimum(cone: Cone, weight: Vector) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import __version__
 from .characters import Character, character_from_spec
 from .cones import NotStronglyConvex, make_cone
-from .curve import Curve
+from .curve import Curve, is_prime_power
 from .cyclotomic import lcm_orders
 from .duality import (
     GradedDualPair,
@@ -158,6 +158,8 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
     eta = _int_vector(_expect(data, "eta", pointer), f"{pointer}.eta", rank)
     curve_raw = _expect(data, "curve", pointer, dict)
     q = _int_of(_expect(curve_raw, "q", f"{pointer}.curve"), f"{pointer}.curve.q")
+    if not is_prime_power(q):
+        raise SchemaError(f"{pointer}.curve.q", f"{q} is not a prime power")
     genus = _int_of(curve_raw.get("genus", 0), f"{pointer}.curve.genus")
     if genus != 0:
         raise SchemaError(f"{pointer}.curve.genus", "only genus 0 is supported")
@@ -240,6 +242,9 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as err:
         raise SchemaError(str(path), f"invalid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise SchemaError(str(path), f"not valid UTF-8: {err.reason} "
+                                     f"at byte {err.start}") from None
     return parse_scenario(data)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import Cyc
 
@@ -58,12 +59,11 @@ def _zp_add_term(poly: dict, zexp: ZExp, val: Cyc):
         poly[zexp] = new
 
 
-def _zp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for za, ca in a.items():
-        for zb, cb in b.items():
-            _zp_add_term(out, tuple(x + y for x, y in zip(za, zb)), ca * cb)
-    return out
+def _zp_mul_add(acc: dict, a, b):
+    """acc += a * b for z-polynomials given as iterables of (z_exp, Cyc)."""
+    for za, ca in a:
+        for zb, cb in b:
+            _zp_add_term(acc, tuple(map(add, za, zb)), ca * cb)
 
 
 def _zp_scale(a: dict, c) -> dict:
@@ -169,11 +169,7 @@ class TruncatedSeries:
                 u = u1 + u2
                 if u > trunc:
                     continue
-                bucket = data.setdefault(u, {})
-                for z1, c1 in t1:
-                    for z2, c2 in t2:
-                        _zp_add_term(bucket, tuple(a + b for a, b in zip(z1, z2)),
-                                     c1 * c2)
+                _zp_mul_add(data.setdefault(u, {}), t1, t2)
         return TruncatedSeries.from_dict(data, self.nvars, self.order, trunc)
 
     def scale(self, c) -> "TruncatedSeries":
@@ -241,12 +237,8 @@ class TruncatedSeries:
             acc: dict = {}
             for m in range(0, n):
                 t = tail.get(n - m)
-                if not t or m not in inv:
-                    continue
-                for z1, c1 in inv[m].items():
-                    for z2, c2 in t.items():
-                        _zp_add_term(acc, tuple(a + b for a, b in zip(z1, z2)),
-                                     c1 * c2)
+                if t and m in inv:
+                    _zp_mul_add(acc, inv[m].items(), t.items())
             if acc:
                 inv[n] = _zp_scale(acc, Cyc.rational(-1, self.order))
         data = {}
@@ -254,6 +246,61 @@ class TruncatedSeries:
             data[n - low] = {tuple(a + b for a, b in zip(z, z0_inv)): c * c0_inv
                              for z, c in poly.items()}
         return TruncatedSeries.from_dict(data, self.nvars, self.order, depth - low)
+
+    def _finite_trunc(self, name: str) -> int:
+        if self.trunc >= EXACT:
+            raise ValueError(f"{name} needs a finite truncation order")
+        return self.trunc
+
+    def log(self) -> "TruncatedSeries":
+        """Logarithm of 1 + (terms at u > 0), exact to the same order.
+
+        Solves f * g' = f' row by row: n g_n = n f_n - sum_{k<n} k g_k f_{n-k}.
+        The recurrence carries the rows k g_k, so a row is scaled by n once
+        and divided by n once; products visit only nonzero row pairs.
+        """
+        top = self._finite_trunc("log")
+        if self.low is not None and self.low < 0:
+            raise ValueError("log needs a series with no negative u-exponents")
+        one = ((0,) * self.nvars, Cyc.one(self.order))
+        if not self.coeffs or self.coeffs[0] != (0, (one,)):
+            raise ValueError("log needs a constant row of exactly 1")
+        rows = dict(self.coeffs[1:])
+        neg = {u: [(z, -c) for z, c in terms] for u, terms in rows.items()}
+        dg: dict = {}  # n -> n * g_n, nonzero rows only
+        for n in range(1, top + 1):
+            acc = _zp_scale(dict(rows.get(n, ())), n)
+            for k, row in dg.items():
+                f = neg.get(n - k)
+                if f:
+                    _zp_mul_add(acc, row.items(), f)
+            if acc:
+                dg[n] = acc
+        data = {n: _zp_scale(row, Fraction(1, n)) for n, row in dg.items()}
+        return TruncatedSeries.from_dict(data, self.nvars, self.order, top)
+
+    def exp(self) -> "TruncatedSeries":
+        """Exponential of a series with terms at u > 0 only, exact to the same order.
+
+        Solves h' = G' h row by row: n h_n = sum_{k<=n} k G_k h_{n-k}, with
+        each row k G_k scaled once and each sum divided by n once.
+        """
+        top = self._finite_trunc("exp")
+        if self.low is not None and self.low <= 0:
+            raise ValueError("exp needs a series with terms at u > 0 only")
+        dG = [(k, [(z, c * k) for z, c in terms]) for k, terms in self.coeffs]
+        h = {0: {(0,) * self.nvars: Cyc.one(self.order)}}
+        for n in range(1, top + 1):
+            acc: dict = {}
+            for k, row in dG:
+                if k > n:
+                    break
+                prev = h.get(n - k)
+                if prev:
+                    _zp_mul_add(acc, row, prev.items())
+            if acc:
+                h[n] = _zp_scale(acc, Fraction(1, n))
+        return TruncatedSeries.from_dict(h, self.nvars, self.order, top)
 
     # --- comparison and output ------------------------------------------
 

@@ -14,6 +14,7 @@ from toricperiods.cones import make_cone
 from toricperiods.curve import (
     Curve,
     divisor_count_series,
+    is_prime_power,
     mobius,
     normalization_prefactors,
     place_counts,
@@ -74,6 +75,25 @@ def test_curve_rejects_bad_spin():
         Curve(q=2, spin=((1, 0),))
     # A legal override: two marked places with m = -1 and m = 0 elsewhere...
     Curve(q=2, spin=((1, -2), (1, 1)))
+
+
+def test_curve_requires_a_prime_power():
+    def trial_division(q):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    for q in range(2, 600):
+        assert is_prime_power(q) == trial_division(q), q
+    assert not any(is_prime_power(q) for q in (-4, 0, 1))
+    assert is_prime_power(3 ** 80) and is_prime_power(2 ** 127 - 1)
+    assert not is_prime_power((2 ** 61 - 1) * (2 ** 31 - 1))
+    for q in (4, 8, 9, 25, 27):
+        Curve(q=q)
+    for q in (-3, 0, 1, 6, 10, 12, 36, 100):
+        with pytest.raises(ValueError, match="prime power"):
+            Curve(q=q)
 
 
 def test_mobius_values():

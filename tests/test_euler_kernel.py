@@ -1,0 +1,179 @@
+"""The log/exp Euler-product kernel against binary powering of local factors.
+
+`binary_powering_euler_product` is the direct product: each local factor
+raised to its place count by repeated squaring, multiplied in degree order.  It shares only series multiplication
+with the kernel, so exact agreement on random local factors checks the
+logarithm, the exponential and the place-count bookkeeping together.
+"""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricperiods.curve import Curve, place_counts, zeta_series
+from toricperiods.cyclotomic import Cyc
+from toricperiods.periods import euler_product
+from toricperiods.series import EXACT, TruncatedSeries
+
+ORDERS = (1, 3, 4, 7, 12)
+PRIME_POWERS = (2, 3, 4, 5, 8, 9)
+
+
+def binary_powering_euler_product(local_factor, curve, order, max_degree=None):
+    """Oracle: prod over degrees of local_factor(d).power(a_d)."""
+    top = max(order, 0)
+    if max_degree is not None:
+        top = min(top, max_degree)
+    if top < 1:
+        return local_factor(1).power(0)
+    table = place_counts(curve, top)
+    out = None
+    for d in range(1, top + 1):
+        piece = local_factor(d).power(table.a(d))
+        out = piece if out is None else out * piece
+    return out
+
+
+@st.composite
+def cyc(draw, order):
+    deg = Cyc.degree(order)
+    coords = draw(st.lists(st.integers(-2, 2), min_size=deg, max_size=deg))
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    return Cyc(order, tuple(Fraction(c, den) for c in coords))
+
+
+@st.composite
+def rows(draw, nvars, order, trunc, low=1, max_rows=3, max_terms=2):
+    """{u: {z: Cyc}} with low <= u <= trunc and z-exponents in [-1, 2]."""
+    data = {}
+    if trunc < low:
+        return data
+    for u in draw(st.lists(st.integers(low, trunc), max_size=max_rows, unique=True)):
+        zs = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * nvars),
+                           min_size=1, max_size=max_terms, unique=True))
+        data[u] = {z: draw(cyc(order)) for z in zs}
+    return data
+
+
+@st.composite
+def ring(draw, max_trunc=10):
+    order = draw(st.sampled_from(ORDERS))
+    nvars = draw(st.integers(0, 3))
+    # Keep the oracle's dense powers small in the larger rings.
+    cap = max_trunc if nvars <= 1 and Cyc.degree(order) <= 2 else max_trunc - 3
+    return nvars, order, draw(st.integers(0, cap))
+
+
+def one_plus(data, nvars, order, trunc):
+    data = dict(data)
+    data[0] = {(0,) * nvars: Cyc.one(order)}
+    return TruncatedSeries.from_dict(data, nvars, order, trunc)
+
+
+@st.composite
+def euler_inputs(draw):
+    nvars, order, trunc = draw(ring())
+    q = draw(st.sampled_from(PRIME_POWERS))
+    max_degree = draw(st.none() | st.integers(0, trunc + 1))
+    factors = {d: one_plus(draw(rows(nvars, order, trunc, max_rows=2)),
+                           nvars, order, trunc)
+               for d in range(1, max(trunc, 1) + 1)}
+    return factors, Curve(q=q), trunc, max_degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(euler_inputs())
+def test_log_exp_kernel_matches_binary_powering(case):
+    factors, curve, trunc, max_degree = case
+    got = euler_product(factors.__getitem__, curve, trunc, max_degree=max_degree)
+    want = binary_powering_euler_product(factors.__getitem__, curve, trunc,
+                                         max_degree=max_degree)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exp_inverts_log(data):
+    nvars, order, trunc = data.draw(ring())
+    f = one_plus(data.draw(rows(nvars, order, trunc)), nvars, order, trunc)
+    assert f.log().exp() == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_log_inverts_exp(data):
+    nvars, order, trunc = data.draw(ring())
+    g = TruncatedSeries.from_dict(data.draw(rows(nvars, order, trunc)),
+                                  nvars, order, trunc)
+    assert g.exp().log() == g
+
+
+def test_zeta_series_matches_binary_powering():
+    one = Cyc.one(1)
+    for q in PRIME_POWERS:
+        def geometric(d):
+            return TruncatedSeries.from_dict(
+                {k: {(): one} for k in range(0, 9, d)}, 0, 1, 8)
+        assert zeta_series(Curve(q=q), 8) == binary_powering_euler_product(
+            geometric, Curve(q=q), 8)
+
+
+def test_log_of_geometric_series():
+    # log 1/(1 - z u) = sum z^n u^n / n.
+    geo = TruncatedSeries.from_dict(
+        {k: {(k,): Cyc.one(1)} for k in range(7)}, 1, 1, 6)
+    assert geo.log().as_dict() == {
+        n: {(n,): Cyc.rational(Fraction(1, n), 1)} for n in range(1, 7)}
+
+
+def _series(rows_, nvars=1, order=1, trunc=4):
+    return TruncatedSeries.from_dict(
+        {u: {z: Cyc.rational(c, order) for z, c in terms.items()}
+         for u, terms in rows_.items()}, nvars, order, trunc)
+
+
+@pytest.mark.parametrize("series, reason", [
+    (_series({0: {(0,): 2}, 1: {(1,): 1}}), "constant row"),
+    (_series({0: {(0,): 1, (1,): 1}}), "constant row"),
+    (_series({1: {(1,): 1}}), "constant row"),
+    (TruncatedSeries.zero(1, 1, 4), "constant row"),
+    (_series({-1: {(1,): 1}, 0: {(0,): 1}}), "negative"),
+    (_series({0: {(0,): 1}, 1: {(1,): 1}}, trunc=EXACT), "finite truncation"),
+])
+def test_log_refuses(series, reason):
+    with pytest.raises(ValueError, match=reason):
+        series.log()
+
+
+@pytest.mark.parametrize("series, reason", [
+    (_series({0: {(1,): 1}}), "u > 0"),
+    (_series({0: {(0,): 1}, 1: {(1,): 1}}), "u > 0"),
+    (_series({-2: {(1,): 1}, 1: {(1,): 1}}), "u > 0"),
+    (_series({1: {(1,): 1}}, trunc=EXACT), "finite truncation"),
+])
+def test_exp_refuses(series, reason):
+    with pytest.raises(ValueError, match=reason):
+        series.exp()
+
+
+def test_refusals_hold_under_optimize():
+    code = (
+        "from toricperiods.cyclotomic import Cyc\n"
+        "from toricperiods.series import TruncatedSeries\n"
+        "s = TruncatedSeries.from_dict({0: {(): Cyc.rational(2, 1)}}, 0, 1, 3)\n"
+        "for f in (s.log, s.exp):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f.__name__ + ' accepted a bad series')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

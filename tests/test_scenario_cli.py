@@ -157,3 +157,41 @@ def test_cli_catalog_roundtrip(tmp_path, capsys):
 
 def test_missing_file_is_schema_error():
     assert main(["verify", "/nonexistent/path.json"]) == 2
+
+
+def test_non_prime_power_q_is_schema_error(tmp_path, capsys):
+    data = catalog_emit("tate", q=6)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.pointer == "scenario.curve.q"
+    assert main(["verify", str(write_scenario(tmp_path, data))]) == 2
+    assert "scenario.curve.q" in capsys.readouterr().err
+
+
+def test_invalid_utf8_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(catalog_emit("tate")).encode("utf-8")
+                     .replace(b'"tate"', b'"t\xe2te"'))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.json", ".", "blocker/out.json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = write_scenario(tmp_path, catalog_emit("tate", order=2))
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    assert main(["verify", str(path), "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+
+def test_report_permission_error_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path, catalog_emit("tate", order=2))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "Permission denied" in capsys.readouterr().err
