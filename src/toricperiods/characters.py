@@ -54,10 +54,6 @@ class Character:
         return Monomial(zeta * deg % self.order, u * deg,
                         tuple(e * deg for e in z))
 
-    def u_weight(self, lam) -> int:
-        """The u-exponent of the value at lam (degree one)."""
-        return sum(m.u * c for m, c in zip(self.coords, vec(lam)))
-
     def is_trivial_on(self, lam) -> bool:
         return self.value(lam).is_one(self.order)
 
@@ -89,10 +85,6 @@ class Character:
                        for j in range(lattice_map.source_rank))
         return Character(self.order, self.nvars, coords)
 
-    def is_unitary(self) -> bool:
-        """No u-powers mixed into the values (torsion times formal only)."""
-        return all(m.u == 0 for m in self.coords)
-
 
 def formal_character(rank: int, order: int = 1) -> Character:
     """The generic character: coordinate j takes the formal value z_j."""
@@ -122,11 +114,6 @@ def character_from_spec(coord_specs, order: int, nvars: int | None = None) -> Ch
             k, c = spec
             coords.append(Monomial(int(k) % order, int(c), (0,) * nvars))
     return Character(order, nvars, tuple(coords))
-
-
-def character_monomial(chi: Character, lam, place_degree: int) -> Monomial:
-    """Value of the character at the class of lambda over a degree-d place."""
-    return chi.value(lam, place_degree)
 
 
 def extended_character(chi: Character, grading: Vector) -> Character:

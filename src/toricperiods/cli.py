@@ -58,7 +58,7 @@ def cmd_verify(args) -> int:
     path = Path(args.scenario)
     try:
         scenario = load_scenario(path)
-        report, ok = run_scenario(scenario, jobs=args.jobs)
+        report, ok = run_scenario(scenario)
     except SchemaError as err:
         print(f"schema error: {err}", file=sys.stderr)
         return 2
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true",
                         help="print the machine-readable report to stdout")
     verify.add_argument("--jobs", type=int, default=None,
-                        help="evaluate Euler factors with this many workers")
+                        help="accepted for compatibility; has no effect")
     verify.add_argument("--out", default=None,
                         help="report path (default: beside the input)")
     verify.set_defaults(func=cmd_verify)

@@ -215,13 +215,6 @@ class FaceLattice:
     def __len__(self):
         return len(self.faces)
 
-    def index_of(self, face: Cone) -> int:
-        target = face.ray_set()
-        for i, f in enumerate(self.faces):
-            if f.ray_set() == target:
-                return i
-        raise KeyError("not a face of this lattice")
-
 
 @lru_cache(maxsize=None)
 def faces(c: Cone) -> FaceLattice:
@@ -348,7 +341,8 @@ def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
         coords = []
         for r in c.rays:
             x = solve_integer(span_basis, r)
-            assert x is not None, "ray outside the saturated span"
+            if x is None:
+                raise ValueError("ray outside the saturated span")
             coords.append(x)
         inner = make_cone(coords, len(span_basis))
         lifted = []

@@ -3,8 +3,10 @@
 Only genus zero is supported; the place-count machinery is driven by the
 point counts N_n = q^n + 1, inverted to closed-point counts by Mobius
 summation.  The half-canonical divisor data (one marked degree-one place
-with twist -1) realises the degree constraint 2 * sum(m_v deg v) = -2 and
-feeds the normalization prefactors of both period engines.
+with twist -1) realises the degree constraint 2 * sum(m_v deg v) = -2, so
+the spin idele has degree 1 - g = 1 and the period prefactors
+(`periods.automorphic_prefactor`, `periods.spectral_prefactor`) need no
+spin datum.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import Character
 from .cyclotomic import Cyc
-from .duality import GradedDualPair
-from .intlinalg import vec
-from .series import Monomial, TruncatedSeries
+from .series import TruncatedSeries
 
 
 class BranchAmbiguity(ValueError):
@@ -115,10 +114,6 @@ class Curve:
     def point_count(self, n: int) -> int:
         return self.q ** n + 1
 
-    def spin_inverse_degree(self) -> int:
-        """deg of the idele with local coordinates (-m_v); equals 1 - g."""
-        return -sum(m * d for d, m in self.spin)
-
 
 @dataclass(frozen=True)
 class PlaceTable:
@@ -141,7 +136,8 @@ def place_counts(curve: Curve, cutoff: int) -> PlaceTable:
         for e in range(1, d + 1):
             if d % e == 0:
                 total += mobius(e) * curve.point_count(d // e)
-        assert total % d == 0, "point counts are not Mobius-consistent"
+        if total % d:
+            raise ValueError("point counts are not Mobius-consistent")
         counts.append(total // d)
     return PlaceTable(counts=tuple(counts))
 
@@ -169,34 +165,3 @@ def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:
     data = {m: {(): Cyc.rational((curve.q ** (m + 1) - 1) // (curve.q - 1), 1)}
             for m in range(order + 1)}
     return TruncatedSeries.from_dict(data, 0, 1, order)
-
-
-def aut_prefactor(pair: GradedDualPair, curve: Curve, chi: Character) -> Monomial:
-    """chi evaluated at the grading cocharacter pushed through the spin idele.
-
-    The class of rho(spin^{-1/2}) is (1-g) * rho = rho at genus zero, so
-    the prefactor is just the character value at rho.
-    """
-    e = curve.spin_inverse_degree()
-    rho = vec(pair.side_x.rho)
-    return chi.value(tuple(e * c for c in rho))
-
-
-def spec_prefactor(pair: GradedDualPair, curve: Curve, chi: Character) -> Monomial:
-    """The eigenform scalar times the quarter-discriminant normalization.
-
-    The dual side's eigenform is the primal grading rho, so the scalar is
-    the same character value; the discriminant quarter-power contributes
-    u^((1-g) * (epsilon - r)).
-    """
-    base = aut_prefactor(pair, curve, chi)
-    shift = (1 - curve.genus) * (pair.epsilon - pair.rank)
-    return Monomial(base.zeta, base.u + shift, base.z)
-
-
-def normalization_prefactors(pair: GradedDualPair, curve: Curve,
-                             chi: Character) -> tuple[Monomial, Monomial, int]:
-    """(automorphic prefactor, spectral prefactor, duality exponent r - epsilon)."""
-    return (aut_prefactor(pair, curve, chi),
-            spec_prefactor(pair, curve, chi),
-            pair.rank - pair.epsilon)

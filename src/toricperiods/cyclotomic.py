@@ -22,12 +22,14 @@ def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int,
         c = num[i]
         if c == 0:
             continue
-        assert c % lead == 0, "non-exact polynomial division"
+        if c % lead:
+            raise ValueError("non-exact polynomial division")
         q = c // lead
         out[i - dn] = q
         for j, d in enumerate(den):
             num[i - dn + j] -= q * d
-    assert all(x == 0 for x in num), "non-exact polynomial division"
+    if any(num):
+        raise ValueError("non-exact polynomial division")
     return tuple(out)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .cones import (
     Cone,
-    FaceLattice,
     dual_cone,
     face_dual,
     faces,

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Character
-from .cones import Cone, dual_description, hilbert_basis, points_at_level
+from .cones import Cone, dual_description, points_at_level
 from .curve import Curve
-from .cyclotomic import Cyc
 from .intlinalg import Vector, dot, vec
-from .periods import PositivityViolation, euler_product
-from .series import TruncatedSeries
+from .periods import euler_product, monoid_weight_minimum, positivity_certificate
+from .series import Monomial, TruncatedSeries
 
 
 class OutsideSupport(ValueError):
@@ -78,15 +77,11 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
     half-density twist here.  The combined functional 2*slope + character
     slope must be strictly positive on every ray of every cone.
     """
-    out = {0: {(0,) * chi.nvars: Cyc.one(chi.order)}}
+    terms = []
     seen = {tuple([0] * h.ambient_rank)}
     bound = order // place_degree
     for c, s in zip(h.cones, h.slopes):
-        combined = tuple(2 * a + m.u for a, m in zip(s, chi.coords))
-        for r in c.rays:
-            v = dot(combined, r)
-            if v <= 0:
-                raise PositivityViolation(r, v)
+        combined = _combined_weight(c, s, chi)
         for level in range(1, bound + 1):
             for pt in points_at_level(c, combined, level):
                 if pt in seen:
@@ -94,51 +89,25 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
                 seen.add(pt)
                 mon = chi.value(pt, place_degree)
                 total_u = mon.u + 2 * place_degree * dot(s, pt)
-                if total_u > order:
-                    continue
-                bucket = out.setdefault(total_u, {})
-                add = Cyc.root_power(mon.zeta, chi.order)
-                cur = bucket.get(mon.z)
-                new = add if cur is None else cur + add
-                if new.is_zero():
-                    bucket.pop(mon.z, None)
-                else:
-                    bucket[mon.z] = new
-    return TruncatedSeries.from_dict(out, chi.nvars, chi.order, order)
+                if total_u <= order:
+                    terms.append(Monomial(mon.zeta, total_u, mon.z))
+    return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
+
+
+def _combined_weight(cone: Cone, slope: Vector, chi: Character) -> Vector:
+    """2*slope + character slope, certified positive on the rays of the cone."""
+    return positivity_certificate(cone, chi, tuple(2 * a for a in slope))
 
 
 def height_fourier_global(h: PiecewiseLinearHeight, curve: Curve,
-                          chi: Character, order: int, jobs=None) -> TruncatedSeries:
+                          chi: Character, order: int) -> TruncatedSeries:
     """Euler product of local transforms over all place degrees.
 
     The degree cutoff divides by the minimal combined weight over the
-    nonzero monoid points (2 for plain unitary data, so half the order);
-    the minimum is realised on a Hilbert-basis element since every point
-    is a sum of them, so rays alone would overestimate it.
+    nonzero monoid points of every cone (2 for plain unitary data, so half
+    the order).
     """
-    w_min = None
-    for c, s in zip(h.cones, h.slopes):
-        combined = tuple(2 * a + m.u for a, m in zip(s, chi.coords))
-        for r in c.rays:
-            v = dot(combined, r)
-            if v <= 0:
-                raise PositivityViolation(r, v)
-        for b in hilbert_basis(c):
-            v = dot(combined, b)
-            if v <= 0:
-                raise PositivityViolation(b, v)
-            w_min = v if w_min is None else min(w_min, v)
-    if w_min is None:
-        w_min = max(order, 1)
-
-    def factor(deg: int) -> TruncatedSeries:
-        return height_fourier_local(h, chi, deg, order)
-
-    degrees_top = order // w_min
-
-    def guarded(deg: int) -> TruncatedSeries:
-        if deg > degrees_top:
-            return TruncatedSeries.one(chi.nvars, chi.order, order)
-        return factor(deg)
-
-    return euler_product(guarded, curve, order, jobs=jobs)
+    w_min = min(monoid_weight_minimum(c, _combined_weight(c, s, chi))
+                for c, s in zip(h.cones, h.slopes))
+    return euler_product(lambda d: height_fourier_local(h, chi, d, order),
+                         curve, order, max_degree=order // w_min)

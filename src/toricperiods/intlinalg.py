@@ -27,10 +27,6 @@ def mat(rows) -> Matrix:
     return tuple(vec(r) for r in rows)
 
 
-def zero_vector(n: int) -> Vector:
-    return (0,) * n
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -39,10 +35,6 @@ def dot(a: Vector, b: Vector) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum(x * y for x, y in zip(a, b))
-
-
-def add_vec(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def sub_vec(a: Vector, b: Vector) -> Vector:

@@ -12,7 +12,6 @@ being verified.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -75,7 +74,7 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
     psi = extended_character(chi, datum.eta)
     w = positivity_certificate(datum.cone, chi, datum.eta)
     n = datum.rank
-    out = {0: {(0,) * chi.nvars: _one(chi.order)}}
+    terms = []
     bound = order // place_degree
     if bound >= 1 and datum.cone.rays:
         dual_basis = hilbert_basis(dual_cone(datum.cone))
@@ -88,8 +87,8 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
                 continue
             mon = psi.value(cand, place_degree)
             if 0 < mon.u <= order:
-                _accumulate(out, mon, chi.order)
-    return TruncatedSeries.from_dict(out, chi.nvars, chi.order, order)
+                terms.append(mon)
+    return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 
 
 def spectral_local_factor(datum_check: GradedToricDatum, phi: Character,
@@ -103,7 +102,7 @@ def spectral_local_factor(datum_check: GradedToricDatum, phi: Character,
     monoid_cone = dual_cone(datum_check.cone)
     w = positivity_certificate(monoid_cone, phi, datum_check.rho)
     psi = extended_character(phi, datum_check.rho)
-    out = {0: {(0,) * phi.nvars: _one(phi.order)}}
+    terms = []
     bound = order // place_degree
     if bound >= 1 and monoid_cone.rays:
         # Levels of the grading can exceed the u-bound when specializations
@@ -115,29 +114,11 @@ def spectral_local_factor(datum_check: GradedToricDatum, phi: Character,
             for pt in points_at_level(monoid_cone, datum_check.rho, level):
                 mon = psi.value(pt, place_degree)
                 if 0 < mon.u <= order:
-                    _accumulate(out, mon, phi.order)
-    return TruncatedSeries.from_dict(out, phi.nvars, phi.order, order)
-
-
-def _one(order):
-    from .cyclotomic import Cyc
-    return Cyc.one(order)
-
-
-def _accumulate(data: dict, mon: Monomial, order: int):
-    from .cyclotomic import Cyc
-    bucket = data.setdefault(mon.u, {})
-    add = Cyc.root_power(mon.zeta, order)
-    cur = bucket.get(mon.z)
-    new = add if cur is None else cur + add
-    if new.is_zero():
-        bucket.pop(mon.z, None)
-    else:
-        bucket[mon.z] = new
+                    terms.append(mon)
+    return TruncatedSeries.from_monomials(terms, phi.nvars, phi.order, order)
 
 
 def euler_product(local_factor, curve: Curve, order: int,
-                  jobs: int | None = None,
                   max_degree: int | None = None) -> TruncatedSeries:
     """prod over degrees d of local_factor(d)^(a_d), a_d the places of degree d.
 
@@ -151,9 +132,7 @@ def euler_product(local_factor, curve: Curve, order: int,
 
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero
-    point may tighten the cutoff further through max_degree.  Factors for
-    distinct degrees may be evaluated concurrently and are combined in
-    degree order, so the result is schedule-independent.
+    point may tighten the cutoff further through max_degree.
     """
     top = max(order, 0)
     if max_degree is not None:
@@ -163,14 +142,9 @@ def euler_product(local_factor, curve: Curve, order: int,
         f = local_factor(1)
         return TruncatedSeries.one(f.nvars, f.order, f.trunc)
     table = place_counts(curve, len(degrees))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            factors = list(pool.map(local_factor, degrees))
-    else:
-        factors = [local_factor(d) for d in degrees]
     total = None
-    for d, f in zip(degrees, factors):
-        term = f.log().scale(table.a(d))
+    for d in degrees:
+        term = local_factor(d).log().scale(table.a(d))
         total = term if total is None else total + term
     return total.exp()
 
@@ -188,39 +162,48 @@ def monoid_weight_minimum(cone: Cone, weight: Vector) -> int:
     return min(dot(weight, b) for b in basis)
 
 
-def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
-                       order: int, jobs: int | None = None) -> TruncatedSeries:
-    """Prefactored Euler product of automorphic local factors.
+def automorphic_prefactor(datum: GradedToricDatum, chi: Character) -> Monomial:
+    """chi at the grading cocharacter pushed through the spin idele.
 
-    The global normalization constant Delta^((dim X - dim T)/4) is 1 here
-    because the variety and the torus share the same dimension.
+    The class of rho(spin^(-1/2)) is (1 - g) * rho = rho at genus zero, so
+    this is the character value at rho.  The global normalization constant
+    Delta^((dim X - dim T)/4) is 1 because the variety and the torus share
+    the same dimension.
     """
-    pref = chi.value(datum.rho)
+    return chi.value(datum.rho)
+
+
+def spectral_prefactor(datum_check: GradedToricDatum, curve: Curve,
+                       phi: Character) -> Monomial:
+    """Eigenform scalar times the quarter-discriminant power u^((1-g)(epsilon - r))."""
+    epsilon = dot(datum_check.rho, datum_check.eta)
+    shift = (1 - curve.genus) * (epsilon - datum_check.rank)
+    scalar = phi.value(datum_check.eta)
+    return Monomial(scalar.zeta, scalar.u + shift, scalar.z)
+
+
+def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
+                       order: int) -> TruncatedSeries:
+    """Prefactored Euler product of automorphic local factors."""
     w = positivity_certificate(datum.cone, chi, datum.eta)
     cutoff = order // monoid_weight_minimum(datum.cone, w)
     series = euler_product(
         lambda d: automorphic_local_factor(datum, chi, d, order),
-        curve, order, jobs=jobs, max_degree=cutoff)
+        curve, order, max_degree=cutoff)
+    pref = automorphic_prefactor(datum, chi)
     return series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
 
 
 def spectral_period(datum_check: GradedToricDatum, curve: Curve, phi: Character,
-                    order: int, jobs: int | None = None) -> TruncatedSeries:
-    """Normalized product of graded Frobenius traces at the unique fixed point.
-
-    The prefactor is the eigenform scalar times the quarter-discriminant
-    power u^((1-g)(epsilon - r)).
-    """
-    epsilon = dot(datum_check.rho, datum_check.eta)
-    shift = (1 - curve.genus) * (epsilon - datum_check.rank)
-    z_scalar = phi.value(datum_check.eta)
-    pref = Monomial(z_scalar.zeta, z_scalar.u + shift, z_scalar.z)
+                    order: int) -> TruncatedSeries:
+    """Normalized product of graded Frobenius traces at the unique fixed point."""
     monoid_cone = dual_cone(datum_check.cone)
     w = positivity_certificate(monoid_cone, phi, datum_check.rho)
     cutoff = order // monoid_weight_minimum(monoid_cone, w)
     series = euler_product(
         lambda d: spectral_local_factor(datum_check, phi, d, order),
-        curve, order, jobs=jobs, max_degree=cutoff)
+        curve, order, max_degree=cutoff)
+    pref = spectral_prefactor(datum_check, curve, phi)
     return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
 
 
@@ -244,17 +227,11 @@ class PeriodReport:
     def equal(self) -> bool:
         return all(d.equal for d in self.directions)
 
-    def first_failure(self):
-        for d in self.directions:
-            if not d.equal:
-                return d
-        return None
-
 
 def _compare_direction(aut_datum, spec_datum, name_a, name_s, curve, chi,
-                       order, exponent, jobs=None) -> DirectionVerdict:
-    lhs = automorphic_period(aut_datum, curve, chi, order, jobs=jobs)
-    rhs = spectral_period(spec_datum, curve, chi, order, jobs=jobs)
+                       order, exponent) -> DirectionVerdict:
+    lhs = automorphic_period(aut_datum, curve, chi, order)
+    rhs = spectral_period(spec_datum, curve, chi, order)
     rhs_scaled = rhs.shift_u(exponent)
     mism = lhs.first_mismatch(rhs_scaled)
     return DirectionVerdict(
@@ -264,8 +241,7 @@ def _compare_direction(aut_datum, spec_datum, name_a, name_s, curve, chi,
 
 
 def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
-                        order: int, jobs: int | None = None,
-                        sample_degrees: int = 3) -> PeriodReport:
+                        order: int, sample_degrees: int = 3) -> PeriodReport:
     """Check both period identities of the pair at one character.
 
     Direction one pairs the automorphic engine on the primal side against
@@ -274,9 +250,9 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     """
     expo = pair.discrepancy
     d1 = _compare_direction(pair.side_x, pair.side_xcheck, "X", "X-check",
-                            curve, chi, order, expo, jobs=jobs)
+                            curve, chi, order, expo)
     d2 = _compare_direction(pair.side_xcheck, pair.side_x, "X-check", "X",
-                            curve, chi, order, expo, jobs=jobs)
+                            curve, chi, order, expo)
     samples = {}
     for deg in range(1, min(sample_degrees, max(order, 1)) + 1):
         samples[deg] = {

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone, points_at_level
 from .curve import Curve
-from .cyclotomic import Cyc
 from .duality import (
     GradedDualPair,
     GradedToricDatum,
@@ -29,12 +28,18 @@ from .duality import (
 from .intlinalg import (
     Vector,
     annihilator_basis,
-    dot,
     quotient_lattice,
     saturate_sublattice,
 )
-from .periods import PositivityViolation, euler_product
-from .series import Monomial, TruncatedSeries
+from .periods import (
+    PositivityViolation,
+    automorphic_prefactor,
+    euler_product,
+    monoid_weight_minimum,
+    positivity_certificate,
+    spectral_prefactor,
+)
+from .series import TruncatedSeries
 
 VANISHED_TRIVIALITY = "triviality-failed"
 VANISHED_CUSPIDALITY = "not-relatively-cuspidal"
@@ -118,35 +123,24 @@ def is_generic(datum_check: GradedToricDatum, phi: Character):
 
 
 def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
-                             order: int, jobs=None) -> TruncatedSeries:
+                             order: int) -> TruncatedSeries:
     """Euler product of level-set sums of the descended character on a cone."""
-    weight = tuple(m.u for m in psi_bar.coords)
-    for r in cone.rays:
-        v = dot(weight, r)
-        if v <= 0:
-            raise PositivityViolation(r, v)
+    weight = positivity_certificate(cone, psi_bar, (0,) * cone.ambient_rank)
 
     def factor(deg: int) -> TruncatedSeries:
-        out = {0: {(0,) * psi_bar.nvars: Cyc.one(psi_bar.order)}}
-        for level in range(1, order // deg + 1):
-            for pt in points_at_level(cone, weight, level):
-                mon = psi_bar.value(pt, deg)
-                bucket = out.setdefault(mon.u, {})
-                add = Cyc.root_power(mon.zeta, psi_bar.order)
-                cur = bucket.get(mon.z)
-                new = add if cur is None else cur + add
-                if new.is_zero():
-                    bucket.pop(mon.z, None)
-                else:
-                    bucket[mon.z] = new
-        return TruncatedSeries.from_dict(out, psi_bar.nvars, psi_bar.order, order)
+        return TruncatedSeries.from_monomials(
+            (psi_bar.value(pt, deg)
+             for level in range(1, order // deg + 1)
+             for pt in points_at_level(cone, weight, level)),
+            psi_bar.nvars, psi_bar.order, order)
 
-    return euler_product(factor, curve, order, jobs=jobs)
+    cutoff = order // monoid_weight_minimum(cone, weight)
+    return euler_product(factor, curve, order, max_degree=cutoff)
 
 
 def regularized_automorphic_contribution(
         datum: GradedToricDatum, orbit: OrbitDescriptor, curve: Curve,
-        chi: Character, order: int, jobs=None) -> OrbitContribution:
+        chi: Character, order: int) -> OrbitContribution:
     """Contribution of one orbit to the regularized automorphic period.
 
     Vanishes unless the combined character is trivial on the stabilizer
@@ -157,7 +151,8 @@ def regularized_automorphic_contribution(
     psi = extended_character(chi, datum.eta)
     if orbit.stabilizer_basis and not psi.is_trivial_on_all(orbit.stabilizer_basis):
         return _vanished(orbit, VANISHED_TRIVIALITY)
-    assert orbit.quotient.torsion_invariants == (), "stabilizer basis not saturated"
+    if orbit.quotient.torsion_invariants != ():
+        raise ValueError("stabilizer basis not saturated")
     psi_bar = psi.compose(orbit.quotient.section)
     closure = orbit.closure_cone
     # Relative cuspidality of the descended character on the closure.
@@ -165,8 +160,8 @@ def regularized_automorphic_contribution(
         stab = saturate_sublattice(face.rays, closure.ambient_rank)
         if psi_bar.is_trivial_on_all(stab):
             return _vanished(orbit, VANISHED_CUSPIDALITY)
-    pref = chi.value(datum.rho)
-    series = _descended_euler_product(closure, psi_bar, curve, order, jobs=jobs)
+    pref = automorphic_prefactor(datum, chi)
+    series = _descended_euler_product(closure, psi_bar, curve, order)
     total = series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
     return OrbitContribution(orbit=orbit, status="computed", reason=None,
                              series=total)
@@ -174,7 +169,7 @@ def regularized_automorphic_contribution(
 
 def regularized_spectral_contribution(
         datum_check: GradedToricDatum, orbit: OrbitDescriptor, curve: Curve,
-        phi: Character, order: int, jobs=None) -> OrbitContribution:
+        phi: Character, order: int) -> OrbitContribution:
     """Contribution of one dual-side orbit to the regularized spectral period.
 
     Not fixed pointwise: zero.  Fixed but dominated by a larger fixed
@@ -194,15 +189,13 @@ def regularized_spectral_contribution(
             if psi.is_trivial_on_all(annihilator_basis(other.rays, rank)):
                 return _vanished(orbit, VANISHED_DOMINATED)
     quot = quotient_lattice(rank, ann)
-    assert quot.torsion_invariants == ()
+    if quot.torsion_invariants != ():
+        raise ValueError("annihilator of the face is not saturated")
     monoid_cone = dual_cone(datum_check.cone)
     image = image_cone(monoid_cone, quot.free_projection)
     psi_desc = psi.compose(quot.section)
-    epsilon = dot(datum_check.rho, datum_check.eta)
-    shift = (1 - curve.genus) * (epsilon - rank)
-    z_scalar = phi.value(datum_check.eta)
-    pref = Monomial(z_scalar.zeta, z_scalar.u + shift, z_scalar.z)
-    series = _descended_euler_product(image, psi_desc, curve, order, jobs=jobs)
+    pref = spectral_prefactor(datum_check, curve, phi)
+    series = _descended_euler_product(image, psi_desc, curve, order)
     total = series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
     return OrbitContribution(orbit=orbit, status="computed", reason=None,
                              series=total)
@@ -232,22 +225,21 @@ class OrbitDualityReport:
         return [p for p in self.pairs if not p.automorphic.vanished]
 
 
-def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo,
-                         jobs=None):
+def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo):
     verdicts = []
     for orbit in orbits(aut_datum):
         dual_face = face_dual(orbit.face, aut_datum.cone)
         dual_orbit_desc = orbit_for_face(spec_datum, dual_face)
         try:
             aut = regularized_automorphic_contribution(
-                aut_datum, orbit, curve, chi, order, jobs=jobs)
+                aut_datum, orbit, curve, chi, order)
         except PositivityViolation as err:
             aut = OrbitContribution(orbit, "divergent",
                                     f"weight {err.value} on ray {err.witness}",
                                     None)
         try:
             spec = regularized_spectral_contribution(
-                spec_datum, dual_orbit_desc, curve, chi, order, jobs=jobs)
+                spec_datum, dual_orbit_desc, curve, chi, order)
         except PositivityViolation as err:
             spec = OrbitContribution(dual_orbit_desc, "divergent",
                                      f"weight {err.value} on ray {err.witness}",
@@ -266,8 +258,8 @@ def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo,
 
 
 def verify_langlands_dual_periods(pair: GradedDualPair, curve: Curve,
-                                  chi: Character, order: int,
-                                  jobs=None) -> tuple[OrbitDualityReport, ...]:
+                                  chi: Character,
+                                  order: int) -> tuple[OrbitDualityReport, ...]:
     """Orbit-by-orbit comparison in both directions.
 
     For every orbit pair under the face bijection: vanished must match
@@ -278,9 +270,9 @@ def verify_langlands_dual_periods(pair: GradedDualPair, curve: Curve,
     fwd = OrbitDualityReport(
         direction="X-to-X-check", duality_exponent=expo,
         pairs=_orbit_pair_verdicts(pair.side_x, pair.side_xcheck, curve, chi,
-                                   order, expo, jobs=jobs))
+                                   order, expo))
     bwd = OrbitDualityReport(
         direction="X-check-to-X", duality_exponent=expo,
         pairs=_orbit_pair_verdicts(pair.side_xcheck, pair.side_x, curve, chi,
-                                   order, expo, jobs=jobs))
+                                   order, expo))
     return fwd, bwd

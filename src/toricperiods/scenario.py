@@ -63,9 +63,6 @@ class CharacterSpec:
     def build(self, order: int, nvars: int) -> Character:
         return character_from_spec(self.coords, order=order, nvars=nvars)
 
-    def is_formal(self) -> bool:
-        return all(c == "formal" for c in self.coords)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -299,14 +296,13 @@ def _character_order(sc: Scenario) -> int:
     return lcm_orders(orders)
 
 
-def _run_weak_duality(sc, pair, order, jobs):
+def _run_weak_duality(sc, pair, order):
     rows = []
     ok = True
     for spec in sc.characters:
         chi = spec.build(order, sc.rank)
         try:
-            report = verify_weak_duality(pair, sc.curve, chi, sc.truncation,
-                                         jobs=jobs)
+            report = verify_weak_duality(pair, sc.curve, chi, sc.truncation)
         except PositivityViolation as err:
             rows.append({"character": spec.name, "status": "divergent-skip",
                          "witness_ray": _vec_s(err.witness),
@@ -337,13 +333,12 @@ def _run_weak_duality(sc, pair, order, jobs):
     return {"status": "pass" if ok else "fail", "per_character": rows}, ok
 
 
-def _run_orbit_duality(sc, pair, order, jobs):
+def _run_orbit_duality(sc, pair, order):
     rows = []
     ok = True
     for spec in sc.characters:
         chi = spec.build(order, sc.rank)
-        fwd, bwd = verify_langlands_dual_periods(pair, sc.curve, chi,
-                                                 sc.truncation, jobs=jobs)
+        fwd, bwd = verify_langlands_dual_periods(pair, sc.curve, chi, sc.truncation)
         entry = {"character": spec.name, "directions": []}
         all_eq = True
         for rep in (fwd, bwd):
@@ -380,15 +375,14 @@ def _run_orbit_duality(sc, pair, order, jobs):
     return {"status": "pass" if ok else "fail", "per_character": rows}, ok
 
 
-def _run_stack_duality(sc, order, jobs):
+def _run_stack_duality(sc, order):
     induced = sc.build_induced()
     rows = []
     ok = True
     for spec in sc.characters:
         base_lift = spec.build(order, sc.rank)
         try:
-            rep = verify_stack_duality(induced, sc.curve, base_lift,
-                                       sc.truncation, jobs=jobs)
+            rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
         except (IncompatibleField, MissingRoots) as err:
             raise SchemaError("scenario.isogeny", str(err)) from None
         entry = {
@@ -411,7 +405,7 @@ def _run_stack_duality(sc, order, jobs):
     return {"status": "pass" if ok else "fail", "per_character": rows}, ok
 
 
-def _run_height_bridge(sc, pair, order, jobs):
+def _run_height_bridge(sc, pair, order):
     height = sc.build_height()
     rows = []
     ok = True
@@ -435,8 +429,7 @@ def _run_height_bridge(sc, pair, order, jobs):
                     "local_factor": _series_json(rhs),
                 })
                 good = good and mism is None
-        global_series = height_fourier_global(height, sc.curve, chi,
-                                              sc.truncation, jobs=jobs)
+        global_series = height_fourier_global(height, sc.curve, chi, sc.truncation)
         entry["global_transform"] = _series_json(global_series)
         entry["status"] = "equal" if good else "mismatch"
         rows.append(entry)
@@ -444,8 +437,11 @@ def _run_height_bridge(sc, pair, order, jobs):
     return {"status": "pass" if ok else "fail", "per_character": rows}, ok
 
 
-def run_scenario(sc: Scenario, jobs: int | None = None) -> tuple[dict, bool]:
-    """Execute all requested checks; returns (report dict, all passed)."""
+def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
+    """Execute all requested checks; returns (report dict, all passed).
+
+    The worker-count keyword is accepted for old callers and ignored.
+    """
     report = {
         "engine": f"toricperiods {__version__}",
         "seed": "0",
@@ -478,13 +474,13 @@ def run_scenario(sc: Scenario, jobs: int | None = None) -> tuple[dict, bool]:
         return report, False
     for check in sc.checks:
         if check == "weak_duality":
-            block, ok = _run_weak_duality(sc, pair, order, jobs)
+            block, ok = _run_weak_duality(sc, pair, order)
         elif check == "orbit_duality":
-            block, ok = _run_orbit_duality(sc, pair, order, jobs)
+            block, ok = _run_orbit_duality(sc, pair, order)
         elif check == "stack_duality":
-            block, ok = _run_stack_duality(sc, order, jobs)
+            block, ok = _run_stack_duality(sc, order)
         elif check == "height_bridge":
-            block, ok = _run_height_bridge(sc, pair, order, jobs)
+            block, ok = _run_height_bridge(sc, pair, order)
         else:  # pragma: no cover - guarded by the parser
             raise AssertionError(check)
         report["checks"][check] = block

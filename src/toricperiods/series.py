@@ -104,6 +104,16 @@ class TruncatedSeries:
                                ((mon.u, ((mon.z, c),)),))
 
     @staticmethod
+    def from_monomials(monomials, nvars: int, order: int,
+                       trunc: int) -> "TruncatedSeries":
+        """1 plus the sum of the monomials, exact to trunc (a local factor)."""
+        data = {0: {(0,) * nvars: Cyc.one(order)}}
+        for mon in monomials:
+            _zp_add_term(data.setdefault(mon.u, {}), mon.z,
+                         Cyc.root_power(mon.zeta, order))
+        return TruncatedSeries.from_dict(data, nvars, order, trunc)
+
+    @staticmethod
     def from_dict(data: dict, nvars: int, order: int, trunc: int) -> "TruncatedSeries":
         rows = []
         for u in sorted(data):

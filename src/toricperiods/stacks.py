@@ -27,12 +27,18 @@ from .intlinalg import (
     Vector,
     dot,
     lattice_index,
-    mat_vec_mul,
     smith_normal_form,
     transpose,
     vec,
 )
-from .periods import automorphic_period, spectral_period
+from .periods import (
+    automorphic_local_factor,
+    automorphic_period,
+    automorphic_prefactor,
+    euler_product,
+    positivity_certificate,
+    spectral_period,
+)
 from .series import Monomial, TruncatedSeries
 
 
@@ -164,8 +170,8 @@ def unramified_lifts(phi: Character | None, iso: IsogenyDatum,
                 f"base lift restricts to {got.coords}, expected {phi.coords}")
     twists = tuple(torsion_twists(iso, base_lift.order))
     members = tuple(base_lift.twist(t) for t in twists)
-    assert len({m.coords for m in members}) == len(members), \
-        "torsion twists are not pairwise distinct"
+    if len({m.coords for m in members}) != len(members):
+        raise ValueError("torsion twists are not pairwise distinct")
     return LiftFamily(base_lift=base_lift, twists=twists, members=members)
 
 
@@ -225,22 +231,20 @@ def pullback_along_covering(chi_small: Character, iso: IsogenyDatum) -> Characte
 
 
 def stack_automorphic_period(pair: InducedGradedPair, curve: Curve,
-                             chi_on_dual: Character, order: int,
-                             jobs=None) -> TruncatedSeries:
+                             chi_on_dual: Character, order: int) -> TruncatedSeries:
     """Automorphic period of the quotient stack at a downstairs character.
 
     Equals the covering automorphic period at the pulled-back character.
     """
     check_curve_compatibility(pair.isogeny, curve)
     pulled = pullback_along_covering(chi_on_dual, pair.isogeny)
-    return automorphic_period(pair.base_pair.side_xcheck, curve, pulled,
-                              order, jobs=jobs)
+    return automorphic_period(pair.base_pair.side_xcheck, curve, pulled, order)
 
 
 def stack_spectral_period_unramified(pair: InducedGradedPair, curve: Curve,
                                      phi: Character | None,
-                                     base_lift: Character | None, order: int,
-                                     jobs=None) -> TruncatedSeries:
+                                     base_lift: Character | None,
+                                     order: int) -> TruncatedSeries:
     """Sum of covering spectral periods over the unramified lift family.
 
     Each lift carries its own eigenform scalar, so the sum is invariant
@@ -261,16 +265,15 @@ def stack_spectral_period_unramified(pair: InducedGradedPair, curve: Curve,
     fam = unramified_lifts(phi, pair.isogeny, base_lift)
     total = None
     for member in fam.members:
-        term = spectral_period(pair.base_pair.side_xcheck, curve, member,
-                               order, jobs=jobs)
+        term = spectral_period(pair.base_pair.side_xcheck, curve, member, order)
         total = term if total is None else total + term
     return total
 
 
 def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
                                           chi: Character | None,
-                                          base_extension: Character, order: int,
-                                          jobs=None) -> TruncatedSeries:
+                                          base_extension: Character,
+                                          order: int) -> TruncatedSeries:
     """Average of covering automorphic periods over the extension family.
 
     This is the normative unramified period: (1/index) times the sum over
@@ -286,15 +289,13 @@ def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
     fam = unramified_lifts(None, pair.isogeny, base_extension)
     total = None
     for member in fam.members:
-        term = automorphic_period(pair.base_pair.side_x, curve, member,
-                                  order, jobs=jobs)
+        term = automorphic_period(pair.base_pair.side_x, curve, member, order)
         total = term if total is None else total + term
     return total.scale(Fraction(1, fam.size))
 
 
 def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
-                                         base_extension: Character, order: int,
-                                         jobs=None):
+                                         base_extension: Character, order: int):
     """Experimental direct orbit-sum model, returned with a comparison flag.
 
     Counts the unramified rational orbits (index-many at genus zero),
@@ -309,7 +310,6 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
 
     from .cones import make_cone
     from .duality import GradedToricDatum
-    from .periods import automorphic_local_factor, euler_product, positivity_certificate
     cover_cone = pair.base_pair.side_x.cone
     # Pull the covering cone back to the small lattice: membership of
     # lambda is membership of inclusion(lambda).
@@ -328,15 +328,14 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
                                    rho=_interior_vector(small_cone),
                                    eta=eta_small)
 
-    def factor(deg: int) -> TruncatedSeries:
-        return automorphic_local_factor(small_datum, pulled_chi, deg, order)
-
-    series = euler_product(factor, curve, order, jobs=jobs)
-    pref = base_extension.value(pair.base_pair.side_x.rho)
+    series = euler_product(
+        lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
+        curve, order)
+    pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
     direct = series * TruncatedSeries.from_monomial(
         pref, base_extension.nvars, base_extension.order)
     normative = unramified_automorphic_period_liftsum(
-        pair, curve, None, base_extension, order, jobs=jobs)
+        pair, curve, None, base_extension, order)
     mism = direct.first_mismatch(normative)
     return direct, mism is None, mism
 
@@ -379,8 +378,7 @@ class StackReport:
 
 
 def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
-                         base_lift: Character, order: int,
-                         jobs=None) -> StackReport:
+                         base_lift: Character, order: int) -> StackReport:
     """The two stack identities, each computed through distinct engines.
 
     (i) the stack automorphic period at a downstairs dual-side character
@@ -397,9 +395,9 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
     # (i): character downstairs on the dual side, engines on the covering.
     from .characters import formal_character
     chi_dual = formal_character(base.rank, base_lift.order)
-    lhs1 = stack_automorphic_period(pair, curve, chi_dual, order, jobs=jobs)
+    lhs1 = stack_automorphic_period(pair, curve, chi_dual, order)
     pulled = pullback_along_covering(chi_dual, pair.isogeny)
-    rhs1 = spectral_period(base.side_x, curve, pulled, order, jobs=jobs)
+    rhs1 = spectral_period(base.side_x, curve, pulled, order)
     mism1 = lhs1.first_mismatch(rhs1.shift_u(expo))
     check1 = StackCheck("stack-automorphic-vs-covering-spectral",
                         mism1 is None, mism1, lhs1, rhs1)
@@ -407,15 +405,15 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
     # (ii): lift-sum unramified automorphic vs unramified stack spectral.
     chi_small = restrict_character(base_lift, pair.isogeny)
     lhs2 = unramified_automorphic_period_liftsum(
-        pair, curve, chi_small, base_lift, order, jobs=jobs)
+        pair, curve, chi_small, base_lift, order)
     rhs2 = stack_spectral_period_unramified(
-        pair, curve, chi_small, base_lift, order, jobs=jobs)
+        pair, curve, chi_small, base_lift, order)
     rhs2_scaled = rhs2.scale(Fraction(1, m)).shift_u(expo)
     mism2 = lhs2.first_mismatch(rhs2_scaled)
     check2 = StackCheck("unramified-automorphic-vs-stack-spectral",
                         mism2 is None, mism2, lhs2, rhs2)
 
     _, direct_equal, direct_mism = unramified_automorphic_period_direct(
-        pair, curve, base_lift, order, jobs=jobs)
+        pair, curve, base_lift, order)
     return StackReport(index=m, discrepancy=expo, checks=(check1, check2),
                        direct_comparison=(direct_equal, direct_mism))

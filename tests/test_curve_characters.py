@@ -6,7 +6,6 @@ import pytest
 from toricperiods.characters import (
     Character,
     character_from_spec,
-    character_monomial,
     extended_character,
     formal_character,
 )
@@ -16,13 +15,13 @@ from toricperiods.curve import (
     divisor_count_series,
     is_prime_power,
     mobius,
-    normalization_prefactors,
     place_counts,
     zeta_series,
 )
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.intlinalg import LatticeMap
+from toricperiods.periods import automorphic_prefactor, spectral_prefactor
 from toricperiods.series import Monomial
 
 
@@ -102,15 +101,15 @@ def test_mobius_values():
 
 def test_character_monomial_formal():
     chi = formal_character(1)
-    assert character_monomial(chi, (2,), 3) == Monomial(0, 0, (6,))
+    assert chi.value((2,), 3) == Monomial(0, 0, (6,))
 
 
 def test_character_monomial_specialized():
     chi = character_from_spec([(1, 0)], order=4)
-    m = character_monomial(chi, (1,), 2)
+    m = chi.value((1,), 2)
     assert Cyc.root_power(m.zeta, 4) == Cyc.rational(-1, 4)
     chi2 = character_from_spec([(0, -1)], order=1)
-    assert character_monomial(chi2, (1,), 1) == Monomial(0, -1, (0,))
+    assert chi2.value((1,), 1) == Monomial(0, -1, (0,))
 
 
 def test_character_multiplicative():
@@ -152,25 +151,23 @@ def test_prefactors_tate():
     datum = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
     pair = toric_dual(datum)
     chi = formal_character(1)
-    aut, spec, expo = normalization_prefactors(pair, Curve(q=2), chi)
-    assert aut == Monomial(0, 0, (1,))
-    assert spec == Monomial(0, 0, (1,))
-    assert expo == 0
+    assert automorphic_prefactor(pair.side_x, chi) == Monomial(0, 0, (1,))
+    assert spectral_prefactor(pair.side_xcheck, Curve(q=2), chi) == Monomial(0, 0, (1,))
+    assert pair.rank - pair.epsilon == 0
 
 
 def test_prefactors_quadric_eta21():
     datum = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(2, 1))
     pair = toric_dual(datum)
     chi = formal_character(2)
-    aut, spec, expo = normalization_prefactors(pair, Curve(q=2), chi)
-    assert expo == -1
-    assert aut == Monomial(0, 0, (1, 1))
+    assert pair.rank - pair.epsilon == -1
+    assert automorphic_prefactor(pair.side_x, chi) == Monomial(0, 0, (1, 1))
     # The spectral prefactor carries Delta^{(eps - r)/4} = u^{3-2} = u.
+    spec = spectral_prefactor(pair.side_xcheck, Curve(q=2), chi)
     assert spec == Monomial(0, 1, (1, 1))
 
 
 def test_prefactors_matched_weights_exponent_zero():
     datum = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(1, 1))
     pair = toric_dual(datum)
-    _, _, expo = normalization_prefactors(pair, Curve(q=3), formal_character(2))
-    assert expo == 0
+    assert pair.rank - pair.epsilon == 0

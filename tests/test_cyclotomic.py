@@ -1,9 +1,17 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from toricperiods.cyclotomic import Cyc, cyclotomic_polynomial, lcm_orders
+from toricperiods.cyclotomic import (
+    Cyc,
+    _poly_divexact_int,
+    cyclotomic_polynomial,
+    lcm_orders,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -72,3 +80,24 @@ def test_lcm_orders():
     assert lcm_orders([]) == 1
     assert lcm_orders([2, 3]) == 6
     assert lcm_orders([4, 6]) == 12
+
+
+def test_inexact_polynomial_division_raises():
+    # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(ValueError, match="non-exact"):
+        _poly_divexact_int((1, 0, 1), (1, 1))
+
+
+def test_inexact_polynomial_division_raises_under_optimize():
+    code = (
+        "from toricperiods.cyclotomic import _poly_divexact_int\n"
+        "try:\n"
+        "    _poly_divexact_int((1, 0, 1), (1, 1))\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('an inexact division was accepted')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -4,15 +4,18 @@ import pytest
 
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
-from toricperiods.curve import Curve, normalization_prefactors
+from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.periods import (
     automorphic_local_factor,
+    automorphic_prefactor,
     spectral_local_factor,
+    spectral_prefactor,
     verify_weak_duality,
 )
 from toricperiods.regularization import verify_langlands_dual_periods
+from toricperiods.series import Monomial
 from toricperiods.stacks import induced_pair, make_isogeny, verify_stack_duality
 
 SQUARE_SYM = GradedToricDatum(
@@ -100,9 +103,10 @@ def test_spin_override_keeps_prefactors():
     tate = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
     pair = toric_dual(tate)
     chi = formal_character(1)
-    default = normalization_prefactors(pair, Curve(q=2), chi)
-    weird = normalization_prefactors(
-        pair, Curve(q=2, spin=((1, -2), (1, 1))), chi)
+    weird_curve = Curve(q=2, spin=((1, -2), (1, 1)))
+    assert automorphic_prefactor(pair.side_x, chi) == Monomial(0, 0, (1,))
+    default = spectral_prefactor(pair.side_xcheck, Curve(q=2), chi)
+    weird = spectral_prefactor(pair.side_xcheck, weird_curve, chi)
     assert default == weird
     rep = verify_weak_duality(pair, Curve(q=2, spin=((1, -2), (1, 1))), chi, 6)
     assert rep.equal

@@ -1,10 +1,15 @@
 import pytest
 
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import make_cone
+from toricperiods.cones import make_cone, points_at_level
 from toricperiods.curve import Curve, divisor_count_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
+from toricperiods.heights import (
+    height_fourier_global,
+    height_fourier_local,
+    make_height,
+)
 from toricperiods.periods import (
     PositivityViolation,
     automorphic_local_factor,
@@ -13,6 +18,7 @@ from toricperiods.periods import (
     spectral_period,
     verify_weak_duality,
 )
+from toricperiods.regularization import _descended_euler_product
 from toricperiods.series import Monomial, TruncatedSeries
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
@@ -163,13 +169,6 @@ def test_spectral_level_rescaling_with_negative_slopes():
         automorphic_period(pair.side_xcheck, Curve(q=2), chi, 8)
 
 
-def test_jobs_parameter_is_schedule_independent():
-    chi = formal_character(2)
-    seq = automorphic_period(QUADRIC, Curve(q=3), chi, 8)
-    par = automorphic_period(QUADRIC, Curve(q=3), chi, 8, jobs=4)
-    assert seq == par
-
-
 def test_degree_cutoff_tightening_is_sound():
     # The subunit cone: (1,0) weighs 1 while both rays weigh 2, so the
     # cutoff must come from the monoid minimum, not the rays.
@@ -183,6 +182,22 @@ def test_degree_cutoff_tightening_is_sound():
         lambda d: automorphic_local_factor(subunit, chi, d, 6),
         Curve(q=2), 6) * TruncatedSeries.from_monomial(
             chi.value(subunit.rho), 2, 1)
+    assert tight.first_mismatch(full) is None
+    # The orbit product and the height transform cut off the same way; a
+    # character slope of (1, 0) puts the weight (1, 0) on both.
+    sloped = character_from_spec([(0, 1), "formal"], order=1, nvars=2)
+    orbit = _descended_euler_product(subunit.cone, sloped, Curve(q=2), 6)
+    level_sums = euler_product(
+        lambda d: TruncatedSeries.from_monomials(
+            (sloped.value(pt, d) for level in range(1, 6 // d + 1)
+             for pt in points_at_level(subunit.cone, (1, 0), level)),
+            2, 1, 6),
+        Curve(q=2), 6)
+    assert orbit.first_mismatch(level_sums) is None
+    flat = make_height([[(2, 1), (2, -1)]], [(0, 0)], 2)
+    tight = height_fourier_global(flat, Curve(q=2), sloped, 6)
+    full = euler_product(lambda d: height_fourier_local(flat, sloped, d, 6),
+                         Curve(q=2), 6)
     assert tight.first_mismatch(full) is None
     # With eigenform (2,1)-style weights the cutoff halves but agrees too.
     pair21 = toric_dual(QUADRIC21)

@@ -25,6 +25,16 @@ def test_monomial_algebra():
     assert not Monomial(1, 0, (0,)).is_one(4)
 
 
+def test_from_monomials_buckets_and_cancels():
+    # 1 + zeta_2^0 z u + zeta_2^1 z u (cancels) + 2 u^2 + u^5 (beyond trunc)
+    mons = [Monomial(0, 1, (1,)), Monomial(1, 1, (1,)), Monomial(0, 2, (0,)),
+            Monomial(2, 2, (0,)), Monomial(0, 5, (0,))]
+    s = TruncatedSeries.from_monomials(mons, 1, 2, 4)
+    assert s.trunc == 4
+    assert s.as_dict() == {0: {(0,): Cyc.one(2)}, 2: {(0,): Cyc.rational(2, 2)}}
+    assert TruncatedSeries.from_monomials([], 1, 2, 4) == TruncatedSeries.one(1, 2, 4)
+
+
 def test_add_and_mul_truncate():
     s = geometric(1, 1, 4)
     t = s * s
