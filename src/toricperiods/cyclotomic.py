@@ -1,15 +1,19 @@
 """Arithmetic in Q(zeta_N) as the polynomial quotient Q[x]/Phi_N(x).
 
-Elements are coefficient tuples of Fractions in the power basis
-1, zeta, ..., zeta^(phi(N)-1).  Equality is syntactic on the reduced
-form, which is what makes coefficientwise series comparison exact.
+An element is a tuple of integer coordinates in the power basis
+1, zeta, ..., zeta^(phi(N)-1) over one positive common denominator.
+Phi_N is monic, so reducing x^k modulo it never divides: a product is an
+integer convolution, one integer reduction, one denominator product and
+one gcd.  Equality is syntactic on the canonical form, which is what
+makes coefficientwise series comparison exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 
 
 def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -48,35 +52,86 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_n as Fraction rows of length deg(Phi_n).
+def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_n as integer rows of length deg(Phi_n).
 
-    Covers k up to max(2*deg - 2, n - 1): enough for products of two
-    reduced elements and for any root power zeta^k with k < n.
+    Phi_n is monic, so every row is integral.  Covers k up to
+    max(2*deg - 2, n - 1): enough for products of two reduced elements
+    and for any root power zeta^k with k < n.
     """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
+    cur = [1] + [0] * (deg - 1)
     for _ in range(max(2 * deg - 1, n)):
         rows.append(tuple(cur))
         overflow = cur[-1]
-        nxt = [Fraction(0)] + cur[:-1]
-        nxt = nxt[:deg]
+        cur = [0] + cur[:-1]
         if overflow:
             for i in range(deg):
-                nxt[i] -= overflow * phi[i]
-        cur = nxt
+                cur[i] -= overflow * phi[i]
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Cyc:
-    """An element of Q(zeta_order)."""
+@lru_cache(maxsize=None)
+def _overflow_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, value) pairs of x^k mod Phi_n for deg <= k <= 2*deg - 2."""
+    table = _reduction_table(n)
+    deg = len(table[0])
+    return tuple(tuple((t, r) for t, r in enumerate(table[k]) if r)
+                 for k in range(deg, 2 * deg - 1))
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+
+_new = object.__new__
+
+
+def _canonical(order: int, nums: tuple[int, ...], den: int) -> "Cyc":
+    """The element nums / den (den > 0), with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+    c = _new(Cyc)
+    c.order = order
+    c.nums = nums
+    c.den = den
+    return c
+
+
+class Cyc:
+    """An element of Q(zeta_order): integer coordinates over one denominator.
+
+    `nums` are the power-basis coordinates times `den`.  The form is
+    canonical (den > 0 and gcd(den, *nums) == 1; zero is all zeros over
+    1), so equality and hashing compare the three fields syntactically.
+    Instances are immutable: no operation assigns to a field after
+    construction.
+    """
+
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, coeffs):
+        """The element with the given rational power-basis coordinates."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        c = Cyc.from_integers(
+            order, [f.numerator * (den // f.denominator) for f in fracs], den)
+        self.order, self.nums, self.den = c.order, c.nums, c.den
+
+    @staticmethod
+    def from_integers(order: int, nums, den: int = 1) -> "Cyc":
+        """The element sum_k nums[k] zeta^k / den, brought to canonical form."""
+        nums = tuple(int(x) for x in nums)
+        den = int(den)
+        if len(nums) != Cyc.degree(order):
+            raise ValueError(f"Q(zeta_{order}) needs {Cyc.degree(order)} coordinates, "
+                             f"got {len(nums)}")
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            nums, den = tuple(-x for x in nums), -den
+        return _canonical(order, nums, den)
 
     @staticmethod
     def degree(order: int) -> int:
@@ -84,13 +139,13 @@ class Cyc:
 
     @staticmethod
     def zero(order: int) -> "Cyc":
-        return Cyc(order, (Fraction(0),) * Cyc.degree(order))
+        return _canonical(order, (0,) * Cyc.degree(order), 1)
 
     @staticmethod
     def rational(value, order: int) -> "Cyc":
-        c = [Fraction(0)] * Cyc.degree(order)
-        c[0] = Fraction(value)
-        return Cyc(order, tuple(c))
+        value = Fraction(value)
+        nums = (value.numerator,) + (0,) * (Cyc.degree(order) - 1)
+        return _canonical(order, nums, value.denominator)
 
     @staticmethod
     def one(order: int) -> "Cyc":
@@ -99,59 +154,86 @@ class Cyc:
     @staticmethod
     def root_power(k: int, order: int) -> "Cyc":
         """zeta_order^k, reduced."""
-        return Cyc(order, _reduction_table(order)[k % order])
+        return _canonical(order, _reduction_table(order)[k % order], 1)
 
-    def _require_same(self, other: "Cyc"):
-        if self.order != other.order:
-            raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as reduced fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        return (self.order == other.order and self.nums == other.nums
+                and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.order, self.nums, self.den))
+
+    def __repr__(self):
+        return f"Cyc.from_integers({self.order}, {self.nums}, {self.den})"
 
     def __add__(self, other: "Cyc") -> "Cyc":
-        self._require_same(other)
-        return Cyc(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.order != other.order:
+            raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _canonical(self.order, tuple(map(add, self.nums, other.nums)), d1)
+        return _canonical(self.order, tuple([a * d2 + b * d1 for a, b in
+                                             zip(self.nums, other.nums)]), d1 * d2)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
-        self._require_same(other)
-        return Cyc(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.order, tuple(-a for a in self.coeffs))
+        return _canonical(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other) -> "Cyc":
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.order, tuple(a * other for a in self.coeffs))
-        self._require_same(other)
-        deg = len(self.coeffs)
-        table = _reduction_table(self.order)
-        acc = [Fraction(0)] * deg
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if not y:
-                    continue
-                row = table[i + j]
-                p = x * y
-                for t in range(deg):
-                    if row[t]:
-                        acc[t] += p * row[t]
-        return Cyc(self.order, tuple(acc))
+        a = self.nums
+        if isinstance(other, Cyc):
+            if self.order != other.order:
+                raise ValueError(
+                    f"mixed cyclotomic orders {self.order} and {other.order}")
+            b = other.nums
+            den = self.den * other.den
+            if len(a) == 1:
+                return _canonical(self.order, (a[0] * b[0],), den)
+            deg = len(a)
+            conv = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            conv[i + j] += x * y
+            acc = conv[:deg]
+            for c, row in zip(conv[deg:], _overflow_rows(self.order)):
+                if c:
+                    for t, r in row:
+                        acc[t] += c * r
+            return _canonical(self.order, tuple(acc), den)
+        if isinstance(other, int):
+            return _canonical(self.order, tuple([x * other for x in a]), self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _canonical(self.order, tuple([x * n for x in a]),
+                              self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def inverse(self) -> "Cyc":
         """Inverse via the extended Euclidean algorithm against Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
         # r0 = Phi, r1 = self; maintain r = s * self (mod Phi).
-        r0, r1 = phi, _trim(a)
+        r0, r1 = phi, _trim(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while _poly_deg(r1) > 0:
             q, rem = _poly_divmod(r0, r1)
@@ -159,17 +241,9 @@ class Cyc:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if _poly_deg(r1) < 0:
             raise ZeroDivisionError("element is a zero divisor (Phi_N not coprime?)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        table = _reduction_table(self.order)
-        for i, x in enumerate(inv):
-            if x:
-                row = table[i]
-                for t in range(deg):
-                    out[t] += x * row[t]
-        return Cyc(self.order, tuple(out))
+        # Bezout: deg s1 < deg Phi, so s1 / c is already reduced.
+        inv = [x / r1[0] for x in s1]
+        return Cyc(self.order, inv + [0] * (len(self.nums) - len(inv)))
 
     def __str__(self):
         if self.is_zero():
@@ -232,7 +306,6 @@ def _poly_divmod(a, b):
 
 
 def lcm_orders(orders) -> int:
-    from math import lcm
     out = 1
     for n in orders:
         out = lcm(out, int(n))

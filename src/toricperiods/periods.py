@@ -12,6 +12,8 @@ being verified.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,6 +24,10 @@ from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import Vector, dot, vec
 from .series import Monomial, TruncatedSeries
+
+
+# The memo of the innermost euler_memo() scope, None outside every scope.
+_EULER_MEMO: ContextVar[dict | None] = ContextVar("euler_memo", default=None)
 
 
 class PositivityViolation(ValueError):
@@ -133,20 +139,47 @@ def euler_product(local_factor, curve: Curve, order: int,
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero
     point may tighten the cutoff further through max_degree.
+
+    Inside an `euler_memo()` scope the result is remembered under the
+    local factors in degree order and the place counts a_d.  The product
+    is a function of exactly that key, so a remembered result is never
+    stale, whichever engine enumerated the factors.
     """
     top = max(order, 0)
     if max_degree is not None:
         top = min(top, max_degree)
-    degrees = list(range(1, top + 1))
-    if not degrees:
+    if top < 1:
         f = local_factor(1)
         return TruncatedSeries.one(f.nvars, f.order, f.trunc)
-    table = place_counts(curve, len(degrees))
+    table = place_counts(curve, top)
+    factors = tuple(local_factor(d) for d in range(1, top + 1))
+    counts = tuple(table.a(d) for d in range(1, top + 1))
+    memo = _EULER_MEMO.get()
+    key = (factors, counts)
+    if memo is not None and (hit := memo.get(key)) is not None:
+        return hit
     total = None
-    for d in degrees:
-        term = local_factor(d).log().scale(table.a(d))
+    for f, a in zip(factors, counts):
+        term = f.log().scale(a)
         total = term if total is None else total + term
-    return total.exp()
+    result = total.exp()
+    if memo is not None:
+        memo[key] = result
+    return result
+
+
+@contextmanager
+def euler_memo():
+    """A scope in which euler_product remembers its results.
+
+    The memo lives as long as the scope: leaving it drops every entry, and
+    outside any scope euler_product computes without caching.
+    """
+    token = _EULER_MEMO.set({})
+    try:
+        yield
+    finally:
+        _EULER_MEMO.reset(token)
 
 
 def monoid_weight_minimum(cone: Cone, weight: Vector) -> int:

@@ -32,6 +32,7 @@ from .heights import (
 from .periods import (
     PositivityViolation,
     automorphic_local_factor,
+    euler_memo,
     verify_weak_duality,
 )
 from .regularization import verify_langlands_dual_periods
@@ -441,6 +442,8 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
     """Execute all requested checks; returns (report dict, all passed).
 
     The worker-count keyword is accepted for old callers and ignored.
+    Euler products are remembered for the checks of this run only: the
+    memo is dropped when the run ends.
     """
     report = {
         "engine": f"toricperiods {__version__}",
@@ -472,19 +475,20 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
     if not validation.ok:
         report["status"] = "fail"
         return report, False
-    for check in sc.checks:
-        if check == "weak_duality":
-            block, ok = _run_weak_duality(sc, pair, order)
-        elif check == "orbit_duality":
-            block, ok = _run_orbit_duality(sc, pair, order)
-        elif check == "stack_duality":
-            block, ok = _run_stack_duality(sc, order)
-        elif check == "height_bridge":
-            block, ok = _run_height_bridge(sc, pair, order)
-        else:  # pragma: no cover - guarded by the parser
-            raise AssertionError(check)
-        report["checks"][check] = block
-        all_ok = all_ok and ok
+    with euler_memo():
+        for check in sc.checks:
+            if check == "weak_duality":
+                block, ok = _run_weak_duality(sc, pair, order)
+            elif check == "orbit_duality":
+                block, ok = _run_orbit_duality(sc, pair, order)
+            elif check == "stack_duality":
+                block, ok = _run_stack_duality(sc, order)
+            elif check == "height_bridge":
+                block, ok = _run_height_bridge(sc, pair, order)
+            else:  # pragma: no cover - guarded by the parser
+                raise AssertionError(check)
+            report["checks"][check] = block
+            all_ok = all_ok and ok
     report["status"] = "pass" if all_ok else "fail"
     return report, all_ok
 

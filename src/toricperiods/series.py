@@ -183,8 +183,7 @@ class TruncatedSeries:
         return TruncatedSeries.from_dict(data, self.nvars, self.order, trunc)
 
     def scale(self, c) -> "TruncatedSeries":
-        if isinstance(c, (int, Fraction)):
-            c = Cyc.rational(c, self.order)
+        """Every coefficient times c (a Cyc of the same order, int or Fraction)."""
         data = {u: _zp_scale(dict(terms), c) for u, terms in self.coeffs}
         return TruncatedSeries.from_dict(data, self.nvars, self.order, self.trunc)
 
@@ -250,7 +249,7 @@ class TruncatedSeries:
                 if t and m in inv:
                     _zp_mul_add(acc, inv[m].items(), t.items())
             if acc:
-                inv[n] = _zp_scale(acc, Cyc.rational(-1, self.order))
+                inv[n] = _zp_scale(acc, -1)
         data = {}
         for n, poly in inv.items():
             data[n - low] = {tuple(a + b for a, b in zip(z, z0_inv)): c * c0_inv

@@ -295,14 +295,15 @@ def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
 
 
 def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
-                                         base_extension: Character, order: int):
-    """Experimental direct orbit-sum model, returned with a comparison flag.
+                                         base_extension: Character,
+                                         order: int) -> TruncatedSeries:
+    """Experimental direct orbit-sum model of the unramified period.
 
     Counts the unramified rational orbits (index-many at genus zero),
     corrects by the rational kernel order, and runs one Euler product over
     the small cocharacter lattice filtered by covering-cone membership.
-    Returns (series, equal_to_liftsum, first_mismatch); the comparison is
-    informational only.
+    The stack verifier diffs it against the lift-sum period; the
+    comparison is informational only.
     """
     check_curve_compatibility(pair.isogeny, curve)
     iso = pair.isogeny
@@ -332,12 +333,8 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
         lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
         curve, order)
     pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
-    direct = series * TruncatedSeries.from_monomial(
+    return series * TruncatedSeries.from_monomial(
         pref, base_extension.nvars, base_extension.order)
-    normative = unramified_automorphic_period_liftsum(
-        pair, curve, None, base_extension, order)
-    mism = direct.first_mismatch(normative)
-    return direct, mism is None, mism
 
 
 def _interior_vector(cone):
@@ -413,7 +410,7 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
     check2 = StackCheck("unramified-automorphic-vs-stack-spectral",
                         mism2 is None, mism2, lhs2, rhs2)
 
-    _, direct_equal, direct_mism = unramified_automorphic_period_direct(
-        pair, curve, base_lift, order)
+    direct = unramified_automorphic_period_direct(pair, curve, base_lift, order)
+    direct_mism = direct.first_mismatch(lhs2)
     return StackReport(index=m, discrepancy=expo, checks=(check1, check2),
-                       direct_comparison=(direct_equal, direct_mism))
+                       direct_comparison=(direct_mism is None, direct_mism))

@@ -157,8 +157,9 @@ def test_index_one_degenerations():
         spectral_period(base.side_xcheck, curve, chi, 6)
     assert unramified_automorphic_period_liftsum(pair, curve, None, chi, 6) == \
         automorphic_period(base.side_x, curve, chi, 6)
-    direct, equal, mism = unramified_automorphic_period_direct(pair, curve, chi, 6)
-    assert equal and mism is None
+    direct = unramified_automorphic_period_direct(pair, curve, chi, 6)
+    liftsum = unramified_automorphic_period_liftsum(pair, curve, None, chi, 6)
+    assert direct.first_mismatch(liftsum) is None
 
 
 def test_weight_two_series_against_closed_form():
