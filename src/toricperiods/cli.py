@@ -1,8 +1,9 @@
 """Command-line interface: scenario verification and the scenario catalog.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
-carries the first-mismatch witness), 2 the scenario file did not parse
-or validate against the schema, or the report could not be written.
+carries the first-mismatch witness), 2 the scenario file (or, for
+`catalog emit`, the emitted scenario) did not parse or validate against
+the schema, or the report or scenario could not be written.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .scenario import (
     catalog_emit,
     catalog_names,
     load_scenario,
+    parse_scenario,
     report_to_json,
     run_scenario,
 )
@@ -89,21 +91,29 @@ def cmd_catalog(args) -> int:
         return 0
     try:
         data = catalog_emit(args.name, q=args.q, order=args.order, n=args.n)
+        parse_scenario(data)
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
+    except SchemaError as err:
+        print(f"schema error: {err}", file=sys.stderr)
+        return 2
     text = json.dumps(data, sort_keys=True, indent=1) + "\n"
+    outdir = _default_outdir()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        target = Path(args.out)
+    elif outdir is not None:
+        target = outdir / f"{data['name']}.json"
     else:
-        outdir = _default_outdir()
-        if outdir is not None:
-            target = outdir / f"{data['name']}.json"
-            target.write_text(text, encoding="utf-8")
-            print(f"wrote {target}")
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(text)
+        return 0
+    try:
+        target.write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write scenario to {target}: {err.strerror}",
+              file=sys.stderr)
+        return 2
+    print(f"wrote {target}")
     return 0
 
 

@@ -321,6 +321,16 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     return tuple(out)
 
 
+def monoid_points(c: Cone, w: Vector, bound: int):
+    """Nonzero lattice points x of the cone with <w, x> <= bound, level by level.
+
+    Each level is the cached points_at_level slice, so w must be strictly
+    positive on every ray.
+    """
+    for m in range(1, bound + 1):
+        yield from points_at_level(c, w, m)
+
+
 @lru_cache(maxsize=None)
 def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
     """Minimal generating set of the monoid (cone intersect Z^n).
@@ -352,11 +362,7 @@ def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
             lifted.append(v)
         return tuple(sorted(lifted))
     grading = tuple(sum(col) for col in zip(*c.facets))
-    levels = _check_grading(c, grading)
-    bound = sum(levels)
-    pts = []
-    for m in range(1, bound + 1):
-        pts.extend(points_at_level(c, grading, m))
+    pts = list(monoid_points(c, grading, sum(_check_grading(c, grading))))
     pts.sort(key=lambda p: (dot(grading, p), p))
     basis = []
     for h in pts:

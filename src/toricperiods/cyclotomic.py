@@ -228,22 +228,26 @@ class Cyc:
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def inverse(self) -> "Cyc":
-        """Inverse via the extended Euclidean algorithm against Phi_N."""
+        """x^-1 = prod_{k != 1} sigma_k(x) / N(x), k running over (Z/N)^x.
+
+        sigma_k(x) = sum_i nums[i] zeta^(ik) / den is read off the
+        reduction table; the norm N(x) = x * prod_{k != 1} sigma_k(x) is
+        rational, so the only division is one scalar multiply.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # r0 = Phi, r1 = self; maintain r = s * self (mod Phi).
-        r0, r1 = phi, _trim(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_deg(r1) < 0:
-            raise ZeroDivisionError("element is a zero divisor (Phi_N not coprime?)")
-        # Bezout: deg s1 < deg Phi, so s1 / c is already reduced.
-        inv = [x / r1[0] for x in s1]
-        return Cyc(self.order, inv + [0] * (len(self.nums) - len(inv)))
+        n = self.order
+        table = _reduction_table(n)
+        cofactor = Cyc.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * len(self.nums)
+                for i, x in enumerate(self.nums):
+                    for t, r in enumerate(table[i * k % n]):
+                        conj[t] += x * r
+                cofactor = cofactor * _canonical(n, tuple(conj), self.den)
+        norm = self * cofactor
+        return cofactor * Fraction(norm.den, norm.nums[0])
 
     def __str__(self):
         if self.is_zero():
@@ -259,50 +263,6 @@ class Cyc:
             else:
                 parts.append(f"{c}*zeta^{i}")
         return " + ".join(parts)
-
-
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deg(p):
-    p = _trim(p)
-    return -1 if p == [0] else len(p) - 1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _poly_deg(r) >= _poly_deg(b):
-        shift = _poly_deg(r) - _poly_deg(b)
-        c = r[_poly_deg(r)] / b[_poly_deg(b)]
-        q[shift] += c
-        for i in range(len(b)):
-            r[shift + i] -= c * b[i]
-        r = _trim(r)
-        if r == [0]:
-            break
-    return _trim(q), _trim(r)
 
 
 def lcm_orders(orders) -> int:

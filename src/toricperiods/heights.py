@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Character
-from .cones import Cone, dual_description, points_at_level
+from .cones import Cone, dual_description, monoid_points
 from .curve import Curve
 from .intlinalg import Vector, dot, vec
 from .periods import euler_product, monoid_weight_minimum, positivity_certificate
-from .series import Monomial, TruncatedSeries
+from .series import TruncatedSeries
 
 
 class OutsideSupport(ValueError):
@@ -30,6 +30,8 @@ class PiecewiseLinearHeight:
     slopes: tuple[Vector, ...]
 
     def __post_init__(self):
+        if not self.cones:
+            raise ValueError("a height needs at least one cone")
         if len(self.cones) != len(self.slopes):
             raise ValueError("one slope covector per maximal cone")
         for c, s in zip(self.cones, self.slopes):
@@ -78,19 +80,13 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
     slope must be strictly positive on every ray of every cone.
     """
     terms = []
-    seen = {tuple([0] * h.ambient_rank)}
-    bound = order // place_degree
+    seen = set()
     for c, s in zip(h.cones, h.slopes):
-        combined = _combined_weight(c, s, chi)
-        for level in range(1, bound + 1):
-            for pt in points_at_level(c, combined, level):
-                if pt in seen:
-                    continue
+        psi = chi.shift_u(tuple(2 * a for a in s))
+        for pt in monoid_points(c, _combined_weight(c, s, chi), order // place_degree):
+            if pt not in seen:
                 seen.add(pt)
-                mon = chi.value(pt, place_degree)
-                total_u = mon.u + 2 * place_degree * dot(s, pt)
-                if total_u <= order:
-                    terms.append(Monomial(mon.zeta, total_u, mon.z))
+                terms.append(psi.value(pt, place_degree))
     return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 
 

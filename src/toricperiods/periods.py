@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from .characters import Character, extended_character
-from .cones import Cone, dual_cone, hilbert_basis, points_at_level
+from .cones import Cone, dual_cone, hilbert_basis, monoid_points
 from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import Vector, dot, vec
@@ -102,26 +102,26 @@ def spectral_local_factor(datum_check: GradedToricDatum, phi: Character,
     """Graded trace of Frobenius on the monoid algebra at the fixed point.
 
     Enumerates the character monoid of the dual-side variety by primal
-    level sets of the grading cocharacter; independent of the automorphic
-    path by construction.
+    level sets of the effective weight (grading plus u-slopes), so level
+    m sits at u^(m * place_degree); independent of the automorphic path
+    by construction.
     """
     monoid_cone = dual_cone(datum_check.cone)
     w = positivity_certificate(monoid_cone, phi, datum_check.rho)
     psi = extended_character(phi, datum_check.rho)
-    terms = []
-    bound = order // place_degree
-    if bound >= 1 and monoid_cone.rays:
-        # Levels of the grading can exceed the u-bound when specializations
-        # carry negative slopes; the level ceiling rescales by the worst ray.
-        ratio = max(Fraction(dot(datum_check.rho, r), dot(w, r))
-                    for r in monoid_cone.rays)
-        level_top = math.floor(bound * max(ratio, Fraction(0)))
-        for level in range(1, level_top + 1):
-            for pt in points_at_level(monoid_cone, datum_check.rho, level):
-                mon = psi.value(pt, place_degree)
-                if 0 < mon.u <= order:
-                    terms.append(mon)
-    return TruncatedSeries.from_monomials(terms, phi.nvars, phi.order, order)
+    return level_set_factor(monoid_cone, psi, w, place_degree, order)
+
+
+def level_set_factor(cone: Cone, psi: Character, w: Vector, deg: int,
+                     order: int) -> TruncatedSeries:
+    """1 plus psi summed over the nonzero monoid points of w-level <= order // deg.
+
+    psi must carry u-slopes w, so the point x lands at u^(deg * <w, x>):
+    the level bound is the truncation, and no term needs filtering.
+    """
+    return TruncatedSeries.from_monomials(
+        (psi.value(pt, deg) for pt in monoid_points(cone, w, order // deg)),
+        psi.nvars, psi.order, order)
 
 
 def euler_product(local_factor, curve: Curve, order: int,

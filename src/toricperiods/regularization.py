@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Character, extended_character
-from .cones import Cone, dual_cone, face_dual, faces, image_cone, points_at_level
+from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
 from .duality import (
     GradedDualPair,
@@ -35,6 +35,7 @@ from .periods import (
     PositivityViolation,
     automorphic_prefactor,
     euler_product,
+    level_set_factor,
     monoid_weight_minimum,
     positivity_certificate,
     spectral_prefactor,
@@ -126,16 +127,10 @@ def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
                              order: int) -> TruncatedSeries:
     """Euler product of level-set sums of the descended character on a cone."""
     weight = positivity_certificate(cone, psi_bar, (0,) * cone.ambient_rank)
-
-    def factor(deg: int) -> TruncatedSeries:
-        return TruncatedSeries.from_monomials(
-            (psi_bar.value(pt, deg)
-             for level in range(1, order // deg + 1)
-             for pt in points_at_level(cone, weight, level)),
-            psi_bar.nvars, psi_bar.order, order)
-
     cutoff = order // monoid_weight_minimum(cone, weight)
-    return euler_product(factor, curve, order, max_degree=cutoff)
+    return euler_product(
+        lambda d: level_set_factor(cone, psi_bar, weight, d, order),
+        curve, order, max_degree=cutoff)
 
 
 def regularized_automorphic_contribution(

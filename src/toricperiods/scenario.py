@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 
 from . import __version__
 from .characters import Character, character_from_spec
@@ -39,7 +40,7 @@ from .regularization import verify_langlands_dual_periods
 from .stacks import (
     IncompatibleField,
     InducedGradedPair,
-    MissingRoots,
+    check_curve_compatibility,
     induced_pair,
     make_isogeny,
     verify_stack_duality,
@@ -164,9 +165,10 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
     spin_raw = curve_raw.get("spin")
     if spin_raw is None:
         spin = ((1, -1),)
+    elif not isinstance(spin_raw, list):
+        raise SchemaError(f"{pointer}.curve.spin", "expected a list of pairs")
     else:
-        spin = tuple((_int_of(p[0], f"{pointer}.curve.spin[{i}][0]"),
-                      _int_of(p[1], f"{pointer}.curve.spin[{i}][1]"))
+        spin = tuple(_int_vector(p, f"{pointer}.curve.spin[{i}]", 2)
                      for i, p in enumerate(spin_raw))
     try:
         curve = Curve(q=q, genus=genus, spin=spin)
@@ -209,6 +211,14 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
         if len(iso_matrix) != rank:
             raise SchemaError(f"{pointer}.isogeny.inclusion",
                               f"expected {rank} rows")
+        try:
+            iso = make_isogeny(iso_matrix)
+        except ValueError as err:
+            raise SchemaError(f"{pointer}.isogeny.inclusion", str(err)) from None
+        try:
+            check_curve_compatibility(iso, curve)
+        except IncompatibleField as err:
+            raise SchemaError(f"{pointer}.isogeny", str(err)) from None
     height_cones = height_slopes = None
     if "height" in data:
         h = _expect(data, "height", pointer, dict)
@@ -223,6 +233,10 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
         height_slopes = tuple(
             _int_vector(s, f"{pointer}.height.slopes[{i}]", rank)
             for i, s in enumerate(slopes_raw))
+        try:
+            make_height(height_cones, height_slopes, rank)
+        except ValueError as err:
+            raise SchemaError(f"{pointer}.height", str(err)) from None
     if "stack_duality" in checks and iso_matrix is None:
         raise SchemaError(f"{pointer}.checks", "stack_duality needs an isogeny block")
     if "height_bridge" in checks and height_cones is None:
@@ -382,10 +396,7 @@ def _run_stack_duality(sc, order):
     ok = True
     for spec in sc.characters:
         base_lift = spec.build(order, sc.rank)
-        try:
-            rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
-        except (IncompatibleField, MissingRoots) as err:
-            raise SchemaError("scenario.isogeny", str(err)) from None
+        rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
         entry = {
             "character": spec.name,
             "index": _s(rep.index),
@@ -518,61 +529,68 @@ def catalog_names() -> list[str]:
 
 def catalog_emit(name: str, q: int | None = None, order: int | None = None,
                  n: int | None = None) -> dict:
+    """The named catalog scenario, with q and the truncation replaced when given."""
     entries = _catalog_entries()
     if name not in entries:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"known: {', '.join(catalog_names())}")
     if name == "weight_n_stack":
-        return entries[name](q=q, order=order, n=n or 2)
-    if n is not None:
+        data = entries[name](2 if n is None else n)
+    elif n is not None:
         raise KeyError("--n only applies to weight_n_stack")
-    return entries[name](q=q, order=order)
+    else:
+        data = entries[name]()
+    if q is not None:
+        data["curve"]["q"] = q
+    if order is not None:
+        data["truncation"] = order
+    return data
 
 
 def _formal_chars(rank):
     return [{"name": "formal", "coords": ["formal"] * rank}]
 
 
-def _tate_scenario(q=None, order=None):
+def _tate_scenario():
     return {
         "name": "tate",
         "rank": 1,
         "rays": [[1]],
         "rho": [1],
         "eta": [1],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 16,
+        "truncation": 16,
         "characters": _formal_chars(1),
         "checks": ["weak_duality", "orbit_duality"],
     }
 
 
-def _orthant_scenario(q=None, order=None):
+def _orthant_scenario():
     return {
         "name": "orthant_a2",
         "rank": 2,
         "rays": [[1, 0], [0, 1]],
         "rho": [1, 1],
         "eta": [1, 1],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 10,
+        "truncation": 10,
         "characters": _formal_chars(2),
         "checks": ["weak_duality", "orbit_duality"],
     }
 
 
-def _quadric_scenario(q=None, order=None):
+def _quadric_scenario():
     return {
         "name": "quadric_cone",
         "rank": 2,
         "rays": [[1, 0], [1, 2]],
         "rho": [1, 1],
         "eta": [1, 1],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 10,
+        "truncation": 10,
         "characters": _formal_chars(2) + [
             {"name": "z1-is-u-inverse",
              "coords": [{"zeta": 0, "u": -1}, "formal"]}],
@@ -580,65 +598,66 @@ def _quadric_scenario(q=None, order=None):
     }
 
 
-def _quadric21_scenario(q=None, order=None):
+def _quadric21_scenario():
     return {
         "name": "quadric_cone_eta21",
         "rank": 2,
         "rays": [[1, 0], [1, 2]],
         "rho": [1, 1],
         "eta": [2, 1],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 10,
+        "truncation": 10,
         "characters": _formal_chars(2),
         "checks": ["weak_duality"],
     }
 
 
-def _square_scenario(q=None, order=None):
+def _square_scenario():
     return {
         "name": "square_cone_3d",
         "rank": 3,
         "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
         "rho": [1, 1, 2],
         "eta": [1, 0, 1],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 10,
+        "truncation": 10,
         "characters": _formal_chars(3),
         "checks": ["weak_duality", "orbit_duality"],
     }
 
 
-def _weight_n_scenario(q=None, order=None, n=2):
+def _weight_n_scenario(n):
     if n < 1:
         raise KeyError("weight must be >= 1")
-    default_q = {1: 2, 2: 3, 3: 4}.get(n, n + 1)
+    # The least prime power q = 1 mod n: the field must hold the n-th roots.
+    default_q = next(q for q in count(n + 1, n) if is_prime_power(q))
     return {
         "name": f"weight_{n}_stack",
         "rank": 1,
         "rays": [[1]],
         "rho": [1],
         "eta": [1],
-        "curve": {"q": q or default_q, "genus": 0},
+        "curve": {"q": default_q, "genus": 0},
         "cyclotomic_order": n,
-        "truncation": order or 10,
+        "truncation": 10,
         "characters": _formal_chars(1),
         "checks": ["stack_duality"],
         "isogeny": {"inclusion": [[n]]},
     }
 
 
-def _height_scenario(q=None, order=None):
+def _height_scenario():
     return {
         "name": "height_p1",
         "rank": 1,
         "rays": [[1]],
         "rho": [1],
         "eta": [2],
-        "curve": {"q": q or 2, "genus": 0},
+        "curve": {"q": 2, "genus": 0},
         "cyclotomic_order": 1,
-        "truncation": order or 8,
+        "truncation": 8,
         "characters": _formal_chars(1),
         "checks": ["height_bridge", "weak_duality"],
         "height": {"cones": [[[1]]], "slopes": [[1]]},

@@ -22,11 +22,11 @@ from .curve import Curve
 from .duality import GradedDualPair
 from .intlinalg import (
     LatticeMap,
-    Matrix,
     SmithDecomposition,
     Vector,
     dot,
     lattice_index,
+    mat_vec_mul,
     smith_normal_form,
     transpose,
     vec,
@@ -36,6 +36,7 @@ from .periods import (
     automorphic_period,
     automorphic_prefactor,
     euler_product,
+    monoid_weight_minimum,
     positivity_certificate,
     spectral_period,
 )
@@ -197,28 +198,19 @@ class InducedGradedPair:
 def induced_pair(base_pair: GradedDualPair, iso: IsogenyDatum) -> InducedGradedPair:
     if iso.rank != base_pair.rank:
         raise ValueError("isogeny rank does not match the pair")
-    rho_lift = _rational_solve(iso.inclusion.matrix, base_pair.side_x.rho)
-    eta_lift = _rational_solve(transpose(iso.inclusion.matrix),
-                               base_pair.side_xcheck.rho)
+    rho_lift = _smith_solve(iso.smith, base_pair.side_x.rho)
+    eta_lift = _smith_solve(dual_isogeny(iso).smith, base_pair.side_xcheck.rho)
     return InducedGradedPair(base_pair=base_pair, isogeny=iso,
-                             rho_lift=tuple(rho_lift), eta_lift=tuple(eta_lift))
+                             rho_lift=rho_lift, eta_lift=eta_lift)
 
 
-def _rational_solve(matrix: Matrix, target: Vector) -> list[Fraction]:
-    """Exact solution of matrix @ x = target over Q (matrix invertible)."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _smith_solve(snf: SmithDecomposition, target: Vector) -> tuple[Fraction, ...]:
+    """Exact solution of M x = target over Q for invertible M.
+
+    left @ M @ right == diag, so x = right @ diag^-1 @ left @ target.
+    """
+    mid = [Fraction(y, d) for y, d in zip(mat_vec_mul(snf.left, target), snf.diag)]
+    return tuple(sum(r * m for r, m in zip(row, mid)) for row in snf.right)
 
 
 def pullback_along_covering(chi_small: Character, iso: IsogenyDatum) -> Character:
@@ -317,21 +309,20 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
     pulled_chi = base_extension.compose(iso.inclusion)
     eta_small = tuple(dot(pair.base_pair.side_x.eta, iso.inclusion.column(j))
                       for j in range(iso.rank))
-    inv = _rational_inverse(iso.inclusion.matrix)
     small_rays = []
     for r in cover_cone.rays:
-        x = [sum(inv[i][j] * r[j] for j in range(iso.rank)) for i in range(iso.rank)]
+        x = _smith_solve(iso.smith, r)
         den = lcm(*(c.denominator for c in x))
         small_rays.append(tuple(int(c * den) for c in x))
     small_cone = make_cone(small_rays, iso.rank)
-    positivity_certificate(small_cone, pulled_chi, eta_small)
+    w = positivity_certificate(small_cone, pulled_chi, eta_small)
     small_datum = GradedToricDatum(cone=small_cone,
                                    rho=_interior_vector(small_cone),
                                    eta=eta_small)
 
     series = euler_product(
         lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
-        curve, order)
+        curve, order, max_degree=order // monoid_weight_minimum(small_cone, w))
     pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
     return series * TruncatedSeries.from_monomial(
         pref, base_extension.nvars, base_extension.order)
@@ -342,15 +333,6 @@ def _interior_vector(cone):
     for r in cone.rays:
         total = [a + b for a, b in zip(total, r)]
     return tuple(total)
-
-
-def _rational_inverse(matrix: Matrix):
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        cols.append(_rational_solve(matrix, tuple(e)))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from toricperiods.cones import (
     image_cone,
     is_conical_grading,
     make_cone,
+    monoid_points,
     points_at_level,
 )
 from toricperiods.intlinalg import LatticeMap, dot
@@ -243,6 +244,13 @@ def test_points_at_level_brute_force_box():
                 if dot(w, cand) == m and contains_point(c, cand):
                     box.add(cand)
             assert got == box, (c, m)
+        for bound in range(8):
+            got = list(monoid_points(c, w, bound))
+            box = {cand for cand in product(range(-bound, bound + 1), repeat=n)
+                   if 0 < dot(w, cand) <= bound and contains_point(c, cand)}
+            assert len(got) == len(box) and set(got) == box, (c, bound)
+            levels = [dot(w, p) for p in got]
+            assert levels == sorted(levels), (c, bound)
 
 
 def test_image_cone_examples():

@@ -3,10 +3,11 @@
 `FractionOracle` is the Fraction-coordinate arithmetic that `Cyc` used
 before it carried integer coordinates over one denominator: products
 reduced through x^k mod Phi_N rows of Fractions, coordinatewise sums, and
-an inverse solved as a linear system over Q (the Euclidean inverse in the
-library is not reused).  A sympy differential test checks the cyclotomic
-polynomials and the field operations against sympy's own polynomial
-arithmetic; it is skipped when sympy is not installed.
+an inverse solved as a linear system over Q (independent of the library's
+inverse, which divides the product of the Galois conjugates by the norm).
+A sympy differential test checks the cyclotomic polynomials and the field
+operations against sympy's own polynomial arithmetic; it is skipped when
+sympy is not installed.
 """
 
 import subprocess
@@ -138,6 +139,20 @@ def test_inverse_matches_fraction_oracle(case):
     assert_canonical(inv)
     assert inv.coeffs == FractionOracle(order).inverse(a)
     assert (x * inv).is_one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 60)).flatmap(lambda n: st.tuples(st.just(n), coords(n))))
+def test_inverse_at_orders_2_and_60(case):
+    # Order 2 has no Galois conjugate besides the identity and order 60
+    # has 15.  The oracle multiplies back with Fraction coordinates; a
+    # 16 x 16 solve over Q per example would dominate the suite.
+    order, a = case
+    if not any(a):
+        return
+    inv = Cyc(order, a).inverse()
+    assert_canonical(inv)
+    assert FractionOracle(order).mul(a, inv.coeffs) == (1,) + (0,) * (len(a) - 1)
 
 
 @settings(max_examples=100, deadline=None)

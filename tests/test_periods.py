@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone, points_at_level
@@ -152,8 +154,9 @@ def test_positivity_violation_raised():
 
 def test_spectral_level_rescaling_with_negative_slopes():
     # z1 = u^{-1} against eta = (2, 1) keeps the effective weight (1, 1)
-    # positive while grading levels outrun the u-bound, exercising the
-    # level-ceiling rescaling of the spectral enumeration.
+    # positive while grading levels outrun the u-bound: the spectral
+    # enumeration must walk level sets of the effective weight, not of
+    # the grading, to stop exactly at the truncation.
     chi = character_from_spec([(0, -1), "formal"], order=1, nvars=2)
     pair = toric_dual(QUADRIC21)
     for deg in (1, 2):
@@ -204,3 +207,32 @@ def test_degree_cutoff_tightening_is_sound():
     a = automorphic_period(QUADRIC21, Curve(q=3), chi, 9)
     s = spectral_period(pair21.side_xcheck, Curve(q=3), chi, 9)
     assert a.first_mismatch(s.shift_u(pair21.discrepancy)) is None
+
+
+CATALOG_DATA = (TATE, QUADRIC, QUADRIC21, ORTHANT, SQUARE3D)
+
+
+@st.composite
+def sloped_characters(draw):
+    """A catalog datum and a character mixing formal, u-slope and zeta coordinates."""
+    datum = draw(st.sampled_from(CATALOG_DATA))
+    order = draw(st.sampled_from((1, 2, 3, 4)))
+    specs = draw(st.lists(
+        st.just("formal") | st.tuples(st.integers(0, order - 1), st.integers(-1, 2)),
+        min_size=datum.rank, max_size=datum.rank))
+    return datum, character_from_spec(specs, order=order, nvars=datum.rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sloped_characters(), st.integers(1, 3), st.integers(0, 8))
+def test_engines_agree_off_the_grading(case, deg, trunc):
+    # Characters with u-slopes move the effective weight w = rho + slopes
+    # away from rho, which the formal characters of criterion 3 never do.
+    datum, chi = case
+    dual_side = toric_dual(datum).side_xcheck
+    try:
+        a = automorphic_local_factor(datum, chi, deg, trunc)
+        s = spectral_local_factor(dual_side, chi, deg, trunc)
+    except PositivityViolation:
+        return
+    assert a.first_mismatch(s) is None

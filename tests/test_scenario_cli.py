@@ -37,6 +37,10 @@ def test_catalog_emit_overrides():
     assert stack["curve"]["q"] == 3
     stack3 = catalog_emit("weight_n_stack", n=3)
     assert stack3["curve"]["q"] == 4
+    for n in range(1, 13):
+        # q = n + 1 is no prime power at n = 5, 9, 11: the default moves on.
+        stack_n = catalog_emit("weight_n_stack", n=n)
+        assert parse_scenario(stack_n).curve.q % n == 1 % n
     with pytest.raises(KeyError):
         catalog_emit("unknown-name")
 
@@ -132,6 +136,11 @@ def test_stack_scenario_wrong_q_rejected(tmp_path):
     path = write_scenario(tmp_path, data)
     code = main(["verify", str(path)])
     assert code == 2
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.pointer == "scenario.isogeny"
+    assert main(["catalog", "emit", "weight_n_stack", "--n", "2", "--q", "2",
+                 "--out", str(tmp_path / "w2.json")]) == 2
 
 
 def test_series_serialization_format():
@@ -195,3 +204,58 @@ def test_report_permission_error_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Path, "write_text", refuse)
     assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 2
     assert "Permission denied" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, patch, pointer", [
+    ("tate", {"curve": {"q": 2, "spin": [5]}}, "scenario.curve.spin[0]"),
+    ("tate", {"curve": {"q": 2, "spin": [[1]]}}, "scenario.curve.spin[0]"),
+    ("weight_n_stack", {"isogeny": {"inclusion": [[0]]}}, "scenario.isogeny.inclusion"),
+    ("orthant_a2", {"height": {"cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+                               "slopes": [[1, 1], [1, 2]]}}, "scenario.height"),
+    ("tate", {"height": {"cones": [[[1], [-1]]], "slopes": [[1]]}}, "scenario.height"),
+    ("tate", {"height": {"cones": [], "slopes": []}}, "scenario.height"),
+], ids=["spin-entry-not-a-pair", "spin-entry-too-short", "singular-inclusion",
+        "height-slopes-disagree", "height-cone-with-line", "height-without-cones"])
+def test_malformed_block_exits_2_with_pointer(tmp_path, capsys, base, patch, pointer):
+    data = catalog_emit(base, order=2)
+    data.update(patch)
+    assert main(["verify", str(write_scenario(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {pointer}: ") and err.count("\n") == 1
+
+
+def test_catalog_emit_keeps_zero_overrides(tmp_path):
+    target = tmp_path / "tate.json"
+    assert main(["catalog", "emit", "tate", "--order", "0", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["truncation"] == 0
+    assert main(["verify", str(target), "--out", str(tmp_path / "r.json")]) == 0
+    assert catalog_emit("tate", q=0)["curve"]["q"] == 0
+    with pytest.raises(KeyError):
+        catalog_emit("weight_n_stack", n=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["tate", "--q", "0"], "schema error: scenario.curve.q: "),
+    (["tate", "--q", "6"], "schema error: scenario.curve.q: "),
+    (["tate", "--order", "-1"], "schema error: scenario.truncation: "),
+    (["weight_n_stack", "--n", "0"], "error: weight must be >= 1"),
+])
+def test_catalog_emit_refuses_what_verify_rejects(tmp_path, capsys, args, message):
+    target = tmp_path / "s.json"
+    assert main(["catalog", "emit", *args, "--out", str(target)]) == 2
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("via", ["--out", "TORICPERIODS_OUTDIR"])
+def test_catalog_emit_unwritable_target_exits_2(tmp_path, capsys, monkeypatch, via):
+    missing = tmp_path / "missing"
+    if via == "--out":
+        args = ["--out", str(missing / "tate.json")]
+    else:
+        monkeypatch.setenv("TORICPERIODS_OUTDIR", str(missing))
+        args = []
+    assert main(["catalog", "emit", "tate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write scenario to ") and err.count("\n") == 1

@@ -69,6 +69,20 @@ def test_rational_lifts_recorded():
     assert pair.eta_lift == (Fraction(1, 2),)
 
 
+def test_lifts_of_a_non_diagonal_inclusion():
+    # M = [[2, 1], [-1, 3]] (det 7) on the quadric pair, rho = eta = (1, 1).
+    # M x = (1, 1): x2 = 1 - 2 x1 and -x1 + 3 - 6 x1 = 1, so x = (2/7, 3/7).
+    # M^T y = (1, 1): y1 = 1 - 3 y2 and 2 - 7 y2 = 1, so y = (4/7, 1/7).
+    quadric = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1),
+                               eta=(1, 1))
+    base = toric_dual(quadric)
+    pair = induced_pair(base, make_isogeny([[2, 1], [-1, 3]]))
+    assert pair.rho_lift == (Fraction(2, 7), Fraction(3, 7))
+    assert pair.eta_lift == (Fraction(4, 7), Fraction(1, 7))
+    assert all(isinstance(c, Fraction) for c in pair.rho_lift + pair.eta_lift)
+    assert base.side_x.rho == base.side_xcheck.rho == (1, 1)
+
+
 def test_torsion_twists_fourier_inversion():
     # (1/m) sum of twists is the indicator of the image lattice.
     for mat in ([[2]], [[3]], [[2, 0], [0, 2]], [[2, 1], [0, 3]]):
