@@ -210,7 +210,6 @@ def contains_point(c: Cone, v) -> bool:
 @dataclass(frozen=True)
 class FaceLattice:
     faces: tuple[Cone, ...]
-    order: frozenset  # pairs (i, j) with faces[i] a subset of faces[j]
 
     def __len__(self):
         return len(self.faces)
@@ -239,10 +238,7 @@ def faces(c: Cone) -> FaceLattice:
     built = [_build_cone(sorted(rs), c.ambient_rank, allow_lines=False)
              for rs in ray_subsets]
     built.sort(key=lambda f: (f.dim(), f.rays))
-    order = frozenset((i, j) for i, fi in enumerate(built)
-                      for j, fj in enumerate(built)
-                      if fi.ray_set() <= fj.ray_set())
-    return FaceLattice(faces=tuple(built), order=order)
+    return FaceLattice(faces=tuple(built))
 
 
 def face_of(c: Cone, ray_subset) -> Cone:
@@ -387,13 +383,3 @@ def image_cone(c: Cone, proj) -> Cone:
     """
     gens = [proj.apply(r) for r in c.rays]
     return _build_cone(gens, proj.target_rank, allow_lines=True)
-
-
-def is_conical_grading(c: Cone, rho) -> bool:
-    """True when rho sits in the relative interior of a full-dimensional c.
-
-    Equivalently every level set of the pairing with rho on the dual cone
-    is finite with nonnegative values.
-    """
-    rho = vec(rho)
-    return c.full_dimensional and all(dot(f, rho) > 0 for f in c.facets)

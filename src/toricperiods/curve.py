@@ -22,6 +22,14 @@ class BranchAmbiguity(ValueError):
     """A fractional cocharacter forced a fractional power of a formal variable."""
 
 
+class InvalidSpin(ValueError):
+    """The spin entry at `index` names a place of degree < 1."""
+
+    def __init__(self, index: int, degree: int):
+        self.index = index
+        super().__init__(f"place degree {degree} is not >= 1")
+
+
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     if n == 1:
@@ -106,6 +114,9 @@ class Curve:
             raise ValueError(f"q = {self.q} is not a prime power")
         if self.genus != 0:
             raise ValueError("only genus zero is supported")
+        for i, (d, _) in enumerate(self.spin):
+            if d < 1:
+                raise InvalidSpin(i, d)
         total = sum(2 * m * d for d, m in self.spin)
         if total != 2 * self.genus - 2:
             raise ValueError(

@@ -263,10 +263,3 @@ class Cyc:
             else:
                 parts.append(f"{c}*zeta^{i}")
         return " + ".join(parts)
-
-
-def lcm_orders(orders) -> int:
-    out = 1
-    for n in orders:
-        out = lcm(out, int(n))
-    return out

@@ -17,7 +17,6 @@ from .cones import (
     face_dual,
     faces,
     image_cone,
-    is_conical_grading,
 )
 from .intlinalg import (
     QuotientData,
@@ -95,18 +94,14 @@ def toric_dual(datum: GradedToricDatum) -> GradedDualPair:
     sides are validated (interior grading, pole-free eigenform).
     """
     w = grading_witness(datum.cone, datum.rho)
-    if w is not None or not is_conical_grading(datum.cone, datum.rho):
+    if w is not None:
         raise InvalidGrading(
             f"rho={datum.rho} is not interior to the cone (witness {w})")
     w = eigenform_witness(datum.cone, datum.eta)
     if w is not None:
         raise InvalidEigenform(
             f"eta={datum.eta} has a pole along ray {w}")
-    dual = GradedToricDatum(cone=dual_cone(datum.cone), rho=datum.eta, eta=datum.rho)
-    eps = dot(datum.rho, datum.eta)
-    if eps <= 0:
-        raise InvalidGrading(f"grading weight {eps} is not positive")
-    return GradedDualPair(side_x=datum, side_xcheck=dual, epsilon=eps)
+    return unchecked_dual(datum)
 
 
 def unchecked_dual(datum: GradedToricDatum) -> GradedDualPair:

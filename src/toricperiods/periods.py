@@ -26,6 +26,9 @@ from .intlinalg import Vector, dot, vec
 from .series import Monomial, TruncatedSeries
 
 
+# Local factors of degree 1..SAMPLE_DEGREES are reported beside a check.
+SAMPLE_DEGREES = 3
+
 # The memo of the innermost euler_memo() scope, None outside every scope.
 _EULER_MEMO: ContextVar[dict | None] = ContextVar("euler_memo", default=None)
 
@@ -274,7 +277,7 @@ def _compare_direction(aut_datum, spec_datum, name_a, name_s, curve, chi,
 
 
 def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
-                        order: int, sample_degrees: int = 3) -> PeriodReport:
+                        order: int) -> PeriodReport:
     """Check both period identities of the pair at one character.
 
     Direction one pairs the automorphic engine on the primal side against
@@ -287,7 +290,7 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     d2 = _compare_direction(pair.side_xcheck, pair.side_x, "X-check", "X",
                             curve, chi, order, expo)
     samples = {}
-    for deg in range(1, min(sample_degrees, max(order, 1)) + 1):
+    for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
         samples[deg] = {
             "automorphic": automorphic_local_factor(pair.side_x, chi, deg, order),
             "spectral": spectral_local_factor(pair.side_xcheck, chi, deg, order),

@@ -10,14 +10,14 @@ exact values survive round-trips unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import count
 
 from . import __version__
 from .characters import Character, character_from_spec
 from .cones import NotStronglyConvex, make_cone
-from .curve import Curve, is_prime_power
-from .cyclotomic import lcm_orders
+from .curve import Curve, InvalidSpin, is_prime_power
 from .duality import (
     GradedDualPair,
     GradedToricDatum,
@@ -25,12 +25,12 @@ from .duality import (
     validate_pair,
 )
 from .heights import (
-    PiecewiseLinearHeight,
     height_fourier_global,
     height_fourier_local,
     make_height,
 )
 from .periods import (
+    SAMPLE_DEGREES,
     PositivityViolation,
     automorphic_local_factor,
     euler_memo,
@@ -39,7 +39,7 @@ from .periods import (
 from .regularization import verify_langlands_dual_periods
 from .stacks import (
     IncompatibleField,
-    InducedGradedPair,
+    IsogenyDatum,
     check_curve_compatibility,
     induced_pair,
     make_isogeny,
@@ -78,7 +78,7 @@ class Scenario:
     truncation: int
     characters: tuple[CharacterSpec, ...]
     checks: tuple[str, ...]
-    isogeny_matrix: tuple | None = None
+    isogeny: IsogenyDatum | None = None
     height_cones: tuple | None = None
     height_slopes: tuple | None = None
 
@@ -88,21 +88,9 @@ class Scenario:
                                  rho=self.rho, eta=self.eta)
         return unchecked_dual(datum)
 
-    def build_induced(self) -> InducedGradedPair | None:
-        if self.isogeny_matrix is None:
-            return None
-        return induced_pair(self.build_pair(), make_isogeny(self.isogeny_matrix))
 
-    def build_height(self) -> PiecewiseLinearHeight | None:
-        if self.height_cones is None:
-            return None
-        return make_height(self.height_cones, self.height_slopes, self.rank)
-
-
-def _expect(data, key, pointer, kind=None, optional=False):
+def _expect(data, key, pointer, kind=None):
     if key not in data:
-        if optional:
-            return None
         raise SchemaError(f"{pointer}.{key}", "missing required field")
     value = data[key]
     if kind is not None and not isinstance(value, kind):
@@ -172,6 +160,8 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
                      for i, p in enumerate(spin_raw))
     try:
         curve = Curve(q=q, genus=genus, spin=spin)
+    except InvalidSpin as err:
+        raise SchemaError(f"{pointer}.curve.spin[{err.index}]", str(err)) from None
     except ValueError as err:
         raise SchemaError(f"{pointer}.curve", str(err)) from None
     order = _int_of(data.get("cyclotomic_order", 1), f"{pointer}.cyclotomic_order")
@@ -202,7 +192,7 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
             raise SchemaError(f"{pointer}.checks[{i}]",
                               f"unknown check {chk!r}; known: {KNOWN_CHECKS}")
         checks.append(chk)
-    iso_matrix = None
+    iso = None
     if "isogeny" in data:
         iso_raw = _expect(data, "isogeny", pointer, dict)
         inc = _expect(iso_raw, "inclusion", f"{pointer}.isogeny", list)
@@ -237,14 +227,14 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
             make_height(height_cones, height_slopes, rank)
         except ValueError as err:
             raise SchemaError(f"{pointer}.height", str(err)) from None
-    if "stack_duality" in checks and iso_matrix is None:
+    if "stack_duality" in checks and iso is None:
         raise SchemaError(f"{pointer}.checks", "stack_duality needs an isogeny block")
     if "height_bridge" in checks and height_cones is None:
         raise SchemaError(f"{pointer}.checks", "height_bridge needs a height block")
     return Scenario(name=name, rank=rank, rays=rays, rho=rho, eta=eta,
                     curve=curve, cyclotomic_order=order, truncation=trunc,
                     characters=tuple(characters), checks=tuple(checks),
-                    isogeny_matrix=iso_matrix, height_cones=height_cones,
+                    isogeny=iso, height_cones=height_cones,
                     height_slopes=height_slopes)
 
 
@@ -264,98 +254,88 @@ def load_scenario(path) -> Scenario:
 # Report assembly.  Every integer is serialized as a string.
 
 
-def _s(x):
-    return str(x)
-
-
 def _vec_s(v):
     return [str(c) for c in v]
-
-
-def _series_json(series):
-    return series.serialize()
 
 
 def _scenario_echo(sc: Scenario) -> dict:
     echo = {
         "name": sc.name,
-        "rank": _s(sc.rank),
+        "rank": str(sc.rank),
         "rays": [_vec_s(r) for r in sc.rays],
         "rho": _vec_s(sc.rho),
         "eta": _vec_s(sc.eta),
-        "curve": {"q": _s(sc.curve.q), "genus": _s(sc.curve.genus),
-                  "spin": [[_s(d), _s(m)] for d, m in sc.curve.spin]},
-        "cyclotomic_order": _s(sc.cyclotomic_order),
-        "truncation": _s(sc.truncation),
+        "curve": {"q": str(sc.curve.q), "genus": str(sc.curve.genus),
+                  "spin": [[str(d), str(m)] for d, m in sc.curve.spin]},
+        "cyclotomic_order": str(sc.cyclotomic_order),
+        "truncation": str(sc.truncation),
         "characters": [{"name": c.name,
                         "coords": [v if v == "formal" else
-                                   {"zeta": _s(v[0]), "u": _s(v[1])}
+                                   {"zeta": str(v[0]), "u": str(v[1])}
                                    for v in c.coords]}
                        for c in sc.characters],
         "checks": list(sc.checks),
     }
-    if sc.isogeny_matrix is not None:
-        echo["isogeny"] = {"inclusion": [_vec_s(r) for r in sc.isogeny_matrix]}
+    if sc.isogeny is not None:
+        echo["isogeny"] = {"inclusion": [_vec_s(r)
+                                         for r in sc.isogeny.inclusion.matrix]}
     if sc.height_cones is not None:
         echo["height"] = {"cones": [[_vec_s(r) for r in c] for c in sc.height_cones],
                           "slopes": [_vec_s(s) for s in sc.height_slopes]}
     return echo
 
 
-def _character_order(sc: Scenario) -> int:
-    orders = [sc.cyclotomic_order]
-    if sc.isogeny_matrix is not None:
-        iso = make_isogeny(sc.isogeny_matrix)
-        if iso.exponent > 1:
-            orders.append(iso.exponent)
-    return lcm_orders(orders)
+def _per_character(sc, order, check_one):
+    """Run check_one(chi) -> (row, ok) on every character of the scenario.
 
-
-def _run_weak_duality(sc, pair, order):
+    A character whose effective weight is not positive on some ray gets a
+    divergent-skip row and does not fail the check.
+    """
     rows = []
     ok = True
     for spec in sc.characters:
-        chi = spec.build(order, sc.rank)
         try:
-            report = verify_weak_duality(pair, sc.curve, chi, sc.truncation)
+            row, good = check_one(spec.build(order, sc.rank))
         except PositivityViolation as err:
-            rows.append({"character": spec.name, "status": "divergent-skip",
+            row, good = {"status": "divergent-skip",
                          "witness_ray": _vec_s(err.witness),
-                         "weight": _s(err.value)})
-            continue
-        entry = {
-            "character": spec.name,
-            "status": "equal" if report.equal else "mismatch",
-            "duality_exponent": _s(report.duality_exponent),
-            "directions": [],
-        }
+                         "weight": str(err.value)}, True
+        rows.append({"character": spec.name, **row})
+        ok = ok and good
+    return {"status": "pass" if ok else "fail", "per_character": rows}, ok
+
+
+def _run_weak_duality(sc, pair, order):
+    def check_one(chi):
+        report = verify_weak_duality(pair, sc.curve, chi, sc.truncation)
+        directions = []
         for d in report.directions:
             dd = {
                 "automorphic_side": d.automorphic_side,
                 "spectral_side": d.spectral_side,
                 "equal": d.equal,
-                "automorphic_series": _series_json(d.automorphic_series),
-                "compared_spectral_series": _series_json(d.compared_spectral_series),
+                "automorphic_series": d.automorphic_series.serialize(),
+                "compared_spectral_series": d.compared_spectral_series.serialize(),
             }
             if d.mismatch is not None:
-                dd["first_mismatch_exponent"] = _s(d.mismatch[0])
-            entry["directions"].append(dd)
-        entry["local_samples"] = {
-            _s(deg): {side: _series_json(s) for side, s in sample.items()}
-            for deg, sample in report.local_samples.items()}
-        rows.append(entry)
-        ok = ok and report.equal
-    return {"status": "pass" if ok else "fail", "per_character": rows}, ok
+                dd["first_mismatch_exponent"] = str(d.mismatch[0])
+            directions.append(dd)
+        return {
+            "status": "equal" if report.equal else "mismatch",
+            "duality_exponent": str(report.duality_exponent),
+            "directions": directions,
+            "local_samples": {
+                str(deg): {side: s.serialize() for side, s in sample.items()}
+                for deg, sample in report.local_samples.items()},
+        }, report.equal
+
+    return _per_character(sc, order, check_one)
 
 
 def _run_orbit_duality(sc, pair, order):
-    rows = []
-    ok = True
-    for spec in sc.characters:
-        chi = spec.build(order, sc.rank)
+    def check_one(chi):
         fwd, bwd = verify_langlands_dual_periods(pair, sc.curve, chi, sc.truncation)
-        entry = {"character": spec.name, "directions": []}
-        all_eq = True
+        directions = []
         for rep in (fwd, bwd):
             pairs = []
             for p in rep.pairs:
@@ -371,82 +351,77 @@ def _run_orbit_duality(sc, pair, order):
                 if p.spectral.reason:
                     row["spectral_reason"] = p.spectral.reason
                 if p.automorphic.series is not None:
-                    row["automorphic_series"] = _series_json(p.automorphic.series)
+                    row["automorphic_series"] = p.automorphic.series.serialize()
                 if p.spectral.series is not None:
-                    row["spectral_series"] = _series_json(p.spectral.series)
+                    row["spectral_series"] = p.spectral.series.serialize()
                 if p.mismatch is not None:
                     row["first_mismatch"] = str(p.mismatch[0])
                 pairs.append(row)
-            entry["directions"].append({
+            directions.append({
                 "direction": rep.direction,
-                "duality_exponent": _s(rep.duality_exponent),
+                "duality_exponent": str(rep.duality_exponent),
                 "equal": rep.equal,
                 "pairs": pairs,
             })
-            all_eq = all_eq and rep.equal
-        entry["status"] = "equal" if all_eq else "mismatch"
-        rows.append(entry)
-        ok = ok and all_eq
-    return {"status": "pass" if ok else "fail", "per_character": rows}, ok
+        all_eq = fwd.equal and bwd.equal
+        return {"status": "equal" if all_eq else "mismatch",
+                "directions": directions}, all_eq
+
+    return _per_character(sc, order, check_one)
 
 
-def _run_stack_duality(sc, order):
-    induced = sc.build_induced()
-    rows = []
-    ok = True
-    for spec in sc.characters:
-        base_lift = spec.build(order, sc.rank)
+def _run_stack_duality(sc, pair, order):
+    induced = induced_pair(pair, sc.isogeny)
+
+    def check_one(base_lift):
         rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
-        entry = {
-            "character": spec.name,
-            "index": _s(rep.index),
-            "discrepancy": _s(rep.discrepancy),
+        agrees, difference = rep.direct_comparison
+        return {
+            "index": str(rep.index),
+            "discrepancy": str(rep.discrepancy),
             "status": "equal" if rep.equal else "mismatch",
             "checks": [{"name": c.name, "equal": c.equal,
-                        "lhs": _series_json(c.lhs), "rhs": _series_json(c.rhs)}
+                        "lhs": c.lhs.serialize(), "rhs": c.rhs.serialize()}
                        for c in rep.checks],
             "direct_orbit_model": {
-                "agrees_with_liftsum": rep.direct_comparison[0],
+                "agrees_with_liftsum": agrees,
                 "first_difference_exponent":
-                    _s(rep.direct_comparison[1][0])
-                    if rep.direct_comparison[1] else None,
+                    str(difference[0]) if difference else None,
             },
-        }
-        rows.append(entry)
-        ok = ok and rep.equal
-    return {"status": "pass" if ok else "fail", "per_character": rows}, ok
+        }, rep.equal
+
+    return _per_character(sc, order, check_one)
 
 
 def _run_height_bridge(sc, pair, order):
-    height = sc.build_height()
-    rows = []
-    ok = True
-    for spec in sc.characters:
-        chi = spec.build(order, sc.rank)
-        entry = {"character": spec.name, "degrees": []}
+    height = make_height(sc.height_cones, sc.height_slopes, sc.rank)
+    top = min(SAMPLE_DEGREES, max(sc.truncation, 1))
+
+    def check_one(chi):
+        degrees = []
         good = True
         for cone, slope in zip(height.cones, height.slopes):
             if cone != pair.side_x.cone:
                 continue
             doubled = GradedToricDatum(cone=cone, rho=sc.rho,
                                        eta=tuple(2 * s for s in slope))
-            for deg in range(1, min(3, max(sc.truncation, 1)) + 1):
+            for deg in range(1, top + 1):
                 lhs = height_fourier_local(height, chi, deg, sc.truncation)
                 rhs = automorphic_local_factor(doubled, chi, deg, sc.truncation)
                 mism = lhs.first_mismatch(rhs)
-                entry["degrees"].append({
-                    "degree": _s(deg),
+                degrees.append({
+                    "degree": str(deg),
                     "equal": mism is None,
-                    "transform": _series_json(lhs),
-                    "local_factor": _series_json(rhs),
+                    "transform": lhs.serialize(),
+                    "local_factor": rhs.serialize(),
                 })
                 good = good and mism is None
         global_series = height_fourier_global(height, sc.curve, chi, sc.truncation)
-        entry["global_transform"] = _series_json(global_series)
-        entry["status"] = "equal" if good else "mismatch"
-        rows.append(entry)
-        ok = ok and good
-    return {"status": "pass" if ok else "fail", "per_character": rows}, ok
+        return {"degrees": degrees,
+                "global_transform": global_series.serialize(),
+                "status": "equal" if good else "mismatch"}, good
+
+    return _per_character(sc, order, check_one)
 
 
 def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
@@ -462,7 +437,8 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
         "scenario": _scenario_echo(sc),
         "checks": {},
     }
-    order = _character_order(sc)
+    order = math.lcm(sc.cyclotomic_order,
+                     sc.isogeny.exponent if sc.isogeny else 1)
     try:
         pair = sc.build_pair()
     except NotStronglyConvex as err:
@@ -470,8 +446,8 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
                           f"NotStronglyConvex: {err}") from None
     validation = validate_pair(pair)
     report["pair"] = {
-        "epsilon": _s(pair.epsilon),
-        "discrepancy": _s(pair.discrepancy),
+        "epsilon": str(pair.epsilon),
+        "discrepancy": str(pair.discrepancy),
         "dual_rays": [_vec_s(r) for r in pair.side_xcheck.cone.rays],
         "validation": [
             {"side": e.side, "condition": e.condition, "ok": e.ok,
@@ -493,7 +469,7 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
             elif check == "orbit_duality":
                 block, ok = _run_orbit_duality(sc, pair, order)
             elif check == "stack_duality":
-                block, ok = _run_stack_duality(sc, order)
+                block, ok = _run_stack_duality(sc, pair, order)
             elif check == "height_bridge":
                 block, ok = _run_height_bridge(sc, pair, order)
             else:  # pragma: no cover - guarded by the parser

@@ -190,7 +190,7 @@ class TruncatedSeries:
     def power(self, k: int) -> "TruncatedSeries":
         """Binary powering; k must be nonnegative."""
         if k < 0:
-            raise ValueError("negative powers only via reciprocal")
+            raise ValueError("negative powers are not supported")
         result = TruncatedSeries.one(self.nvars, self.order, self.trunc)
         if k == 0:
             return result
@@ -218,43 +218,6 @@ class TruncatedSeries:
         trunc = self.trunc * d + d - 1 if self.trunc < EXACT else EXACT
         return TruncatedSeries.from_dict(data, self.nvars, self.order,
                                          min(trunc, EXACT))
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Inverse series, exact to the same order; lowest term must be a unit."""
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero series")
-        low = self.low
-        lead = self.coefficient(low)
-        if len(lead) != 1:
-            raise ZeroDivisionError("lowest coefficient is not a monomial unit")
-        (z0, c0), = lead.items()
-        c0_inv = c0.inverse()
-        z0_inv = tuple(-a for a in z0)
-        # Normalise to 1 + positive-order tail, invert, then shift back.
-        depth = self.trunc - low
-        tail = {}
-        for u, terms in self.coeffs:
-            if u == low:
-                rest = [(z, c) for z, c in terms if z != z0]
-            else:
-                rest = list(terms)
-            for z, c in rest:
-                _zp_add_term(tail.setdefault(u - low, {}),
-                             tuple(a + b for a, b in zip(z, z0_inv)), c * c0_inv)
-        inv = {0: {(0,) * self.nvars: Cyc.one(self.order)}}
-        for n in range(1, depth + 1):
-            acc: dict = {}
-            for m in range(0, n):
-                t = tail.get(n - m)
-                if t and m in inv:
-                    _zp_mul_add(acc, inv[m].items(), t.items())
-            if acc:
-                inv[n] = _zp_scale(acc, -1)
-        data = {}
-        for n, poly in inv.items():
-            data[n - low] = {tuple(a + b for a, b in zip(z, z0_inv)): c * c0_inv
-                             for z, c in poly.items()}
-        return TruncatedSeries.from_dict(data, self.nvars, self.order, depth - low)
 
     def _finite_trunc(self, name: str) -> int:
         if self.trunc >= EXACT:

@@ -51,10 +51,6 @@ class NotALift(ValueError):
     pass
 
 
-class NotAnExtension(ValueError):
-    pass
-
-
 class MissingRoots(ValueError):
     pass
 
@@ -273,12 +269,7 @@ def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
     group.
     """
     check_curve_compatibility(pair.isogeny, curve)
-    if chi is not None:
-        got = restrict_character(base_extension, pair.isogeny)
-        if got.coords != chi.coords:
-            raise NotAnExtension(
-                f"extension restricts to {got.coords}, expected {chi.coords}")
-    fam = unramified_lifts(None, pair.isogeny, base_extension)
+    fam = unramified_lifts(chi, pair.isogeny, base_extension)
     total = None
     for member in fam.members:
         term = automorphic_period(pair.base_pair.side_x, curve, member, order)
@@ -306,7 +297,7 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
     cover_cone = pair.base_pair.side_x.cone
     # Pull the covering cone back to the small lattice: membership of
     # lambda is membership of inclusion(lambda).
-    pulled_chi = base_extension.compose(iso.inclusion)
+    pulled_chi = restrict_character(base_extension, iso)
     eta_small = tuple(dot(pair.base_pair.side_x.eta, iso.inclusion.column(j))
                       for j in range(iso.rank))
     small_rays = []

@@ -16,7 +16,6 @@ from toricperiods.cones import (
     faces,
     hilbert_basis,
     image_cone,
-    is_conical_grading,
     make_cone,
     monoid_points,
     points_at_level,
@@ -267,13 +266,6 @@ def test_image_cone_can_contain_lines():
     proj = LatticeMap(2, 1, ((1, -1),))
     img = image_cone(ORTHANT, proj)
     assert not img.strongly_convex
-
-
-def test_is_conical_grading():
-    assert is_conical_grading(QUADRIC, (1, 1))
-    assert not is_conical_grading(QUADRIC, (1, 0))
-    assert not is_conical_grading(ORTHANT, (0, -1))
-    assert is_conical_grading(SQUARE3D, (1, 1, 2))
 
 
 def random_strongly_convex_cone(rng, rank):

@@ -12,6 +12,7 @@ from toricperiods.characters import (
 from toricperiods.cones import make_cone
 from toricperiods.curve import (
     Curve,
+    InvalidSpin,
     divisor_count_series,
     is_prime_power,
     mobius,
@@ -74,6 +75,11 @@ def test_curve_rejects_bad_spin():
         Curve(q=2, spin=((1, 0),))
     # A legal override: two marked places with m = -1 and m = 0 elsewhere...
     Curve(q=2, spin=((1, -2), (1, 1)))
+    # ...but a place of degree < 1 is refused even at degree sum -2.
+    for spin in (((-1, 1),), ((0, 5), (1, -1))):
+        with pytest.raises(InvalidSpin) as err:
+            Curve(q=2, spin=spin)
+        assert err.value.index == 0
 
 
 def test_curve_requires_a_prime_power():

@@ -10,7 +10,6 @@ from toricperiods.cyclotomic import (
     Cyc,
     _poly_divexact_int,
     cyclotomic_polynomial,
-    lcm_orders,
 )
 
 
@@ -74,12 +73,6 @@ def test_rational_embedding():
     assert a * b == Cyc.rational(2, 4)
     assert (a - a).is_zero()
     assert Cyc.one(4).is_one()
-
-
-def test_lcm_orders():
-    assert lcm_orders([]) == 1
-    assert lcm_orders([2, 3]) == 6
-    assert lcm_orders([4, 6]) == 12
 
 
 def test_inexact_polynomial_division_raises():

@@ -58,6 +58,14 @@ def test_invalid_grading_rejected():
         toric_dual(bad)
 
 
+def test_lower_dimensional_cone_rejected():
+    # A ray in the plane: the dual cone carries the line (0, ±1), and one
+    # of the two pairs nonpositively with any rho.
+    flat = GradedToricDatum(cone=make_cone([(1, 0)], 2), rho=(1, 0), eta=(1, 0))
+    with pytest.raises(InvalidGrading, match="witness"):
+        toric_dual(flat)
+
+
 def test_invalid_eigenform_rejected():
     bad = GradedToricDatum(cone=QUADRIC.cone, rho=(1, 1), eta=(0, 1))
     with pytest.raises(InvalidEigenform):

@@ -209,12 +209,16 @@ def test_report_permission_error_exits_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("base, patch, pointer", [
     ("tate", {"curve": {"q": 2, "spin": [5]}}, "scenario.curve.spin[0]"),
     ("tate", {"curve": {"q": 2, "spin": [[1]]}}, "scenario.curve.spin[0]"),
+    ("tate", {"curve": {"q": 2, "spin": [[-1, 1]]}}, "scenario.curve.spin[0]"),
+    ("tate", {"curve": {"q": 2, "spin": [[0, 5], [1, -1]]}}, "scenario.curve.spin[0]"),
+    ("tate", {"curve": {"q": 2, "spin": [[1, -1], [0, 5]]}}, "scenario.curve.spin[1]"),
     ("weight_n_stack", {"isogeny": {"inclusion": [[0]]}}, "scenario.isogeny.inclusion"),
     ("orthant_a2", {"height": {"cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
                                "slopes": [[1, 1], [1, 2]]}}, "scenario.height"),
     ("tate", {"height": {"cones": [[[1], [-1]]], "slopes": [[1]]}}, "scenario.height"),
     ("tate", {"height": {"cones": [], "slopes": []}}, "scenario.height"),
-], ids=["spin-entry-not-a-pair", "spin-entry-too-short", "singular-inclusion",
+], ids=["spin-entry-not-a-pair", "spin-entry-too-short", "spin-degree-negative",
+        "spin-degree-zero-first", "spin-degree-zero-second", "singular-inclusion",
         "height-slopes-disagree", "height-cone-with-line", "height-without-cones"])
 def test_malformed_block_exits_2_with_pointer(tmp_path, capsys, base, patch, pointer):
     data = catalog_emit(base, order=2)
@@ -222,6 +226,42 @@ def test_malformed_block_exits_2_with_pointer(tmp_path, capsys, base, patch, poi
     assert main(["verify", str(write_scenario(tmp_path, data))]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {pointer}: ") and err.count("\n") == 1
+
+
+def test_stack_duality_skips_a_divergent_character(tmp_path):
+    data = {"name": "divergent_stack", "rank": 1, "rays": [[1]], "rho": [1],
+            "eta": [1], "curve": {"q": 3}, "cyclotomic_order": 2,
+            "truncation": 6, "characters": [{"name": "d", "coords": [{"u": -5}]}],
+            "checks": ["stack_duality"], "isogeny": {"inclusion": [[2]]}}
+    out = tmp_path / "r.json"
+    assert main(["verify", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["checks"]["stack_duality"] == {"status": "pass", "per_character": [
+        {"character": "d", "status": "divergent-skip",
+         "witness_ray": ["1"], "weight": "-4"}]}
+
+
+def test_height_bridge_skips_a_divergent_character(tmp_path):
+    data = catalog_emit("height_p1")
+    data["characters"].append({"name": "d", "coords": [{"u": -5}]})
+    out = tmp_path / "r.json"
+    assert main(["verify", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["checks"]["height_bridge"]
+    formal, skipped = block["per_character"]
+    assert block["status"] == "pass" and formal["status"] == "equal"
+    assert skipped == {"character": "d", "status": "divergent-skip",
+                       "witness_ray": ["1"], "weight": "-3"}
+
+
+def test_stack_run_reuses_the_parsed_isogeny(monkeypatch):
+    import toricperiods.scenario as scenario
+    sc = parse_scenario(catalog_emit("weight_n_stack", n=3))
+    calls = []
+    build = scenario.make_isogeny
+    monkeypatch.setattr(scenario, "make_isogeny",
+                        lambda matrix: calls.append(matrix) or build(matrix))
+    _, ok = run_scenario(sc)
+    assert ok and calls == []
 
 
 def test_catalog_emit_keeps_zero_overrides(tmp_path):

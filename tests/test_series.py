@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -88,42 +87,6 @@ def test_substitute_u_power():
     assert d.coefficient(2) == {(2,): Cyc.one(1)}
     assert d.coefficient(1) == {}
     assert d.trunc == 7
-
-
-def test_reciprocal_property():
-    rng = random.Random(11)
-    for _ in range(25):
-        trunc = 6
-        data = {0: {(0, 0): Cyc.one(1)}}
-        for k in range(1, trunc + 1):
-            poly = {}
-            for _ in range(rng.randint(0, 2)):
-                z = (rng.randint(-2, 2), rng.randint(-2, 2))
-                poly[z] = Cyc.rational(rng.randint(-3, 3), 1)
-            poly = {z: c for z, c in poly.items() if not c.is_zero()}
-            if poly:
-                data[k] = poly
-        s = TruncatedSeries.from_dict(data, 2, 1, trunc)
-        r = s.reciprocal()
-        prod = s * r
-        assert prod.first_mismatch(TruncatedSeries.one(2, 1, prod.trunc)) is None
-
-
-def test_reciprocal_of_monomial_lead():
-    # Lead term z * u^(-1): reciprocal starts at u^(+1) with z^(-1).
-    data = {-1: {(1,): Cyc.one(1)}, 0: {(0,): Cyc.one(1)}}
-    s = TruncatedSeries.from_dict(data, 1, 1, 4)
-    r = s.reciprocal()
-    assert r.low == 1
-    prod = s * r
-    assert prod.first_mismatch(TruncatedSeries.one(1, 1, prod.trunc)) is None
-
-
-def test_reciprocal_rejects_non_unit_lead():
-    data = {0: {(0,): Cyc.one(1), (1,): Cyc.one(1)}}
-    s = TruncatedSeries.from_dict(data, 1, 1, 3)
-    with pytest.raises(ZeroDivisionError):
-        s.reciprocal()
 
 
 def test_first_mismatch_reports_lowest():

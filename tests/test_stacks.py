@@ -257,3 +257,11 @@ def test_liftsum_independent_of_base_extension():
     a = unramified_automorphic_period_liftsum(pair, curve, None, w, 6)
     b = unramified_automorphic_period_liftsum(pair, curve, None, swapped, 6)
     assert a == b
+
+
+def test_liftsum_rejects_an_extension_that_does_not_restrict():
+    pair = tate_stack(2)
+    w = formal_character(1, 2)
+    wrong = character_from_spec([(1, 0)], order=2)
+    with pytest.raises(NotALift):
+        unramified_automorphic_period_liftsum(pair, Curve(q=3), wrong, w, 6)
