@@ -297,8 +297,9 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     """Lattice points x of the cone with <w, x> == m, without duplicates.
 
     Requires w strictly positive on every nonzero ray, which bounds the
-    level slice; candidates come from a box derived from the rays and are
-    kept by the facet test.
+    level slice inside a box derived from the rays.  The coordinate j
+    with the largest |w_j| is solved for from the others, which run over
+    the box, so only points on the hyperplane meet the facet test.
     """
     w = vec(w)
     weights = _check_grading(c, w)
@@ -309,9 +310,16 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     if not c.rays:
         return ()
     lo, hi = _level_box(c.rays, weights, m, c.ambient_rank)
+    j = max(range(c.ambient_rank), key=lambda i: abs(w[i]))
+    w_rest = w[:j] + w[j + 1:]
     out = []
-    for cand in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if dot(w, cand) == m and c.contains(cand):
+    for rest in product(*(range(a, b + 1) for i, (a, b) in enumerate(zip(lo, hi))
+                          if i != j)):
+        xj, r = divmod(m - dot(w_rest, rest), w[j])
+        if r:
+            continue
+        cand = rest[:j] + (xj,) + rest[j:]
+        if c.contains(cand):
             out.append(cand)
     out.sort()
     return tuple(out)

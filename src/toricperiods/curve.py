@@ -168,7 +168,7 @@ def zeta_series(curve: Curve, order: int) -> TruncatedSeries:
         return TruncatedSeries.from_dict(
             {k: {(): one} for k in range(0, order + 1, d)}, 0, 1, order)
 
-    return euler_product(geometric, curve, order)
+    return euler_product(geometric, curve, order, (0, 1))
 
 
 def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:

@@ -227,25 +227,38 @@ class Cyc:
     def is_one(self) -> bool:
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
+    def conjugate(self, k: int) -> "Cyc":
+        """sigma_k(x): the Galois automorphism zeta -> zeta^k, k prime to the order.
+
+        sum_i nums[i] zeta^i / den goes to sum_i nums[i] zeta^(ik) / den,
+        with each zeta^(ik) read off the reduction table.
+        """
+        n = self.order
+        if gcd(k, n) != 1:
+            raise ValueError(f"sigma_{k} is not an automorphism of Q(zeta_{n})")
+        if k % n == 1 % n:  # sigma_k is the identity
+            return self
+        table = _reduction_table(n)
+        conj = [0] * len(self.nums)
+        for i, x in enumerate(self.nums):
+            if x:
+                for t, r in enumerate(table[i * k % n]):
+                    conj[t] += x * r
+        return _canonical(n, tuple(conj), self.den)
+
     def inverse(self) -> "Cyc":
         """x^-1 = prod_{k != 1} sigma_k(x) / N(x), k running over (Z/N)^x.
 
-        sigma_k(x) = sum_i nums[i] zeta^(ik) / den is read off the
-        reduction table; the norm N(x) = x * prod_{k != 1} sigma_k(x) is
-        rational, so the only division is one scalar multiply.
+        The norm N(x) = x * prod_{k != 1} sigma_k(x) is rational, so the
+        only division is one scalar multiply.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         n = self.order
-        table = _reduction_table(n)
         cofactor = Cyc.one(n)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                conj = [0] * len(self.nums)
-                for i, x in enumerate(self.nums):
-                    for t, r in enumerate(table[i * k % n]):
-                        conj[t] += x * r
-                cofactor = cofactor * _canonical(n, tuple(conj), self.den)
+                cofactor = cofactor * self.conjugate(k)
         norm = self * cofactor
         return cofactor * Fraction(norm.den, norm.nums[0])
 

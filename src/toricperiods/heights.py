@@ -106,4 +106,5 @@ def height_fourier_global(h: PiecewiseLinearHeight, curve: Curve,
     w_min = min(monoid_weight_minimum(c, _combined_weight(c, s, chi))
                 for c, s in zip(h.cones, h.slopes))
     return euler_product(lambda d: height_fourier_local(h, chi, d, order),
-                         curve, order, max_degree=order // w_min)
+                         curve, order, (chi.nvars, chi.order),
+                         max_degree=order // w_min)

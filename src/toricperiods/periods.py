@@ -77,8 +77,12 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
 
     Membership of a cocharacter is decided purely through the dual
     description: nonnegative pairing with every Hilbert-basis element of
-    the dual monoid.  Candidate points come from a ray-derived box large
-    enough for the requested truncation.
+    the dual monoid.  The scan walks the first n - 1 coordinates of a
+    ray-derived box large enough for the requested truncation.  For each
+    such head, every dual basis element, and the truncation
+    <w, x> <= order // place_degree, bounds the last coordinate by one
+    integer floor or ceiling, so each point visited along it is kept; its
+    monomial advances by psi(e_n)^place_degree per step.
     """
     psi = extended_character(chi, datum.eta)
     w = positivity_certificate(datum.cone, chi, datum.eta)
@@ -86,17 +90,30 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
     terms = []
     bound = order // place_degree
     if bound >= 1 and datum.cone.rays:
-        dual_basis = hilbert_basis(dual_cone(datum.cone))
+        # Half-spaces <c, x> >= b, as (c without its last entry, c_n, b).
+        cuts = [(h[:-1], h[-1], 0) for h in hilbert_basis(dual_cone(datum.cone))]
+        cuts.append((tuple(-x for x in w[:-1]), -w[-1], -bound))
         weights = [dot(w, r) for r in datum.cone.rays]
         lo, hi = _weight_box(datum.cone.rays, weights, bound, n)
-        for cand in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if not any(cand):
+        step = psi.value((0,) * (n - 1) + (1,), place_degree)
+        for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+            first, last = lo[-1], hi[-1]
+            for c, cn, b in cuts:
+                s = dot(head, c) - b  # the cut reads cn * x_n >= -s
+                if cn > 0:
+                    first = max(first, -(s // cn))
+                elif cn < 0:
+                    last = min(last, s // -cn)
+                elif s < 0:
+                    last = first - 1
+            if first > last:
                 continue
-            if any(dot(cand, h) < 0 for h in dual_basis):
-                continue
-            mon = psi.value(cand, place_degree)
-            if 0 < mon.u <= order:
-                terms.append(mon)
+            mon = psi.value(head + (first,), place_degree)
+            nonzero_head = any(head)
+            for x in range(first, last + 1):
+                if x or nonzero_head:
+                    terms.append(mon)
+                mon = mon * step
     return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 
 
@@ -127,43 +144,70 @@ def level_set_factor(cone: Cone, psi: Character, w: Vector, deg: int,
         psi.nvars, psi.order, order)
 
 
-def euler_product(local_factor, curve: Curve, order: int,
-                  max_degree: int | None = None) -> TruncatedSeries:
-    """prod over degrees d of local_factor(d)^(a_d), a_d the places of degree d.
+def _adams_index(d: int, n: int) -> tuple[int, int, int]:
+    """(g, d', k): g = gcd(d, n), d = g * d', and k = d' mod n/g with gcd(k, n) = 1.
 
-    Computed as exp(sum_d a_d * log local_factor(d)): every local factor
-    is 1 plus terms at u > 0, so its logarithm and the one exponential of
-    the sum are exact O(U^2) row recurrences over Q(zeta_N)[z^{±1}], and
-    the cost no longer grows with log2(a_d) as binary powering does.  The
-    factor for each degree is still enumerated at that degree; it is not
-    obtained from the degree-one factor by u -> u^d, because zeta -> zeta^d
-    is not an automorphism of Q(zeta_N) when gcd(d, N) > 1.
+    On Q(zeta_(n/g)), where the degree-g factor's roots of unity live,
+    sigma_k raises zeta to the d'-th power; k exists because d' is prime
+    to n/g, and it is found among d', d' + n/g, d' + 2n/g, ...
+    """
+    g = math.gcd(d, n)
+    k = d // g
+    while math.gcd(k, n) != 1:
+        k += n // g
+    return g, d // g, k
+
+
+def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
+                  max_degree: int | None = None) -> TruncatedSeries:
+    """prod over degrees d of L_d^(a_d), a_d the places of degree d, L_d = local_factor(d).
+
+    ring = (nvars, N) names the series ring Q(zeta_N)[z_1^{±1}, ..., z_nvars^{±1}].
+    Frobenius at a place of degree d is the d-th power of the degree-one
+    Frobenius, so the contract on local_factor is L_d = psi^(d')_k(L_g):
+    g = gcd(d, N), d = g * d', and the Adams operation u -> u^(d'),
+    z -> z^(d'), sigma_k on coefficients (`substitute_u_power`), with k
+    prime to N and k = d' mod N/g.  (zeta -> zeta^d itself is not an
+    automorphism of Q(zeta_N) when g > 1, so each gcd class needs its
+    own L_g.)  Every local factor is 1 plus terms at u > 0, and psi is a
+    ring endomorphism, so the product is
+
+        exp(sum_d a_d * psi^(d')_k(log L_g)):
+
+    local_factor is called once for each g | N up to the cutoff, with one
+    exact O(U^2) logarithm each and one exponential of the sum.
 
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero
-    point may tighten the cutoff further through max_degree.
+    point may tighten the cutoff further through max_degree.  Below a
+    cutoff of 1 the product is 1 and nothing is enumerated.
 
     Inside an `euler_memo()` scope the result is remembered under the
-    local factors in degree order and the place counts a_d.  The product
-    is a function of exactly that key, so a remembered result is never
+    factors L_g in order of g and the place counts a_d.  The product is
+    a function of exactly that key, so a remembered result is never
     stale, whichever engine enumerated the factors.
     """
+    nvars, n = ring
     top = max(order, 0)
     if max_degree is not None:
         top = min(top, max_degree)
     if top < 1:
-        f = local_factor(1)
-        return TruncatedSeries.one(f.nvars, f.order, f.trunc)
+        return TruncatedSeries.one(nvars, n, order)
     table = place_counts(curve, top)
-    factors = tuple(local_factor(d) for d in range(1, top + 1))
+    classes = [g for g in range(1, top + 1) if n % g == 0]
+    factors = tuple(local_factor(g) for g in classes)
+    if any((f.nvars, f.order) != ring for f in factors):
+        raise ValueError(f"a local factor lies outside the ring {ring}")
     counts = tuple(table.a(d) for d in range(1, top + 1))
     memo = _EULER_MEMO.get()
     key = (factors, counts)
     if memo is not None and (hit := memo.get(key)) is not None:
         return hit
+    logs = {g: f.log() for g, f in zip(classes, factors)}
     total = None
-    for f, a in zip(factors, counts):
-        term = f.log().scale(a)
+    for d, a in enumerate(counts, start=1):
+        g, d1, k = _adams_index(d, n)
+        term = logs[g].truncate(order // d1).substitute_u_power(d1, k).scale(a)
         total = term if total is None else total + term
     result = total.exp()
     if memo is not None:
@@ -225,7 +269,7 @@ def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
     cutoff = order // monoid_weight_minimum(datum.cone, w)
     series = euler_product(
         lambda d: automorphic_local_factor(datum, chi, d, order),
-        curve, order, max_degree=cutoff)
+        curve, order, (chi.nvars, chi.order), max_degree=cutoff)
     pref = automorphic_prefactor(datum, chi)
     return series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
 
@@ -238,7 +282,7 @@ def spectral_period(datum_check: GradedToricDatum, curve: Curve, phi: Character,
     cutoff = order // monoid_weight_minimum(monoid_cone, w)
     series = euler_product(
         lambda d: spectral_local_factor(datum_check, phi, d, order),
-        curve, order, max_degree=cutoff)
+        curve, order, (phi.nvars, phi.order), max_degree=cutoff)
     pref = spectral_prefactor(datum_check, curve, phi)
     return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
 

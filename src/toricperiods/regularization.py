@@ -130,7 +130,7 @@ def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
     cutoff = order // monoid_weight_minimum(cone, weight)
     return euler_product(
         lambda d: level_set_factor(cone, psi_bar, weight, d, order),
-        curve, order, max_degree=cutoff)
+        curve, order, (psi_bar.nvars, psi_bar.order), max_degree=cutoff)
 
 
 def regularized_automorphic_contribution(

@@ -208,16 +208,26 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.order,
                                min(self.trunc + e, EXACT), rows)
 
-    def substitute_u_power(self, d: int) -> "TruncatedSeries":
-        """u -> u^d and z -> z^d simultaneously (the degree-d substitution)."""
+    def truncate(self, trunc: int) -> "TruncatedSeries":
+        """The rows at u <= trunc, exact to min(trunc, self.trunc)."""
+        rows = tuple(row for row in self.coeffs if row[0] <= trunc)
+        return TruncatedSeries(self.nvars, self.order, min(trunc, self.trunc), rows)
+
+    def substitute_u_power(self, d: int, k: int = 1) -> "TruncatedSeries":
+        """The Adams operation psi^d_k: u -> u^d, z -> z^d, sigma_k on every coefficient.
+
+        A ring endomorphism for d >= 1 and k prime to the order, so it
+        commutes with log and exp.  The image is exact to u^(d*trunc + d - 1)
+        and is cut there.  Scaling z by d > 0 keeps each row's z-order, so
+        rows and terms stay sorted.
+        """
         if d < 1:
             raise ValueError("substitution degree must be >= 1")
-        data = {}
-        for u, terms in self.coeffs:
-            data[u * d] = {tuple(a * d for a in z): c for z, c in terms}
+        rows = tuple((u * d, tuple((tuple(a * d for a in z), c.conjugate(k))
+                                   for z, c in terms))
+                     for u, terms in self.coeffs)
         trunc = self.trunc * d + d - 1 if self.trunc < EXACT else EXACT
-        return TruncatedSeries.from_dict(data, self.nvars, self.order,
-                                         min(trunc, EXACT))
+        return TruncatedSeries(self.nvars, self.order, min(trunc, EXACT), rows)
 
     def _finite_trunc(self, name: str) -> int:
         if self.trunc >= EXACT:

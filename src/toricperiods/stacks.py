@@ -313,7 +313,8 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
 
     series = euler_product(
         lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
-        curve, order, max_degree=order // monoid_weight_minimum(small_cone, w))
+        curve, order, (pulled_chi.nvars, pulled_chi.order),
+        max_degree=order // monoid_weight_minimum(small_cone, w))
     pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
     return series * TruncatedSeries.from_monomial(
         pref, base_extension.nvars, base_extension.order)

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,25 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_conjugate_is_the_galois_action():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 5, 8, 12, 15):
+        units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        elems = [Cyc(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                         for _ in range(Cyc.degree(n))]) for _ in range(4)]
+        for k in units:
+            for j in range(2 * n):
+                assert Cyc.root_power(j, n).conjugate(k) == Cyc.root_power(j * k, n)
+            for x, y in zip(elems, elems[1:]):
+                assert (x * y).conjugate(k) == x.conjugate(k) * y.conjugate(k)
+                assert (x + y).conjugate(k) == x.conjugate(k) + y.conjugate(k)
+                assert x.conjugate(k + n) == x.conjugate(k)
+                for m in units:
+                    assert x.conjugate(k).conjugate(m) == x.conjugate(k * m)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        Cyc.root_power(1, 12).conjugate(2)
 
 
 def test_root_powers_small_orders():

@@ -1,14 +1,17 @@
 """The log/exp Euler-product kernel against binary powering of local factors.
 
 `binary_powering_euler_product` is the direct product: each local factor
-raised to its place count by repeated squaring, multiplied in degree order.  It shares only series multiplication
-with the kernel, so exact agreement on random local factors checks the
-logarithm, the exponential and the place-count bookkeeping together.
+raised to its place count by repeated squaring, multiplied in degree
+order.  It shares only series multiplication with the kernel, so exact
+agreement on random local factors checks the logarithm, the exponential,
+the Adams operations that carry one factor per gcd class to every degree,
+and the place-count bookkeeping together.
 """
 
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -76,21 +79,58 @@ def one_plus(data, nvars, order, trunc):
 
 
 @st.composite
+def class_monomials(draw, nvars, order, trunc):
+    """(c, j, a, e): the term c * zeta^j * u^a * z^e with 1 <= a <= trunc.
+
+    Few u- and z-exponents, so terms often share a row and a z-monomial
+    and their coefficients are sums of several roots of unity.
+    """
+    if trunc < 1:
+        return []
+    term = st.tuples(st.fractions(-2, 2, max_denominator=3), st.integers(0, order - 1),
+                     st.integers(1, trunc), st.tuples(*[st.integers(-1, 2)] * nvars))
+    return draw(st.lists(term, max_size=4))
+
+
+def adams_factor(terms, g, d1, nvars, order, trunc):
+    """1 + sum c * zeta^(g*j*d1) * u^(a*d1) * z^(e*d1), exact to trunc."""
+    data = {0: {(0,) * nvars: Cyc.one(order)}}
+    for c, j, a, e in terms:
+        if a * d1 <= trunc:
+            row = data.setdefault(a * d1, {})
+            z = tuple(x * d1 for x in e)
+            row[z] = row.get(z, Cyc.zero(order)) + Cyc.root_power(g * j * d1, order) * c
+    return TruncatedSeries.from_dict(data, nvars, order, trunc)
+
+
+@st.composite
 def euler_inputs(draw):
+    """Local factors that keep the Euler contract L_d = psi^(d')_k(L_g).
+
+    One set of terms is drawn per gcd class g | N.  Its factor L_g has
+    the roots zeta^(g*j), so its coefficients lie in Q(zeta_(N/g)), and
+    every L_d with gcd(d, N) = g, d = g * d', is built from the same terms
+    raised to the d'-th power monomial by monomial.  Nothing here calls
+    the Galois action or the substitution that the kernel uses.
+    """
     nvars, order, trunc = draw(ring())
     q = draw(st.sampled_from(PRIME_POWERS))
     max_degree = draw(st.none() | st.integers(0, trunc + 1))
-    factors = {d: one_plus(draw(rows(nvars, order, trunc, max_rows=2)),
-                           nvars, order, trunc)
-               for d in range(1, max(trunc, 1) + 1)}
-    return factors, Curve(q=q), trunc, max_degree
+    top = max(trunc, 1)
+    terms = {g: draw(class_monomials(nvars, order, trunc))
+             for g in range(1, top + 1) if order % g == 0}
+    factors = {}
+    for d in range(1, top + 1):
+        g = gcd(d, order)
+        factors[d] = adams_factor(terms[g], g, d // g, nvars, order, trunc)
+    return factors, Curve(q=q), trunc, (nvars, order), max_degree
 
 
 @settings(max_examples=60, deadline=None)
 @given(euler_inputs())
 def test_log_exp_kernel_matches_binary_powering(case):
-    factors, curve, trunc, max_degree = case
-    got = euler_product(factors.__getitem__, curve, trunc, max_degree=max_degree)
+    factors, curve, trunc, ring_, max_degree = case
+    got = euler_product(factors.__getitem__, curve, trunc, ring_, max_degree=max_degree)
     want = binary_powering_euler_product(factors.__getitem__, curve, trunc,
                                          max_degree=max_degree)
     assert got == want
@@ -111,6 +151,24 @@ def test_log_inverts_exp(data):
     g = TruncatedSeries.from_dict(data.draw(rows(nvars, order, trunc)),
                                   nvars, order, trunc)
     assert g.exp().log() == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_adams_operation_is_a_ring_map_that_commutes_with_log(data):
+    nvars, order, trunc = data.draw(ring(max_trunc=8))
+    f = one_plus(data.draw(rows(nvars, order, trunc)), nvars, order, trunc)
+    h = one_plus(data.draw(rows(nvars, order, trunc)), nvars, order, trunc)
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.sampled_from([k for k in range(1, 2 * order + 1)
+                                   if gcd(k, order) == 1]))
+
+    def psi(s):
+        return s.substitute_u_power(d, k)
+
+    assert psi(f * h) == psi(f) * psi(h)
+    assert psi(f + h) == psi(f) + psi(h)
+    assert psi(f.log()) == psi(f).log()
 
 
 def test_zeta_series_matches_binary_powering():

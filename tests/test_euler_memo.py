@@ -12,6 +12,9 @@ from toricperiods.scenario import catalog_emit, parse_scenario, report_to_json, 
 from toricperiods.series import Monomial, TruncatedSeries
 
 
+RING = (1, 3)  # one formal variable over Q(zeta_3), the ring of `factor`
+
+
 def factor(d):
     """A fresh (equal, not identical) local factor on every call."""
     mons = [Monomial(k, d * k, (k,)) for k in range(1, 4)]
@@ -25,10 +28,10 @@ def memo_size():
 
 def test_memo_hit_equals_uncached_product():
     curve = Curve(q=4)
-    uncached = euler_product(factor, curve, 6)
+    uncached = euler_product(factor, curve, 6, RING)
     with euler_memo():
-        first = euler_product(factor, curve, 6)
-        again = euler_product(factor, curve, 6)
+        first = euler_product(factor, curve, 6, RING)
+        again = euler_product(factor, curve, 6, RING)
         assert memo_size() == 1
     assert again is first
     assert first == uncached
@@ -36,13 +39,13 @@ def test_memo_hit_equals_uncached_product():
 
 def test_memo_key_is_the_full_input():
     with euler_memo():
-        by_q = {q: euler_product(factor, Curve(q=q), 6) for q in (2, 3)}
-        cut = euler_product(factor, Curve(q=2), 6, max_degree=2)
+        by_q = {q: euler_product(factor, Curve(q=q), 6, RING) for q in (2, 3)}
+        cut = euler_product(factor, Curve(q=2), 6, RING, max_degree=2)
         assert memo_size() == 3
     assert by_q[2] != by_q[3]
-    assert by_q[2] == euler_product(factor, Curve(q=2), 6)
-    assert by_q[3] == euler_product(factor, Curve(q=3), 6)
-    assert cut == euler_product(factor, Curve(q=2), 6, max_degree=2)
+    assert by_q[2] == euler_product(factor, Curve(q=2), 6, RING)
+    assert by_q[3] == euler_product(factor, Curve(q=3), 6, RING)
+    assert cut == euler_product(factor, Curve(q=2), 6, RING, max_degree=2)
 
 
 def test_memo_is_shared_across_engines():
@@ -61,15 +64,15 @@ def test_memo_is_shared_across_engines():
 def test_no_cache_outside_a_scope():
     assert memo_size() is None
     curve = Curve(q=2)
-    first = euler_product(factor, curve, 6)
-    assert euler_product(factor, curve, 6) is not first
+    first = euler_product(factor, curve, 6, RING)
+    assert euler_product(factor, curve, 6, RING) is not first
     assert memo_size() is None
 
 
 def test_scope_is_dropped_on_error():
     try:
         with euler_memo():
-            euler_product(factor, Curve(q=2), 6)
+            euler_product(factor, Curve(q=2), 6, RING)
             raise RuntimeError("stop")
     except RuntimeError:
         pass

@@ -144,6 +144,6 @@ def test_global_cutoff_uses_monoid_minimum_not_ray_minimum():
     chi = formal_character(2)
     g = height_fourier_global(h, Curve(q=2), chi, 6)
     full = euler_product(lambda d: height_fourier_local(h, chi, d, 6),
-                         Curve(q=2), 6)
+                         Curve(q=2), 6, (2, 1))
     assert g.first_mismatch(full) is None
     assert g.coefficient(4)[(2, 0)] == Cyc.rational(7, 1)

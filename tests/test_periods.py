@@ -183,7 +183,7 @@ def test_degree_cutoff_tightening_is_sound():
     tight = automorphic_period(subunit, Curve(q=2), chi, 6)
     full = euler_product(
         lambda d: automorphic_local_factor(subunit, chi, d, 6),
-        Curve(q=2), 6) * TruncatedSeries.from_monomial(
+        Curve(q=2), 6, (2, 1)) * TruncatedSeries.from_monomial(
             chi.value(subunit.rho), 2, 1)
     assert tight.first_mismatch(full) is None
     # The orbit product and the height transform cut off the same way; a
@@ -195,12 +195,12 @@ def test_degree_cutoff_tightening_is_sound():
             (sloped.value(pt, d) for level in range(1, 6 // d + 1)
              for pt in points_at_level(subunit.cone, (1, 0), level)),
             2, 1, 6),
-        Curve(q=2), 6)
+        Curve(q=2), 6, (2, 1))
     assert orbit.first_mismatch(level_sums) is None
     flat = make_height([[(2, 1), (2, -1)]], [(0, 0)], 2)
     tight = height_fourier_global(flat, Curve(q=2), sloped, 6)
     full = euler_product(lambda d: height_fourier_local(flat, sloped, d, 6),
-                         Curve(q=2), 6)
+                         Curve(q=2), 6, (2, 1))
     assert tight.first_mismatch(full) is None
     # With eigenform (2,1)-style weights the cutoff halves but agrees too.
     pair21 = toric_dual(QUADRIC21)

@@ -89,6 +89,14 @@ def test_substitute_u_power():
     assert d.trunc == 7
 
 
+def test_truncate_keeps_the_rows_up_to_the_new_order():
+    s = geometric(1, 1, 5)
+    t = s.truncate(2)
+    assert t.trunc == 2
+    assert t.as_dict() == {u: s.coefficient(u) for u in range(3)}
+    assert s.truncate(9).trunc == 5
+
+
 def test_first_mismatch_reports_lowest():
     a = geometric(1, 1, 5)
     data = a.as_dict()
