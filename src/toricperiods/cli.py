@@ -40,20 +40,35 @@ def _default_outdir() -> Path | None:
     return Path(env) if env else None
 
 
-def _print_human(report: dict, out=sys.stdout):
-    print(f"scenario: {report['scenario']['name']}", file=out)
-    print(f"engine:   {report['engine']}", file=out)
+def _print_human(report: dict):
+    print(f"scenario: {report['scenario']['name']}")
+    print(f"engine:   {report['engine']}")
     for entry in report.get("pair", {}).get("validation", []):
         flag = "ok " if entry["ok"] else "FAIL"
         witness = f" witness={entry.get('witness')}" if not entry["ok"] else ""
-        print(f"  [{flag}] {entry['side']}: {entry['condition']}{witness}",
-              file=out)
+        print(f"  [{flag}] {entry['side']}: {entry['condition']}{witness}")
     for name, block in report.get("checks", {}).items():
-        print(f"check {name}: {block['status']}", file=out)
+        print(f"check {name}: {block['status']}")
         for row in block.get("per_character", []):
             status = row.get("status", "?")
-            print(f"  character {row['character']}: {status}", file=out)
-    print(f"overall: {report['status']}", file=out)
+            print(f"  character {row['character']}: {status}")
+            for where, rows in _mismatches(row):
+                print(f"    first mismatch, {where}:")
+                for side in ("automorphic", "spectral"):
+                    print(f"      {side}: {json.dumps(rows[side])}")
+    print(f"overall: {report['status']}")
+
+
+def _mismatches(row):
+    """(where, first_mismatch_rows) for each differing comparison of a character."""
+    for d in row.get("directions", []):
+        if "first_mismatch_rows" in d:
+            yield (f"automorphic on {d['automorphic_side']} vs "
+                   f"spectral on {d['spectral_side']}", d["first_mismatch_rows"])
+        for p in d.get("pairs", []):
+            if "first_mismatch_rows" in p:
+                yield (f"{d['direction']} face {json.dumps(p['face'])}",
+                       p["first_mismatch_rows"])
 
 
 def cmd_verify(args) -> int:

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import count
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
 from .characters import Character, character_from_spec
@@ -37,6 +38,7 @@ from .periods import (
     verify_weak_duality,
 )
 from .regularization import verify_langlands_dual_periods
+from .series import serialize_row
 from .stacks import (
     IncompatibleField,
     IsogenyDatum,
@@ -285,6 +287,13 @@ def _scenario_echo(sc: Scenario) -> dict:
     return echo
 
 
+def _mismatch_rows(mismatch) -> dict:
+    """The two differing coefficient rows of a (u, mine, theirs) mismatch."""
+    u, mine, theirs = mismatch
+    return {"automorphic": serialize_row(u, mine.items()),
+            "spectral": serialize_row(u, theirs.items())}
+
+
 def _per_character(sc, order, check_one):
     """Run check_one(chi) -> (row, ok) on every character of the scenario.
 
@@ -319,6 +328,7 @@ def _run_weak_duality(sc, pair, order):
             }
             if d.mismatch is not None:
                 dd["first_mismatch_exponent"] = str(d.mismatch[0])
+                dd["first_mismatch_rows"] = _mismatch_rows(d.mismatch)
             directions.append(dd)
         return {
             "status": "equal" if report.equal else "mismatch",
@@ -356,6 +366,8 @@ def _run_orbit_duality(sc, pair, order):
                     row["spectral_series"] = p.spectral.series.serialize()
                 if p.mismatch is not None:
                     row["first_mismatch"] = str(p.mismatch[0])
+                    if p.mismatch[0] != "support":
+                        row["first_mismatch_rows"] = _mismatch_rows(p.mismatch)
                 pairs.append(row)
             directions.append({
                 "direction": rep.direction,
@@ -481,7 +493,40 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+    """The report as json.dumps(report, sort_keys=True, indent=1) + newline.
+
+    json.dumps takes its pure-Python encoder whenever indent is set, so
+    the same bytes are written here directly: a report holds only dicts
+    with string keys, lists, strings, booleans and None.
+    """
+    return _json_value(report, "\n") + "\n"
+
+
+def _json_value(value, pad: str) -> str:
+    """value as indented JSON, pad being the newline and indent of its line."""
+    inner = pad + " "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json_string(v) if isinstance(v, str) else _json_value(v, inner)
+             for v in value]) + pad + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_json_string(k) + ": " + (_json_string(v) if isinstance(v, str)
+                                       else _json_value(v, inner))
+             for k, v in sorted(value.items())]) + pad + "}")
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 # ----------------------------------------------------------------------

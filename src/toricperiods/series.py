@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from .cyclotomic import Cyc
@@ -73,6 +74,23 @@ def _zp_scale(a: dict, c) -> dict:
         if not w.is_zero():
             out[z] = w
     return out
+
+
+def serialize_row(u: int, terms) -> list:
+    """[u_exp, [[num, den, zeta_exp, z_exps], ...]] with string ints.
+
+    terms are (z_exp, Cyc) pairs.  Each nonzero power-basis coordinate
+    nums[k] / den of a coefficient becomes one term, in lowest terms.
+    """
+    out = []
+    for z, c in terms:
+        zs = [str(e) for e in z]
+        den = c.den
+        for k, x in enumerate(c.nums):
+            if x:
+                g = gcd(x, den)
+                out.append([str(x // g), str(den // g), str(k), zs])
+    return [str(u), out]
 
 
 @dataclass(frozen=True)
@@ -305,16 +323,7 @@ class TruncatedSeries:
 
     def serialize(self) -> list:
         """[[u_exp, [[num, den, zeta_exp, z_exps], ...]], ...] with string ints."""
-        rows = []
-        for u, terms in self.coeffs:
-            row_terms = []
-            for z, c in terms:
-                for k, frac in enumerate(c.coeffs):
-                    if frac:
-                        row_terms.append([str(frac.numerator), str(frac.denominator),
-                                          str(k), [str(e) for e in z]])
-            rows.append([str(u), row_terms])
-        return rows
+        return [serialize_row(u, terms) for u, terms in self.coeffs]
 
     def __str__(self):
         if self.is_zero():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricperiods.cyclotomic import Cyc
 from toricperiods.series import EXACT, Monomial, TruncatedSeries
@@ -111,6 +113,58 @@ def test_serialize_shape():
                                       scale=Fraction(3, 2))
     ser = s.serialize()
     assert ser == [["2", [["3", "2", "1", ["0", "-1"]]]]]
+
+
+def _serialize_through_fractions(series):
+    """The serialization read through Cyc.coeffs, one Fraction per coordinate."""
+    rows = []
+    for u, terms in series.coeffs:
+        row_terms = []
+        for z, c in terms:
+            for k, frac in enumerate(c.coeffs):
+                if frac:
+                    row_terms.append([str(frac.numerator), str(frac.denominator),
+                                      str(k), [str(e) for e in z]])
+        rows.append([str(u), row_terms])
+    return rows
+
+
+def test_serialize_matches_fraction_coordinates():
+    # Over 6 the coordinates of the order-12 element reduce to 1/2, 1/3,
+    # 0 and 5/6; the others mix zero coordinates, negative numerators and
+    # negative z-exponents.
+    cases = {
+        1: [Cyc.from_integers(1, (-4,), 6), Cyc.from_integers(1, (7,), 1)],
+        4: [Cyc.from_integers(4, (0, -3), 9), Cyc.from_integers(4, (2, 4), 8),
+            Cyc.from_integers(4, (-5, 0), 1)],
+        12: [Cyc.from_integers(12, (3, 2, 0, 5), 6),
+             Cyc.from_integers(12, (0, -7, 14, 0), 21),
+             Cyc.from_integers(12, (1, 1, 1, 1), 1)],
+    }
+    for order, values in cases.items():
+        data = {
+            -1: {(0, -2): values[0]},
+            0: {(0, 0): Cyc.one(order), (-1, 3): values[-1]},
+            2: {(-3, -1): values[1], (2, 0): values[0]},
+        }
+        s = TruncatedSeries.from_dict(data, 2, order, 4)
+        assert s.serialize() == _serialize_through_fractions(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 4, 12)), st.data())
+def test_serialize_matches_fraction_coordinates_random(order, data):
+    coords = st.lists(st.integers(-40, 40), min_size=Cyc.degree(order),
+                      max_size=Cyc.degree(order))
+    rows = data.draw(st.dictionaries(
+        st.integers(-3, 5),
+        st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        st.builds(lambda nums, den: Cyc.from_integers(order, nums, den),
+                                  coords, st.integers(1, 36)),
+                        max_size=3),
+        max_size=4))
+    s = TruncatedSeries.from_dict(rows, 2, order, 5)
+    assert s.serialize() == _serialize_through_fractions(s)
 
 
 def test_incompatible_rings_rejected():
