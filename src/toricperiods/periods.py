@@ -175,7 +175,10 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
         exp(sum_d a_d * psi^(d')_k(log L_g)):
 
     local_factor is called once for each g | N up to the cutoff, with one
-    exact O(U^2) logarithm each and one exponential of the sum.
+    exact O(U^2) logarithm each and one exponential of the sum.  Both
+    recurrences run on packed integer rows (`TruncatedSeries.log`/`exp`):
+    one integer convolution per pair of rows, one reduction modulo Phi_N
+    and one gcd per finished row, and one `Cyc` per output coefficient.
 
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero

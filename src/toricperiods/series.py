@@ -11,12 +11,14 @@ Everything is exact; nothing is ever evaluated numerically.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import groupby
+from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _canonical, _overflow_rows
 
 ZExp = tuple[int, ...]
 
@@ -91,6 +93,115 @@ def serialize_row(u: int, terms) -> list:
                 g = gcd(x, den)
                 out.append([str(x // g), str(den // g), str(k), zs])
     return [str(u), out]
+
+
+class _RowPacking:
+    """One row of z-polynomials over Q(zeta_N) as a dict of integers over one denominator.
+
+    A term x * zeta^i * z^e / den of a row is the entry key -> x with
+
+        key = i + R * zkey,   R = 2 * phi(N),
+
+    where zkey holds e_1, ..., e_nvars as balanced digits in radix
+    2 * half + 1, e_1 most significant.  Packed keys add as the monomials
+    multiply: the index of a product of two reduced coordinates is at
+    most 2 * phi(N) - 2 < R, and while every exponent stays within
+    [-half, half] no digit carries into the next.  Integer order of the
+    keys is then lexicographic order of the exponents, then of i.
+    """
+
+    ONE = ({0: 1}, 1)  # the constant 1: z = 0, zeta^0, over 1
+
+    def __init__(self, nvars: int, order: int, half: int):
+        self.nvars = nvars
+        self.order = order
+        self.deg = Cyc.degree(order)
+        self.half = half
+        self.radix = 2 * half + 1
+        self.width = 2 * self.deg
+        self.over = _overflow_rows(order)
+
+    @staticmethod
+    def for_series(series: "TruncatedSeries", top: int) -> "_RowPacking":
+        """A packing that holds every row a log or exp recurrence up to u^top builds.
+
+        Such a row is a sum of products of input terms whose u-exponents
+        (each >= 1) add up to at most top, so its z-exponents are bounded
+        by top times the largest input one.
+        """
+        widest = max((abs(e) for u, terms in series.coeffs if u <= top
+                      for z, _ in terms for e in z), default=0)
+        return _RowPacking(series.nvars, series.order, top * widest)
+
+    def pack(self, terms) -> tuple[dict, int]:
+        """(packed row, positive denominator) for (z_exp, Cyc) terms.
+
+        An exponent outside [-half, half] raises ValueError: it would
+        alias another monomial.
+        """
+        den = lcm(*(c.den for _, c in terms))
+        row = {}
+        for z, c in terms:
+            zkey = 0
+            for e in z:
+                if not -self.half <= e <= self.half:
+                    raise ValueError(f"z-exponent {e} does not fit the packing "
+                                     f"radix {self.radix}")
+                zkey = zkey * self.radix + e
+            base = zkey * self.width
+            scale = den // c.den
+            for i, x in enumerate(c.nums):
+                if x:
+                    row[base + i] = x * scale
+        return row, den
+
+    def combine(self, products, div: int) -> tuple[dict, int] | None:
+        """sum m * a * b / div over (a, b, m), a and b packed rows: one convolution each."""
+        den = lcm(*(a[1] * b[1] for a, b, _ in products))
+        acc = defaultdict(int)
+        for (a, da), (b, db), m in products:
+            m *= den // (da * db)
+            for ka, x in a.items():
+                x *= m
+                for kb, y in b.items():
+                    acc[ka + kb] += x * y
+        return self.finish(acc, den * div)
+
+    def finish(self, acc: defaultdict, den: int) -> tuple[dict, int] | None:
+        """acc / den reduced modulo Phi_N and to lowest terms; None if zero."""
+        deg, width = self.deg, self.width
+        if deg > 1:
+            for key in [k for k in acc if k % width >= deg]:
+                x = acc.pop(key)
+                i = key % width
+                for t, r in self.over[i - deg]:
+                    acc[key - i + t] += x * r
+        row = {k: x for k, x in acc.items() if x}
+        if not row:
+            return None
+        g = gcd(den, *row.values())
+        if g != 1:
+            row = {k: x // g for k, x in row.items()}
+            den //= g
+        return row, den
+
+    def unpack(self, row: dict, den: int) -> tuple:
+        """The row as sorted (z_exp, Cyc) terms over den, one canonical Cyc per z."""
+        terms = []
+        for zkey, keys in groupby(sorted(row), lambda k: k // self.width):
+            nums = [0] * self.deg
+            for k in keys:
+                nums[k % self.width] = row[k]
+            terms.append((self._exponents(zkey), _canonical(self.order, tuple(nums), den)))
+        return tuple(terms)
+
+    def _exponents(self, zkey: int) -> ZExp:
+        out = []
+        for _ in range(self.nvars):
+            e = (zkey + self.half) % self.radix - self.half
+            out.append(e)
+            zkey = (zkey - e) // self.radix
+        return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -184,6 +295,15 @@ class TruncatedSeries:
         return self + other.scale(-1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The product, one Cyc product and one Cyc sum per pair of terms.
+
+        This path stays per-term on purpose.  Every product in the package
+        multiplies by a one-term prefactor, where packing both sides into
+        integer rows (as `log` and `exp` do) measured 2.5 times slower:
+        0.026 s against 0.010 s, best of 15, over the 58 products of the
+        catalog scenarios.  It also keeps the binary-powering oracle of
+        the tests, which multiplies with it, apart from the packed kernel.
+        """
         self._require_compatible(other)
         if self.is_zero() or other.is_zero():
             return TruncatedSeries.zero(self.nvars, self.order,
@@ -256,8 +376,10 @@ class TruncatedSeries:
         """Logarithm of 1 + (terms at u > 0), exact to the same order.
 
         Solves f * g' = f' row by row: n g_n = n f_n - sum_{k<n} k g_k f_{n-k}.
-        The recurrence carries the rows k g_k, so a row is scaled by n once
-        and divided by n once; products visit only nonzero row pairs.
+        The recurrence carries the rows k g_k as packed integer rows (see
+        `_RowPacking`): each row pair is one integer-dict convolution, each
+        finished row is reduced modulo Phi_N and by its gcd once, and the
+        division by n happens when the output coefficients are built.
         """
         top = self._finite_trunc("log")
         if self.low is not None and self.low < 0:
@@ -265,42 +387,38 @@ class TruncatedSeries:
         one = ((0,) * self.nvars, Cyc.one(self.order))
         if not self.coeffs or self.coeffs[0] != (0, (one,)):
             raise ValueError("log needs a constant row of exactly 1")
-        rows = dict(self.coeffs[1:])
-        neg = {u: [(z, -c) for z, c in terms] for u, terms in rows.items()}
-        dg: dict = {}  # n -> n * g_n, nonzero rows only
+        pack = _RowPacking.for_series(self, top)
+        f = {u: pack.pack(terms) for u, terms in self.coeffs[1:] if u <= top}
+        dg: dict = {}  # n -> n * g_n as (packed row, denominator), nonzero rows only
         for n in range(1, top + 1):
-            acc = _zp_scale(dict(rows.get(n, ())), n)
-            for k, row in dg.items():
-                f = neg.get(n - k)
-                if f:
-                    _zp_mul_add(acc, row.items(), f)
-            if acc:
-                dg[n] = acc
-        data = {n: _zp_scale(row, Fraction(1, n)) for n, row in dg.items()}
-        return TruncatedSeries.from_dict(data, self.nvars, self.order, top)
+            products = [(dg[k], f[n - k], -1) for k in dg if n - k in f]
+            if n in f:
+                products.append((f[n], _RowPacking.ONE, n))
+            if products and (row := pack.combine(products, 1)):
+                dg[n] = row
+        rows = tuple((n, pack.unpack(row, den * n)) for n, (row, den) in dg.items())
+        return TruncatedSeries(self.nvars, self.order, top, rows)
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with terms at u > 0 only, exact to the same order.
 
-        Solves h' = G' h row by row: n h_n = sum_{k<=n} k G_k h_{n-k}, with
-        each row k G_k scaled once and each sum divided by n once.
+        Solves h' = G' h row by row: n h_n = sum_{k<=n} k G_k h_{n-k}, on
+        packed integer rows like `log`: one convolution per row pair, the
+        factor k folded into that pair's integer multiplier, and the
+        division by n taken with the row's gcd when the row is finished.
         """
         top = self._finite_trunc("exp")
         if self.low is not None and self.low <= 0:
             raise ValueError("exp needs a series with terms at u > 0 only")
-        dG = [(k, [(z, c * k) for z, c in terms]) for k, terms in self.coeffs]
-        h = {0: {(0,) * self.nvars: Cyc.one(self.order)}}
+        pack = _RowPacking.for_series(self, top)
+        G = [(k, pack.pack(terms)) for k, terms in self.coeffs if k <= top]
+        h = {0: _RowPacking.ONE}
         for n in range(1, top + 1):
-            acc: dict = {}
-            for k, row in dG:
-                if k > n:
-                    break
-                prev = h.get(n - k)
-                if prev:
-                    _zp_mul_add(acc, row, prev.items())
-            if acc:
-                h[n] = _zp_scale(acc, Fraction(1, n))
-        return TruncatedSeries.from_dict(h, self.nvars, self.order, top)
+            products = [(a, h[n - k], k) for k, a in G if n - k in h]
+            if products and (row := pack.combine(products, n)):
+                h[n] = row
+        rows = tuple((n, pack.unpack(row, den)) for n, (row, den) in h.items())
+        return TruncatedSeries(self.nvars, self.order, top, rows)
 
     # --- comparison and output ------------------------------------------
 

@@ -6,10 +6,16 @@ order.  It shares only series multiplication with the kernel, so exact
 agreement on random local factors checks the logarithm, the exponential,
 the Adams operations that carry one factor per gcd class to every degree,
 and the place-count bookkeeping together.
+
+`reference_log` and `reference_exp` are the same recurrences term by
+term, one `Cyc` product and one `Cyc` sum per pair of terms, through the
+row helper of series multiplication; the packed integer rows of
+`TruncatedSeries.log`/`exp` must give exactly their result.
 """
 
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -21,7 +27,13 @@ from hypothesis import strategies as st
 from toricperiods.curve import Curve, place_counts, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.periods import euler_product
-from toricperiods.series import EXACT, TruncatedSeries
+from toricperiods.series import (
+    EXACT,
+    TruncatedSeries,
+    _RowPacking,
+    _zp_mul_add,
+    _zp_scale,
+)
 
 ORDERS = (1, 3, 4, 7, 12)
 PRIME_POWERS = (2, 3, 4, 5, 8, 9)
@@ -40,6 +52,36 @@ def binary_powering_euler_product(local_factor, curve, order, max_degree=None):
         piece = local_factor(d).power(table.a(d))
         out = piece if out is None else out * piece
     return out
+
+
+def reference_log(f):
+    """n g_n = n f_n - sum_{k<n} k g_k f_{n-k}, one Cyc product per term pair."""
+    rows = dict(f.coeffs[1:])
+    neg = {u: [(z, -c) for z, c in terms] for u, terms in rows.items()}
+    dg = {}
+    for n in range(1, f.trunc + 1):
+        acc = _zp_scale(dict(rows.get(n, ())), n)
+        for k, row in dg.items():
+            if neg.get(n - k):
+                _zp_mul_add(acc, row.items(), neg[n - k])
+        if acc:
+            dg[n] = acc
+    data = {n: _zp_scale(row, Fraction(1, n)) for n, row in dg.items()}
+    return TruncatedSeries.from_dict(data, f.nvars, f.order, f.trunc)
+
+
+def reference_exp(g):
+    """n h_n = sum_{k<=n} k G_k h_{n-k}, one Cyc product per term pair."""
+    dG = [(k, [(z, c * k) for z, c in terms]) for k, terms in g.coeffs]
+    h = {0: {(0,) * g.nvars: Cyc.one(g.order)}}
+    for n in range(1, g.trunc + 1):
+        acc = {}
+        for k, row in dG:
+            if k <= n and h.get(n - k):
+                _zp_mul_add(acc, row, h[n - k].items())
+        if acc:
+            h[n] = _zp_scale(acc, Fraction(1, n))
+    return TruncatedSeries.from_dict(h, g.nvars, g.order, g.trunc)
 
 
 @st.composite
@@ -124,6 +166,73 @@ def euler_inputs(draw):
         g = gcd(d, order)
         factors[d] = adams_factor(terms[g], g, d // g, nvars, order, trunc)
     return factors, Curve(q=q), trunc, (nvars, order), max_degree
+
+
+PACKED_ORDERS = (1, 2, 3, 4, 7, 12)
+# Small exponents make terms collide and cancel; the large ones make the
+# packing radix 2 * trunc * 10**6 + 1, so a key of three variables is a
+# multi-digit integer.
+Z_EXPONENT = st.one_of(st.integers(-2, 2),
+                       st.sampled_from((-10 ** 6, 10 ** 6 - 1, 10 ** 6)))
+
+
+@st.composite
+def packed_case(draw, low):
+    """A series of the given lowest u-exponent, coordinates with denominators up to 6."""
+    order = draw(st.sampled_from(PACKED_ORDERS))
+    nvars = draw(st.integers(0, 3))
+    trunc = draw(st.integers(1, 6 if Cyc.degree(order) <= 2 else 4))
+    data = {}
+    for u in draw(st.lists(st.integers(1, trunc), min_size=1, max_size=3, unique=True)):
+        zs = draw(st.lists(st.tuples(*[Z_EXPONENT] * nvars),
+                           min_size=1, max_size=2, unique=True))
+        row = data[u] = {}
+        for z in zs:
+            deg = Cyc.degree(order)
+            coords = draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                   min_size=deg, max_size=deg))
+            row[z] = Cyc(order, coords)
+    if low == 0:
+        data[0] = {(0,) * nvars: Cyc.one(order)}
+    return TruncatedSeries.from_dict(data, nvars, order, trunc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_case(low=0))
+def test_packed_log_matches_term_by_term_recurrence(f):
+    assert f.log() == reference_log(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_case(low=1))
+def test_packed_exp_matches_term_by_term_recurrence(g):
+    assert g.exp() == reference_exp(g)
+
+
+def test_packed_log_of_a_product_is_the_sum_of_logs():
+    # (1 + x u)(1 - x u) = 1 - x^2 u^2 with x = zeta/2 * z1^-1: the odd rows
+    # cancel, and the powers of zeta^2 reduce modulo Phi_N for N > 2.
+    for order in PACKED_ORDERS:
+        x = Cyc.root_power(1, order) * Fraction(1, 2)
+        one = {(0, 0): Cyc.one(order)}
+        a, b = (TruncatedSeries.from_dict({0: one, 1: {(-1, 0): c}}, 2, order, 12)
+                for c in (x, -x))
+        f = a * b
+        assert f.log() == a.log() + b.log() == reference_log(f)
+        assert {u % 2 for u, _ in f.log().coeffs} == {0}
+        assert f.log().exp() == f
+
+
+def test_finished_packed_rows_are_reduced_and_in_lowest_terms():
+    # Q(zeta_3): zeta^2 = -1 - zeta, and R = 2 * phi(3) = 4 keys per z-monomial.
+    packing = _RowPacking(1, 3, 4)
+    z1 = 1 * 4  # zeta^0 * z^1
+    # (2 zeta^2 + 4 zeta) z / 6 = (-2 + 2 zeta) z / 6 = (-1 + zeta) z / 3
+    assert packing.finish(defaultdict(int, {z1 + 2: 2, z1 + 1: 4}), 6) == (
+        {z1: -1, z1 + 1: 1}, 3)
+    assert packing.finish(defaultdict(int, {z1: 3, z1 + 1: 0}), 3) == ({z1: 1}, 1)
+    # 1 + zeta + zeta^2 = 0
+    assert packing.finish(defaultdict(int, {z1: 1, z1 + 1: 1, z1 + 2: 1}), 5) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,6 +339,27 @@ def test_refusals_hold_under_optimize():
         "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit(f.__name__ + ' accepted a bad series')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_packing_guard_holds_under_optimize():
+    # An exponent outside the radix would alias another monomial; the guard
+    # is a ValueError, not an assert, so it survives python -O.
+    code = (
+        "from toricperiods.cyclotomic import Cyc\n"
+        "from toricperiods.series import _RowPacking\n"
+        "packing = _RowPacking(2, 4, 5)\n"
+        "packing.pack((((5, -5), Cyc.one(4)),))\n"
+        "for z in ((6, 0), (0, -6), (11, -5)):\n"
+        "    try:\n"
+        "        packing.pack(((z, Cyc.one(4)),))\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'packed {z} into radix 11')\n")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-O", "-c", code],
                           env={"PYTHONPATH": str(src)},

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,3 +301,15 @@ def test_catalog_emit_unwritable_target_exits_2(tmp_path, capsys, monkeypatch, v
     assert main(["catalog", "emit", "tate", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write scenario to ") and err.count("\n") == 1
+
+
+def test_python_m_runs_the_command_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "toricperiods", "catalog", "list"],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == catalog_names()
+    # Importing the module (as tools that walk the package do) runs nothing.
+    done = subprocess.run([sys.executable, "-c", "import toricperiods.__main__"],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
