@@ -133,9 +133,6 @@ class PlaceTable:
     def a(self, d: int) -> int:
         return self.counts[d - 1]
 
-    def degrees(self):
-        return range(1, len(self.counts) + 1)
-
 
 def place_counts(curve: Curve, cutoff: int) -> PlaceTable:
     """Closed points of each degree up to cutoff, by Mobius inversion."""

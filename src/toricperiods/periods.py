@@ -196,12 +196,11 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
         top = min(top, max_degree)
     if top < 1:
         return TruncatedSeries.one(nvars, n, order)
-    table = place_counts(curve, top)
+    counts = place_counts(curve, top).counts
     classes = [g for g in range(1, top + 1) if n % g == 0]
     factors = tuple(local_factor(g) for g in classes)
     if any((f.nvars, f.order) != ring for f in factors):
         raise ValueError(f"a local factor lies outside the ring {ring}")
-    counts = tuple(table.a(d) for d in range(1, top + 1))
     memo = _EULER_MEMO.get()
     key = (factors, counts)
     if memo is not None and (hit := memo.get(key)) is not None:

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
-from .duality import (
-    GradedDualPair,
-    GradedToricDatum,
-    OrbitDescriptor,
-    orbit_for_face,
-    orbits,
-)
+from .duality import GradedDualPair, GradedToricDatum, OrbitDescriptor, orbits
 from .intlinalg import (
     Vector,
     annihilator_basis,
@@ -58,7 +52,6 @@ class OrbitContribution:
     the matching orbit on the other side diverges the same way).
     """
 
-    orbit: OrbitDescriptor
     status: str
     reason: str | None
     series: TruncatedSeries | None
@@ -68,19 +61,22 @@ class OrbitContribution:
         return self.status == "vanished"
 
 
-def _vanished(orbit, reason):
-    return OrbitContribution(orbit=orbit, status="vanished", reason=reason,
-                             series=None)
+def _vanished(reason):
+    return OrbitContribution(status="vanished", reason=reason, series=None)
 
 
-def _proper_stabilizer_faces(cone: Cone):
-    """Faces with nontrivial proper stabilizer: nonzero rays, non-spanning."""
-    out = []
+def _cuspidality_witness(cone: Cone, psi: Character) -> Cone | None:
+    """First face with nontrivial proper stabilizer that psi kills, or None.
+
+    The faces tested have nonzero rays and do not span the ambient
+    lattice; the stabilizer of a face is the saturation of its rays.
+    """
     rank = cone.ambient_rank
-    for f in faces(cone).faces:
-        if f.rays and f.dim() < rank:
-            out.append(f)
-    return out
+    for face in faces(cone).faces:
+        if face.rays and face.dim() < rank and psi.is_trivial_on_all(
+                saturate_sublattice(face.rays, rank)):
+            return face
+    return None
 
 
 def is_cuspidal(datum: GradedToricDatum, chi: Character):
@@ -91,12 +87,9 @@ def is_cuspidal(datum: GradedToricDatum, chi: Character):
     nontrivial proper ones; the trivial stabilizer of the dense orbit
     would make the condition vacuously false and is excluded.
     """
-    psi = extended_character(chi, datum.eta)
-    for face in _proper_stabilizer_faces(datum.cone):
-        stab = orbit_for_face(datum, face).stabilizer_basis
-        if psi.is_trivial_on_all(stab):
-            return False, face
-    return True, None
+    witness = _cuspidality_witness(datum.cone,
+                                   extended_character(chi, datum.eta))
+    return witness is None, witness
 
 
 def fixed_orbit_faces(datum_check: GradedToricDatum, phi: Character):
@@ -145,44 +138,40 @@ def regularized_automorphic_contribution(
     """
     psi = extended_character(chi, datum.eta)
     if orbit.stabilizer_basis and not psi.is_trivial_on_all(orbit.stabilizer_basis):
-        return _vanished(orbit, VANISHED_TRIVIALITY)
+        return _vanished(VANISHED_TRIVIALITY)
     if orbit.quotient.torsion_invariants != ():
         raise ValueError("stabilizer basis not saturated")
     psi_bar = psi.compose(orbit.quotient.section)
     closure = orbit.closure_cone
-    # Relative cuspidality of the descended character on the closure.
-    for face in _proper_stabilizer_faces(closure):
-        stab = saturate_sublattice(face.rays, closure.ambient_rank)
-        if psi_bar.is_trivial_on_all(stab):
-            return _vanished(orbit, VANISHED_CUSPIDALITY)
+    if _cuspidality_witness(closure, psi_bar) is not None:
+        return _vanished(VANISHED_CUSPIDALITY)
     pref = automorphic_prefactor(datum, chi)
     series = _descended_euler_product(closure, psi_bar, curve, order)
     total = series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
-    return OrbitContribution(orbit=orbit, status="computed", reason=None,
-                             series=total)
+    return OrbitContribution(status="computed", reason=None, series=total)
 
 
 def regularized_spectral_contribution(
-        datum_check: GradedToricDatum, orbit: OrbitDescriptor, curve: Curve,
+        datum_check: GradedToricDatum, face: Cone, curve: Curve,
         phi: Character, order: int) -> OrbitContribution:
-    """Contribution of one dual-side orbit to the regularized spectral period.
+    """Contribution of the orbit of one face of the dual-side cone.
 
-    Not fixed pointwise: zero.  Fixed but dominated by a larger fixed
-    orbit: zero.  Otherwise the graded trace over the image of the
+    Takes the face, not an orbit descriptor: the face is all these
+    conditions and the trace depend on.  Not fixed pointwise: zero.  Fixed but dominated by a larger
+    fixed orbit: zero.  Otherwise the graded trace over the image of the
     character monoid in the transverse quotient, normalized like the full
     spectral period.
     """
     rank = datum_check.rank
     psi = extended_character(phi, datum_check.rho)
-    face = orbit.face
     ann = annihilator_basis(face.rays, rank)
     if not psi.is_trivial_on_all(ann):
-        return _vanished(orbit, VANISHED_NOT_FIXED)
+        return _vanished(VANISHED_NOT_FIXED)
     face_rays = face.ray_set()
     for other in faces(datum_check.cone).faces:
         if other.ray_set() < face_rays:
             if psi.is_trivial_on_all(annihilator_basis(other.rays, rank)):
-                return _vanished(orbit, VANISHED_DOMINATED)
+                return _vanished(VANISHED_DOMINATED)
     quot = quotient_lattice(rank, ann)
     if quot.torsion_invariants != ():
         raise ValueError("annihilator of the face is not saturated")
@@ -192,8 +181,7 @@ def regularized_spectral_contribution(
     pref = spectral_prefactor(datum_check, curve, phi)
     series = _descended_euler_product(image, psi_desc, curve, order)
     total = series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
-    return OrbitContribution(orbit=orbit, status="computed", reason=None,
-                             series=total)
+    return OrbitContribution(status="computed", reason=None, series=total)
 
 
 @dataclass(frozen=True)
@@ -220,25 +208,23 @@ class OrbitDualityReport:
         return [p for p in self.pairs if not p.automorphic.vanished]
 
 
+def _contribution_or_divergent(contribution, *args) -> OrbitContribution:
+    try:
+        return contribution(*args)
+    except PositivityViolation as err:
+        return OrbitContribution(
+            "divergent", f"weight {err.value} on ray {err.witness}", None)
+
+
 def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo):
     verdicts = []
     for orbit in orbits(aut_datum):
         dual_face = face_dual(orbit.face, aut_datum.cone)
-        dual_orbit_desc = orbit_for_face(spec_datum, dual_face)
-        try:
-            aut = regularized_automorphic_contribution(
-                aut_datum, orbit, curve, chi, order)
-        except PositivityViolation as err:
-            aut = OrbitContribution(orbit, "divergent",
-                                    f"weight {err.value} on ray {err.witness}",
-                                    None)
-        try:
-            spec = regularized_spectral_contribution(
-                spec_datum, dual_orbit_desc, curve, chi, order)
-        except PositivityViolation as err:
-            spec = OrbitContribution(dual_orbit_desc, "divergent",
-                                     f"weight {err.value} on ray {err.witness}",
-                                     None)
+        aut = _contribution_or_divergent(regularized_automorphic_contribution,
+                                         aut_datum, orbit, curve, chi, order)
+        spec = _contribution_or_divergent(regularized_spectral_contribution,
+                                          spec_datum, dual_face, curve, chi,
+                                          order)
         if aut.status != spec.status:
             equal, mism = False, ("support", aut.status, spec.status)
         elif aut.status == "computed":

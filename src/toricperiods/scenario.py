@@ -218,6 +218,10 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
         slopes_raw = _expect(h, "slopes", f"{pointer}.height", list)
         if len(cones_raw) != len(slopes_raw):
             raise SchemaError(f"{pointer}.height", "one slope per cone")
+        for i, cone in enumerate(cones_raw):
+            if not isinstance(cone, list):
+                raise SchemaError(f"{pointer}.height.cones[{i}]",
+                                  "expected a list of rays")
         height_cones = tuple(
             tuple(_int_vector(r, f"{pointer}.height.cones[{i}][{j}]", rank)
                   for j, r in enumerate(cone))

@@ -99,9 +99,6 @@ def check_curve_compatibility(iso: IsogenyDatum, curve: Curve):
         if curve.q % iso.exponent != 1:
             raise IncompatibleField(
                 f"q = {curve.q} is not 1 mod the exponent {iso.exponent}")
-        from math import gcd
-        if gcd(curve.q, iso.exponent) != 1:
-            raise IncompatibleField("q shares a factor with the kernel order")
 
 
 def torsion_twists(iso: IsogenyDatum, order: int) -> list[tuple[Monomial, ...]]:

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from toricperiods import duality
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
@@ -105,7 +107,7 @@ def test_full_face_recovers_spectral_period():
     pair = toric_dual(QUADRIC)
     full_face = next(o for o in orbits(pair.side_xcheck) if o.is_fixed_point)
     contrib = regularized_spectral_contribution(
-        pair.side_xcheck, full_face, Curve(q=2), chi, 6)
+        pair.side_xcheck, full_face.face, Curve(q=2), chi, 6)
     assert contrib.status == "computed"
     expected = spectral_period(pair.side_xcheck, Curve(q=2), chi, 6)
     assert contrib.series.first_mismatch(expected) is None
@@ -136,14 +138,40 @@ def test_spectral_vanishing_reasons():
     pair = toric_dual(QUADRIC)
     orbs = orbits(pair.side_xcheck)
     dense = next(o for o in orbs if o.is_dense)
-    c = regularized_spectral_contribution(pair.side_xcheck, dense, Curve(q=2), chi, 6)
+    c = regularized_spectral_contribution(pair.side_xcheck, dense.face, Curve(q=2), chi, 6)
     assert c.vanished and c.reason == VANISHED_NOT_FIXED
     # With the matched degenerate character, the full face is dominated.
     full_face = next(o for o in orbs if o.is_fixed_point)
     c2 = regularized_spectral_contribution(
-        pair.side_xcheck, full_face, Curve(q=2), Z1_IS_UINV, 6)
+        pair.side_xcheck, full_face.face, Curve(q=2), Z1_IS_UINV, 6)
     assert c2.vanished and c2.reason == VANISHED_DOMINATED
 
+
+def test_orbit_descriptors_built_once_per_automorphic_face(monkeypatch):
+    built = []
+    build = duality.orbit_for_face
+
+    def orbit_for_face(datum, face):
+        built.append(face)
+        return build(datum, face)
+
+    # Replace every binding in the package, not just the defining one.
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "toricperiods"
+                and getattr(module, "orbit_for_face", None) is build):
+            monkeypatch.setattr(module, "orbit_for_face", orbit_for_face)
+    pair = toric_dual(SQUARE3D)
+    n_faces = len(orbits(pair.side_x)) + len(orbits(pair.side_xcheck))
+    built.clear()
+    verify_langlands_dual_periods(pair, Curve(q=2), formal_character(3), 4)
+    # One descriptor per face of each automorphic side; the spectral side
+    # reads only the dual face.
+    assert n_faces == 20
+    assert len(built) == n_faces
+    built.clear()
+    for datum in (pair.side_x, pair.side_xcheck):
+        is_cuspidal(datum, formal_character(3))
+    assert built == []
 
 def test_orbitwise_duality_quadric_specialized():
     pair = toric_dual(QUADRIC)

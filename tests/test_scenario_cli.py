@@ -219,9 +219,11 @@ def test_report_permission_error_exits_2(tmp_path, capsys, monkeypatch):
                                "slopes": [[1, 1], [1, 2]]}}, "scenario.height"),
     ("tate", {"height": {"cones": [[[1], [-1]]], "slopes": [[1]]}}, "scenario.height"),
     ("tate", {"height": {"cones": [], "slopes": []}}, "scenario.height"),
+    ("tate", {"height": {"cones": [5], "slopes": [[1]]}}, "scenario.height.cones[0]"),
 ], ids=["spin-entry-not-a-pair", "spin-entry-too-short", "spin-degree-negative",
         "spin-degree-zero-first", "spin-degree-zero-second", "singular-inclusion",
-        "height-slopes-disagree", "height-cone-with-line", "height-without-cones"])
+        "height-slopes-disagree", "height-cone-with-line", "height-without-cones",
+        "height-cone-not-a-list"])
 def test_malformed_block_exits_2_with_pointer(tmp_path, capsys, base, patch, pointer):
     data = catalog_emit(base, order=2)
     data.update(patch)
