@@ -82,6 +82,18 @@ def _overflow_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for k in range(deg, 2 * deg - 1))
 
 
+@lru_cache(maxsize=None)
+def _galois_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, value) pairs of x^(ik mod n) mod Phi_n for 0 <= i < deg.
+
+    Row i is sigma_k(zeta^i) in the power basis, read off the reduction
+    table: the image of each basis element under zeta -> zeta^k.
+    """
+    table = _reduction_table(n)
+    return tuple(tuple((t, r) for t, r in enumerate(table[i * k % n]) if r)
+                 for i in range(len(table[0])))
+
+
 _new = object.__new__
 
 
@@ -231,18 +243,17 @@ class Cyc:
         """sigma_k(x): the Galois automorphism zeta -> zeta^k, k prime to the order.
 
         sum_i nums[i] zeta^i / den goes to sum_i nums[i] zeta^(ik) / den,
-        with each zeta^(ik) read off the reduction table.
+        with each zeta^(ik) read off `_galois_rows`.
         """
         n = self.order
         if gcd(k, n) != 1:
             raise ValueError(f"sigma_{k} is not an automorphism of Q(zeta_{n})")
         if k % n == 1 % n:  # sigma_k is the identity
             return self
-        table = _reduction_table(n)
         conj = [0] * len(self.nums)
-        for i, x in enumerate(self.nums):
+        for x, image in zip(self.nums, _galois_rows(n, k)):
             if x:
-                for t, r in enumerate(table[i * k % n]):
+                for t, r in image:
                     conj[t] += x * r
         return _canonical(n, tuple(conj), self.den)
 

@@ -23,7 +23,7 @@ from .cones import Cone, dual_cone, hilbert_basis, monoid_points
 from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import Vector, dot, vec
-from .series import Monomial, TruncatedSeries
+from .series import Monomial, TruncatedSeries, _RowPacking
 
 
 # Local factors of degree 1..SAMPLE_DEGREES are reported beside a check.
@@ -174,11 +174,16 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
 
         exp(sum_d a_d * psi^(d')_k(log L_g)):
 
-    local_factor is called once for each g | N up to the cutoff, with one
-    exact O(U^2) logarithm each and one exponential of the sum.  Both
-    recurrences run on packed integer rows (`TruncatedSeries.log`/`exp`):
-    one integer convolution per pair of rows, one reduction modulo Phi_N
-    and one gcd per finished row, and one `Cyc` per output coefficient.
+    local_factor is called once for each g | N up to the cutoff.  The
+    whole computation stays in the packed integer rows of one
+    `_RowPacking`, sized from every class factor: one exact O(U^2)
+    logarithm of each L_g hands over its rows packed; the Adams sum maps
+    each logarithm row m to u = d' * m by the packed psi^(d')_k and
+    accumulates a_d times it into one integer row per u over one
+    denominator, finished once; the exponential starts from those rows,
+    and one `TruncatedSeries` is built at the end, with one `Cyc` per
+    output coefficient.  The result is exact to the truncation order of
+    the least exact factor, at most `order`.
 
     Places of degree above the truncation order cannot contribute, and a
     caller holding a sharper bound on the minimal weight of a nonzero
@@ -205,13 +210,18 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
     key = (factors, counts)
     if memo is not None and (hit := memo.get(key)) is not None:
         return hit
-    logs = {g: f.log() for g, f in zip(classes, factors)}
-    total = None
+    exact = min(order, *(f.trunc for f in factors))
+    pack = _RowPacking.spanning(factors, exact)
+    logs = {g: pack.log_rows(f, exact) for g, f in zip(classes, factors)}
+    images: dict = {}  # u -> (a_d, d', k, log row m) with d' * m = u
     for d, a in enumerate(counts, start=1):
         g, d1, k = _adams_index(d, n)
-        term = logs[g].truncate(order // d1).substitute_u_power(d1, k).scale(a)
-        total = term if total is None else total + term
-    result = total.exp()
+        for m, row in logs[g].items():
+            if m * d1 > exact:
+                break
+            images.setdefault(m * d1, []).append((a, d1, k, row))
+    total = {u: row for u in sorted(images) if (row := pack.adams_sum(images[u]))}
+    result = pack.series(pack.exp_rows(total, exact), exact)
     if memo is not None:
         memo[key] = result
     return result
@@ -267,10 +277,14 @@ def spectral_prefactor(datum_check: GradedToricDatum, curve: Curve,
 def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
                        order: int) -> TruncatedSeries:
     """Prefactored Euler product of automorphic local factors."""
+    return _automorphic_period(datum, curve, chi, order, automorphic_local_factor)
+
+
+def _automorphic_period(datum, curve, chi, order, engine) -> TruncatedSeries:
     w = positivity_certificate(datum.cone, chi, datum.eta)
     cutoff = order // monoid_weight_minimum(datum.cone, w)
     series = euler_product(
-        lambda d: automorphic_local_factor(datum, chi, d, order),
+        lambda d: engine(datum, chi, d, order),
         curve, order, (chi.nvars, chi.order), max_degree=cutoff)
     pref = automorphic_prefactor(datum, chi)
     return series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
@@ -279,11 +293,15 @@ def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
 def spectral_period(datum_check: GradedToricDatum, curve: Curve, phi: Character,
                     order: int) -> TruncatedSeries:
     """Normalized product of graded Frobenius traces at the unique fixed point."""
+    return _spectral_period(datum_check, curve, phi, order, spectral_local_factor)
+
+
+def _spectral_period(datum_check, curve, phi, order, engine) -> TruncatedSeries:
     monoid_cone = dual_cone(datum_check.cone)
     w = positivity_certificate(monoid_cone, phi, datum_check.rho)
     cutoff = order // monoid_weight_minimum(monoid_cone, w)
     series = euler_product(
-        lambda d: spectral_local_factor(datum_check, phi, d, order),
+        lambda d: engine(datum_check, phi, d, order),
         curve, order, (phi.nvars, phi.order), max_degree=cutoff)
     pref = spectral_prefactor(datum_check, curve, phi)
     return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
@@ -311,9 +329,9 @@ class PeriodReport:
 
 
 def _compare_direction(aut_datum, spec_datum, name_a, name_s, curve, chi,
-                       order, exponent) -> DirectionVerdict:
-    lhs = automorphic_period(aut_datum, curve, chi, order)
-    rhs = spectral_period(spec_datum, curve, chi, order)
+                       order, exponent, engines) -> DirectionVerdict:
+    lhs = _automorphic_period(aut_datum, curve, chi, order, engines[0])
+    rhs = _spectral_period(spec_datum, curve, chi, order, engines[1])
     rhs_scaled = rhs.shift_u(exponent)
     mism = lhs.first_mismatch(rhs_scaled)
     return DirectionVerdict(
@@ -328,18 +346,33 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
 
     Direction one pairs the automorphic engine on the primal side against
     the spectral engine on the dual side (scaled by u^(r - epsilon));
-    direction two exchanges the roles.
+    direction two exchanges the roles.  The local samples are those of
+    direction one: the sample of degree d is the Adams image
+    psi^(d')_k of the class factor L_g its products enumerated, cut at
+    the truncation order (the contract of `euler_product`), and is
+    enumerated directly only when the degree cutoff left L_g out.
     """
     expo = pair.discrepancy
+    engines = (automorphic_local_factor, spectral_local_factor)
+    seen = {}  # (engine, degree) -> a local factor direction one enumerated
+
+    def kept(engine):
+        def local(datum, chi_, deg, order_):
+            seen[engine, deg] = factor = engine(datum, chi_, deg, order_)
+            return factor
+        return local
+
     d1 = _compare_direction(pair.side_x, pair.side_xcheck, "X", "X-check",
-                            curve, chi, order, expo)
+                            curve, chi, order, expo, tuple(map(kept, engines)))
     d2 = _compare_direction(pair.side_xcheck, pair.side_x, "X-check", "X",
-                            curve, chi, order, expo)
+                            curve, chi, order, expo, engines)
     samples = {}
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
+        g, d_, k = _adams_index(deg, chi.order)
         samples[deg] = {
-            "automorphic": automorphic_local_factor(pair.side_x, chi, deg, order),
-            "spectral": spectral_local_factor(pair.side_xcheck, chi, deg, order),
-        }
+            name: (seen[engine, g].substitute_u_power(d_, k).truncate(order)
+                   if (engine, g) in seen else engine(side, chi, deg, order))
+            for name, engine, side in zip(("automorphic", "spectral"), engines,
+                                          (pair.side_x, pair.side_xcheck))}
     return PeriodReport(duality_exponent=expo, directions=(d1, d2),
                         local_samples=samples)

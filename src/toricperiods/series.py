@@ -18,7 +18,7 @@ from itertools import groupby
 from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import Cyc, _canonical, _overflow_rows
+from .cyclotomic import Cyc, _canonical, _galois_rows, _overflow_rows
 
 ZExp = tuple[int, ...]
 
@@ -107,7 +107,18 @@ class _RowPacking:
     multiply: the index of a product of two reduced coordinates is at
     most 2 * phi(N) - 2 < R, and while every exponent stays within
     [-half, half] no digit carries into the next.  Integer order of the
-    keys is then lexicographic order of the exponents, then of i.
+    keys is then lexicographic order of the exponents, then of i.  The
+    packing is linear in the exponents too: d * zkey packs z^(d*e).
+
+    One packing serves a whole Euler product up to u^top: the logarithm
+    of every class factor, the Adams images of those logarithms, their
+    sum and its exponential.  Its half-width is top * max|z|, the maximum
+    taken over the rows at u <= top of every class factor (`spanning`).
+    A row that log or exp builds at u <= top is a sum of products of
+    input terms whose u-exponents (each >= 1) add up to u, so its
+    exponents are bounded by u * max|z|; the Adams image psi^(d')_k of a
+    logarithm row m multiplies them by d' and is kept only at
+    u = d' * m <= top, so it is bounded the same way.
     """
 
     ONE = ({0: 1}, 1)  # the constant 1: z = 0, zeta^0, over 1
@@ -122,16 +133,11 @@ class _RowPacking:
         self.over = _overflow_rows(order)
 
     @staticmethod
-    def for_series(series: "TruncatedSeries", top: int) -> "_RowPacking":
-        """A packing that holds every row a log or exp recurrence up to u^top builds.
-
-        Such a row is a sum of products of input terms whose u-exponents
-        (each >= 1) add up to at most top, so its z-exponents are bounded
-        by top times the largest input one.
-        """
-        widest = max((abs(e) for u, terms in series.coeffs if u <= top
+    def spanning(series, top: int) -> "_RowPacking":
+        """The packing of every row built from these series (of one ring) up to u^top."""
+        widest = max((abs(e) for s in series for u, terms in s.coeffs if u <= top
                       for z, _ in terms for e in z), default=0)
-        return _RowPacking(series.nvars, series.order, top * widest)
+        return _RowPacking(series[0].nvars, series[0].order, top * widest)
 
     def pack(self, terms) -> tuple[dict, int]:
         """(packed row, positive denominator) for (z_exp, Cyc) terms.
@@ -184,6 +190,72 @@ class _RowPacking:
             row = {k: x // g for k, x in row.items()}
             den //= g
         return row, den
+
+    def log_rows(self, series: "TruncatedSeries", top: int) -> dict:
+        """{n: g_n} with log(series) = sum_n g_n u^n up to u^top, g_n a packed row.
+
+        Solves f * g' = f' row by row: n g_n = n f_n - sum_{k<n} k g_k f_{n-k}.
+        The recurrence carries the rows k g_k: each row pair is one
+        integer-dict convolution, each finished row is reduced modulo
+        Phi_N and by its gcd once, and the division by n is left to the
+        row's denominator.
+        """
+        if series.low is not None and series.low < 0:
+            raise ValueError("log needs a series with no negative u-exponents")
+        one = ((0,) * series.nvars, Cyc.one(series.order))
+        if not series.coeffs or series.coeffs[0] != (0, (one,)):
+            raise ValueError("log needs a constant row of exactly 1")
+        f = {u: self.pack(terms) for u, terms in series.coeffs[1:] if u <= top}
+        dg: dict = {}  # n -> n * g_n, nonzero rows only
+        for n in range(1, top + 1):
+            products = [(dg[k], f[n - k], -1) for k in dg if n - k in f]
+            if n in f:
+                products.append((f[n], self.ONE, n))
+            if products and (row := self.combine(products, 1)):
+                dg[n] = row
+        return {n: (row, den * n) for n, (row, den) in dg.items()}
+
+    def exp_rows(self, rows: dict, top: int) -> dict:
+        """{n: h_n} with exp(sum_k G_k u^k) = sum_n h_n u^n up to u^top, for {k: G_k}, k >= 1.
+
+        Solves h' = G' h row by row: n h_n = sum_{k<=n} k G_k h_{n-k}, one
+        convolution per row pair with the factor k folded into that pair's
+        integer multiplier, and the division by n taken with the row's
+        gcd when the row is finished.
+        """
+        h = {0: self.ONE}
+        for n in range(1, top + 1):
+            products = [(a, h[n - k], k) for k, a in rows.items() if n - k in h]
+            if products and (row := self.combine(products, n)):
+                h[n] = row
+        return h
+
+    def adams_sum(self, images) -> tuple[dict, int] | None:
+        """sum m * psi^d_k(row / den) over (m, d, k, (row, den)), finished once; None if zero.
+
+        The packed Adams map moves the key i + R * zkey to t + R * d * zkey
+        for each term r * zeta^t of the reduced zeta^(ik) (`_galois_rows`):
+        z -> z^d scales the z part of the key, sigma_k acts on the index.
+        The caller moves the row from u to d * u.
+        """
+        den = lcm(*(rd for *_, (_, rd) in images))
+        acc = defaultdict(int)
+        width = self.width
+        for m, d, k, (row, rd) in images:
+            m *= den // rd
+            galois = _galois_rows(self.order, k)
+            for key, x in row.items():
+                i = key % width
+                base = (key - i) * d
+                x *= m
+                for t, r in galois[i]:
+                    acc[base + t] += x * r
+        return self.finish(acc, den)
+
+    def series(self, rows: dict, top: int) -> "TruncatedSeries":
+        """The series exact to u^top with the packed rows {u: (row, den)}, u ascending."""
+        return TruncatedSeries(self.nvars, self.order, top,
+                               tuple((u, self.unpack(row, den)) for u, (row, den) in rows.items()))
 
     def unpack(self, row: dict, den: int) -> tuple:
         """The row as sorted (z_exp, Cyc) terms over den, one canonical Cyc per z."""
@@ -375,50 +447,23 @@ class TruncatedSeries:
     def log(self) -> "TruncatedSeries":
         """Logarithm of 1 + (terms at u > 0), exact to the same order.
 
-        Solves f * g' = f' row by row: n g_n = n f_n - sum_{k<n} k g_k f_{n-k}.
-        The recurrence carries the rows k g_k as packed integer rows (see
-        `_RowPacking`): each row pair is one integer-dict convolution, each
-        finished row is reduced modulo Phi_N and by its gcd once, and the
-        division by n happens when the output coefficients are built.
+        Runs on packed integer rows (`_RowPacking.log_rows`).
         """
         top = self._finite_trunc("log")
-        if self.low is not None and self.low < 0:
-            raise ValueError("log needs a series with no negative u-exponents")
-        one = ((0,) * self.nvars, Cyc.one(self.order))
-        if not self.coeffs or self.coeffs[0] != (0, (one,)):
-            raise ValueError("log needs a constant row of exactly 1")
-        pack = _RowPacking.for_series(self, top)
-        f = {u: pack.pack(terms) for u, terms in self.coeffs[1:] if u <= top}
-        dg: dict = {}  # n -> n * g_n as (packed row, denominator), nonzero rows only
-        for n in range(1, top + 1):
-            products = [(dg[k], f[n - k], -1) for k in dg if n - k in f]
-            if n in f:
-                products.append((f[n], _RowPacking.ONE, n))
-            if products and (row := pack.combine(products, 1)):
-                dg[n] = row
-        rows = tuple((n, pack.unpack(row, den * n)) for n, (row, den) in dg.items())
-        return TruncatedSeries(self.nvars, self.order, top, rows)
+        pack = _RowPacking.spanning((self,), top)
+        return pack.series(pack.log_rows(self, top), top)
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with terms at u > 0 only, exact to the same order.
 
-        Solves h' = G' h row by row: n h_n = sum_{k<=n} k G_k h_{n-k}, on
-        packed integer rows like `log`: one convolution per row pair, the
-        factor k folded into that pair's integer multiplier, and the
-        division by n taken with the row's gcd when the row is finished.
+        Runs on packed integer rows (`_RowPacking.exp_rows`).
         """
         top = self._finite_trunc("exp")
         if self.low is not None and self.low <= 0:
             raise ValueError("exp needs a series with terms at u > 0 only")
-        pack = _RowPacking.for_series(self, top)
-        G = [(k, pack.pack(terms)) for k, terms in self.coeffs if k <= top]
-        h = {0: _RowPacking.ONE}
-        for n in range(1, top + 1):
-            products = [(a, h[n - k], k) for k, a in G if n - k in h]
-            if products and (row := pack.combine(products, n)):
-                h[n] = row
-        rows = tuple((n, pack.unpack(row, den)) for n, (row, den) in h.items())
-        return TruncatedSeries(self.nvars, self.order, top, rows)
+        pack = _RowPacking.spanning((self,), top)
+        rows = {k: pack.pack(terms) for k, terms in self.coeffs if k <= top}
+        return pack.series(pack.exp_rows(rows, top), top)
 
     # --- comparison and output ------------------------------------------
 

@@ -245,6 +245,66 @@ def test_log_exp_kernel_matches_binary_powering(case):
     assert got == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(packed_case(low=1), st.integers(1, 4), st.data())
+def test_packed_adams_map_matches_substitution(s, d, data):
+    # The packing is as tight as the image allows, so a z-exponent of
+    # ±10**6 lands at ±d * 10**6, on the edge of the half-width.
+    k = data.draw(st.sampled_from([k for k in range(1, 2 * s.order + 1)
+                                   if gcd(k, s.order) == 1]))
+    widest = max((abs(e) for _, terms in s.coeffs for z, _ in terms for e in z),
+                 default=0)
+    packing = _RowPacking(s.nvars, s.order, d * widest)
+    images = {u * d: packing.adams_sum([(1, d, k, packing.pack(terms))])
+              for u, terms in s.coeffs}
+    want = s.substitute_u_power(d, k)
+    assert packing.series(images, want.trunc) == want
+
+
+EDGE_EXPONENT = st.sampled_from((-10 ** 6, 10 ** 6 - 1, 10 ** 6))
+
+
+@st.composite
+def edge_euler_inputs(draw):
+    """Local factors keeping the Euler contract, z-exponents near ±10**6.
+
+    Every class factor has a term at u = 1 whose exponents are drawn
+    from the edge values or from small ones, so the class factors differ
+    in their widest exponent, and the log rows m and their Adams images
+    at u = d' * m reach the truncation order with exponents up to order
+    times as wide.  A packing sized from one class factor, or from the
+    widest input exponent without the factor order, refuses or aliases
+    them.
+    """
+    order = draw(st.sampled_from((1, 2, 3, 4, 12)))
+    nvars = draw(st.integers(1, 2))
+    trunc = draw(st.integers(2, 5 if Cyc.degree(order) <= 2 else 3))
+    exponent = st.one_of(st.integers(-2, 2), EDGE_EXPONENT)
+    coefficient = st.fractions(-2, 2, max_denominator=3).filter(bool)
+    terms = {}
+    for g in range(1, trunc + 1):
+        if order % g == 0:
+            first = (draw(coefficient), draw(st.integers(0, order - 1)), 1,
+                     draw(st.tuples(*[exponent] * nvars)))
+            terms[g] = [first] + draw(st.lists(st.tuples(
+                coefficient, st.integers(0, order - 1), st.integers(1, trunc),
+                st.tuples(*[exponent] * nvars)), max_size=2))
+    factors = {}
+    for d in range(1, trunc + 1):
+        g = gcd(d, order)
+        factors[d] = adams_factor(terms[g], g, d // g, nvars, order, trunc)
+    q = draw(st.sampled_from((2, 3, 4)))
+    return factors, Curve(q=q), trunc, (nvars, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_euler_inputs())
+def test_shared_packing_holds_the_widest_euler_rows(case):
+    factors, curve, trunc, ring_ = case
+    got = euler_product(factors.__getitem__, curve, trunc, ring_)
+    assert got == binary_powering_euler_product(factors.__getitem__, curve, trunc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_exp_inverts_log(data):
