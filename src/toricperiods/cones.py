@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -269,17 +268,19 @@ def face_dual(tau: Cone, sigma: Cone) -> Cone:
 
 
 def _level_box(rays, weights, m: int, n: int):
-    """Per-coordinate bounds for {sum a_i r_i : a_i >= 0, sum a_i w_i <= m}."""
-    lo = [Fraction(0)] * n
-    hi = [Fraction(0)] * n
-    for r, w in zip(rays, weights):
-        for j in range(n):
-            t = Fraction(m * r[j], w)
-            if t > 0:
-                hi[j] += t
-            else:
-                lo[j] += t
-    return ([math.ceil(x) for x in lo], [math.floor(x) for x in hi])
+    """Per-coordinate bounds for {sum a_i r_i : a_i >= 0, sum a_i w_i <= m}.
+
+    Coordinate j is bounded by the sums of m * r_j / w_i over the rays
+    with r_j of one sign, taken over the common denominator lcm(w_i) so
+    that the floor and ceiling are integer divisions.
+    """
+    den = math.lcm(*weights)
+    scaled = [(r, m * (den // w)) for r, w in zip(rays, weights)]
+    lo, hi = [], []
+    for j in range(n):
+        lo.append(-(sum(-s * r[j] for r, s in scaled if r[j] < 0) // den))
+        hi.append(sum(s * r[j] for r, s in scaled if r[j] > 0) // den)
+    return lo, hi
 
 
 def _check_grading(c: Cone, w: Vector) -> list[int]:
@@ -294,33 +295,72 @@ def _check_grading(c: Cone, w: Vector) -> list[int]:
 
 @lru_cache(maxsize=None)
 def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
-    """Lattice points x of the cone with <w, x> == m, without duplicates.
+    """Lattice points x of the cone with <w, x> == m, sorted, without duplicates.
 
     Requires w strictly positive on every nonzero ray, which bounds the
     level slice inside a box derived from the rays.  The coordinate j
-    with the largest |w_j| is solved for from the others, which run over
-    the box, so only points on the hyperplane meet the facet test.
+    with the largest |w_j| = W is solved for, x_j = (m - <w, rest>) / w_j,
+    and a second free coordinate k is clipped: the heads run over the
+    box in the other coordinates, and after the substitution, scaled by
+    W, each facet f bounds x_k by one integer floor or ceiling (its x_k
+    coefficient is W * f_k - sgn(w_j) * f_j * w_k).  x_j is integral
+    exactly when w_k * x_k = m - <w, head> mod W, so x_k runs over a
+    progression of step W / gcd(w_k, W), and a head is skipped when the
+    gcd does not divide m - <w, head>.  Every point visited is kept.  A
+    cone that is not full-dimensional goes through the same cuts by its
+    +/- facet pairs; at rank 1 the slice is m / w_0 when w_0 divides m.
     """
     w = vec(w)
     weights = _check_grading(c, w)
+    n = c.ambient_rank
     if m < 0:
         return ()
     if m == 0:
-        return (tuple([0] * c.ambient_rank),)
+        return (tuple([0] * n),)
     if not c.rays:
         return ()
-    lo, hi = _level_box(c.rays, weights, m, c.ambient_rank)
-    j = max(range(c.ambient_rank), key=lambda i: abs(w[i]))
-    w_rest = w[:j] + w[j + 1:]
+    if n == 1:
+        # The one ray r has <w, r> > 0, so the slice is m / w_0 when integral.
+        x, r = divmod(m, w[0])
+        return () if r else ((x,),)
+    lo, hi = _level_box(c.rays, weights, m, n)
+    j = max(range(n), key=lambda i: abs(w[i]))
+    k = n - 1 if j != n - 1 else n - 2
+    rest = [i for i in range(n) if i not in (j, k)]
+    big, sign = abs(w[j]), (1 if w[j] > 0 else -1)
+    g = math.gcd(w[k], big)
+    step = big // g
+    inverse = pow(w[k] // g, -1, step) if step > 1 else 0
+    xj_step = -(w[k] * step) // w[j]
+    w_rest = [w[i] for i in rest]
+    # Facets as cuts cn * x_k + <ch, head> + c0 >= 0 after the substitution.
+    cuts = [([big * f[i] - sign * f[j] * w[i] for i in rest],
+             big * f[k] - sign * f[j] * w[k], sign * f[j] * m) for f in c.facets]
     out = []
-    for rest in product(*(range(a, b + 1) for i, (a, b) in enumerate(zip(lo, hi))
-                          if i != j)):
-        xj, r = divmod(m - dot(w_rest, rest), w[j])
-        if r:
+    for head in product(*(range(lo[i], hi[i] + 1) for i in rest)):
+        a = m - sum(x * y for x, y in zip(w_rest, head))
+        if a % g:
             continue
-        cand = rest[:j] + (xj,) + rest[j:]
-        if c.contains(cand):
-            out.append(cand)
+        first, last = lo[k], hi[k]
+        for ch, cn, c0 in cuts:
+            s = sum(x * y for x, y in zip(ch, head)) + c0
+            if cn > 0:
+                first = max(first, -(s // cn))
+            elif cn < 0:
+                last = min(last, s // -cn)
+            elif s < 0:
+                last = first - 1
+        xk = first + (a // g * inverse - first) % step
+        if xk > last:
+            continue
+        xj = (a - w[k] * xk) // w[j]
+        point = [0] * n
+        for i, x in zip(rest, head):
+            point[i] = x
+        for xk in range(xk, last + 1, step):
+            point[k], point[j] = xk, xj
+            out.append(tuple(point))
+            xj += xj_step
     out.sort()
     return tuple(out)
 

@@ -29,8 +29,10 @@ from .series import Monomial, TruncatedSeries, _RowPacking
 # Local factors of degree 1..SAMPLE_DEGREES are reported beside a check.
 SAMPLE_DEGREES = 3
 
-# The memo of the innermost euler_memo() scope, None outside every scope.
+# The memos of the innermost euler_memo() scope, None outside every scope:
+# Euler products, and level-set factors under their whole input.
 _EULER_MEMO: ContextVar[dict | None] = ContextVar("euler_memo", default=None)
+_LEVEL_SET_MEMO: ContextVar[dict | None] = ContextVar("level_set_memo", default=None)
 
 
 class PositivityViolation(ValueError):
@@ -138,10 +140,22 @@ def level_set_factor(cone: Cone, psi: Character, w: Vector, deg: int,
 
     psi must carry u-slopes w, so the point x lands at u^(deg * <w, x>):
     the level bound is the truncation, and no term needs filtering.
+
+    Inside an `euler_memo()` scope the factor is remembered under its
+    whole input (cone, psi, w, deg, order), so a slice sum that the
+    spectral period and an orbit's descended product both need is
+    enumerated once per run.
     """
-    return TruncatedSeries.from_monomials(
+    memo = _LEVEL_SET_MEMO.get()
+    key = (cone, psi, w, deg, order)
+    if memo is not None and (hit := memo.get(key)) is not None:
+        return hit
+    result = TruncatedSeries.from_monomials(
         (psi.value(pt, deg) for pt in monoid_points(cone, w, order // deg)),
         psi.nvars, psi.order, order)
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def _adams_index(d: int, n: int) -> tuple[int, int, int]:
@@ -229,15 +243,18 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
 
 @contextmanager
 def euler_memo():
-    """A scope in which euler_product remembers its results.
+    """A scope in which euler_product and level_set_factor remember results.
 
-    The memo lives as long as the scope: leaving it drops every entry, and
-    outside any scope euler_product computes without caching.
+    Each keeps its own mapping, and both live as long as the scope:
+    leaving it drops every entry, and outside any scope both compute
+    without caching.
     """
     token = _EULER_MEMO.set({})
+    level_token = _LEVEL_SET_MEMO.set({})
     try:
         yield
     finally:
+        _LEVEL_SET_MEMO.reset(level_token)
         _EULER_MEMO.reset(token)
 
 

@@ -444,8 +444,8 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
     """Execute all requested checks; returns (report dict, all passed).
 
     The worker-count keyword is accepted for old callers and ignored.
-    Euler products are remembered for the checks of this run only: the
-    memo is dropped when the run ends.
+    Euler products and level-set factors are remembered for the checks
+    of this run only: the memos are dropped when the run ends.
     """
     report = {
         "engine": f"toricperiods {__version__}",

@@ -8,17 +8,17 @@ Three kinds of oracle, none of which shares the code it checks:
   for each engine.
 """
 
+from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricperiods.characters import character_from_spec, extended_character
 from toricperiods.cones import (
     NotStronglyConvex,
-    _level_box,
     dual_cone,
     hilbert_basis,
     make_cone,
@@ -70,12 +70,26 @@ def full_box_factor(datum, chi, place_degree, order):
     return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 
 
+def level_box(rays, weights, m, n):
+    """Per-coordinate bounds for {sum a_i r_i : a_i >= 0, sum a_i w_i <= m}, in Fractions."""
+    lo = [Fraction(0)] * n
+    hi = [Fraction(0)] * n
+    for r, w in zip(rays, weights):
+        for j in range(n):
+            t = Fraction(m * r[j], w)
+            if t > 0:
+                hi[j] += t
+            else:
+                lo[j] += t
+    return [ceil(x) for x in lo], [floor(x) for x in hi]
+
+
 def box_level_points(cone, w, m):
     """Points of the level-m slice by scanning the box and filtering to the hyperplane."""
     if m == 0:
         return ((0,) * cone.ambient_rank,)
     weights = [dot(w, r) for r in cone.rays]
-    lo, hi = _level_box(cone.rays, weights, m, cone.ambient_rank)
+    lo, hi = level_box(cone.rays, weights, m, cone.ambient_rank)
     return tuple(sorted(
         cand for cand in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         if dot(w, cand) == m and cone.contains(cand)))
@@ -227,8 +241,31 @@ def test_clipped_scan_drops_heads_cut_off_by_a_flat_facet():
                 assert got == full_box_factor(datum, chi, deg, trunc), (specs, deg, trunc)
 
 
+def level_case(rays, w, rank=None):
+    """A graded_cones() case whose weight is w, with zero slopes."""
+    return make_cone(rays, rank), tuple(w), (0,) * len(w)
+
+
+# The solved coordinate j has the largest |w_j| = W and the clipped one k
+# is the last other coordinate.
 @settings(max_examples=80, deadline=None)
 @given(graded_cones())
+# W = 5, gcd(w_k, W) = 1: x_k steps by 5 from an offset.
+@example(level_case([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 5, 3)))
+# W = 6, gcd(w_k, W) = 2 on a lower-dimensional cone: x_k steps by 3, heads
+# with m - <w, head> odd are skipped, and the facet (1, 0, 0) has no x_k
+# coefficient after the substitution.
+@example(level_case([(1, 0, 0), (0, 1, 0)], (2, 4, 6), 3))
+# A negative weight on the clipped coordinate of the quadric cone.
+@example(level_case([(1, 0), (1, 2)], (3, -1)))
+# square_cone_3d's cone: the facet (1, 0, 0) loses its x_k coefficient
+# and reads only the head.
+@example(level_case([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], (1, 1, 2)))
+# A two-dimensional cone in rank 3: the +/- facet pair cuts x_k to a point.
+@example(level_case([(1, 0, 1), (0, 1, 1)], (1, 1, 1), 3))
+# Rank 1, with no free coordinate: the ray is negative, and W = 3.
+@example(level_case([(-1,)], (-3,)))
+@example(level_case([(1,)], (1,)))
 def test_solved_level_slice_matches_box_filter(case):
     cone, eta, slopes = case
     w = tuple(e + s for e, s in zip(eta, slopes))

@@ -103,6 +103,28 @@ def test_reports_match_recorded_digests():
         assert digest == recorded[path.stem], path.stem
 
 
+# Digests of the scaled variants CI runs end to end, recorded with `engine`
+# blanked before the level-set slice was clipped.  square_cone_3d at U = 14
+# is the rank-3 run where the clipped slice does the most work.
+SCALED_DIGESTS = {
+    ("square_cone_3d", (("order", 14),)):
+        "9f83dcaa1fe946c0266289334c0b4c633cc012f8028e4964dc5c1bb0dc5bf285",
+    ("quadric_cone", (("order", 14), ("q", 5))):
+        "a205e178297b7bfd549acd7875310e6af1a70c187c1ec61f2d398d73c9ba7e0d",
+    ("weight_n_stack", (("n", 7), ("order", 20), ("q", 8))):
+        "e04d79325af3ebde9f2803fdac51ff38f4abd1988f666b03d5de5368e93c898c",
+}
+
+
+@pytest.mark.parametrize("name, overrides", sorted(SCALED_DIGESTS),
+                         ids=[name for name, _ in sorted(SCALED_DIGESTS)])
+def test_scaled_variants_match_recorded_digests(name, overrides):
+    payload = report_to_json(report_of(catalog_emit(name, **dict(overrides))))
+    digest = hashlib.sha256(
+        ENGINE.sub(b' "engine": ""', payload.encode("utf-8"), count=1)).hexdigest()
+    assert digest == SCALED_DIGESTS[name, overrides]
+
+
 # ----------------------------------------------------------------------
 # A constructed mismatch: one extra term in the spectral engine.
 

@@ -315,3 +315,70 @@ def test_python_m_runs_the_command_line():
     done = subprocess.run([sys.executable, "-c", "import toricperiods.__main__"],
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+# ----------------------------------------------------------------------
+# Schema sweep: every single-field mutation of every catalog entry either
+# runs or raises SchemaError at a pointer on the mutated field's path.
+
+SWEEP_VALUES = (None, True, 2.5, "x", -1, 0, 1, 2, [], {}, [0])
+SWEEP_TRUNCATION = 3  # keeps the runs that pass the parser cheap
+
+# Rules that read two fields, as (mutated field, reported pointer).
+CROSS_FIELD = {
+    ("scenario.rank", "scenario.rays[0]"),  # rays are checked against rank
+    ("scenario.curve.q", "scenario.isogeny"),  # q must be 1 mod the exponent
+    ("scenario.isogeny", "scenario.checks"),  # deleted, stack_duality needs it
+    ("scenario.height", "scenario.checks"),  # deleted, height_bridge needs it
+}
+
+
+def _fields(value, pointer="scenario"):
+    """(pointer, key path) of every dict entry and list item below value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        here = f"{pointer}.{key}" if isinstance(key, str) else f"{pointer}[{key}]"
+        yield here, (key,)
+        for deeper, path in _fields(sub, here):
+            yield deeper, (key,) + path
+
+
+def _on_one_path(a, b):
+    a, b = sorted((a, b), key=len)
+    return a == b or b.startswith((a + ".", a + "["))
+
+
+DELETE = object()
+
+
+def _mutations(base):
+    """(mutated field, scenario) for each wrong value and each deleted key."""
+    for pointer, path in _fields(base):
+        deletion = (DELETE,) if isinstance(path[-1], str) else ()
+        for value in SWEEP_VALUES + deletion:
+            data = json.loads(json.dumps(base))
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = json.loads(json.dumps(value))
+            yield pointer, data
+
+
+def test_schema_sweep_runs_or_points_at_the_mutated_field():
+    cases, cross = 0, set()
+    for name in catalog_names():
+        base = catalog_emit(name)
+        base["truncation"] = min(base["truncation"], SWEEP_TRUNCATION)
+        for field, data in _mutations(base):
+            cases += 1
+            try:
+                run_scenario(parse_scenario(data))
+            except SchemaError as err:
+                if not _on_one_path(err.pointer, field):
+                    cross.add((field, err.pointer))
+    assert cases > 2000
+    assert cross == CROSS_FIELD
