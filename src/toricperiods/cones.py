@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 from .intlinalg import (
     Vector,
+    annihilator_basis,
     dot,
     identity_matrix,
     matrix_rank,
@@ -208,10 +209,27 @@ def contains_point(c: Cone, v) -> bool:
 
 @dataclass(frozen=True)
 class FaceLattice:
+    """The faces of a cone with the lattice data of each face.
+
+    spans[i] is the saturated span of faces[i] (the stabilizer of its
+    orbit) and annihilators[i] a basis of the covectors vanishing on it
+    (the character lattice of the orbit); both run parallel to faces.
+    """
+
     faces: tuple[Cone, ...]
+    spans: tuple[tuple[Vector, ...], ...]
+    annihilators: tuple[tuple[Vector, ...], ...]
 
     def __len__(self):
         return len(self.faces)
+
+    def index(self, rays) -> int:
+        """Position of the face with exactly these rays; NotAFace if none."""
+        key = _canonical(vec(r) for r in rays)
+        for i, face in enumerate(self.faces):
+            if face.rays == key:
+                return i
+        raise NotAFace(f"rays {list(key)} do not generate a face")
 
 
 @lru_cache(maxsize=None)
@@ -224,47 +242,33 @@ def faces(c: Cone) -> FaceLattice:
     """
     if not c.strongly_convex:
         raise ValueError("face lattice requires a strongly convex cone")
-    facet_list = [f for f in c.facets]
-    ray_subsets = set()
-    for k in range(len(facet_list) + 1):
-        if k == 0:
-            ray_subsets.add(frozenset(c.rays))
-            continue
-        for sel in combinations(range(len(facet_list)), k):
-            rs = frozenset(r for r in c.rays
-                           if all(dot(facet_list[i], r) == 0 for i in sel))
-            ray_subsets.add(rs)
-    built = [_build_cone(sorted(rs), c.ambient_rank, allow_lines=False)
-             for rs in ray_subsets]
+    ray_subsets = {frozenset(r for r in c.rays if all(dot(f, r) == 0 for f in sel))
+                   for k in range(len(c.facets) + 1)
+                   for sel in combinations(c.facets, k)}
+    n = c.ambient_rank
+    built = [_build_cone(sorted(rs), n, allow_lines=False) for rs in ray_subsets]
     built.sort(key=lambda f: (f.dim(), f.rays))
-    return FaceLattice(faces=tuple(built))
+    return FaceLattice(
+        faces=tuple(built),
+        spans=tuple(tuple(saturate_sublattice(f.rays, n)) for f in built),
+        annihilators=tuple(tuple(annihilator_basis(f.rays, n)) for f in built))
 
 
 def face_of(c: Cone, ray_subset) -> Cone:
-    """The face of c generated by the given subset of its rays."""
-    rs = frozenset(vec(r) for r in ray_subset)
-    if not rs <= c.ray_set():
-        raise NotAFace("vectors are not rays of the cone")
-    return _build_cone(sorted(rs), c.ambient_rank, allow_lines=False)
-
-
-def is_face(tau: Cone, sigma: Cone) -> bool:
-    if not tau.ray_set() <= sigma.ray_set():
-        return False
-    saturated = [f for f in sigma.facets
-                 if all(dot(f, r) == 0 for r in tau.rays)]
-    cut = frozenset(r for r in sigma.rays
-                    if all(dot(f, r) == 0 for f in saturated))
-    return cut == tau.ray_set()
+    """The face of c whose rays are exactly the given ones; NotAFace if none."""
+    lattice = faces(c)
+    return lattice.faces[lattice.index(ray_subset)]
 
 
 def face_dual(tau: Cone, sigma: Cone) -> Cone:
-    """The face of the dual cone annihilating tau: {y in dual : <y, tau> = 0}."""
-    if not is_face(tau, sigma):
-        raise NotAFace(f"{tau} is not a face of {sigma}")
-    dual = dual_cone(sigma)
-    rays = [g for g in dual.rays if all(dot(g, r) == 0 for r in tau.rays)]
-    return _build_cone(rays, sigma.ambient_rank, allow_lines=True)
+    """The face tau* = {y in dual : <y, tau> = 0} of the dual cone.
+
+    sigma is full-dimensional and strongly convex, so tau* is the face of
+    the dual cone whose rays are the facets of sigma vanishing on tau.
+    """
+    faces(sigma).index(tau.rays)  # NotAFace unless tau is a face of sigma
+    return face_of(dual_cone(sigma), [f for f in sigma.facets
+                                      if all(dot(f, r) == 0 for r in tau.rays)])
 
 
 def _level_box(rays, weights, m: int, n: int):

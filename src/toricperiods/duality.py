@@ -11,21 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (
-    Cone,
-    dual_cone,
-    face_dual,
-    faces,
-    image_cone,
-)
-from .intlinalg import (
-    QuotientData,
-    Vector,
-    dot,
-    quotient_lattice,
-    saturate_sublattice,
-    vec,
-)
+from .cones import Cone, dual_cone, faces, image_cone
+from .intlinalg import QuotientData, Vector, dot, quotient_lattice, vec
 
 
 class InvalidGrading(ValueError):
@@ -136,7 +123,8 @@ class OrbitDescriptor:
 
 
 def orbit_for_face(datum: GradedToricDatum, face: Cone) -> OrbitDescriptor:
-    stab = tuple(saturate_sublattice(face.rays, datum.rank))
+    lattice = faces(datum.cone)
+    stab = lattice.spans[lattice.index(face.rays)]
     quot = quotient_lattice(datum.rank, stab)
     closure = image_cone(datum.cone, quot.free_projection)
     return OrbitDescriptor(face=face, stabilizer_basis=stab,
@@ -146,15 +134,6 @@ def orbit_for_face(datum: GradedToricDatum, face: Cone) -> OrbitDescriptor:
 def orbits(datum: GradedToricDatum) -> list[OrbitDescriptor]:
     """One descriptor per face: the dense orbit for {0}, the fixed point for sigma."""
     return [orbit_for_face(datum, f) for f in faces(datum.cone).faces]
-
-
-def dual_orbit(orbit: OrbitDescriptor, pair: GradedDualPair,
-               from_side_x: bool = True) -> OrbitDescriptor:
-    """Descriptor of the face tau* on the opposite side of the pair."""
-    here = pair.side_x if from_side_x else pair.side_xcheck
-    there = pair.side_xcheck if from_side_x else pair.side_x
-    dual_face = face_dual(orbit.face, here.cone)
-    return orbit_for_face(there, dual_face)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,7 @@ from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
 from .duality import GradedDualPair, GradedToricDatum, OrbitDescriptor, orbits
-from .intlinalg import (
-    Vector,
-    annihilator_basis,
-    quotient_lattice,
-    saturate_sublattice,
-)
+from .intlinalg import Vector, quotient_lattice
 from .periods import (
     PositivityViolation,
     automorphic_prefactor,
@@ -68,13 +63,12 @@ def _vanished(reason):
 def _cuspidality_witness(cone: Cone, psi: Character) -> Cone | None:
     """First face with nontrivial proper stabilizer that psi kills, or None.
 
-    The faces tested have nonzero rays and do not span the ambient
-    lattice; the stabilizer of a face is the saturation of its rays.
+    The stabilizer of a face is its saturated span; the faces tested are
+    those whose span is neither zero nor the ambient lattice.
     """
-    rank = cone.ambient_rank
-    for face in faces(cone).faces:
-        if face.rays and face.dim() < rank and psi.is_trivial_on_all(
-                saturate_sublattice(face.rays, rank)):
+    lattice = faces(cone)
+    for face, span in zip(lattice.faces, lattice.spans):
+        if 0 < len(span) < cone.ambient_rank and psi.is_trivial_on_all(span):
             return face
     return None
 
@@ -101,13 +95,9 @@ def fixed_orbit_faces(datum_check: GradedToricDatum, phi: Character):
     the orbit torsor).  The full face is always in the list.
     """
     psi = extended_character(phi, datum_check.rho)
-    rank = datum_check.rank
-    fixed = []
-    for face in faces(datum_check.cone).faces:
-        ann = annihilator_basis(face.rays, rank)
-        if psi.is_trivial_on_all(ann):
-            fixed.append(face)
-    return fixed
+    lattice = faces(datum_check.cone)
+    return [face for face, ann in zip(lattice.faces, lattice.annihilators)
+            if psi.is_trivial_on_all(ann)]
 
 
 def is_generic(datum_check: GradedToricDatum, phi: Character):
@@ -157,22 +147,21 @@ def regularized_spectral_contribution(
     """Contribution of the orbit of one face of the dual-side cone.
 
     Takes the face, not an orbit descriptor: the face is all these
-    conditions and the trace depend on.  Not fixed pointwise: zero.  Fixed but dominated by a larger
-    fixed orbit: zero.  Otherwise the graded trace over the image of the
-    character monoid in the transverse quotient, normalized like the full
-    spectral period.
+    conditions and the trace depend on; a cone that is not a face raises
+    NotAFace.  Not fixed pointwise: zero.  Fixed but dominated by a larger
+    fixed orbit (a smaller fixed face): zero.  Otherwise the graded trace
+    over the image of the character monoid in the transverse quotient,
+    normalized like the full spectral period.
     """
-    rank = datum_check.rank
-    psi = extended_character(phi, datum_check.rho)
-    ann = annihilator_basis(face.rays, rank)
-    if not psi.is_trivial_on_all(ann):
+    lattice = faces(datum_check.cone)
+    i = lattice.index(face.rays)
+    fixed = fixed_orbit_faces(datum_check, phi)
+    if lattice.faces[i] not in fixed:
         return _vanished(VANISHED_NOT_FIXED)
-    face_rays = face.ray_set()
-    for other in faces(datum_check.cone).faces:
-        if other.ray_set() < face_rays:
-            if psi.is_trivial_on_all(annihilator_basis(other.rays, rank)):
-                return _vanished(VANISHED_DOMINATED)
-    quot = quotient_lattice(rank, ann)
+    if any(other.ray_set() < face.ray_set() for other in fixed):
+        return _vanished(VANISHED_DOMINATED)
+    psi = extended_character(phi, datum_check.rho)
+    quot = quotient_lattice(datum_check.rank, lattice.annihilators[i])
     if quot.torsion_invariants != ():
         raise ValueError("annihilator of the face is not saturated")
     monoid_cone = dual_cone(datum_check.cone)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricperiods.cones import (
     Cone,
@@ -20,7 +22,7 @@ from toricperiods.cones import (
     monoid_points,
     points_at_level,
 )
-from toricperiods.intlinalg import LatticeMap, dot
+from toricperiods.intlinalg import LatticeMap, dot, matrix_rank
 
 QUADRIC = make_cone([(1, 0), (1, 2)])
 ORTHANT = make_cone([(1, 0), (0, 1)])
@@ -135,6 +137,9 @@ def test_face_dual_rejects_non_face():
     not_face = make_cone([(1, 1)])
     with pytest.raises(NotAFace):
         face_dual(not_face, QUADRIC)
+    # Two rays of the square cone that span a diagonal, not a face.
+    with pytest.raises(NotAFace):
+        face_of(SQUARE3D, [(0, 0, 1), (1, 1, 1)])
 
 
 def test_face_dual_is_order_reversing_bijection():
@@ -146,6 +151,7 @@ def test_face_dual_is_order_reversing_bijection():
         for f in fl.faces:
             g = face_dual(f, c)
             assert f.dim() + g.dim() == n
+            assert face_dual(g, dual_cone(c)) == f
             image[f.ray_set()] = g.ray_set()
         assert sorted(image.values(), key=sorted) == sorted(
             (g.ray_set() for g in dl.faces), key=sorted)
@@ -154,6 +160,67 @@ def test_face_dual_is_order_reversing_bijection():
             for b in fl.faces:
                 if a.ray_set() <= b.ray_set():
                     assert image[b.ray_set()] <= image[a.ray_set()]
+
+
+def vertex_enumeration_face_dual(tau, sigma):
+    """tau* rebuilt from the dual rays vanishing on tau, after a facet face test."""
+    saturated = [f for f in sigma.facets if all(dot(f, r) == 0 for r in tau.rays)]
+    cut = frozenset(r for r in sigma.rays if all(dot(f, r) == 0 for f in saturated))
+    if not tau.ray_set() <= sigma.ray_set() or cut != tau.ray_set():
+        raise NotAFace(f"{tau} is not a face of {sigma}")
+    rays = [g for g in dual_cone(sigma).rays if all(dot(g, r) == 0 for r in tau.rays)]
+    return make_cone(rays, sigma.ambient_rank)
+
+
+@st.composite
+def full_cones(draw):
+    """A full-dimensional strongly convex cone of rank <= 3.
+
+    n independent generators span a simplicial cone; each of up to two
+    more is kept when the cone stays strongly convex.
+    """
+    n = draw(st.integers(1, 3))
+    entries = st.tuples(*[st.integers(-2, 2)] * n)
+    gens = draw(st.lists(entries, min_size=n, max_size=n))
+    assume(matrix_rank(gens) == n)
+    cone = make_cone(gens, n)
+    for extra in draw(st.lists(entries, max_size=2)):
+        try:
+            cone = make_cone(cone.rays + (extra,), n)
+        except NotStronglyConvex:
+            pass
+    return cone
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_cones())
+def test_face_lattice_against_vertex_enumeration(c):
+    n = c.ambient_rank
+    d = dual_cone(c)
+    lattice, dual_lattice = faces(c), faces(d)
+    image = {}
+    for f, span, ann in zip(lattice.faces, lattice.spans, lattice.annihilators):
+        g = face_dual(f, c)
+        assert g == vertex_enumeration_face_dual(f, c)
+        assert face_dual(g, d) == f
+        assert span == dual_lattice.annihilators[dual_lattice.index(g.rays)]
+        assert len(span) == f.dim() and len(span) + len(ann) == n
+        assert all(dot(s, a) == 0 for s in span for a in ann)
+        image[f.ray_set()] = g.ray_set()
+    for a in lattice.faces:
+        for b in lattice.faces:
+            if a.ray_set() <= b.ray_set():
+                assert image[b.ray_set()] <= image[a.ray_set()]
+    # Every subset of the rays is a face exactly when the facet test says so.
+    for k in range(len(c.rays) + 1):
+        for subset in combinations(c.rays, k):
+            try:
+                expected = vertex_enumeration_face_dual(make_cone(subset, n), c)
+            except NotAFace:
+                with pytest.raises(NotAFace):
+                    face_of(c, subset)
+            else:
+                assert face_dual(face_of(c, subset), c) == expected
 
 
 def test_hilbert_basis_examples():

@@ -5,7 +5,6 @@ from toricperiods.duality import (
     GradedToricDatum,
     InvalidEigenform,
     InvalidGrading,
-    dual_orbit,
     orbits,
     toric_dual,
     validate_pair,
@@ -100,33 +99,6 @@ def test_closure_cone_dimensions():
         for o in orbits(datum):
             assert o.face.dim() + o.closure_cone.dim() == r
             assert o.closure_cone.full_dimensional
-
-
-def test_dual_orbit_examples():
-    pair = toric_dual(QUADRIC)
-    orbs = orbits(QUADRIC)
-    dense = next(o for o in orbs if o.is_dense)
-    assert dual_orbit(dense, pair).is_fixed_point
-    fixed = next(o for o in orbs if o.is_fixed_point)
-    assert dual_orbit(fixed, pair).is_dense
-    ray12 = next(o for o in orbs if o.face.rays == ((1, 2),))
-    assert dual_orbit(ray12, pair).face.rays == ((2, -1),)
-
-
-def test_dual_orbit_involution_and_order_reversal():
-    for datum in (TATE, QUADRIC, ORTHANT, SQUARE3D):
-        pair = toric_dual(datum)
-        orbs = orbits(datum)
-        for o in orbs:
-            o_star = dual_orbit(o, pair)
-            back = dual_orbit(o_star, pair, from_side_x=False)
-            assert back.face == o.face
-        for a in orbs:
-            for b in orbs:
-                if a.face.ray_set() <= b.face.ray_set():
-                    sa = dual_orbit(a, pair).face.ray_set()
-                    sb = dual_orbit(b, pair).face.ray_set()
-                    assert sb <= sa
 
 
 def test_validate_pair_witnesses():

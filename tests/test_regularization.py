@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from toricperiods import duality
+from toricperiods import cones, duality, intlinalg
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import make_cone
+from toricperiods.cones import NotAFace, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, orbits, toric_dual
@@ -145,6 +145,46 @@ def test_spectral_vanishing_reasons():
     c2 = regularized_spectral_contribution(
         pair.side_xcheck, full_face.face, Curve(q=2), Z1_IS_UINV, 6)
     assert c2.vanished and c2.reason == VANISHED_DOMINATED
+
+
+def test_spectral_contribution_rejects_non_face():
+    pair = toric_dual(QUADRIC)
+    # A ray of the automorphic cone, not a face of the dual-side cone.
+    with pytest.raises(NotAFace):
+        regularized_spectral_contribution(
+            pair.side_xcheck, make_cone([(1, 2)]), Curve(q=2),
+            formal_character(2), 6)
+
+
+def test_face_lattice_data_computed_once_per_cone(monkeypatch):
+    calls = []
+
+    def counting(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    # Replace every binding in the package, not just the defining one.
+    for original in (intlinalg.saturate_sublattice, intlinalg.annihilator_basis):
+        wrapper = counting(original)
+        for name, module in list(sys.modules.items()):
+            if (name.partition(".")[0] == "toricperiods"
+                    and getattr(module, original.__name__, None) is original):
+                monkeypatch.setattr(module, original.__name__, wrapper)
+    cones.faces.cache_clear()
+    pair = toric_dual(SQUARE3D)
+    # This character reaches the cuspidality test of every orbit closure,
+    # so the first run builds every face lattice the second one reads.
+    degenerate = character_from_spec([(0, -1), (0, -1), (0, -2)], order=1,
+                                     nvars=3)
+    verify_langlands_dual_periods(pair, Curve(q=2), degenerate, 4)
+    assert calls
+    calls.clear()
+    chi = character_from_spec([(0, -1), "formal", (1, 0)], order=2, nvars=3)
+    fwd, bwd = verify_langlands_dual_periods(pair, Curve(q=2), chi, 4)
+    assert fwd.nonzero_pairs() and bwd.nonzero_pairs()
+    assert calls == []
 
 
 def test_orbit_descriptors_built_once_per_automorphic_face(monkeypatch):
