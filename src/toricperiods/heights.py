@@ -16,7 +16,7 @@ from .characters import Character
 from .cones import Cone, dual_description, monoid_points
 from .curve import Curve
 from .intlinalg import Vector, dot, vec
-from .periods import euler_product, monoid_weight_minimum, positivity_certificate
+from .periods import euler_product, positivity_certificate
 from .series import TruncatedSeries
 
 
@@ -97,14 +97,13 @@ def _combined_weight(cone: Cone, slope: Vector, chi: Character) -> Vector:
 
 def height_fourier_global(h: PiecewiseLinearHeight, curve: Curve,
                           chi: Character, order: int) -> TruncatedSeries:
-    """Euler product of local transforms over all place degrees.
+    """Euler product of local transforms over the place degrees up to the order.
 
-    The degree cutoff divides by the minimal combined weight over the
-    nonzero monoid points of every cone (2 for plain unitary data, so half
-    the order).
+    The combined weight is certified positive on every cone first, so a
+    divergent transform raises even at truncation 0, where no local
+    transform is computed.
     """
-    w_min = min(monoid_weight_minimum(c, _combined_weight(c, s, chi))
-                for c, s in zip(h.cones, h.slopes))
+    for c, s in zip(h.cones, h.slopes):
+        _combined_weight(c, s, chi)
     return euler_product(lambda d: height_fourier_local(h, chi, d, order),
-                         curve, order, (chi.nvars, chi.order),
-                         max_degree=order // w_min)
+                         curve, order, (chi.nvars, chi.order))

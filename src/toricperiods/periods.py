@@ -52,6 +52,12 @@ def effective_weight(chi: Character, eta) -> Vector:
 
 
 def positivity_certificate(cone: Cone, chi: Character, eta) -> Vector:
+    """The effective weight, or PositivityViolation at a ray where it is <= 0.
+
+    The periods call it before their Euler product, so a divergent
+    character is reported at every truncation, 0 included, where no local
+    factor is enumerated.
+    """
     w = effective_weight(chi, eta)
     for r in cone.rays:
         v = dot(w, r)
@@ -101,7 +107,7 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
         for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
             first, last = lo[-1], hi[-1]
             for c, cn, b in cuts:
-                s = dot(head, c) - b  # the cut reads cn * x_n >= -s
+                s = sum(x * y for x, y in zip(c, head)) - b  # cn * x_n >= -s
                 if cn > 0:
                     first = max(first, -(s // cn))
                 elif cn < 0:
@@ -172,8 +178,8 @@ def _adams_index(d: int, n: int) -> tuple[int, int, int]:
     return g, d // g, k
 
 
-def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
-                  max_degree: int | None = None) -> TruncatedSeries:
+def euler_product(local_factor, curve: Curve, order: int,
+                  ring: tuple[int, int]) -> TruncatedSeries:
     """prod over degrees d of L_d^(a_d), a_d the places of degree d, L_d = local_factor(d).
 
     ring = (nvars, N) names the series ring Q(zeta_N)[z_1^{±1}, ..., z_nvars^{±1}].
@@ -188,7 +194,7 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
 
         exp(sum_d a_d * psi^(d')_k(log L_g)):
 
-    local_factor is called once for each g | N up to the cutoff.  The
+    local_factor is called once for each g | N with g <= order.  The
     whole computation stays in the packed integer rows of one
     `_RowPacking`, sized from every class factor: one exact O(U^2)
     logarithm of each L_g hands over its rows packed; the Adams sum maps
@@ -199,10 +205,10 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
     output coefficient.  The result is exact to the truncation order of
     the least exact factor, at most `order`.
 
-    Places of degree above the truncation order cannot contribute, and a
-    caller holding a sharper bound on the minimal weight of a nonzero
-    point may tighten the cutoff further through max_degree.  Below a
-    cutoff of 1 the product is 1 and nothing is enumerated.
+    Places of degree above the truncation order cannot contribute, so the
+    degrees run to the truncation and no further; a class factor whose
+    nonzero points all lie above it is exactly 1 and adds nothing.  At
+    truncation 0 the product is 1 and nothing is enumerated.
 
     Inside an `euler_memo()` scope the result is remembered under the
     factors L_g in order of g and the place counts a_d.  The product is
@@ -211,8 +217,6 @@ def euler_product(local_factor, curve: Curve, order: int, ring: tuple[int, int],
     """
     nvars, n = ring
     top = max(order, 0)
-    if max_degree is not None:
-        top = min(top, max_degree)
     if top < 1:
         return TruncatedSeries.one(nvars, n, order)
     counts = place_counts(curve, top).counts
@@ -258,19 +262,6 @@ def euler_memo():
         _EULER_MEMO.reset(token)
 
 
-def monoid_weight_minimum(cone: Cone, weight: Vector) -> int:
-    """Minimum of a ray-positive weight over the nonzero monoid points.
-
-    Realised on a Hilbert-basis element: every nonzero point is a sum of
-    them with positive weights.  A ray minimum is not enough; interior
-    generators can sit strictly below every ray.
-    """
-    basis = hilbert_basis(cone)
-    if not basis:
-        return 1
-    return min(dot(weight, b) for b in basis)
-
-
 def automorphic_prefactor(datum: GradedToricDatum, chi: Character) -> Monomial:
     """chi at the grading cocharacter pushed through the spin idele.
 
@@ -298,11 +289,9 @@ def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
 
 
 def _automorphic_period(datum, curve, chi, order, engine) -> TruncatedSeries:
-    w = positivity_certificate(datum.cone, chi, datum.eta)
-    cutoff = order // monoid_weight_minimum(datum.cone, w)
-    series = euler_product(
-        lambda d: engine(datum, chi, d, order),
-        curve, order, (chi.nvars, chi.order), max_degree=cutoff)
+    positivity_certificate(datum.cone, chi, datum.eta)
+    series = euler_product(lambda d: engine(datum, chi, d, order),
+                           curve, order, (chi.nvars, chi.order))
     pref = automorphic_prefactor(datum, chi)
     return series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
 
@@ -314,12 +303,9 @@ def spectral_period(datum_check: GradedToricDatum, curve: Curve, phi: Character,
 
 
 def _spectral_period(datum_check, curve, phi, order, engine) -> TruncatedSeries:
-    monoid_cone = dual_cone(datum_check.cone)
-    w = positivity_certificate(monoid_cone, phi, datum_check.rho)
-    cutoff = order // monoid_weight_minimum(monoid_cone, w)
-    series = euler_product(
-        lambda d: engine(datum_check, phi, d, order),
-        curve, order, (phi.nvars, phi.order), max_degree=cutoff)
+    positivity_certificate(dual_cone(datum_check.cone), phi, datum_check.rho)
+    series = euler_product(lambda d: engine(datum_check, phi, d, order),
+                           curve, order, (phi.nvars, phi.order))
     pref = spectral_prefactor(datum_check, curve, phi)
     return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
 
@@ -366,8 +352,9 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     direction two exchanges the roles.  The local samples are those of
     direction one: the sample of degree d is the Adams image
     psi^(d')_k of the class factor L_g its products enumerated, cut at
-    the truncation order (the contract of `euler_product`), and is
-    enumerated directly only when the degree cutoff left L_g out.
+    the truncation order (the contract of `euler_product`).  It is
+    enumerated directly only at truncation 0, where the products
+    enumerate nothing.
     """
     expo = pair.discrepancy
     engines = (automorphic_local_factor, spectral_local_factor)

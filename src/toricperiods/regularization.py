@@ -25,7 +25,6 @@ from .periods import (
     automorphic_prefactor,
     euler_product,
     level_set_factor,
-    monoid_weight_minimum,
     positivity_certificate,
     spectral_prefactor,
 )
@@ -110,10 +109,9 @@ def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
                              order: int) -> TruncatedSeries:
     """Euler product of level-set sums of the descended character on a cone."""
     weight = positivity_certificate(cone, psi_bar, (0,) * cone.ambient_rank)
-    cutoff = order // monoid_weight_minimum(cone, weight)
     return euler_product(
         lambda d: level_set_factor(cone, psi_bar, weight, d, order),
-        curve, order, (psi_bar.nvars, psi_bar.order), max_degree=cutoff)
+        curve, order, (psi_bar.nvars, psi_bar.order))
 
 
 def regularized_automorphic_contribution(

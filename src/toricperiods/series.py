@@ -38,9 +38,6 @@ class Monomial:
         return Monomial(self.zeta + other.zeta, self.u + other.u,
                         tuple(a + b for a, b in zip(self.z, other.z)))
 
-    def power(self, k: int) -> "Monomial":
-        return Monomial(self.zeta * k, self.u * k, tuple(a * k for a in self.z))
-
     def is_one(self, order: int) -> bool:
         return self.zeta % order == 0 and self.u == 0 and not any(self.z)
 

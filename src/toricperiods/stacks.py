@@ -36,7 +36,6 @@ from .periods import (
     automorphic_period,
     automorphic_prefactor,
     euler_product,
-    monoid_weight_minimum,
     positivity_certificate,
     spectral_period,
 )
@@ -303,15 +302,14 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
         den = lcm(*(c.denominator for c in x))
         small_rays.append(tuple(int(c * den) for c in x))
     small_cone = make_cone(small_rays, iso.rank)
-    w = positivity_certificate(small_cone, pulled_chi, eta_small)
+    positivity_certificate(small_cone, pulled_chi, eta_small)
     small_datum = GradedToricDatum(cone=small_cone,
                                    rho=_interior_vector(small_cone),
                                    eta=eta_small)
 
     series = euler_product(
         lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
-        curve, order, (pulled_chi.nvars, pulled_chi.order),
-        max_degree=order // monoid_weight_minimum(small_cone, w))
+        curve, order, (pulled_chi.nvars, pulled_chi.order))
     pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
     return series * TruncatedSeries.from_monomial(
         pref, base_extension.nvars, base_extension.order)

@@ -151,11 +151,67 @@ def test_smooth_cone_euler_product_closed_form(datum, order, specs):
 
 def test_cutoff_below_one_enumerates_nothing():
     def refuse(d):
-        raise AssertionError(f"local factor {d} enumerated below the cutoff")
+        raise AssertionError(f"local factor {d} enumerated at truncation 0")
 
-    for order, max_degree in ((0, None), (5, 0)):
-        got = euler_product(refuse, Curve(q=2), order, (2, 3), max_degree=max_degree)
-        assert got == TruncatedSeries.one(2, 3, order)
+    got = euler_product(refuse, Curve(q=2), 0, (2, 3))
+    assert got == TruncatedSeries.one(2, 3, 0)
+
+
+@pytest.mark.parametrize("n, trunc", ((1, 6), (12, 10), (7, 14), (3, 0)))
+def test_euler_product_asks_for_each_class_up_to_the_truncation(n, trunc):
+    asked = []
+
+    def trivial(g):
+        asked.append(g)
+        return TruncatedSeries.one(1, n, trunc)
+
+    got = euler_product(trivial, Curve(q=2), trunc, (1, n))
+    assert asked == [g for g in range(1, trunc + 1) if n % g == 0]
+    assert got == TruncatedSeries.one(1, n, trunc)
+
+
+def brute_weight_minimum(cone, w):
+    """min <w, x> over the nonzero lattice points of the cone, by a box search.
+
+    R = min over rays of <w, r> bounds the minimum, and the points of
+    weight <= R lie in the hull of 0 and the R r / <w, r>, whose
+    coordinates are no larger than the rays' own.
+    """
+    m = max(abs(x) for r in cone.rays for x in r)
+    return min(dot(w, x) for x in product(range(-m, m + 1), repeat=cone.ambient_rank)
+               if any(x) and cone.contains(x))
+
+
+SUBUNIT = GradedToricDatum(cone=make_cone([(2, 1), (2, -1)]), rho=(1, 0), eta=(1, 0))
+QUADRIC21 = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(2, 1))
+HEAVY = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(2, 2))
+
+
+@pytest.mark.parametrize("datum", (TATE, ORTHANT, QUADRIC, QUADRIC21, SQUARE3D,
+                                   SUBUNIT, HEAVY),
+                         ids=("tate", "orthant", "quadric", "quadric21",
+                              "square_cone_3d", "subunit", "heavy"))
+@pytest.mark.parametrize("sloped", (False, True), ids=("formal", "sloped"))
+def test_class_factors_above_the_weight_minimum_are_one(datum, sloped):
+    # A class g contributes u^(g <w, x>) for nonzero x, so it is exactly 1
+    # once g * w_min exceeds the truncation; euler_product asks for it
+    # anyway, and the engines must return 1 rather than a stray term.
+    order, trunc = 6, 5
+    chi = character_from_spec([(1, 1) if sloped else "formal"] * datum.rank,
+                              order=order)
+    dual_side = toric_dual(datum).side_xcheck
+    for engine, side, cone, grading in (
+            (automorphic_local_factor, datum, datum.cone, datum.eta),
+            (spectral_local_factor, dual_side, dual_cone(dual_side.cone), dual_side.rho)):
+        w_min = brute_weight_minimum(cone, effective_weight(chi, grading))
+        for g in (1, 2, 3, 6):
+            factor = engine(side, chi, g, trunc)
+            if g * w_min > trunc:
+                assert factor == TruncatedSeries.one(chi.nvars, order, trunc)
+            elif not sloped:
+                # Formal coordinates give each point its own monomial, so
+                # the point of weight w_min leaves a term: the bound is sharp.
+                assert factor != TruncatedSeries.one(chi.nvars, order, trunc)
 
 
 # --- the per-degree contract L_d = psi^(d')_k(L_g) ---------------------------

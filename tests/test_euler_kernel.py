@@ -39,11 +39,9 @@ ORDERS = (1, 3, 4, 7, 12)
 PRIME_POWERS = (2, 3, 4, 5, 8, 9)
 
 
-def binary_powering_euler_product(local_factor, curve, order, max_degree=None):
-    """Oracle: prod over degrees of local_factor(d).power(a_d)."""
+def binary_powering_euler_product(local_factor, curve, order):
+    """Oracle: prod over degrees d <= order of local_factor(d).power(a_d)."""
     top = max(order, 0)
-    if max_degree is not None:
-        top = min(top, max_degree)
     if top < 1:
         return local_factor(1).power(0)
     table = place_counts(curve, top)
@@ -157,7 +155,6 @@ def euler_inputs(draw):
     """
     nvars, order, trunc = draw(ring())
     q = draw(st.sampled_from(PRIME_POWERS))
-    max_degree = draw(st.none() | st.integers(0, trunc + 1))
     top = max(trunc, 1)
     terms = {g: draw(class_monomials(nvars, order, trunc))
              for g in range(1, top + 1) if order % g == 0}
@@ -165,7 +162,7 @@ def euler_inputs(draw):
     for d in range(1, top + 1):
         g = gcd(d, order)
         factors[d] = adams_factor(terms[g], g, d // g, nvars, order, trunc)
-    return factors, Curve(q=q), trunc, (nvars, order), max_degree
+    return factors, Curve(q=q), trunc, (nvars, order)
 
 
 PACKED_ORDERS = (1, 2, 3, 4, 7, 12)
@@ -238,10 +235,9 @@ def test_finished_packed_rows_are_reduced_and_in_lowest_terms():
 @settings(max_examples=60, deadline=None)
 @given(euler_inputs())
 def test_log_exp_kernel_matches_binary_powering(case):
-    factors, curve, trunc, ring_, max_degree = case
-    got = euler_product(factors.__getitem__, curve, trunc, ring_, max_degree=max_degree)
-    want = binary_powering_euler_product(factors.__getitem__, curve, trunc,
-                                         max_degree=max_degree)
+    factors, curve, trunc, ring_ = case
+    got = euler_product(factors.__getitem__, curve, trunc, ring_)
+    want = binary_powering_euler_product(factors.__getitem__, curve, trunc)
     assert got == want
 
 

@@ -135,10 +135,10 @@ def test_specialized_character_combined_weight():
     assert f.coefficient(2) == {(0,): Cyc.one(1)}
 
 
-def test_global_cutoff_uses_monoid_minimum_not_ray_minimum():
+def test_global_transform_keeps_points_below_the_ray_minimum():
     # (1,0) sits in cone((2,1),(2,-1)) at slope value 1, half of every
-    # ray's value; a ray-derived degree cutoff would drop its degree-2
-    # contribution at u^4.
+    # ray's value; a degree bound read off the rays would drop its
+    # degree-2 contribution at u^4.
     from toricperiods.periods import euler_product
     h = make_height([[(2, 1), (2, -1)]], [(1, 0)], 2)
     chi = formal_character(2)

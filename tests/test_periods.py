@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricperiods import periods
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone, points_at_level
 from toricperiods.curve import Curve, divisor_count_series
@@ -172,13 +173,12 @@ def test_spectral_level_rescaling_with_negative_slopes():
         automorphic_period(pair.side_xcheck, Curve(q=2), chi, 8)
 
 
-def test_degree_cutoff_tightening_is_sound():
-    # The subunit cone: (1,0) weighs 1 while both rays weigh 2, so the
-    # cutoff must come from the monoid minimum, not the rays.
-    from toricperiods.periods import euler_product, monoid_weight_minimum
+def test_products_keep_points_below_the_ray_minimum():
+    # The subunit cone: (1,0) weighs 1 while both rays weigh 2, so a
+    # degree bound read off the rays would drop the places of degree > U/2.
+    from toricperiods.periods import euler_product
     subunit = GradedToricDatum(cone=make_cone([(2, 1), (2, -1)]),
                                rho=(1, 0), eta=(1, 0))
-    assert monoid_weight_minimum(subunit.cone, (1, 0)) == 1
     chi = formal_character(2)
     tight = automorphic_period(subunit, Curve(q=2), chi, 6)
     full = euler_product(
@@ -186,7 +186,7 @@ def test_degree_cutoff_tightening_is_sound():
         Curve(q=2), 6, (2, 1)) * TruncatedSeries.from_monomial(
             chi.value(subunit.rho), 2, 1)
     assert tight.first_mismatch(full) is None
-    # The orbit product and the height transform cut off the same way; a
+    # The same holds for the orbit product and the height transform; a
     # character slope of (1, 0) puts the weight (1, 0) on both.
     sloped = character_from_spec([(0, 1), "formal"], order=1, nvars=2)
     orbit = _descended_euler_product(subunit.cone, sloped, Curve(q=2), 6)
@@ -202,11 +202,33 @@ def test_degree_cutoff_tightening_is_sound():
     full = euler_product(lambda d: height_fourier_local(flat, sloped, d, 6),
                          Curve(q=2), 6, (2, 1))
     assert tight.first_mismatch(full) is None
-    # With eigenform (2,1)-style weights the cutoff halves but agrees too.
+    # With eigenform (2,1)-style weights every point weighs at least 2,
+    # and the two periods still agree.
     pair21 = toric_dual(QUADRIC21)
     a = automorphic_period(QUADRIC21, Curve(q=3), chi, 9)
     s = spectral_period(pair21.side_xcheck, Curve(q=3), chi, 9)
     assert a.first_mismatch(s.shift_u(pair21.discrepancy)) is None
+
+
+def test_automorphic_period_asks_for_every_class_up_to_the_truncation(monkeypatch):
+    # eta = (2, 2) weighs at least 2 on every nonzero point of the quadric
+    # cone, so the class-6 factor at U = 10 is exactly 1.  The product
+    # still asks for it: the degree range depends on N and U alone.
+    heavy = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(2, 2))
+    chi = character_from_spec(["formal", "formal"], order=12)
+    asked = []
+
+    def recording(datum, chi_, deg, order):
+        asked.append(deg)
+        return automorphic_local_factor(datum, chi_, deg, order)
+
+    monkeypatch.setattr(periods, "automorphic_local_factor", recording)
+    got = periods.automorphic_period(heavy, Curve(q=2), chi, 10)
+    assert asked == [1, 2, 3, 4, 6]
+    assert automorphic_local_factor(heavy, chi, 6, 10) == TruncatedSeries.one(2, 12, 10)
+    pair = toric_dual(heavy)
+    rhs = spectral_period(pair.side_xcheck, Curve(q=2), chi, 10)
+    assert got.first_mismatch(rhs.shift_u(pair.discrepancy)) is None
 
 
 CATALOG_DATA = (TATE, QUADRIC, QUADRIC21, ORTHANT, SQUARE3D)
