@@ -21,7 +21,7 @@ from .cones import (
     points_at_level,
 )
 from .curve import Curve, place_counts, zeta_series
-from .duality import GradedDualPair, GradedToricDatum, orbits, toric_dual
+from .duality import GradedDualPair, GradedToricDatum, toric_dual
 from .periods import (
     automorphic_local_factor,
     automorphic_period,
@@ -53,7 +53,6 @@ __all__ = [
     "is_generic",
     "make_cone",
     "make_isogeny",
-    "orbits",
     "place_counts",
     "points_at_level",
     "spectral_local_factor",

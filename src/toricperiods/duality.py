@@ -1,4 +1,4 @@
-"""Graded toric data, dual pairs, and the orbit dictionary.
+"""Graded toric data and dual pairs.
 
 A graded datum is a full-dimensional strongly convex cone together with
 an interior grading cocharacter rho and a pole-free eigenform character
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, dual_cone, faces, image_cone
-from .intlinalg import QuotientData, Vector, dot, quotient_lattice, vec
+from .cones import Cone, dual_cone
+from .intlinalg import Vector, dot, vec
 
 
 class InvalidGrading(ValueError):
@@ -96,44 +96,6 @@ def unchecked_dual(datum: GradedToricDatum) -> GradedDualPair:
     dual = GradedToricDatum(cone=dual_cone(datum.cone), rho=datum.eta, eta=datum.rho)
     return GradedDualPair(side_x=datum, side_xcheck=dual,
                           epsilon=dot(datum.rho, datum.eta))
-
-
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    """One torus orbit of the affine toric variety, indexed by a face.
-
-    stabilizer_basis spans the saturated cocharacter lattice of the
-    stabilizer subtorus; quotient presents the cocharacter lattice of the
-    quotient torus acting on the orbit; closure_cone is the cone of the
-    orbit closure inside that quotient lattice.
-    """
-
-    face: Cone
-    stabilizer_basis: tuple[Vector, ...]
-    quotient: QuotientData
-    closure_cone: Cone
-
-    @property
-    def is_dense(self) -> bool:
-        return not self.face.rays
-
-    @property
-    def is_fixed_point(self) -> bool:
-        return self.quotient.free_rank == 0
-
-
-def orbit_for_face(datum: GradedToricDatum, face: Cone) -> OrbitDescriptor:
-    lattice = faces(datum.cone)
-    stab = lattice.spans[lattice.index(face.rays)]
-    quot = quotient_lattice(datum.rank, stab)
-    closure = image_cone(datum.cone, quot.free_projection)
-    return OrbitDescriptor(face=face, stabilizer_basis=stab,
-                           quotient=quot, closure_cone=closure)
-
-
-def orbits(datum: GradedToricDatum) -> list[OrbitDescriptor]:
-    """One descriptor per face: the dense orbit for {0}, the fixed point for sigma."""
-    return [orbit_for_face(datum, f) for f in faces(datum.cone).faces]
 
 
 @dataclass(frozen=True)

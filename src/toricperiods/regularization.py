@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
-from .duality import GradedDualPair, GradedToricDatum, OrbitDescriptor, orbits
+from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import Vector, quotient_lattice
 from .periods import (
     PositivityViolation,
@@ -115,22 +115,26 @@ def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
 
 
 def regularized_automorphic_contribution(
-        datum: GradedToricDatum, orbit: OrbitDescriptor, curve: Curve,
+        datum: GradedToricDatum, face: Cone, curve: Curve,
         chi: Character, order: int) -> OrbitContribution:
-    """Contribution of one orbit to the regularized automorphic period.
+    """Contribution of the orbit of one face; a non-face raises NotAFace.
 
     Vanishes unless the combined character is trivial on the stabilizer
-    and its descent to the quotient torus is cuspidal relative to the
-    orbit closure; otherwise it is the prefactored Euler product over the
-    closure cone in the quotient lattice.
+    (the span of the face, tested before any lattice work) and its descent
+    to the quotient torus is cuspidal relative to the orbit closure;
+    otherwise it is the prefactored Euler product over the closure cone
+    in the quotient lattice.
     """
+    lattice = faces(datum.cone)
+    stab = lattice.spans[lattice.index(face.rays)]
     psi = extended_character(chi, datum.eta)
-    if orbit.stabilizer_basis and not psi.is_trivial_on_all(orbit.stabilizer_basis):
+    if not psi.is_trivial_on_all(stab):
         return _vanished(VANISHED_TRIVIALITY)
-    if orbit.quotient.torsion_invariants != ():
+    quot = quotient_lattice(datum.rank, stab)
+    if quot.torsion_invariants != ():
         raise ValueError("stabilizer basis not saturated")
-    psi_bar = psi.compose(orbit.quotient.section)
-    closure = orbit.closure_cone
+    psi_bar = psi.compose(quot.section)
+    closure = image_cone(datum.cone, quot.free_projection)
     if _cuspidality_witness(closure, psi_bar) is not None:
         return _vanished(VANISHED_CUSPIDALITY)
     pref = automorphic_prefactor(datum, chi)
@@ -144,12 +148,12 @@ def regularized_spectral_contribution(
         phi: Character, order: int) -> OrbitContribution:
     """Contribution of the orbit of one face of the dual-side cone.
 
-    Takes the face, not an orbit descriptor: the face is all these
-    conditions and the trace depend on; a cone that is not a face raises
-    NotAFace.  Not fixed pointwise: zero.  Fixed but dominated by a larger
-    fixed orbit (a smaller fixed face): zero.  Otherwise the graded trace
-    over the image of the character monoid in the transverse quotient,
-    normalized like the full spectral period.
+    Takes the face, which is all these conditions and the trace depend
+    on; a cone that is not a face raises NotAFace.  Not fixed pointwise:
+    zero.  Fixed but dominated by a larger fixed orbit (a smaller fixed
+    face): zero.  Otherwise the graded trace over the image of the
+    character monoid in the transverse quotient, normalized like the full
+    spectral period.
     """
     lattice = faces(datum_check.cone)
     i = lattice.index(face.rays)
@@ -205,10 +209,10 @@ def _contribution_or_divergent(contribution, *args) -> OrbitContribution:
 
 def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo):
     verdicts = []
-    for orbit in orbits(aut_datum):
-        dual_face = face_dual(orbit.face, aut_datum.cone)
+    for face in faces(aut_datum.cone).faces:
+        dual_face = face_dual(face, aut_datum.cone)
         aut = _contribution_or_divergent(regularized_automorphic_contribution,
-                                         aut_datum, orbit, curve, chi, order)
+                                         aut_datum, face, curve, chi, order)
         spec = _contribution_or_divergent(regularized_spectral_contribution,
                                           spec_datum, dual_face, curve, chi,
                                           order)
@@ -220,7 +224,7 @@ def _orbit_pair_verdicts(aut_datum, spec_datum, curve, chi, order, expo):
         else:
             equal, mism = True, None
         verdicts.append(OrbitPairVerdict(
-            face_rays=orbit.face.rays, dual_face_rays=dual_face.rays,
+            face_rays=face.rays, dual_face_rays=dual_face.rays,
             automorphic=aut, spectral=spec, equal=equal, mismatch=mism))
     return tuple(verdicts)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from operator import add
@@ -294,12 +293,9 @@ class TruncatedSeries:
 
     @staticmethod
     def from_monomial(mon: Monomial, nvars: int, order: int,
-                      trunc: int = EXACT, scale=1) -> "TruncatedSeries":
-        c = Cyc.root_power(mon.zeta, order) * Fraction(scale)
-        if c.is_zero():
-            return TruncatedSeries.zero(nvars, order, trunc)
-        return TruncatedSeries(nvars, order, trunc,
-                               ((mon.u, ((mon.z, c),)),))
+                      trunc: int = EXACT) -> "TruncatedSeries":
+        c = Cyc.root_power(mon.zeta, order)
+        return TruncatedSeries(nvars, order, trunc, ((mon.u, ((mon.z, c),)),))
 
     @staticmethod
     def from_monomials(monomials, nvars: int, order: int,
@@ -323,9 +319,6 @@ class TruncatedSeries:
         return TruncatedSeries(nvars, order, trunc, tuple(rows))
 
     # --- views ---------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {u: dict(terms) for u, terms in self.coeffs}
 
     def coefficient(self, u: int) -> dict:
         for uu, terms in self.coeffs:

@@ -88,11 +88,6 @@ def make_isogeny(matrix) -> IsogenyDatum:
                         exponent=exponent, smith=snf)
 
 
-def dual_isogeny(iso: IsogenyDatum) -> IsogenyDatum:
-    """Transpose inclusion; Smith invariants are preserved."""
-    return make_isogeny(transpose(iso.inclusion.matrix))
-
-
 def check_curve_compatibility(iso: IsogenyDatum, curve: Curve):
     if iso.exponent > 1:
         if curve.q % iso.exponent != 1:
@@ -172,15 +167,11 @@ def unramified_lifts(phi: Character | None, iso: IsogenyDatum,
 class InducedGradedPair:
     """A covering dual pair together with the isogeny presenting the quotient.
 
-    The induced grading on the quotient side is the rational solution of
-    inclusion * rho = rho_covering; it is reported but never evaluated:
-    all prefactors are computed on the covering, where they are integral.
+    All prefactors are computed on the covering, where they are integral.
     """
 
     base_pair: GradedDualPair
     isogeny: IsogenyDatum
-    rho_lift: tuple[Fraction, ...]
-    eta_lift: tuple[Fraction, ...]
 
     @property
     def index(self) -> int:
@@ -190,10 +181,7 @@ class InducedGradedPair:
 def induced_pair(base_pair: GradedDualPair, iso: IsogenyDatum) -> InducedGradedPair:
     if iso.rank != base_pair.rank:
         raise ValueError("isogeny rank does not match the pair")
-    rho_lift = _smith_solve(iso.smith, base_pair.side_x.rho)
-    eta_lift = _smith_solve(dual_isogeny(iso).smith, base_pair.side_xcheck.rho)
-    return InducedGradedPair(base_pair=base_pair, isogeny=iso,
-                             rho_lift=rho_lift, eta_lift=eta_lift)
+    return InducedGradedPair(base_pair=base_pair, isogeny=iso)
 
 
 def _smith_solve(snf: SmithDecomposition, target: Vector) -> tuple[Fraction, ...]:
@@ -244,8 +232,8 @@ def stack_spectral_period_unramified(pair: InducedGradedPair, curve: Curve,
         else:
             from .curve import BranchAmbiguity
             raise BranchAmbiguity(
-                f"the eigenform lift {pair.eta_lift} is rational: declare the "
-                "character on the covering torus to fix the branch")
+                f"the isogeny has index {pair.index}: declare the character "
+                "on the covering torus to fix the branch")
     fam = unramified_lifts(phi, pair.isogeny, base_lift)
     total = None
     for member in fam.members:

@@ -1,14 +1,14 @@
 import pytest
 
-from toricperiods.cones import dual_cone, face_of, faces, make_cone
+from toricperiods.cones import dual_cone, face_of, faces, image_cone, make_cone
 from toricperiods.duality import (
     GradedToricDatum,
     InvalidEigenform,
     InvalidGrading,
-    orbits,
     toric_dual,
     validate_pair,
 )
+from toricperiods.intlinalg import quotient_lattice
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
 QUADRIC = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(1, 1))
@@ -71,34 +71,41 @@ def test_invalid_eigenform_rejected():
         toric_dual(bad)
 
 
+def orbit_geometry(datum):
+    """Per face: the face, its stabilizer span, quotient and closure cone."""
+    lattice = faces(datum.cone)
+    for face, span in zip(lattice.faces, lattice.spans):
+        quot = quotient_lattice(datum.rank, span)
+        yield face, span, quot, image_cone(datum.cone, quot.free_projection)
+
+
 def test_orbit_counts():
-    assert len(orbits(TATE)) == 2
-    assert len(orbits(QUADRIC)) == 4
-    assert len(orbits(SQUARE3D)) == 10
+    assert len(faces(TATE.cone).spans) == 2
+    assert len(faces(QUADRIC.cone).spans) == 4
+    assert len(faces(SQUARE3D.cone).spans) == 10
 
 
 def test_orbit_extremes():
-    orbs = orbits(QUADRIC)
-    dense = [o for o in orbs if o.is_dense]
-    fixed = [o for o in orbs if o.is_fixed_point]
+    orbs = list(orbit_geometry(QUADRIC))
+    dense = [span for face, span, _, _ in orbs if not face.rays]
+    fixed = [span for _, span, quot, _ in orbs if quot.free_rank == 0]
     assert len(dense) == 1 and len(fixed) == 1
-    assert dense[0].stabilizer_basis == ()
-    assert fixed[0].quotient.free_rank == 0
-    assert len(fixed[0].stabilizer_basis) == 2
+    assert dense[0] == ()
+    assert len(fixed[0]) == 2
 
 
 def test_orbit_quotient_has_no_torsion():
     for datum in CATALOG:
-        for o in orbits(datum):
-            assert o.quotient.torsion_invariants == ()
+        for _, _, quot, _ in orbit_geometry(datum):
+            assert quot.torsion_invariants == ()
 
 
 def test_closure_cone_dimensions():
     for datum in CATALOG:
         r = datum.rank
-        for o in orbits(datum):
-            assert o.face.dim() + o.closure_cone.dim() == r
-            assert o.closure_cone.full_dimensional
+        for face, _, _, closure in orbit_geometry(datum):
+            assert face.dim() + closure.dim() == r
+            assert closure.full_dimensional
 
 
 def test_validate_pair_witnesses():

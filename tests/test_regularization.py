@@ -3,12 +3,12 @@ import sys
 
 import pytest
 
-from toricperiods import cones, duality, intlinalg
+from toricperiods import cones, intlinalg
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import NotAFace, make_cone
+from toricperiods.cones import NotAFace, face_of, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
-from toricperiods.duality import GradedToricDatum, orbits, toric_dual
+from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.periods import automorphic_period, spectral_period
 from toricperiods.regularization import (
     VANISHED_CUSPIDALITY,
@@ -94,7 +94,7 @@ def test_fixed_faces_form_up_set():
 
 def test_dense_orbit_recovers_main_period():
     chi = formal_character(2)
-    dense = next(o for o in orbits(QUADRIC) if o.is_dense)
+    dense = face_of(QUADRIC.cone, [])
     contrib = regularized_automorphic_contribution(
         QUADRIC, dense, Curve(q=2), chi, 6)
     assert contrib.status == "computed"
@@ -105,9 +105,9 @@ def test_dense_orbit_recovers_main_period():
 def test_full_face_recovers_spectral_period():
     chi = formal_character(2)
     pair = toric_dual(QUADRIC)
-    full_face = next(o for o in orbits(pair.side_xcheck) if o.is_fixed_point)
+    full_face = pair.side_xcheck.cone
     contrib = regularized_spectral_contribution(
-        pair.side_xcheck, full_face.face, Curve(q=2), chi, 6)
+        pair.side_xcheck, full_face, Curve(q=2), chi, 6)
     assert contrib.status == "computed"
     expected = spectral_period(pair.side_xcheck, Curve(q=2), chi, 6)
     assert contrib.series.first_mismatch(expected) is None
@@ -115,16 +115,16 @@ def test_full_face_recovers_spectral_period():
 
 def test_small_orbit_formal_vanishes():
     chi = formal_character(2)
-    ray_orbit = next(o for o in orbits(QUADRIC) if o.face.rays == ((1, 0),))
+    ray_face = face_of(QUADRIC.cone, [(1, 0)])
     contrib = regularized_automorphic_contribution(
-        QUADRIC, ray_orbit, Curve(q=2), chi, 6)
+        QUADRIC, ray_face, Curve(q=2), chi, 6)
     assert contrib.vanished and contrib.reason == VANISHED_TRIVIALITY
 
 
 def test_small_orbit_computed_with_matched_character():
-    ray_orbit = next(o for o in orbits(QUADRIC) if o.face.rays == ((1, 0),))
+    ray_face = face_of(QUADRIC.cone, [(1, 0)])
     contrib = regularized_automorphic_contribution(
-        QUADRIC, ray_orbit, Curve(q=2), Z1_IS_UINV, 6)
+        QUADRIC, ray_face, Curve(q=2), Z1_IS_UINV, 6)
     assert contrib.status == "computed"
     # Prefactor chi(rho) = z1 z2 = u^{-1} z2; local factor sum_k (z2 u)^{dk}.
     assert contrib.series.low == -1
@@ -136,14 +136,12 @@ def test_small_orbit_computed_with_matched_character():
 def test_spectral_vanishing_reasons():
     chi = formal_character(2)
     pair = toric_dual(QUADRIC)
-    orbs = orbits(pair.side_xcheck)
-    dense = next(o for o in orbs if o.is_dense)
-    c = regularized_spectral_contribution(pair.side_xcheck, dense.face, Curve(q=2), chi, 6)
+    dense = face_of(pair.side_xcheck.cone, [])
+    c = regularized_spectral_contribution(pair.side_xcheck, dense, Curve(q=2), chi, 6)
     assert c.vanished and c.reason == VANISHED_NOT_FIXED
     # With the matched degenerate character, the full face is dominated.
-    full_face = next(o for o in orbs if o.is_fixed_point)
     c2 = regularized_spectral_contribution(
-        pair.side_xcheck, full_face.face, Curve(q=2), Z1_IS_UINV, 6)
+        pair.side_xcheck, pair.side_xcheck.cone, Curve(q=2), Z1_IS_UINV, 6)
     assert c2.vanished and c2.reason == VANISHED_DOMINATED
 
 
@@ -153,6 +151,15 @@ def test_spectral_contribution_rejects_non_face():
     with pytest.raises(NotAFace):
         regularized_spectral_contribution(
             pair.side_xcheck, make_cone([(1, 2)]), Curve(q=2),
+            formal_character(2), 6)
+
+
+def test_automorphic_contribution_rejects_non_face():
+    pair = toric_dual(QUADRIC)
+    # A ray of the dual-side cone, not a face of the automorphic cone.
+    with pytest.raises(NotAFace):
+        regularized_automorphic_contribution(
+            pair.side_x, make_cone([(0, 1)]), Curve(q=2),
             formal_character(2), 6)
 
 
@@ -187,31 +194,35 @@ def test_face_lattice_data_computed_once_per_cone(monkeypatch):
     assert calls == []
 
 
-def test_orbit_descriptors_built_once_per_automorphic_face(monkeypatch):
-    built = []
-    build = duality.orbit_for_face
+def test_orbit_quotients_built_only_past_the_support_test(monkeypatch):
+    calls = []
+    original = intlinalg.quotient_lattice
 
-    def orbit_for_face(datum, face):
-        built.append(face)
-        return build(datum, face)
+    def quotient_lattice(*args):
+        calls.append(args)
+        return original(*args)
 
     # Replace every binding in the package, not just the defining one.
     for name, module in list(sys.modules.items()):
         if (name.partition(".")[0] == "toricperiods"
-                and getattr(module, "orbit_for_face", None) is build):
-            monkeypatch.setattr(module, "orbit_for_face", orbit_for_face)
+                and getattr(module, "quotient_lattice", None) is original):
+            monkeypatch.setattr(module, "quotient_lattice", quotient_lattice)
     pair = toric_dual(SQUARE3D)
-    n_faces = len(orbits(pair.side_x)) + len(orbits(pair.side_xcheck))
-    built.clear()
-    verify_langlands_dual_periods(pair, Curve(q=2), formal_character(3), 4)
-    # One descriptor per face of each automorphic side; the spectral side
-    # reads only the dual face.
-    assert n_faces == 20
-    assert len(built) == n_faces
-    built.clear()
+    reports = verify_langlands_dual_periods(pair, Curve(q=2),
+                                            formal_character(3), 4)
+    pairs = [p for report in reports for p in report.pairs]
+    # One quotient per automorphic orbit that passes the triviality test
+    # and one per spectral orbit that is fixed and not dominated; the 20
+    # faces of the two automorphic sides build none up front.
+    expected = (sum(p.automorphic.reason != VANISHED_TRIVIALITY for p in pairs)
+                + sum(not p.spectral.vanished for p in pairs))
+    assert len(pairs) == 20
+    assert len(calls) == expected == 4
+    calls.clear()
     for datum in (pair.side_x, pair.side_xcheck):
         is_cuspidal(datum, formal_character(3))
-    assert built == []
+    assert calls == []
+
 
 def test_orbitwise_duality_quadric_specialized():
     pair = toric_dual(QUADRIC)

@@ -31,7 +31,7 @@ def test_from_monomials_buckets_and_cancels():
             Monomial(2, 2, (0,)), Monomial(0, 5, (0,))]
     s = TruncatedSeries.from_monomials(mons, 1, 2, 4)
     assert s.trunc == 4
-    assert s.as_dict() == {0: {(0,): Cyc.one(2)}, 2: {(0,): Cyc.rational(2, 2)}}
+    assert s.coeffs == ((0, (((0,), Cyc.one(2)),)), (2, (((0,), Cyc.rational(2, 2)),)))
     assert TruncatedSeries.from_monomials([], 1, 2, 4) == TruncatedSeries.one(1, 2, 4)
 
 
@@ -94,13 +94,13 @@ def test_truncate_keeps_the_rows_up_to_the_new_order():
     s = geometric(1, 1, 5)
     t = s.truncate(2)
     assert t.trunc == 2
-    assert t.as_dict() == {u: s.coefficient(u) for u in range(3)}
+    assert t.coeffs == tuple(row for row in s.coeffs if row[0] <= 2)
     assert s.truncate(9).trunc == 5
 
 
 def test_first_mismatch_reports_lowest():
     a = geometric(1, 1, 5)
-    data = a.as_dict()
+    data = {u: dict(terms) for u, terms in a.coeffs}
     data[3] = {(3,): Cyc.rational(2, 1)}
     b = TruncatedSeries.from_dict(data, 1, 1, 5)
     mism = a.first_mismatch(b)
@@ -108,8 +108,8 @@ def test_first_mismatch_reports_lowest():
 
 
 def test_serialize_shape():
-    s = TruncatedSeries.from_monomial(Monomial(1, 2, (0, -1)), 2, 4, trunc=5,
-                                      scale=Fraction(3, 2))
+    s = TruncatedSeries.from_monomial(Monomial(1, 2, (0, -1)), 2, 4,
+                                      trunc=5).scale(Fraction(3, 2))
     ser = s.serialize()
     assert ser == [["2", [["3", "2", "1", ["0", "-1"]]]]]
 

@@ -7,14 +7,14 @@ from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
-from toricperiods.intlinalg import mat_vec_mul
+from toricperiods.intlinalg import mat_vec_mul, smith_normal_form, transpose
 from toricperiods.periods import automorphic_period, spectral_period
 from toricperiods.series import Monomial, TruncatedSeries
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
     NotALift,
-    dual_isogeny,
+    _smith_solve,
     induced_pair,
     make_isogeny,
     pullback_along_covering,
@@ -46,14 +46,6 @@ def test_isogeny_invariants():
         make_isogeny([[1, 1], [1, 1]])
 
 
-def test_dual_isogeny_preserves_invariants():
-    for mat in ([[5]], [[2, 0], [0, 3]], [[2, 1], [0, 3]]):
-        iso = make_isogeny(mat)
-        dual = dual_isogeny(iso)
-        assert dual.invariants == iso.invariants
-        assert dual.index == iso.index
-
-
 def test_curve_compatibility():
     pair = tate_stack(2)
     with pytest.raises(IncompatibleField):
@@ -63,24 +55,17 @@ def test_curve_compatibility():
         verify_stack_duality(tate_stack(3), Curve(q=2), formal_character(1, 3), 4)
 
 
-def test_rational_lifts_recorded():
-    pair = tate_stack(2)
-    assert pair.rho_lift == (Fraction(1, 2),)
-    assert pair.eta_lift == (Fraction(1, 2),)
-
-
 def test_lifts_of_a_non_diagonal_inclusion():
-    # M = [[2, 1], [-1, 3]] (det 7) on the quadric pair, rho = eta = (1, 1).
-    # M x = (1, 1): x2 = 1 - 2 x1 and -x1 + 3 - 6 x1 = 1, so x = (2/7, 3/7).
+    # The direct model pulls covering rays back through M by _smith_solve.
+    # M = [[2, 1], [-1, 3]] (det 7).  M x = (1, 1): x2 = 1 - 2 x1 and
+    # -x1 + 3 - 6 x1 = 1, so x = (2/7, 3/7).
     # M^T y = (1, 1): y1 = 1 - 3 y2 and 2 - 7 y2 = 1, so y = (4/7, 1/7).
-    quadric = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1),
-                               eta=(1, 1))
-    base = toric_dual(quadric)
-    pair = induced_pair(base, make_isogeny([[2, 1], [-1, 3]]))
-    assert pair.rho_lift == (Fraction(2, 7), Fraction(3, 7))
-    assert pair.eta_lift == (Fraction(4, 7), Fraction(1, 7))
-    assert all(isinstance(c, Fraction) for c in pair.rho_lift + pair.eta_lift)
-    assert base.side_x.rho == base.side_xcheck.rho == (1, 1)
+    m = [[2, 1], [-1, 3]]
+    x = _smith_solve(make_isogeny(m).smith, (1, 1))
+    y = _smith_solve(smith_normal_form(transpose(m)), (1, 1))
+    assert x == (Fraction(2, 7), Fraction(3, 7))
+    assert y == (Fraction(4, 7), Fraction(1, 7))
+    assert all(isinstance(c, Fraction) for c in x + y)
 
 
 def test_torsion_twists_fourier_inversion():
@@ -234,7 +219,7 @@ def test_branch_ambiguity_without_base_lift():
     from toricperiods.curve import BranchAmbiguity
     pair = tate_stack(2)
     chi = formal_character(1, 2)
-    with pytest.raises(BranchAmbiguity):
+    with pytest.raises(BranchAmbiguity, match="index 2"):
         stack_spectral_period_unramified(pair, Curve(q=3), chi, None, 4)
     # Index one needs no covering declaration.
     trivial = tate_stack(1)
