@@ -14,14 +14,13 @@ the eigenform shift are all coordinate-wise monomial operations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intlinalg import LatticeMap, Vector, vec
 from .series import Monomial
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "order nvars coords")):
     """Character of the class group of a rank-len(coords) torus.
 
     coords[j] is the value at the class of the j-th basis cocharacter at
@@ -29,9 +28,7 @@ class Character:
     degree d is prod_j coords[j]^(d * lambda_j).
     """
 
-    order: int
-    nvars: int
-    coords: tuple[Monomial, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

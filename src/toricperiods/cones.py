@@ -9,7 +9,7 @@ plain value equality of the canonical sorted data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -122,8 +122,8 @@ def _canonical(vectors) -> tuple[Vector, ...]:
     return tuple(sorted(set(vectors)))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple(
+        "Cone", "ambient_rank rays facets strongly_convex full_dimensional")):
     """Rational polyhedral cone with matched inner and outer descriptions.
 
     rays generate the cone; facets cut it out: cone = {x : <f, x> >= 0 for
@@ -133,11 +133,7 @@ class Cone:
     carry +/- ray pairs for their lines.
     """
 
-    ambient_rank: int
-    rays: tuple[Vector, ...]
-    facets: tuple[Vector, ...]
-    strongly_convex: bool
-    full_dimensional: bool
+    __slots__ = ()
 
     def contains(self, v) -> bool:
         v = vec(v)
@@ -207,18 +203,32 @@ def contains_point(c: Cone, v) -> bool:
     return c.contains(v)
 
 
-@dataclass(frozen=True)
 class FaceLattice:
     """The faces of a cone with the lattice data of each face.
 
     spans[i] is the saturated span of faces[i] (the stabilizer of its
     orbit) and annihilators[i] a basis of the covectors vanishing on it
     (the character lattice of the orbit); both run parallel to faces.
+    Not a named tuple: its length is the number of faces.  It is
+    immutable, since faces() hands the same lattice to every caller.
     """
 
-    faces: tuple[Cone, ...]
-    spans: tuple[tuple[Vector, ...], ...]
-    annihilators: tuple[tuple[Vector, ...], ...]
+    __slots__ = ("faces", "spans", "annihilators")
+
+    def __init__(self, faces, spans, annihilators):
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "annihilators", annihilators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FaceLattice is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FaceLattice is immutable; cannot delete {name!r}")
+
+    def __repr__(self):
+        return (f"FaceLattice(faces={self.faces!r}, spans={self.spans!r}, "
+                f"annihilators={self.annihilators!r})")
 
     def __len__(self):
         return len(self.faces)

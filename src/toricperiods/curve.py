@@ -11,7 +11,7 @@ spin datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclotomic import Cyc
@@ -96,8 +96,7 @@ def is_prime_power(q: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "q genus spin", defaults=(0, ((1, -1),)))):
     """P^1 over F_q with its canonical spin data.
 
     spin lists (place_degree, m_v) pairs for the marked places; all other
@@ -105,11 +104,10 @@ class Curve:
     double pole at infinity, so m_infinity = -1 at a degree-one place.
     """
 
-    q: int
-    genus: int = 0
-    spin: tuple[tuple[int, int], ...] = ((1, -1),)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime_power(self.q):
             raise ValueError(f"q = {self.q} is not a prime power")
         if self.genus != 0:
@@ -121,14 +119,14 @@ class Curve:
         if total != 2 * self.genus - 2:
             raise ValueError(
                 f"spin degree sum {total} != 2g-2 = {2 * self.genus - 2}")
+        return self
 
     def point_count(self, n: int) -> int:
         return self.q ** n + 1
 
 
-@dataclass(frozen=True)
-class PlaceTable:
-    counts: tuple[int, ...]
+class PlaceTable(namedtuple("PlaceTable", "counts")):
+    __slots__ = ()
 
     def a(self, d: int) -> int:
         return self.counts[d - 1]

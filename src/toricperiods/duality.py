@@ -9,7 +9,7 @@ exponent r - epsilon of the period comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cones import Cone, dual_cone
 from .intlinalg import Vector, dot, vec
@@ -23,30 +23,24 @@ class InvalidEigenform(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedToricDatum:
+class GradedToricDatum(namedtuple("GradedToricDatum", "cone rho eta")):
     """One side of a pair: cone sigma, grading rho, eigenform eta."""
 
-    cone: Cone
-    rho: Vector
-    eta: Vector
+    __slots__ = ()
+
+    def __new__(cls, cone, rho, eta):
+        rho, eta = vec(rho), vec(eta)
+        if len(rho) != cone.ambient_rank or len(eta) != cone.ambient_rank:
+            raise ValueError("rho/eta length must match the ambient rank")
+        return super().__new__(cls, cone, rho, eta)
 
     @property
     def rank(self) -> int:
         return self.cone.ambient_rank
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", vec(self.rho))
-        object.__setattr__(self, "eta", vec(self.eta))
-        if len(self.rho) != self.rank or len(self.eta) != self.rank:
-            raise ValueError("rho/eta length must match the ambient rank")
 
-
-@dataclass(frozen=True)
-class GradedDualPair:
-    side_x: GradedToricDatum
-    side_xcheck: GradedToricDatum
-    epsilon: int
+class GradedDualPair(namedtuple("GradedDualPair", "side_x side_xcheck epsilon")):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -98,17 +92,12 @@ def unchecked_dual(datum: GradedToricDatum) -> GradedDualPair:
                           epsilon=dot(datum.rho, datum.eta))
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
-    side: str
-    condition: str
-    ok: bool
-    witness: Vector | None
+class ValidationEntry(namedtuple("ValidationEntry", "side condition ok witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    entries: tuple[ValidationEntry, ...]
+class ValidationReport(namedtuple("ValidationReport", "entries")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,7 @@ two local factors coincide on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import Character
 from .cones import Cone, dual_description, monoid_points
@@ -24,12 +24,11 @@ class OutsideSupport(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearHeight:
-    cones: tuple[Cone, ...]
-    slopes: tuple[Vector, ...]
+class PiecewiseLinearHeight(namedtuple("PiecewiseLinearHeight", "cones slopes")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.cones:
             raise ValueError("a height needs at least one cone")
         if len(self.cones) != len(self.slopes):
@@ -38,6 +37,7 @@ class PiecewiseLinearHeight:
             if len(s) != c.ambient_rank:
                 raise ValueError("slope has wrong length")
         _check_continuity(self.cones, self.slopes)
+        return self
 
     @property
     def ambient_rank(self) -> int:

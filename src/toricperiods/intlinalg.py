@@ -6,7 +6,7 @@ runs on unbounded Python integers; no floats appear anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 Vector = tuple[int, ...]
@@ -130,22 +130,21 @@ def matrix_rank(m: Matrix) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(namedtuple("LatticeMap", "source_rank target_rank matrix")):
     """Homomorphism of free abelian groups Z^source_rank -> Z^target_rank.
 
     Columns of `matrix` are the images of the source basis vectors.
     """
 
-    source_rank: int
-    target_rank: int
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.matrix) != self.target_rank:
             raise ValueError("row count does not match target rank")
         if any(len(row) != self.source_rank for row in self.matrix):
             raise ValueError("column count does not match source rank")
+        return self
 
     @staticmethod
     def identity(n: int) -> "LatticeMap":
@@ -171,8 +170,9 @@ class LatticeMap:
         return tuple(row[j] for row in self.matrix)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple(
+        "SmithDecomposition",
+        "left diag right left_inverse right_inverse rows cols")):
     """left @ original @ right == diag, with left/right unimodular.
 
     The diagonal d_1 | d_2 | ... consists of the elementary divisors
@@ -181,13 +181,7 @@ class SmithDecomposition:
     kernels, saturations and sections.
     """
 
-    left: Matrix
-    diag: tuple[int, ...]
-    right: Matrix
-    left_inverse: Matrix
-    right_inverse: Matrix
-    rows: int
-    cols: int
+    __slots__ = ()
 
     def diagonal_matrix(self) -> Matrix:
         return tuple(tuple(self.diag[i] if i == j and i < len(self.diag) else 0
@@ -381,8 +375,9 @@ def annihilator_basis(vectors, n: int) -> list[Vector]:
     return kernel_basis(tuple(vs))
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(namedtuple(
+        "QuotientData",
+        "ambient_rank free_projection section torsion_invariants torsion_rows")):
     """Presentation of Z^n / span(sub_basis).
 
     free_projection maps onto the free part; section is a right inverse of
@@ -391,11 +386,7 @@ class QuotientData:
     torsion classes of a vector.
     """
 
-    ambient_rank: int
-    free_projection: LatticeMap
-    section: LatticeMap
-    torsion_invariants: tuple[int, ...]
-    torsion_rows: Matrix
+    __slots__ = ()
 
     @property
     def free_rank(self) -> int:

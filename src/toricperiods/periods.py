@@ -12,9 +12,9 @@ being verified.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -310,21 +310,16 @@ def _spectral_period(datum_check, curve, phi, order, engine) -> TruncatedSeries:
     return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
 
 
-@dataclass(frozen=True)
-class DirectionVerdict:
-    automorphic_side: str
-    spectral_side: str
-    equal: bool
-    mismatch: tuple | None
-    automorphic_series: TruncatedSeries
-    compared_spectral_series: TruncatedSeries
+class DirectionVerdict(namedtuple(
+        "DirectionVerdict",
+        "automorphic_side spectral_side equal mismatch automorphic_series "
+        "compared_spectral_series")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    duality_exponent: int
-    directions: tuple[DirectionVerdict, ...]
-    local_samples: dict
+class PeriodReport(namedtuple(
+        "PeriodReport", "duality_exponent directions local_samples")):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:

@@ -13,13 +13,13 @@ inclusion-reversing face bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
 from .duality import GradedDualPair, GradedToricDatum
-from .intlinalg import Vector, quotient_lattice
+from .intlinalg import quotient_lattice
 from .periods import (
     PositivityViolation,
     automorphic_prefactor,
@@ -36,8 +36,7 @@ VANISHED_NOT_FIXED = "not-fixed"
 VANISHED_DOMINATED = "dominated-by-larger-fixed-orbit"
 
 
-@dataclass(frozen=True)
-class OrbitContribution:
+class OrbitContribution(namedtuple("OrbitContribution", "status reason series")):
     """Status is "computed", "vanished", or "divergent".
 
     Divergent appears only in verifier reports: the contribution survives
@@ -46,9 +45,7 @@ class OrbitContribution:
     the matching orbit on the other side diverges the same way).
     """
 
-    status: str
-    reason: str | None
-    series: TruncatedSeries | None
+    __slots__ = ()
 
     @property
     def vanished(self) -> bool:
@@ -175,21 +172,15 @@ def regularized_spectral_contribution(
     return OrbitContribution(status="computed", reason=None, series=total)
 
 
-@dataclass(frozen=True)
-class OrbitPairVerdict:
-    face_rays: tuple[Vector, ...]
-    dual_face_rays: tuple[Vector, ...]
-    automorphic: OrbitContribution
-    spectral: OrbitContribution
-    equal: bool
-    mismatch: tuple | None
+class OrbitPairVerdict(namedtuple(
+        "OrbitPairVerdict",
+        "face_rays dual_face_rays automorphic spectral equal mismatch")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitDualityReport:
-    direction: str
-    duality_exponent: int
-    pairs: tuple[OrbitPairVerdict, ...]
+class OrbitDualityReport(namedtuple(
+        "OrbitDualityReport", "direction duality_exponent pairs")):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:

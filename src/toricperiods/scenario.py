@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -41,7 +41,6 @@ from .regularization import verify_langlands_dual_periods
 from .series import serialize_row
 from .stacks import (
     IncompatibleField,
-    IsogenyDatum,
     check_curve_compatibility,
     induced_pair,
     make_isogeny,
@@ -59,30 +58,21 @@ class SchemaError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    name: str
-    coords: tuple  # entries: "formal" or (zeta_exp, u_exp)
+class CharacterSpec(namedtuple("CharacterSpec", "name coords")):
+    """coords entries are "formal" or (zeta_exp, u_exp)."""
+
+    __slots__ = ()
 
     def build(self, order: int, nvars: int) -> Character:
         return character_from_spec(self.coords, order=order, nvars=nvars)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    rank: int
-    rays: tuple
-    rho: tuple
-    eta: tuple
-    curve: Curve
-    cyclotomic_order: int
-    truncation: int
-    characters: tuple[CharacterSpec, ...]
-    checks: tuple[str, ...]
-    isogeny: IsogenyDatum | None = None
-    height_cones: tuple | None = None
-    height_slopes: tuple | None = None
+class Scenario(namedtuple(
+        "Scenario",
+        "name rank rays rho eta curve cyclotomic_order truncation characters "
+        "checks isogeny height_cones height_slopes",
+        defaults=(None, None, None))):
+    __slots__ = ()
 
     def build_pair(self) -> GradedDualPair:
         """Unchecked pair; run_scenario gates on validate_pair first."""

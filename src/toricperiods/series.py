@@ -11,8 +11,7 @@ Everything is exact; nothing is ever evaluated numerically.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import groupby
 from math import gcd, lcm
 from operator import add
@@ -25,13 +24,10 @@ ZExp = tuple[int, ...]
 EXACT = 10 ** 9
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "zeta u z")):
     """zeta_N^zeta * u^u * z^z with z an exponent vector of the formal variables."""
 
-    zeta: int
-    u: int
-    z: ZExp
+    __slots__ = ()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.zeta + other.zeta, self.u + other.u,
@@ -272,14 +268,13 @@ class _RowPacking:
         return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients by u-exponent, exact for every exponent <= trunc."""
+class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs")):
+    """Coefficients by u-exponent, exact for every exponent <= trunc.
 
-    nvars: int
-    order: int
-    trunc: int
-    coeffs: tuple  # sorted tuple of (u_exp, tuple of (z_exp, Cyc))
+    coeffs is a sorted tuple of (u_exp, tuple of (z_exp, Cyc)).
+    """
+
+    __slots__ = ()
 
     # --- construction -------------------------------------------------
 

@@ -14,7 +14,7 @@ which is what makes the family sum independent of the chosen base lift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import Character
@@ -54,8 +54,8 @@ class MissingRoots(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IsogenyDatum:
+class IsogenyDatum(namedtuple(
+        "IsogenyDatum", "inclusion index invariants exponent smith")):
     """Full-rank inclusion of cocharacter lattices presenting a finite kernel.
 
     Columns of `inclusion` express the small-torus basis in the covering
@@ -63,11 +63,7 @@ class IsogenyDatum:
     the cokernel; `exponent` is the largest one.
     """
 
-    inclusion: LatticeMap
-    index: int
-    invariants: tuple[int, ...]
-    exponent: int
-    smith: SmithDecomposition
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -124,11 +120,8 @@ def torsion_twists(iso: IsogenyDatum, order: int) -> list[tuple[Monomial, ...]]:
     return twists
 
 
-@dataclass(frozen=True)
-class LiftFamily:
-    base_lift: Character
-    twists: tuple[tuple[Monomial, ...], ...]
-    members: tuple[Character, ...]
+class LiftFamily(namedtuple("LiftFamily", "base_lift twists members")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -163,15 +156,13 @@ def unramified_lifts(phi: Character | None, iso: IsogenyDatum,
     return LiftFamily(base_lift=base_lift, twists=twists, members=members)
 
 
-@dataclass(frozen=True)
-class InducedGradedPair:
+class InducedGradedPair(namedtuple("InducedGradedPair", "base_pair isogeny")):
     """A covering dual pair together with the isogeny presenting the quotient.
 
     All prefactors are computed on the covering, where they are integral.
     """
 
-    base_pair: GradedDualPair
-    isogeny: IsogenyDatum
+    __slots__ = ()
 
     @property
     def index(self) -> int:
@@ -310,21 +301,13 @@ def _interior_vector(cone):
     return tuple(total)
 
 
-@dataclass(frozen=True)
-class StackCheck:
-    name: str
-    equal: bool
-    mismatch: tuple | None
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
+class StackCheck(namedtuple("StackCheck", "name equal mismatch lhs rhs")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StackReport:
-    index: int
-    discrepancy: int
-    checks: tuple[StackCheck, ...]
-    direct_comparison: tuple | None
+class StackReport(namedtuple(
+        "StackReport", "index discrepancy checks direct_comparison")):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:

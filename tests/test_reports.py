@@ -6,7 +6,6 @@ sha256 of every benchmark scenario's report the way `bench/worker.py`
 does and compares it with `bench/digests.json`, reading `bench/` only.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -147,8 +146,7 @@ def spectral_extra_term(monkeypatch):
         c = orbit(*args)
         if c.series is None:
             return c
-        return dataclasses.replace(
-            c, series=_plus_one_term(c.series, c.series.low or 0))
+        return c._replace(series=_plus_one_term(c.series, c.series.low or 0))
 
     monkeypatch.setattr(periods, "spectral_local_factor", spectral_local_factor)
     monkeypatch.setattr(regularization, "regularized_spectral_contribution",
