@@ -25,6 +25,7 @@ from .duality import GradedDualPair, GradedToricDatum, toric_dual
 from .periods import (
     automorphic_local_factor,
     automorphic_period,
+    engine_input,
     spectral_local_factor,
     spectral_period,
     verify_weak_duality,
@@ -44,6 +45,7 @@ __all__ = [
     "automorphic_period",
     "character_from_spec",
     "dual_cone",
+    "engine_input",
     "face_dual",
     "faces",
     "formal_character",

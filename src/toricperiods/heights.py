@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .characters import Character
-from .cones import Cone, dual_description, monoid_points
+from .cones import Cone, dual_description, make_cone, monoid_points
 from .curve import Curve
 from .intlinalg import Vector, dot, vec
 from .periods import euler_product, positivity_certificate
@@ -57,7 +57,6 @@ def _check_continuity(cones, slopes):
 
 
 def make_height(cone_rays, slopes, ambient_rank: int) -> PiecewiseLinearHeight:
-    from .cones import make_cone
     cones = tuple(make_cone(rs, ambient_rank) for rs in cone_rays)
     return PiecewiseLinearHeight(cones=cones, slopes=tuple(vec(s) for s in slopes))
 

@@ -1,12 +1,16 @@
-"""The two period computations and the weak-duality verifier.
+"""The two local-factor engines, the period formula and the weak-duality verifier.
 
-The automorphic engine walks the cocharacter lattice and keeps a point
-when it pairs nonnegatively with every Hilbert-basis element of the dual
-monoid (integrality read off the dual description).  The spectral engine
-sums graded slices of the monoid algebra at the fixed point, enumerated
-through primal level sets.  The two code paths share nothing but series
-arithmetic; their agreement, coefficient by coefficient, is the content
-being verified.
+Both engines take (cone, psi, w, deg, order): psi is a character
+extended by a grading and w its weight, certified positive on the rays
+of the cone (`engine_input`).  The automorphic engine walks the
+cocharacter lattice and keeps a point when it pairs nonnegatively with
+every Hilbert-basis element of the dual monoid (integrality read off the
+dual description).  The spectral engine sums graded slices of the monoid
+algebra at the fixed point, enumerated through primal level sets.  The
+two code paths share nothing but series arithmetic; their agreement,
+coefficient by coefficient, is the content being verified.  Every
+period, global or orbitwise, is `prefactored_period`: a prefactor
+monomial times the Euler product of one engine's local factors.
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ def effective_weight(chi: Character, eta) -> Vector:
 def positivity_certificate(cone: Cone, chi: Character, eta) -> Vector:
     """The effective weight, or PositivityViolation at a ray where it is <= 0.
 
-    The periods call it before their Euler product, so a divergent
-    character is reported at every truncation, 0 included, where no local
-    factor is enumerated.
+    Every period calls it, through `engine_input`, before its Euler
+    product, so a divergent character is reported at every truncation, 0
+    included, where no local factor is enumerated.
     """
     w = effective_weight(chi, eta)
     for r in cone.rays:
@@ -79,31 +83,40 @@ def _weight_box(rays, weights, bound: int, n: int):
     return [math.ceil(x) for x in lo], [math.floor(x) for x in hi]
 
 
-def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
-                             place_degree: int, order: int) -> TruncatedSeries:
+def engine_input(cone: Cone, chi: Character, grading) -> tuple[Character, Vector]:
+    """(psi, w) for an engine on cone: chi extended by the grading, and its weight.
+
+    w = grading + the u-slopes of chi is the u-slope vector of psi,
+    certified positive on every ray (PositivityViolation otherwise).
+    """
+    return (extended_character(chi, grading),
+            positivity_certificate(cone, chi, grading))
+
+
+def automorphic_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
+                             order: int) -> TruncatedSeries:
     """Local integral over the torus against the integral-point indicator.
 
-    Membership of a cocharacter is decided purely through the dual
-    description: nonnegative pairing with every Hilbert-basis element of
-    the dual monoid.  The scan walks the first n - 1 coordinates of a
-    ray-derived box large enough for the requested truncation.  For each
-    such head, every dual basis element, and the truncation
-    <w, x> <= order // place_degree, bounds the last coordinate by one
-    integer floor or ceiling, so each point visited along it is kept; its
-    monomial advances by psi(e_n)^place_degree per step.
+    psi must carry u-slopes w (see `engine_input`).  Membership of a
+    cocharacter is decided purely through the dual description:
+    nonnegative pairing with every Hilbert-basis element of the dual
+    monoid.  The scan walks the first n - 1 coordinates of a ray-derived
+    box large enough for the requested truncation.  For each such head,
+    every dual basis element, and the truncation <w, x> <= order // deg,
+    bounds the last coordinate by one integer floor or ceiling, so each
+    point visited along it is kept; its monomial advances by psi(e_n)^deg
+    per step.
     """
-    psi = extended_character(chi, datum.eta)
-    w = positivity_certificate(datum.cone, chi, datum.eta)
-    n = datum.rank
+    n = cone.ambient_rank
     terms = []
-    bound = order // place_degree
-    if bound >= 1 and datum.cone.rays:
+    bound = order // deg
+    if bound >= 1 and cone.rays:
         # Half-spaces <c, x> >= b, as (c without its last entry, c_n, b).
-        cuts = [(h[:-1], h[-1], 0) for h in hilbert_basis(dual_cone(datum.cone))]
+        cuts = [(h[:-1], h[-1], 0) for h in hilbert_basis(dual_cone(cone))]
         cuts.append((tuple(-x for x in w[:-1]), -w[-1], -bound))
-        weights = [dot(w, r) for r in datum.cone.rays]
-        lo, hi = _weight_box(datum.cone.rays, weights, bound, n)
-        step = psi.value((0,) * (n - 1) + (1,), place_degree)
+        weights = [dot(w, r) for r in cone.rays]
+        lo, hi = _weight_box(cone.rays, weights, bound, n)
+        step = psi.value((0,) * (n - 1) + (1,), deg)
         for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
             first, last = lo[-1], hi[-1]
             for c, cn, b in cuts:
@@ -116,41 +129,29 @@ def automorphic_local_factor(datum: GradedToricDatum, chi: Character,
                     last = first - 1
             if first > last:
                 continue
-            mon = psi.value(head + (first,), place_degree)
+            mon = psi.value(head + (first,), deg)
             nonzero_head = any(head)
             for x in range(first, last + 1):
                 if x or nonzero_head:
                     terms.append(mon)
                 mon = mon * step
-    return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
+    return TruncatedSeries.from_monomials(terms, psi.nvars, psi.order, order)
 
 
-def spectral_local_factor(datum_check: GradedToricDatum, phi: Character,
-                          place_degree: int, order: int) -> TruncatedSeries:
-    """Graded trace of Frobenius on the monoid algebra at the fixed point.
+def spectral_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
+                          order: int) -> TruncatedSeries:
+    """Graded trace of Frobenius on the monoid algebra of cone at the fixed point.
 
-    Enumerates the character monoid of the dual-side variety by primal
-    level sets of the effective weight (grading plus u-slopes), so level
-    m sits at u^(m * place_degree); independent of the automorphic path
-    by construction.
-    """
-    monoid_cone = dual_cone(datum_check.cone)
-    w = positivity_certificate(monoid_cone, phi, datum_check.rho)
-    psi = extended_character(phi, datum_check.rho)
-    return level_set_factor(monoid_cone, psi, w, place_degree, order)
-
-
-def level_set_factor(cone: Cone, psi: Character, w: Vector, deg: int,
-                     order: int) -> TruncatedSeries:
-    """1 plus psi summed over the nonzero monoid points of w-level <= order // deg.
-
-    psi must carry u-slopes w, so the point x lands at u^(deg * <w, x>):
-    the level bound is the truncation, and no term needs filtering.
+    1 plus psi summed over the nonzero monoid points of w-level
+    <= order // deg, enumerated by primal level sets; psi must carry
+    u-slopes w (see `engine_input`), so the point x lands at
+    u^(deg * <w, x>): the level bound is the truncation, and no term
+    needs filtering.  Independent of the automorphic scan by construction.
 
     Inside an `euler_memo()` scope the factor is remembered under its
     whole input (cone, psi, w, deg, order), so a slice sum that the
-    spectral period and an orbit's descended product both need is
-    enumerated once per run.
+    spectral period and an orbit contribution both need is enumerated
+    once per run.
     """
     memo = _LEVEL_SET_MEMO.get()
     key = (cone, psi, w, deg, order)
@@ -247,7 +248,7 @@ def euler_product(local_factor, curve: Curve, order: int,
 
 @contextmanager
 def euler_memo():
-    """A scope in which euler_product and level_set_factor remember results.
+    """A scope in which euler_product and spectral_local_factor remember results.
 
     Each keeps its own mapping, and both live as long as the scope:
     leaving it drops every entry, and outside any scope both compute
@@ -282,32 +283,44 @@ def spectral_prefactor(datum_check: GradedToricDatum, curve: Curve,
     return Monomial(scalar.zeta, scalar.u + shift, scalar.z)
 
 
+def prefactored_period(engine, cone: Cone, psi: Character, w: Vector,
+                       pref: Monomial, curve: Curve, order: int) -> TruncatedSeries:
+    """pref times the Euler product of the local factors engine(cone, psi, w, d, order).
+
+    The one period formula: both global periods, both orbit
+    contributions and the direct stack model are this product, each
+    with its own engine, cone and prefactor.
+    """
+    series = euler_product(lambda d: engine(cone, psi, w, d, order),
+                           curve, order, (psi.nvars, psi.order))
+    return series * TruncatedSeries.from_monomial(pref, psi.nvars, psi.order)
+
+
+def _automorphic_input(datum: GradedToricDatum, chi: Character):
+    """(cone, psi, w, prefactor) of the automorphic period."""
+    return (datum.cone, *engine_input(datum.cone, chi, datum.eta),
+            automorphic_prefactor(datum, chi))
+
+
+def _spectral_input(datum_check: GradedToricDatum, curve: Curve, phi: Character):
+    """(monoid cone, psi, w, prefactor) of the spectral period."""
+    monoid_cone = dual_cone(datum_check.cone)
+    return (monoid_cone, *engine_input(monoid_cone, phi, datum_check.rho),
+            spectral_prefactor(datum_check, curve, phi))
+
+
 def automorphic_period(datum: GradedToricDatum, curve: Curve, chi: Character,
                        order: int) -> TruncatedSeries:
     """Prefactored Euler product of automorphic local factors."""
-    return _automorphic_period(datum, curve, chi, order, automorphic_local_factor)
-
-
-def _automorphic_period(datum, curve, chi, order, engine) -> TruncatedSeries:
-    positivity_certificate(datum.cone, chi, datum.eta)
-    series = euler_product(lambda d: engine(datum, chi, d, order),
-                           curve, order, (chi.nvars, chi.order))
-    pref = automorphic_prefactor(datum, chi)
-    return series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
+    return prefactored_period(automorphic_local_factor,
+                              *_automorphic_input(datum, chi), curve, order)
 
 
 def spectral_period(datum_check: GradedToricDatum, curve: Curve, phi: Character,
                     order: int) -> TruncatedSeries:
     """Normalized product of graded Frobenius traces at the unique fixed point."""
-    return _spectral_period(datum_check, curve, phi, order, spectral_local_factor)
-
-
-def _spectral_period(datum_check, curve, phi, order, engine) -> TruncatedSeries:
-    positivity_certificate(dual_cone(datum_check.cone), phi, datum_check.rho)
-    series = euler_product(lambda d: engine(datum_check, phi, d, order),
-                           curve, order, (phi.nvars, phi.order))
-    pref = spectral_prefactor(datum_check, curve, phi)
-    return series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
+    return prefactored_period(spectral_local_factor,
+                              *_spectral_input(datum_check, curve, phi), curve, order)
 
 
 class DirectionVerdict(namedtuple(
@@ -324,18 +337,6 @@ class PeriodReport(namedtuple(
     @property
     def equal(self) -> bool:
         return all(d.equal for d in self.directions)
-
-
-def _compare_direction(aut_datum, spec_datum, name_a, name_s, curve, chi,
-                       order, exponent, engines) -> DirectionVerdict:
-    lhs = _automorphic_period(aut_datum, curve, chi, order, engines[0])
-    rhs = _spectral_period(spec_datum, curve, chi, order, engines[1])
-    rhs_scaled = rhs.shift_u(exponent)
-    mism = lhs.first_mismatch(rhs_scaled)
-    return DirectionVerdict(
-        automorphic_side=name_a, spectral_side=name_s,
-        equal=mism is None, mismatch=mism,
-        automorphic_series=lhs, compared_spectral_series=rhs_scaled)
 
 
 def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
@@ -356,22 +357,30 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     seen = {}  # (engine, degree) -> a local factor direction one enumerated
 
     def kept(engine):
-        def local(datum, chi_, deg, order_):
-            seen[engine, deg] = factor = engine(datum, chi_, deg, order_)
+        def local(cone, psi, w, deg, order_):
+            seen[engine, deg] = factor = engine(cone, psi, w, deg, order_)
             return factor
         return local
 
-    d1 = _compare_direction(pair.side_x, pair.side_xcheck, "X", "X-check",
-                            curve, chi, order, expo, tuple(map(kept, engines)))
-    d2 = _compare_direction(pair.side_xcheck, pair.side_x, "X-check", "X",
-                            curve, chi, order, expo, engines)
+    first = (_automorphic_input(pair.side_x, chi),
+             _spectral_input(pair.side_xcheck, curve, chi))
+    second = (_automorphic_input(pair.side_xcheck, chi),
+              _spectral_input(pair.side_x, curve, chi))
+    directions = []
+    for (aut, spec), names, local in (
+            (first, ("X", "X-check"), tuple(map(kept, engines))),
+            (second, ("X-check", "X"), engines)):
+        lhs = prefactored_period(local[0], *aut, curve, order)
+        rhs = prefactored_period(local[1], *spec, curve, order).shift_u(expo)
+        mism = lhs.first_mismatch(rhs)
+        directions.append(DirectionVerdict(*names, mism is None, mism, lhs, rhs))
     samples = {}
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
         g, d_, k = _adams_index(deg, chi.order)
         samples[deg] = {
             name: (seen[engine, g].substitute_u_power(d_, k).truncate(order)
-                   if (engine, g) in seen else engine(side, chi, deg, order))
-            for name, engine, side in zip(("automorphic", "spectral"), engines,
-                                          (pair.side_x, pair.side_xcheck))}
-    return PeriodReport(duality_exponent=expo, directions=(d1, d2),
+                   if (engine, g) in seen else engine(*args[:3], deg, order))
+            for name, engine, args in zip(("automorphic", "spectral"), engines,
+                                          first)}
+    return PeriodReport(duality_exponent=expo, directions=tuple(directions),
                         local_samples=samples)

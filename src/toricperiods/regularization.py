@@ -3,11 +3,14 @@
 An orbit on the primal side contributes only when the combined monomial
 character is trivial on its stabilizer sublattice and stays nontrivial on
 every intermediate stabilizer of the closure (relative cuspidality); the
-surviving integral is an Euler product over the image cone in the
-quotient lattice.  On the dual side an orbit contributes only when it is
-fixed by the extended parameter and no smaller orbit is, and the
-surviving trace runs over the image of the character monoid in the
-transverse quotient.  Orbit by orbit these are compared through the
+surviving integral is the automorphic box scan's Euler product over the
+closure cone in the quotient lattice.  On the dual side an orbit
+contributes only when it is fixed by the extended parameter and no
+smaller orbit is, and the surviving trace is the spectral level sets'
+Euler product over the image of the character monoid in the transverse
+quotient.  Both are `periods.prefactored_period` with the prefactor of
+the full period, so the two sides of an orbit pair share nothing but
+series arithmetic.  Orbit by orbit these are compared through the
 inclusion-reversing face bijection.
 """
 
@@ -22,13 +25,13 @@ from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import quotient_lattice
 from .periods import (
     PositivityViolation,
+    automorphic_local_factor,
     automorphic_prefactor,
-    euler_product,
-    level_set_factor,
-    positivity_certificate,
+    engine_input,
+    prefactored_period,
+    spectral_local_factor,
     spectral_prefactor,
 )
-from .series import TruncatedSeries
 
 VANISHED_TRIVIALITY = "triviality-failed"
 VANISHED_CUSPIDALITY = "not-relatively-cuspidal"
@@ -102,15 +105,6 @@ def is_generic(datum_check: GradedToricDatum, phi: Character):
     return len(fixed) == 1, fixed
 
 
-def _descended_euler_product(cone: Cone, psi_bar: Character, curve: Curve,
-                             order: int) -> TruncatedSeries:
-    """Euler product of level-set sums of the descended character on a cone."""
-    weight = positivity_certificate(cone, psi_bar, (0,) * cone.ambient_rank)
-    return euler_product(
-        lambda d: level_set_factor(cone, psi_bar, weight, d, order),
-        curve, order, (psi_bar.nvars, psi_bar.order))
-
-
 def regularized_automorphic_contribution(
         datum: GradedToricDatum, face: Cone, curve: Curve,
         chi: Character, order: int) -> OrbitContribution:
@@ -119,8 +113,8 @@ def regularized_automorphic_contribution(
     Vanishes unless the combined character is trivial on the stabilizer
     (the span of the face, tested before any lattice work) and its descent
     to the quotient torus is cuspidal relative to the orbit closure;
-    otherwise it is the prefactored Euler product over the closure cone
-    in the quotient lattice.
+    otherwise it is the prefactored Euler product of automorphic box
+    scans over the closure cone in the quotient lattice.
     """
     lattice = faces(datum.cone)
     stab = lattice.spans[lattice.index(face.rays)]
@@ -134,10 +128,11 @@ def regularized_automorphic_contribution(
     closure = image_cone(datum.cone, quot.free_projection)
     if _cuspidality_witness(closure, psi_bar) is not None:
         return _vanished(VANISHED_CUSPIDALITY)
-    pref = automorphic_prefactor(datum, chi)
-    series = _descended_euler_product(closure, psi_bar, curve, order)
-    total = series * TruncatedSeries.from_monomial(pref, chi.nvars, chi.order)
-    return OrbitContribution(status="computed", reason=None, series=total)
+    series = prefactored_period(
+        automorphic_local_factor, closure,
+        *engine_input(closure, psi_bar, (0,) * closure.ambient_rank),
+        automorphic_prefactor(datum, chi), curve, order)
+    return OrbitContribution(status="computed", reason=None, series=series)
 
 
 def regularized_spectral_contribution(
@@ -148,28 +143,29 @@ def regularized_spectral_contribution(
     Takes the face, which is all these conditions and the trace depend
     on; a cone that is not a face raises NotAFace.  Not fixed pointwise:
     zero.  Fixed but dominated by a larger fixed orbit (a smaller fixed
-    face): zero.  Otherwise the graded trace over the image of the
-    character monoid in the transverse quotient, normalized like the full
-    spectral period.
+    face): zero; only the faces whose rays lie among this face's are
+    tested.  Otherwise the Euler product of spectral level-set traces
+    over the image of the character monoid in the transverse quotient,
+    normalized like the full spectral period.
     """
     lattice = faces(datum_check.cone)
     i = lattice.index(face.rays)
-    fixed = fixed_orbit_faces(datum_check, phi)
-    if lattice.faces[i] not in fixed:
-        return _vanished(VANISHED_NOT_FIXED)
-    if any(other.ray_set() < face.ray_set() for other in fixed):
-        return _vanished(VANISHED_DOMINATED)
     psi = extended_character(phi, datum_check.rho)
+    if not psi.is_trivial_on_all(lattice.annihilators[i]):
+        return _vanished(VANISHED_NOT_FIXED)
+    rays = lattice.faces[i].ray_set()
+    if any(other.ray_set() < rays and psi.is_trivial_on_all(ann)
+           for other, ann in zip(lattice.faces, lattice.annihilators)):
+        return _vanished(VANISHED_DOMINATED)
     quot = quotient_lattice(datum_check.rank, lattice.annihilators[i])
     if quot.torsion_invariants != ():
         raise ValueError("annihilator of the face is not saturated")
-    monoid_cone = dual_cone(datum_check.cone)
-    image = image_cone(monoid_cone, quot.free_projection)
-    psi_desc = psi.compose(quot.section)
-    pref = spectral_prefactor(datum_check, curve, phi)
-    series = _descended_euler_product(image, psi_desc, curve, order)
-    total = series * TruncatedSeries.from_monomial(pref, phi.nvars, phi.order)
-    return OrbitContribution(status="computed", reason=None, series=total)
+    image = image_cone(dual_cone(datum_check.cone), quot.free_projection)
+    series = prefactored_period(
+        spectral_local_factor, image,
+        *engine_input(image, psi.compose(quot.section), (0,) * image.ambient_rank),
+        spectral_prefactor(datum_check, curve, phi), curve, order)
+    return OrbitContribution(status="computed", reason=None, series=series)
 
 
 class OrbitPairVerdict(namedtuple(

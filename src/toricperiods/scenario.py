@@ -34,6 +34,7 @@ from .periods import (
     SAMPLE_DEGREES,
     PositivityViolation,
     automorphic_local_factor,
+    engine_input,
     euler_memo,
     verify_weak_duality,
 )
@@ -183,6 +184,9 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
         if chk not in KNOWN_CHECKS:
             raise SchemaError(f"{pointer}.checks[{i}]",
                               f"unknown check {chk!r}; known: {KNOWN_CHECKS}")
+        if chk in checks:
+            raise SchemaError(f"{pointer}.checks[{i}]",
+                              f"check {chk!r} repeats checks[{checks.index(chk)}]")
         checks.append(chk)
     iso = None
     if "isogeny" in data:
@@ -409,11 +413,13 @@ def _run_height_bridge(sc, pair, order):
         for cone, slope in zip(height.cones, height.slopes):
             if cone != pair.side_x.cone:
                 continue
-            doubled = GradedToricDatum(cone=cone, rho=sc.rho,
-                                       eta=tuple(2 * s for s in slope))
+            doubled = tuple(2 * s for s in slope)
             for deg in range(1, top + 1):
+                # The transform runs first: it certifies the height's cones
+                # in order, so a divergent character names its first bad ray.
                 lhs = height_fourier_local(height, chi, deg, sc.truncation)
-                rhs = automorphic_local_factor(doubled, chi, deg, sc.truncation)
+                rhs = automorphic_local_factor(
+                    cone, *engine_input(cone, chi, doubled), deg, sc.truncation)
                 mism = lhs.first_mismatch(rhs)
                 degrees.append({
                     "degree": str(deg),

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
-from .characters import Character
-from .curve import Curve
+from .characters import Character, formal_character
+from .cones import make_cone
+from .curve import BranchAmbiguity, Curve
 from .duality import GradedDualPair
 from .intlinalg import (
     LatticeMap,
@@ -35,8 +38,8 @@ from .periods import (
     automorphic_local_factor,
     automorphic_period,
     automorphic_prefactor,
-    euler_product,
-    positivity_certificate,
+    engine_input,
+    prefactored_period,
     spectral_period,
 )
 from .series import Monomial, TruncatedSeries
@@ -107,8 +110,7 @@ def torsion_twists(iso: IsogenyDatum, order: int) -> list[tuple[Monomial, ...]]:
                 f"cyclotomic order {order} lacks roots of order {d}")
     twists = []
     counters = [range(d) for d in snf.diag]
-    from itertools import product as iproduct
-    for ks in iproduct(*counters):
+    for ks in product(*counters):
         coords = []
         for j in range(rank):
             zeta = 0
@@ -221,7 +223,6 @@ def stack_spectral_period_unramified(pair: InducedGradedPair, curve: Curve,
         if pair.index == 1:
             base_lift = phi
         else:
-            from .curve import BranchAmbiguity
             raise BranchAmbiguity(
                 f"the isogeny has index {pair.index}: declare the character "
                 "on the covering torus to fix the branch")
@@ -265,10 +266,6 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
     """
     check_curve_compatibility(pair.isogeny, curve)
     iso = pair.isogeny
-    from math import lcm
-
-    from .cones import make_cone
-    from .duality import GradedToricDatum
     cover_cone = pair.base_pair.side_x.cone
     # Pull the covering cone back to the small lattice: membership of
     # lambda is membership of inclusion(lambda).
@@ -281,24 +278,10 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
         den = lcm(*(c.denominator for c in x))
         small_rays.append(tuple(int(c * den) for c in x))
     small_cone = make_cone(small_rays, iso.rank)
-    positivity_certificate(small_cone, pulled_chi, eta_small)
-    small_datum = GradedToricDatum(cone=small_cone,
-                                   rho=_interior_vector(small_cone),
-                                   eta=eta_small)
-
-    series = euler_product(
-        lambda d: automorphic_local_factor(small_datum, pulled_chi, d, order),
-        curve, order, (pulled_chi.nvars, pulled_chi.order))
-    pref = automorphic_prefactor(pair.base_pair.side_x, base_extension)
-    return series * TruncatedSeries.from_monomial(
-        pref, base_extension.nvars, base_extension.order)
-
-
-def _interior_vector(cone):
-    total = [0] * cone.ambient_rank
-    for r in cone.rays:
-        total = [a + b for a, b in zip(total, r)]
-    return tuple(total)
+    return prefactored_period(
+        automorphic_local_factor, small_cone,
+        *engine_input(small_cone, pulled_chi, eta_small),
+        automorphic_prefactor(pair.base_pair.side_x, base_extension), curve, order)
 
 
 class StackCheck(namedtuple("StackCheck", "name equal mismatch lhs rhs")):
@@ -330,7 +313,6 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
     m = pair.index
 
     # (i): character downstairs on the dual side, engines on the covering.
-    from .characters import formal_character
     chi_dual = formal_character(base.rank, base_lift.order)
     lhs1 = stack_automorphic_period(pair, curve, chi_dual, order)
     pulled = pullback_along_covering(chi_dual, pair.isogeny)

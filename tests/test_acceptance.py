@@ -42,6 +42,7 @@ from toricperiods.intlinalg import (
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_period,
+    engine_input,
     spectral_local_factor,
     verify_weak_duality,
 )
@@ -112,9 +113,12 @@ def test_criterion_03_engine_independence():
     for datum, rank in CATALOG_DATA:
         chi = formal_character(rank)
         pair = toric_dual(datum)
+        monoid = dual_cone(pair.side_xcheck.cone)
         for deg in range(1, 7):
-            a = automorphic_local_factor(datum, chi, deg, 12)
-            s = spectral_local_factor(pair.side_xcheck, chi, deg, 12)
+            a = automorphic_local_factor(
+                datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 12)
+            s = spectral_local_factor(
+                monoid, *engine_input(monoid, chi, pair.side_xcheck.rho), deg, 12)
             ok = ok and a.first_mismatch(s) is None
     verdict(3, ok, "dual-membership and primal-level engines agree exactly, "
                    "all catalog data, deg <= 6, U <= 12")
@@ -294,7 +298,8 @@ def test_criterion_09_height_bridge():
         chi = formal_character(datum.rank)
         for deg in (1, 2, 3):
             lhs = height_fourier_local(fan, chi, deg, 8)
-            rhs = automorphic_local_factor(datum, chi, deg, 8)
+            rhs = automorphic_local_factor(
+                datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 8)
             ok = ok and lhs.first_mismatch(rhs) is None
     verdict(9, ok, "height transform with slope eta/2 equals the "
                    "automorphic local factor exactly (rank 1 and orthant, U=8)")

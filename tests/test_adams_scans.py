@@ -32,6 +32,7 @@ from toricperiods.periods import (
     _weight_box,
     automorphic_local_factor,
     effective_weight,
+    engine_input,
     euler_product,
     spectral_local_factor,
 )
@@ -134,6 +135,9 @@ def test_smooth_cone_euler_product_closed_form(datum, order, specs):
     chi = character_from_spec(specs[:datum.rank], order=order)
     psi = extended_character(chi, datum.eta)
     dual_side = toric_dual(datum).side_xcheck
+    monoid = dual_cone(dual_side.cone)
+    aut_args = engine_input(datum.cone, chi, datum.eta)
+    spec_args = engine_input(monoid, chi, dual_side.rho)
     ring = (chi.nvars, chi.order)
     trunc = 12
     for q in (2, 3):
@@ -141,10 +145,12 @@ def test_smooth_cone_euler_product_closed_form(datum, order, specs):
         want = TruncatedSeries.one(chi.nvars, order, trunc)
         for r in datum.cone.rays:
             want = want * divisor_series_at(curve, psi.value(r), chi.nvars, order, trunc)
-        aut = euler_product(lambda d: automorphic_local_factor(datum, chi, d, trunc),
-                            curve, trunc, ring)
-        spec = euler_product(lambda d: spectral_local_factor(dual_side, chi, d, trunc),
-                             curve, trunc, ring)
+        aut = euler_product(
+            lambda d: automorphic_local_factor(datum.cone, *aut_args, d, trunc),
+            curve, trunc, ring)
+        spec = euler_product(
+            lambda d: spectral_local_factor(monoid, *spec_args, d, trunc),
+            curve, trunc, ring)
         assert aut == want
         assert spec == want
 
@@ -200,12 +206,12 @@ def test_class_factors_above_the_weight_minimum_are_one(datum, sloped):
     chi = character_from_spec([(1, 1) if sloped else "formal"] * datum.rank,
                               order=order)
     dual_side = toric_dual(datum).side_xcheck
-    for engine, side, cone, grading in (
-            (automorphic_local_factor, datum, datum.cone, datum.eta),
-            (spectral_local_factor, dual_side, dual_cone(dual_side.cone), dual_side.rho)):
+    for engine, cone, grading in (
+            (automorphic_local_factor, datum.cone, datum.eta),
+            (spectral_local_factor, dual_cone(dual_side.cone), dual_side.rho)):
         w_min = brute_weight_minimum(cone, effective_weight(chi, grading))
         for g in (1, 2, 3, 6):
-            factor = engine(side, chi, g, trunc)
+            factor = engine(cone, *engine_input(cone, chi, grading), g, trunc)
             if g * w_min > trunc:
                 assert factor == TruncatedSeries.one(chi.nvars, order, trunc)
             elif not sloped:
@@ -223,12 +229,14 @@ def test_degree_factor_is_adams_image_of_class_factor(datum, trunc, order):
     specs = [(1, 0), "formal", (order - 1, 1)][:datum.rank]
     chi = character_from_spec(specs, order=order)
     dual_side = toric_dual(datum).side_xcheck
-    for engine, side in ((automorphic_local_factor, datum),
-                         (spectral_local_factor, dual_side)):
+    for engine, cone, grading in (
+            (automorphic_local_factor, datum.cone, datum.eta),
+            (spectral_local_factor, dual_cone(dual_side.cone), dual_side.rho)):
+        args = (cone, *engine_input(cone, chi, grading))
         for d in range(1, trunc + 1):
             g, d1, k = adams_index(d, order)
-            direct = engine(side, chi, d, trunc)
-            image = engine(side, chi, g, trunc).substitute_u_power(d1, k)
+            direct = engine(*args, d, trunc)
+            image = engine(*args, g, trunc).substitute_u_power(d1, k)
             assert direct.first_mismatch(image) is None, (engine.__name__, d)
 
 
@@ -278,7 +286,7 @@ def test_clipped_box_scan_matches_full_box(case, order, data):
     chi = character_from_spec(specs, order=order, nvars=n)
     deg = data.draw(st.integers(1, 3))
     trunc = data.draw(st.integers(0, 6))
-    got = automorphic_local_factor(datum, chi, deg, trunc)
+    got = automorphic_local_factor(cone, *engine_input(cone, chi, eta), deg, trunc)
     assert got == full_box_factor(datum, chi, deg, trunc)
 
 
@@ -293,7 +301,8 @@ def test_clipped_scan_drops_heads_cut_off_by_a_flat_facet():
         chi = character_from_spec(specs, order=order, nvars=3)
         for deg in (1, 2):
             for trunc in range(7):
-                got = automorphic_local_factor(datum, chi, deg, trunc)
+                got = automorphic_local_factor(
+                    cone, *engine_input(cone, chi, datum.eta), deg, trunc)
                 assert got == full_box_factor(datum, chi, deg, trunc), (specs, deg, trunc)
 
 

@@ -3,13 +3,14 @@
 import pytest
 
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import make_cone
+from toricperiods.cones import dual_cone, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_prefactor,
+    engine_input,
     spectral_local_factor,
     spectral_prefactor,
     verify_weak_duality,
@@ -31,9 +32,11 @@ def test_spectral_engine_degree_substitution():
                                    rho=(1, 1), eta=(1, 1))):
         pair = toric_dual(datum)
         chi = formal_character(datum.rank)
-        base = spectral_local_factor(pair.side_xcheck, chi, 1, 4)
+        monoid = dual_cone(pair.side_xcheck.cone)
+        args = (monoid, *engine_input(monoid, chi, pair.side_xcheck.rho))
+        base = spectral_local_factor(*args, 1, 4)
         for d in (2, 3):
-            direct = spectral_local_factor(pair.side_xcheck, chi, d, 12)
+            direct = spectral_local_factor(*args, d, 12)
             subst = base.substitute_u_power(d)
             assert direct.first_mismatch(subst) is None
 
@@ -71,7 +74,8 @@ def test_weak_duality_with_root_of_unity_character():
     chi = character_from_spec([(1, 1), (3, 0)], order=4, nvars=2)
     rep = verify_weak_duality(pair, Curve(q=3), chi, 8)
     assert rep.equal
-    f = automorphic_local_factor(quadric, chi, 1, 4)
+    f = automorphic_local_factor(
+        quadric.cone, *engine_input(quadric.cone, chi, quadric.eta), 1, 4)
     # lambda = (1,0): value zeta * u^{1+1}; check the zeta lands in Q(i).
     assert f.coefficient(2) == {(0, 0): Cyc.root_power(1, 4)}
 

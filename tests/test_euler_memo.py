@@ -14,7 +14,7 @@ from toricperiods.periods import (
     automorphic_period,
     euler_memo,
     euler_product,
-    level_set_factor,
+    spectral_local_factor,
     spectral_period,
 )
 from toricperiods.scenario import catalog_emit, parse_scenario, report_to_json, run_scenario
@@ -121,7 +121,7 @@ def test_run_scenario_owns_the_scope(monkeypatch):
 
 
 def level_factor(**changes):
-    return level_set_factor(**{**LEVEL_INPUT, **changes})
+    return spectral_local_factor(**{**LEVEL_INPUT, **changes})
 
 
 def test_level_set_hit_equals_uncached_factor():

@@ -12,7 +12,11 @@ from toricperiods.heights import (
     height_fourier_local,
     make_height,
 )
-from toricperiods.periods import PositivityViolation, automorphic_local_factor
+from toricperiods.periods import (
+    PositivityViolation,
+    automorphic_local_factor,
+    engine_input,
+)
 
 HALF_LINE = make_height([[(1,)]], [(1,)], 1)
 COMPLETE_LINE = make_height([[(1,)], [(-1,)]], [(1,), (-1,)], 1)
@@ -89,7 +93,8 @@ def bridge_case(datum, slope):
     chi = formal_character(datum.rank)
     for deg in (1, 2, 3):
         lhs = height_fourier_local(fan, chi, deg, 8)
-        rhs = automorphic_local_factor(datum, chi, deg, 8)
+        rhs = automorphic_local_factor(
+            datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 8)
         assert lhs.first_mismatch(rhs) is None, deg
 
 
@@ -111,7 +116,8 @@ def test_bridge_odd_eta_via_substitution():
     fan = make_height([[(1,)]], [(1,)], 1)
     chi = formal_character(1)
     lhs = height_fourier_local(fan, chi, 1, 8)
-    rhs = automorphic_local_factor(datum, chi, 1, 4)
+    rhs = automorphic_local_factor(
+        datum.cone, *engine_input(datum.cone, chi, datum.eta), 1, 4)
     # Double only the u-exponents of rhs: coefficient at 2m matches.
     for m in range(5):
         assert lhs.coefficient(2 * m) == rhs.coefficient(m)

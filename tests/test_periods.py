@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from toricperiods import periods
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import make_cone, points_at_level
+from toricperiods.cones import dual_cone, make_cone, points_at_level
 from toricperiods.curve import Curve, divisor_count_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
@@ -17,11 +17,12 @@ from toricperiods.periods import (
     PositivityViolation,
     automorphic_local_factor,
     automorphic_period,
+    engine_input,
+    prefactored_period,
     spectral_local_factor,
     spectral_period,
     verify_weak_duality,
 )
-from toricperiods.regularization import _descended_euler_product
 from toricperiods.series import Monomial, TruncatedSeries
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
@@ -33,12 +34,23 @@ SQUARE3D = GradedToricDatum(
     rho=(1, 1, 2), eta=(1, 0, 1))
 
 
+def aut_args(datum, chi):
+    """(cone, psi, w) of the automorphic engine on datum at chi."""
+    return (datum.cone, *engine_input(datum.cone, chi, datum.eta))
+
+
+def spec_args(datum_check, phi):
+    """(monoid cone, psi, w) of the spectral engine on datum_check at phi."""
+    monoid = dual_cone(datum_check.cone)
+    return (monoid, *engine_input(monoid, phi, datum_check.rho))
+
+
 def test_tate_local_factor_geometric():
     chi = formal_character(1)
-    f = automorphic_local_factor(TATE, chi, 1, 3)
+    f = automorphic_local_factor(*aut_args(TATE, chi), 1, 3)
     for k in range(4):
         assert f.coefficient(k) == {(k,): Cyc.one(1)}
-    f2 = automorphic_local_factor(TATE, chi, 2, 3)
+    f2 = automorphic_local_factor(*aut_args(TATE, chi), 2, 3)
     assert f2.coefficient(0) == {(0,): Cyc.one(1)}
     assert f2.coefficient(1) == {}
     assert f2.coefficient(2) == {(2,): Cyc.one(1)}
@@ -47,7 +59,7 @@ def test_tate_local_factor_geometric():
 
 def test_quadric_local_factor():
     chi = formal_character(2)
-    f = automorphic_local_factor(QUADRIC, chi, 1, 2)
+    f = automorphic_local_factor(*aut_args(QUADRIC, chi), 1, 2)
     assert f.coefficient(1) == {(1, 0): Cyc.one(1)}
     assert f.coefficient(2) == {(2, 0): Cyc.one(1), (1, 1): Cyc.one(1)}
 
@@ -55,10 +67,10 @@ def test_quadric_local_factor():
 def test_spectral_factor_matches_by_independent_path():
     chi = formal_character(1)
     pair = toric_dual(TATE)
-    f = spectral_local_factor(pair.side_xcheck, chi, 1, 3)
-    g = automorphic_local_factor(TATE, chi, 1, 3)
+    f = spectral_local_factor(*spec_args(pair.side_xcheck, chi), 1, 3)
+    g = automorphic_local_factor(*aut_args(TATE, chi), 1, 3)
     assert f.first_mismatch(g) is None
-    assert spectral_local_factor(pair.side_xcheck, chi, 1, 0).coefficient(0) \
+    assert spectral_local_factor(*spec_args(pair.side_xcheck, chi), 1, 0).coefficient(0) \
         == {(0,): Cyc.one(1)}
 
 
@@ -68,8 +80,8 @@ def test_engine_independence_catalog():
         chi = formal_character(rank)
         pair = toric_dual(datum)
         for deg in range(1, 7):
-            a = automorphic_local_factor(datum, chi, deg, 12)
-            s = spectral_local_factor(pair.side_xcheck, chi, deg, 12)
+            a = automorphic_local_factor(*aut_args(datum, chi), deg, 12)
+            s = spectral_local_factor(*spec_args(pair.side_xcheck, chi), deg, 12)
             assert a.first_mismatch(s) is None, (datum, deg)
 
 
@@ -78,9 +90,9 @@ def test_degree_substitution_property():
     for datum, rank in ((TATE, 1), (QUADRIC, 2), (SQUARE3D, 3)):
         chi = formal_character(rank)
         for d in (2, 3):
-            base = automorphic_local_factor(datum, chi, 1, 12 // d)
+            base = automorphic_local_factor(*aut_args(datum, chi), 1, 12 // d)
             subst = base.substitute_u_power(d)
-            direct = automorphic_local_factor(datum, chi, d, 12)
+            direct = automorphic_local_factor(*aut_args(datum, chi), d, 12)
             assert direct.first_mismatch(subst) is None
 
 
@@ -148,9 +160,9 @@ def test_positivity_violation_raised():
     # z1 = u^{-1} cancels the eigenform weight along the ray (1,0).
     chi = character_from_spec([(0, -1), "formal"], order=1, nvars=2)
     with pytest.raises(PositivityViolation):
-        automorphic_local_factor(QUADRIC, chi, 1, 4)
+        automorphic_local_factor(*aut_args(QUADRIC, chi), 1, 4)
     with pytest.raises(PositivityViolation):
-        spectral_local_factor(toric_dual(QUADRIC).side_xcheck, chi, 1, 4)
+        spectral_local_factor(*spec_args(toric_dual(QUADRIC).side_xcheck, chi), 1, 4)
 
 
 def test_spectral_level_rescaling_with_negative_slopes():
@@ -161,8 +173,8 @@ def test_spectral_level_rescaling_with_negative_slopes():
     chi = character_from_spec([(0, -1), "formal"], order=1, nvars=2)
     pair = toric_dual(QUADRIC21)
     for deg in (1, 2):
-        a = automorphic_local_factor(QUADRIC21, chi, deg, 8)
-        s = spectral_local_factor(pair.side_xcheck, chi, deg, 8)
+        a = automorphic_local_factor(*aut_args(QUADRIC21, chi), deg, 8)
+        s = spectral_local_factor(*spec_args(pair.side_xcheck, chi), deg, 8)
         assert a.first_mismatch(s) is None
     lhs = automorphic_period(QUADRIC21, Curve(q=2), chi, 8)
     rhs = spectral_period(pair.side_xcheck, Curve(q=2), chi, 8)
@@ -182,14 +194,17 @@ def test_products_keep_points_below_the_ray_minimum():
     chi = formal_character(2)
     tight = automorphic_period(subunit, Curve(q=2), chi, 6)
     full = euler_product(
-        lambda d: automorphic_local_factor(subunit, chi, d, 6),
+        lambda d: automorphic_local_factor(*aut_args(subunit, chi), d, 6),
         Curve(q=2), 6, (2, 1)) * TruncatedSeries.from_monomial(
             chi.value(subunit.rho), 2, 1)
     assert tight.first_mismatch(full) is None
     # The same holds for the orbit product and the height transform; a
     # character slope of (1, 0) puts the weight (1, 0) on both.
     sloped = character_from_spec([(0, 1), "formal"], order=1, nvars=2)
-    orbit = _descended_euler_product(subunit.cone, sloped, Curve(q=2), 6)
+    orbit = prefactored_period(
+        spectral_local_factor, subunit.cone,
+        *engine_input(subunit.cone, sloped, (0, 0)), Monomial(0, 0, (0, 0)),
+        Curve(q=2), 6)
     level_sums = euler_product(
         lambda d: TruncatedSeries.from_monomials(
             (sloped.value(pt, d) for level in range(1, 6 // d + 1)
@@ -218,14 +233,14 @@ def test_automorphic_period_asks_for_every_class_up_to_the_truncation(monkeypatc
     chi = character_from_spec(["formal", "formal"], order=12)
     asked = []
 
-    def recording(datum, chi_, deg, order):
+    def recording(cone, psi, w, deg, order):
         asked.append(deg)
-        return automorphic_local_factor(datum, chi_, deg, order)
+        return automorphic_local_factor(cone, psi, w, deg, order)
 
     monkeypatch.setattr(periods, "automorphic_local_factor", recording)
     got = periods.automorphic_period(heavy, Curve(q=2), chi, 10)
     assert asked == [1, 2, 3, 4, 6]
-    assert automorphic_local_factor(heavy, chi, 6, 10) == TruncatedSeries.one(2, 12, 10)
+    assert automorphic_local_factor(*aut_args(heavy, chi), 6, 10) == TruncatedSeries.one(2, 12, 10)
     pair = toric_dual(heavy)
     rhs = spectral_period(pair.side_xcheck, Curve(q=2), chi, 10)
     assert got.first_mismatch(rhs.shift_u(pair.discrepancy)) is None
@@ -253,8 +268,8 @@ def test_engines_agree_off_the_grading(case, deg, trunc):
     datum, chi = case
     dual_side = toric_dual(datum).side_xcheck
     try:
-        a = automorphic_local_factor(datum, chi, deg, trunc)
-        s = spectral_local_factor(dual_side, chi, deg, trunc)
+        a = automorphic_local_factor(*aut_args(datum, chi), deg, trunc)
+        s = spectral_local_factor(*spec_args(dual_side, chi), deg, trunc)
     except PositivityViolation:
         return
     assert a.first_mismatch(s) is None

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from toricperiods import cones, intlinalg
+from toricperiods import cones, intlinalg, periods, regularization
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import NotAFace, face_of, make_cone
 from toricperiods.curve import Curve
@@ -22,6 +22,7 @@ from toricperiods.regularization import (
     regularized_spectral_contribution,
     verify_langlands_dual_periods,
 )
+from toricperiods.scenario import catalog_emit, parse_scenario
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
 QUADRIC = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(1, 1))
@@ -295,3 +296,81 @@ def test_vanishing_duality_random():
         fwd, bwd = verify_langlands_dual_periods(pair, Curve(q=2), chi, 3)
         for p in fwd.pairs + bwd.pairs:
             assert p.automorphic.status == p.spectral.status
+
+
+def _replace_bindings(monkeypatch, original, wrapper):
+    """Bind wrapper wherever the package binds original."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "toricperiods":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("name", ("square_cone_3d", "quadric_cone"))
+def test_orbit_contributions_take_factors_from_their_own_engine(monkeypatch, name):
+    # The orbit check compares two independent computations only if the
+    # automorphic contribution's Euler product is fed by the box scan and
+    # the spectral one's by the level sets; a shared enumeration would
+    # make every computed pair agree by construction.
+    inside = []   # the contribution being computed, innermost last
+    made = []     # (engine side, factor) of the current class factor
+    fed = []      # (contribution side, engine sides, identical) per class factor
+    computed = {"automorphic": 0, "spectral": 0}
+    products = {"automorphic": 0, "spectral": 0}
+
+    def engine_spy(side, original):
+        def spy(*args):
+            factor = original(*args)
+            made.append((side, factor))
+            return factor
+        return spy
+
+    def contribution_spy(side, original):
+        def spy(*args):
+            inside.append(side)
+            try:
+                result = original(*args)
+            finally:
+                inside.pop()
+            computed[side] += result.status == "computed"
+            return result
+        return spy
+
+    def euler_spy(original):
+        def spy(local_factor, *args):
+            if not inside:
+                return original(local_factor, *args)
+            side = inside[-1]
+            products[side] += 1
+
+            def checked(g):
+                made.clear()
+                factor = local_factor(g)
+                fed.append((side, tuple(s for s, _ in made),
+                            all(f is factor for _, f in made)))
+                return factor
+            return original(checked, *args)
+        return spy
+
+    for side, engine, contribution in (
+            ("automorphic", periods.automorphic_local_factor,
+             regularization.regularized_automorphic_contribution),
+            ("spectral", periods.spectral_local_factor,
+             regularization.regularized_spectral_contribution)):
+        _replace_bindings(monkeypatch, engine, engine_spy(side, engine))
+        _replace_bindings(monkeypatch, contribution,
+                          contribution_spy(side, contribution))
+    _replace_bindings(monkeypatch, periods.euler_product,
+                      euler_spy(periods.euler_product))
+    sc = parse_scenario(catalog_emit(name, order=6))
+    pair = sc.build_pair()
+    for spec in sc.characters:
+        chi = spec.build(sc.cyclotomic_order, sc.rank)
+        for report in verify_langlands_dual_periods(pair, sc.curve, chi, 6):
+            assert report.equal
+    assert computed["automorphic"] > 0 and computed["spectral"] > 0
+    assert products == computed
+    assert fed
+    for side, engines, identical in fed:
+        assert engines == (side,) and identical, (side, engines)

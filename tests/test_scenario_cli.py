@@ -61,6 +61,17 @@ def test_parse_rejects_bad_checks():
     assert "nonsense" in str(err.value)
 
 
+def test_repeated_check_is_schema_error_at_the_repeat(tmp_path, capsys):
+    data = catalog_emit("tate")
+    data["checks"] = ["weak_duality", "orbit_duality", "weak_duality"]
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.pointer == "scenario.checks[2]"
+    assert "checks[0]" in str(err.value)
+    assert main(["verify", str(write_scenario(tmp_path, data))]) == 2
+    assert capsys.readouterr().err.startswith("schema error: scenario.checks[2]: ")
+
+
 def test_parse_requires_isogeny_for_stack_check():
     data = catalog_emit("tate")
     data["checks"] = ["stack_duality"]
