@@ -62,12 +62,7 @@ def dual_description(vectors, n: int) -> tuple[list[Vector], list[Vector]]:
     lineality: list[Vector] = [tuple(row) for row in identity_matrix(n)]
     rays: list[Vector] = []
     zerosets: list[set[int]] = []
-    seen: list[Vector] = []
-    for a in (vec(v) for v in vectors):
-        if not any(a):
-            continue
-        idx = len(seen)
-        seen.append(a)
+    for idx, a in enumerate(a for a in map(vec, vectors) if any(a)):
         pivots = [(l, dot(a, l)) for l in lineality]
         pivot = next(((l, s) for l, s in pivots if s != 0), None)
         if pivot is not None:
@@ -307,7 +302,6 @@ def _check_grading(c: Cone, w: Vector) -> list[int]:
     return values
 
 
-@lru_cache(maxsize=None)
 def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     """Lattice points x of the cone with <w, x> == m, sorted, without duplicates.
 
@@ -320,7 +314,7 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     coefficient is W * f_k - sgn(w_j) * f_j * w_k).  x_j is integral
     exactly when w_k * x_k = m - <w, head> mod W, so x_k runs over a
     progression of step W / gcd(w_k, W), and a head is skipped when the
-    gcd does not divide m - <w, head>.  Every point visited is kept.  A
+    gcd does not divide m - <w, head>.  Every point visited is in the slice.  A
     cone that is not full-dimensional goes through the same cuts by its
     +/- facet pairs; at rank 1 the slice is m / w_0 when w_0 divides m.
     """
@@ -382,8 +376,8 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
 def monoid_points(c: Cone, w: Vector, bound: int):
     """Nonzero lattice points x of the cone with <w, x> <= bound, level by level.
 
-    Each level is the cached points_at_level slice, so w must be strictly
-    positive on every ray.
+    Each level is the points_at_level slice, so w must be strictly
+    positive on every ray.  No slice is cached (see `periods.euler_memo`).
     """
     for m in range(1, bound + 1):
         yield from points_at_level(c, w, m)

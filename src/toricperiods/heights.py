@@ -79,12 +79,12 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
     slope must be strictly positive on every ray of every cone.
     """
     terms = []
-    seen = set()
+    counted = set()
     for c, s in zip(h.cones, h.slopes):
         psi = chi.shift_u(tuple(2 * a for a in s))
         for pt in monoid_points(c, _combined_weight(c, s, chi), order // place_degree):
-            if pt not in seen:
-                seen.add(pt)
+            if pt not in counted:
+                counted.add(pt)
                 terms.append(psi.value(pt, place_degree))
     return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 

@@ -10,7 +10,9 @@ algebra at the fixed point, enumerated through primal level sets.  The
 two code paths share nothing but series arithmetic; their agreement,
 coefficient by coefficient, is the content being verified.  Every
 period, global or orbitwise, is `prefactored_period`: a prefactor
-monomial times the Euler product of one engine's local factors.
+monomial times the Euler product of one engine's local factors.  Within
+an `euler_memo()` scope both engines and the Euler product remember their
+results in one mapping, keyed by (kind, input), which the scope drops.
 """
 
 from __future__ import annotations
@@ -33,10 +35,20 @@ from .series import Monomial, TruncatedSeries, _RowPacking
 # Local factors of degree 1..SAMPLE_DEGREES are reported beside a check.
 SAMPLE_DEGREES = 3
 
-# The memos of the innermost euler_memo() scope, None outside every scope:
-# Euler products, and level-set factors under their whole input.
-_EULER_MEMO: ContextVar[dict | None] = ContextVar("euler_memo", default=None)
-_LEVEL_SET_MEMO: ContextVar[dict | None] = ContextVar("level_set_memo", default=None)
+# The mapping of the innermost euler_memo() scope, None outside every scope.
+# Its keys are (kind, input), kind "euler", "automorphic" or "spectral": at
+# tate both engines get the same input, and only the kind keeps them apart.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
+
+
+def _remembered(kind: str, key, compute):
+    """compute(), remembered under (kind, key) in the innermost euler_memo() scope."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return compute()
+    if (hit := memo.get((kind, key))) is None:
+        hit = memo[kind, key] = compute()
+    return hit
 
 
 class PositivityViolation(ValueError):
@@ -103,10 +115,17 @@ def automorphic_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
     monoid.  The scan walks the first n - 1 coordinates of a ray-derived
     box large enough for the requested truncation.  For each such head,
     every dual basis element, and the truncation <w, x> <= order // deg,
-    bounds the last coordinate by one integer floor or ceiling, so each
-    point visited along it is kept; its monomial advances by psi(e_n)^deg
-    per step.
+    bounds the last coordinate by one integer floor or ceiling, so every
+    point visited along it is a term; its monomial advances by psi(e_n)^deg
+    per step.  Inside an `euler_memo()` scope the factor is remembered
+    under its whole input, as the spectral engine's is.
     """
+    return _remembered("automorphic", (cone, psi, w, deg, order),
+                       lambda: _box_scan(cone, psi, w, deg, order))
+
+
+def _box_scan(cone: Cone, psi: Character, w: Vector, deg: int,
+              order: int) -> TruncatedSeries:
     n = cone.ambient_rank
     terms = []
     bound = order // deg
@@ -153,16 +172,11 @@ def spectral_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
     spectral period and an orbit contribution both need is enumerated
     once per run.
     """
-    memo = _LEVEL_SET_MEMO.get()
-    key = (cone, psi, w, deg, order)
-    if memo is not None and (hit := memo.get(key)) is not None:
-        return hit
-    result = TruncatedSeries.from_monomials(
-        (psi.value(pt, deg) for pt in monoid_points(cone, w, order // deg)),
-        psi.nvars, psi.order, order)
-    if memo is not None:
-        memo[key] = result
-    return result
+    return _remembered("spectral", (cone, psi, w, deg, order),
+                       lambda: TruncatedSeries.from_monomials(
+                           (psi.value(pt, deg)
+                            for pt in monoid_points(cone, w, order // deg)),
+                           psi.nvars, psi.order, order))
 
 
 def _adams_index(d: int, n: int) -> tuple[int, int, int]:
@@ -225,42 +239,37 @@ def euler_product(local_factor, curve: Curve, order: int,
     factors = tuple(local_factor(g) for g in classes)
     if any((f.nvars, f.order) != ring for f in factors):
         raise ValueError(f"a local factor lies outside the ring {ring}")
-    memo = _EULER_MEMO.get()
-    key = (factors, counts)
-    if memo is not None and (hit := memo.get(key)) is not None:
-        return hit
-    exact = min(order, *(f.trunc for f in factors))
-    pack = _RowPacking.spanning(factors, exact)
-    logs = {g: pack.log_rows(f, exact) for g, f in zip(classes, factors)}
-    images: dict = {}  # u -> (a_d, d', k, log row m) with d' * m = u
-    for d, a in enumerate(counts, start=1):
-        g, d1, k = _adams_index(d, n)
-        for m, row in logs[g].items():
-            if m * d1 > exact:
-                break
-            images.setdefault(m * d1, []).append((a, d1, k, row))
-    total = {u: row for u in sorted(images) if (row := pack.adams_sum(images[u]))}
-    result = pack.series(pack.exp_rows(total, exact), exact)
-    if memo is not None:
-        memo[key] = result
-    return result
+
+    def packed():
+        exact = min(order, *(f.trunc for f in factors))
+        pack = _RowPacking.spanning(factors, exact)
+        logs = {g: pack.log_rows(f, exact) for g, f in zip(classes, factors)}
+        images: dict = {}  # u -> (a_d, d', k, log row m) with d' * m = u
+        for d, a in enumerate(counts, start=1):
+            g, d1, k = _adams_index(d, n)
+            for m, row in logs[g].items():
+                if m * d1 > exact:
+                    break
+                images.setdefault(m * d1, []).append((a, d1, k, row))
+        total = {u: row for u in sorted(images) if (row := pack.adams_sum(images[u]))}
+        return pack.series(pack.exp_rows(total, exact), exact)
+
+    return _remembered("euler", (factors, counts), packed)
 
 
 @contextmanager
 def euler_memo():
-    """A scope in which euler_product and spectral_local_factor remember results.
+    """A scope in which both engines and euler_product remember their results.
 
-    Each keeps its own mapping, and both live as long as the scope:
-    leaving it drops every entry, and outside any scope both compute
-    without caching.
+    One mapping, keyed by (kind, input), lives as long as the scope:
+    leaving it drops every entry, and outside any scope everything is
+    computed without caching.
     """
-    token = _EULER_MEMO.set({})
-    level_token = _LEVEL_SET_MEMO.set({})
+    token = _RUN_MEMO.set({})
     try:
         yield
     finally:
-        _LEVEL_SET_MEMO.reset(level_token)
-        _EULER_MEMO.reset(token)
+        _RUN_MEMO.reset(token)
 
 
 def automorphic_prefactor(datum: GradedToricDatum, chi: Character) -> Monomial:
@@ -347,40 +356,28 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     the spectral engine on the dual side (scaled by u^(r - epsilon));
     direction two exchanges the roles.  The local samples are those of
     direction one: the sample of degree d is the Adams image
-    psi^(d')_k of the class factor L_g its products enumerated, cut at
-    the truncation order (the contract of `euler_product`).  It is
-    enumerated directly only at truncation 0, where the products
-    enumerate nothing.
+    psi^(d')_k of the class factor L_g, cut at the truncation order (the
+    contract of `euler_product`).  Inside an `euler_memo()` scope L_g is
+    the factor the products enumerated; it is enumerated directly only
+    at truncation 0, where the products enumerate nothing.
     """
     expo = pair.discrepancy
     engines = (automorphic_local_factor, spectral_local_factor)
-    seen = {}  # (engine, degree) -> a local factor direction one enumerated
-
-    def kept(engine):
-        def local(cone, psi, w, deg, order_):
-            seen[engine, deg] = factor = engine(cone, psi, w, deg, order_)
-            return factor
-        return local
-
     first = (_automorphic_input(pair.side_x, chi),
              _spectral_input(pair.side_xcheck, curve, chi))
     second = (_automorphic_input(pair.side_xcheck, chi),
               _spectral_input(pair.side_x, curve, chi))
     directions = []
-    for (aut, spec), names, local in (
-            (first, ("X", "X-check"), tuple(map(kept, engines))),
-            (second, ("X-check", "X"), engines)):
-        lhs = prefactored_period(local[0], *aut, curve, order)
-        rhs = prefactored_period(local[1], *spec, curve, order).shift_u(expo)
+    for (aut, spec), names in ((first, ("X", "X-check")), (second, ("X-check", "X"))):
+        lhs = prefactored_period(engines[0], *aut, curve, order)
+        rhs = prefactored_period(engines[1], *spec, curve, order).shift_u(expo)
         mism = lhs.first_mismatch(rhs)
         directions.append(DirectionVerdict(*names, mism is None, mism, lhs, rhs))
     samples = {}
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
         g, d_, k = _adams_index(deg, chi.order)
         samples[deg] = {
-            name: (seen[engine, g].substitute_u_power(d_, k).truncate(order)
-                   if (engine, g) in seen else engine(*args[:3], deg, order))
-            for name, engine, args in zip(("automorphic", "spectral"), engines,
-                                          first)}
+            name: engine(*args[:3], g, order).substitute_u_power(d_, k).truncate(order)
+            for name, engine, args in zip(("automorphic", "spectral"), engines, first)}
     return PeriodReport(duality_exponent=expo, directions=tuple(directions),
                         local_samples=samples)

@@ -77,9 +77,17 @@ class Scenario(namedtuple(
 
     def build_pair(self) -> GradedDualPair:
         """Unchecked pair; run_scenario gates on validate_pair first."""
-        datum = GradedToricDatum(cone=make_cone(self.rays, self.rank),
+        datum = GradedToricDatum(cone=_scenario_cone(self.rays, self.rank),
                                  rho=self.rho, eta=self.eta)
         return unchecked_dual(datum)
+
+
+def _scenario_cone(rays, rank, pointer="scenario"):
+    """The cone the rays generate; SchemaError at the rays if it holds a line."""
+    try:
+        return make_cone(rays, rank)
+    except NotStronglyConvex as err:
+        raise SchemaError(f"{pointer}.rays", f"NotStronglyConvex: {err}") from None
 
 
 def _expect(data, key, pointer, kind=None):
@@ -224,13 +232,16 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
             _int_vector(s, f"{pointer}.height.slopes[{i}]", rank)
             for i, s in enumerate(slopes_raw))
         try:
-            make_height(height_cones, height_slopes, rank)
+            height = make_height(height_cones, height_slopes, rank)
         except ValueError as err:
             raise SchemaError(f"{pointer}.height", str(err)) from None
     if "stack_duality" in checks and iso is None:
         raise SchemaError(f"{pointer}.checks", "stack_duality needs an isogeny block")
     if "height_bridge" in checks and height_cones is None:
         raise SchemaError(f"{pointer}.checks", "height_bridge needs a height block")
+    if "height_bridge" in checks and _scenario_cone(rays, rank, pointer) not in height.cones:
+        raise SchemaError(f"{pointer}.height.cones",
+                          "no height cone is the scenario cone: nothing to compare")
     return Scenario(name=name, rank=rank, rays=rays, rho=rho, eta=eta,
                     curve=curve, cyclotomic_order=order, truncation=trunc,
                     characters=tuple(characters), checks=tuple(checks),
@@ -440,8 +451,9 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
     """Execute all requested checks; returns (report dict, all passed).
 
     The worker-count keyword is accepted for old callers and ignored.
-    Euler products and level-set factors are remembered for the checks
-    of this run only: the memos are dropped when the run ends.
+    Euler products and the local factors of both engines are remembered
+    for the checks of this run only: the run memo is dropped when the run
+    ends.
     """
     report = {
         "engine": f"toricperiods {__version__}",
@@ -451,11 +463,7 @@ def run_scenario(sc: Scenario, jobs=None) -> tuple[dict, bool]:
     }
     order = math.lcm(sc.cyclotomic_order,
                      sc.isogeny.exponent if sc.isogeny else 1)
-    try:
-        pair = sc.build_pair()
-    except NotStronglyConvex as err:
-        raise SchemaError("scenario.rays",
-                          f"NotStronglyConvex: {err}") from None
+    pair = sc.build_pair()
     validation = validate_pair(pair)
     report["pair"] = {
         "epsilon": str(pair.epsilon),

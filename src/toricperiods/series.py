@@ -109,7 +109,7 @@ class _RowPacking:
     A row that log or exp builds at u <= top is a sum of products of
     input terms whose u-exponents (each >= 1) add up to u, so its
     exponents are bounded by u * max|z|; the Adams image psi^(d')_k of a
-    logarithm row m multiplies them by d' and is kept only at
+    logarithm row m multiplies them by d' and survives only at
     u = d' * m <= top, so it is bounded the same way.
     """
 

@@ -1,16 +1,22 @@
-"""The per-run memos: exact hits, a scope per run, no cache outside.
+"""The run memo: exact hits, a scope per run, no cache outside.
 
-euler_memo() opens one mapping for Euler products and one for
-level-set factors; both are dropped with the scope.
+euler_memo() opens one mapping, keyed by (kind, input), for Euler
+products and the local factors of both engines; it is dropped with the
+scope.  memo_size and level_memo_size count the keys of one kind.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
+import toricperiods
 from toricperiods import periods, scenario
 from toricperiods.characters import character_from_spec, extended_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.periods import (
+    automorphic_local_factor,
     automorphic_period,
     euler_memo,
     euler_product,
@@ -30,14 +36,17 @@ def factor(d):
     return TruncatedSeries.from_monomials(mons, 1, 3, 6)
 
 
+def kind_size(kind):
+    memo = periods._RUN_MEMO.get()
+    return None if memo is None else sum(key[0] == kind for key in memo)
+
+
 def memo_size():
-    memo = periods._EULER_MEMO.get()
-    return None if memo is None else len(memo)
+    return kind_size("euler")
 
 
 def level_memo_size():
-    memo = periods._LEVEL_SET_MEMO.get()
-    return None if memo is None else len(memo)
+    return kind_size("spectral")
 
 
 # A level-set input: the quadric cone graded by w = (1, 1), and psi
@@ -173,3 +182,57 @@ def test_memo_size_counts_euler_products_only():
         euler_product(lambda d: level_factor(deg=d), Curve(q=2), 5, (2, 3))
         # The product asked for deg 1 and 3 (the classes g | 3): one new factor.
         assert (memo_size(), level_memo_size()) == (1, 3)
+
+
+def test_engines_keep_apart_in_one_memo(monkeypatch):
+    sc = parse_scenario(catalog_emit("tate"))
+    pair = sc.build_pair()
+    chi = sc.characters[0].build(sc.cyclotomic_order, sc.rank)
+    x = periods._automorphic_input(pair.side_x, chi)[:3]
+    # At tate both engines get the same (cone, psi, w): only the kind in
+    # the key keeps the spectral engine from the automorphic factor.
+    assert periods._spectral_input(pair.side_xcheck, sc.curve, chi)[:3] == x
+    slices = []
+    monoid_points = periods.monoid_points
+    monkeypatch.setattr(periods, "monoid_points",
+                        lambda *args: slices.append(args) or monoid_points(*args))
+    with euler_memo():
+        aut = automorphic_local_factor(*x, 1, sc.truncation)
+        spec = spectral_local_factor(*x, 1, sc.truncation)
+    assert spec is not aut and slices
+    assert spec == aut
+
+
+def cached_functions():
+    """Every function of the package that has cache_info, by qualified name."""
+    for info in pkgutil.iter_modules(toricperiods.__path__):
+        importlib.import_module(f"toricperiods.{info.name}")
+    found = {}
+    for name, module in sorted(vars(toricperiods).items()):
+        if not isinstance(module, type(toricperiods)):
+            continue
+        for value in vars(module).values():
+            inner = list(vars(value).values()) if isinstance(value, type) else []
+            for obj in [value, *inner]:
+                if (hasattr(obj, "cache_info")
+                        and obj.__module__.startswith("toricperiods")):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_only_bounded_caches_outlive_a_run():
+    cached = cached_functions()
+    assert set(cached) == {
+        "toricperiods.cones.faces", "toricperiods.cones.hilbert_basis",
+        "toricperiods.curve.mobius", "toricperiods.cyclotomic.cyclotomic_polynomial",
+        "toricperiods.cyclotomic._reduction_table",
+        "toricperiods.cyclotomic._overflow_rows", "toricperiods.cyclotomic._galois_rows"}
+    run_scenario(parse_scenario(catalog_emit("square_cone_3d", order=6)))
+    before = {name: fn.cache_info().currsize for name, fn in cached.items()}
+    run_scenario(parse_scenario(catalog_emit("square_cone_3d", order=10)))
+    grown = {name: fn.cache_info().currsize - before[name]
+             for name, fn in cached.items()}
+    # mobius is keyed by a place degree, so only the degrees 7..10 that
+    # the larger truncation reaches can be new; nothing else grows.
+    assert grown.pop("toricperiods.curve.mobius") <= 10 - 6
+    assert set(grown.values()) == {0}

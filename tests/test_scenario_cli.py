@@ -231,10 +231,15 @@ def test_report_permission_error_exits_2(tmp_path, capsys, monkeypatch):
     ("tate", {"height": {"cones": [[[1], [-1]]], "slopes": [[1]]}}, "scenario.height"),
     ("tate", {"height": {"cones": [], "slopes": []}}, "scenario.height"),
     ("tate", {"height": {"cones": [5], "slopes": [[1]]}}, "scenario.height.cones[0]"),
+    # A fan that subdivides the orthant has no cone equal to it, so the
+    # bridge would compare nothing and pass.
+    ("orthant_a2", {"checks": ["height_bridge"],
+                    "height": {"cones": [[[1, 0], [1, 1]], [[1, 1], [0, 1]]],
+                               "slopes": [[1, 1], [1, 1]]}}, "scenario.height.cones"),
 ], ids=["spin-entry-not-a-pair", "spin-entry-too-short", "spin-degree-negative",
         "spin-degree-zero-first", "spin-degree-zero-second", "singular-inclusion",
         "height-slopes-disagree", "height-cone-with-line", "height-without-cones",
-        "height-cone-not-a-list"])
+        "height-cone-not-a-list", "height-bridge-without-the-scenario-cone"])
 def test_malformed_block_exits_2_with_pointer(tmp_path, capsys, base, patch, pointer):
     data = catalog_emit(base, order=2)
     data.update(patch)
@@ -341,6 +346,10 @@ CROSS_FIELD = {
     ("scenario.curve.q", "scenario.isogeny"),  # q must be 1 mod the exponent
     ("scenario.isogeny", "scenario.checks"),  # deleted, stack_duality needs it
     ("scenario.height", "scenario.checks"),  # deleted, height_bridge needs it
+    # height_bridge needs a height cone equal to the scenario cone.
+    ("scenario.rays", "scenario.height.cones"),
+    ("scenario.rays[0]", "scenario.height.cones"),
+    ("scenario.rays[0][0]", "scenario.height.cones"),
 }
 
 
