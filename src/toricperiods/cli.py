@@ -69,6 +69,9 @@ def _mismatches(row):
             if "first_mismatch_rows" in p:
                 yield (f"{d['direction']} face {json.dumps(p['face'])}",
                        p["first_mismatch_rows"])
+    for c in row.get("checks", []):
+        if "first_mismatch_rows" in c:
+            yield f"stack identity {c['name']}", c["first_mismatch_rows"]
 
 
 def cmd_verify(args) -> int:

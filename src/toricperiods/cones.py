@@ -18,13 +18,13 @@ from .intlinalg import (
     annihilator_basis,
     dot,
     identity_matrix,
-    matrix_rank,
     neg_vec,
     primitive,
     saturate_sublattice,
     scale_vec,
-    solve_integer,
+    smith_normal_form,
     sub_vec,
+    transpose,
     vec,
 )
 
@@ -135,9 +135,7 @@ class Cone(namedtuple(
         return all(dot(f, v) >= 0 for f in self.facets)
 
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return matrix_rank(self.rays)
+        return smith_normal_form(self.rays).rank()
 
     def ray_set(self) -> frozenset:
         return frozenset(self.rays)
@@ -397,22 +395,14 @@ def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
         raise ValueError("Hilbert basis requires a strongly convex cone")
     if not c.rays:
         return ()
-    n = c.ambient_rank
     if not c.full_dimensional:
-        span_basis = saturate_sublattice(c.rays, n)
-        coords = []
-        for r in c.rays:
-            x = solve_integer(span_basis, r)
-            if x is None:
-                raise ValueError("ray outside the saturated span")
-            coords.append(x)
-        inner = make_cone(coords, len(span_basis))
-        lifted = []
-        for h in hilbert_basis(inner):
-            v = tuple(sum(h[j] * span_basis[j][i] for j in range(len(span_basis)))
-                      for i in range(n))
-            lifted.append(v)
-        return tuple(sorted(lifted))
+        # left carries the saturated span of the rays onto the first k
+        # coordinates, and the first k columns of left_inverse span it.
+        snf = smith_normal_form(transpose(c.rays))
+        k = snf.rank()
+        inner = make_cone([[dot(row, r) for row in snf.left[:k]] for r in c.rays], k)
+        return tuple(sorted(tuple(dot(row[:k], h) for row in snf.left_inverse)
+                            for h in hilbert_basis(inner)))
     grading = tuple(sum(col) for col in zip(*c.facets))
     pts = list(monoid_points(c, grading, sum(_check_grading(c, grading))))
     pts.sort(key=lambda p: (dot(grading, p), p))

@@ -1,7 +1,9 @@
 """Exact linear algebra over Z: Smith form, saturations, quotients, kernels.
 
 Vectors are tuples of ints, matrices are tuples of row tuples.  Everything
-runs on unbounded Python integers; no floats appear anywhere.
+runs on unbounded Python integers; no floats appear anywhere.  The run reads
+every invariant off one Smith form; `determinant`, `lattice_index`,
+`solve_integer` and `mat_mul` are the tests' independent oracles for it.
 """
 
 from __future__ import annotations
@@ -106,30 +108,6 @@ def determinant(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def matrix_rank(m: Matrix) -> int:
-    """Rank over Q, by fraction-free elimination."""
-    if not m or not m[0]:
-        return 0
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(row + 1, rows):
-            if a[i][col] != 0:
-                f, g = a[row][col], a[i][col]
-                a[i] = [f * a[i][j] - g * a[row][j] for j in range(cols)]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
-
-
 class LatticeMap(namedtuple("LatticeMap", "source_rank target_rank matrix")):
     """Homomorphism of free abelian groups Z^source_rank -> Z^target_rank.
 
@@ -159,26 +137,22 @@ class LatticeMap(namedtuple("LatticeMap", "source_rank target_rank matrix")):
     def apply(self, v: Vector) -> Vector:
         return mat_vec_mul(self.matrix, vec(v))
 
-    def compose(self, inner: "LatticeMap") -> "LatticeMap":
-        """self o inner, applying `inner` first."""
-        if inner.target_rank != self.source_rank:
-            raise ValueError("ranks do not compose")
-        return LatticeMap(inner.source_rank, self.target_rank,
-                          mat_mul(self.matrix, inner.matrix))
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
 
 
 class SmithDecomposition(namedtuple(
         "SmithDecomposition",
-        "left diag right left_inverse right_inverse rows cols")):
+        "left diag right left_inverse rows cols")):
     """left @ original @ right == diag, with left/right unimodular.
 
     The diagonal d_1 | d_2 | ... consists of the elementary divisors
-    (nonnegative, with the divisibility chain).  left_inverse and
-    right_inverse are carried along because they are needed to read off
-    kernels, saturations and sections.
+    (nonnegative, with the divisibility chain); the rank is the number of
+    nonzero ones and, for a square matrix, the index of the column span
+    is their product (zero when the span is not of full rank).  The
+    first rank columns of left_inverse are a basis of the saturated
+    column span, and left carries that span onto the first rank
+    coordinates; right reads off kernels.
     """
 
     __slots__ = ()
@@ -207,7 +181,6 @@ def smith_normal_form(m) -> SmithDecomposition:
     left = [list(r) for r in identity_matrix(rows)]
     left_inv = [list(r) for r in identity_matrix(rows)]
     right = [list(r) for r in identity_matrix(cols)]
-    right_inv = [list(r) for r in identity_matrix(cols)]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -220,7 +193,6 @@ def smith_normal_form(m) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in right:
             r[i], r[j] = r[j], r[i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src; inverse op on left_inv columns.
@@ -234,8 +206,6 @@ def smith_normal_form(m) -> SmithDecomposition:
             r[dst] += c * r[src]
         for r in right:
             r[dst] += c * r[src]
-        right_inv[src] = [x - c * y for x, y in
-                          zip(right_inv[src], right_inv[dst])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -292,8 +262,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     diag = tuple(d[i][i] for i in range(min(rows, cols)))
     return SmithDecomposition(
         left=mat(left), diag=diag, right=mat(right),
-        left_inverse=mat(left_inv), right_inverse=mat(right_inv),
-        rows=rows, cols=cols)
+        left_inverse=mat(left_inv), rows=rows, cols=cols)
 
 
 def _columns_matrix(vectors, n: int) -> Matrix:

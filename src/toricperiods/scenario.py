@@ -26,6 +26,7 @@ from .duality import (
     validate_pair,
 )
 from .heights import (
+    PiecewiseLinearHeight,
     height_fourier_global,
     height_fourier_local,
     make_height,
@@ -397,13 +398,19 @@ def _run_stack_duality(sc, pair, order):
     def check_one(base_lift):
         rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
         agrees, difference = rep.direct_comparison
+        checks = []
+        for c in rep.checks:
+            row = {"name": c.name, "equal": c.equal,
+                   "lhs": c.lhs.serialize(), "rhs": c.rhs.serialize()}
+            if c.mismatch is not None:
+                row["first_mismatch_exponent"] = str(c.mismatch[0])
+                row["first_mismatch_rows"] = _mismatch_rows(c.mismatch)
+            checks.append(row)
         return {
             "index": str(rep.index),
             "discrepancy": str(rep.discrepancy),
             "status": "equal" if rep.equal else "mismatch",
-            "checks": [{"name": c.name, "equal": c.equal,
-                        "lhs": c.lhs.serialize(), "rhs": c.rhs.serialize()}
-                       for c in rep.checks],
+            "checks": checks,
             "direct_orbit_model": {
                 "agrees_with_liftsum": agrees,
                 "first_difference_exponent":
@@ -419,16 +426,17 @@ def _run_height_bridge(sc, pair, order):
     top = min(SAMPLE_DEGREES, max(sc.truncation, 1))
 
     def check_one(chi):
+        # Certify every cone first, so a divergent character names its first bad ray.
+        global_series = height_fourier_global(height, sc.curve, chi, sc.truncation)
         degrees = []
         good = True
         for cone, slope in zip(height.cones, height.slopes):
             if cone != pair.side_x.cone:
                 continue
+            own = PiecewiseLinearHeight((cone,), (slope,))
             doubled = tuple(2 * s for s in slope)
             for deg in range(1, top + 1):
-                # The transform runs first: it certifies the height's cones
-                # in order, so a divergent character names its first bad ray.
-                lhs = height_fourier_local(height, chi, deg, sc.truncation)
+                lhs = height_fourier_local(own, chi, deg, sc.truncation)
                 rhs = automorphic_local_factor(
                     cone, *engine_input(cone, chi, doubled), deg, sc.truncation)
                 mism = lhs.first_mismatch(rhs)
@@ -439,7 +447,6 @@ def _run_height_bridge(sc, pair, order):
                     "local_factor": rhs.serialize(),
                 })
                 good = good and mism is None
-        global_series = height_fourier_global(height, sc.curve, chi, sc.truncation)
         return {"degrees": degrees,
                 "global_transform": global_series.serialize(),
                 "status": "equal" if good else "mismatch"}, good

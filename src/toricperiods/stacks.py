@@ -17,23 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import prod
 
 from .characters import Character, formal_character
-from .cones import make_cone
+from .cones import Cone, dual_cone, make_cone
 from .curve import BranchAmbiguity, Curve
 from .duality import GradedDualPair
-from .intlinalg import (
-    LatticeMap,
-    SmithDecomposition,
-    Vector,
-    dot,
-    lattice_index,
-    mat_vec_mul,
-    smith_normal_form,
-    transpose,
-    vec,
-)
+from .intlinalg import LatticeMap, mat_vec_mul, smith_normal_form, transpose, vec
 from .periods import (
     automorphic_local_factor,
     automorphic_period,
@@ -77,13 +67,13 @@ def make_isogeny(matrix) -> IsogenyDatum:
     m = tuple(vec(r) for r in matrix)
     rank = len(m)
     inc = LatticeMap(rank, rank, m)
-    idx = lattice_index(inc)
-    if idx is None:
-        raise ValueError("inclusion must have full rank")
     snf = smith_normal_form(m)
+    index = prod(snf.diag)
+    if not index:
+        raise ValueError("inclusion must have full rank")
     invariants = tuple(d for d in snf.diag if d > 1)
     exponent = max(invariants) if invariants else 1
-    return IsogenyDatum(inclusion=inc, index=idx, invariants=invariants,
+    return IsogenyDatum(inclusion=inc, index=index, invariants=invariants,
                         exponent=exponent, smith=snf)
 
 
@@ -177,15 +167,6 @@ def induced_pair(base_pair: GradedDualPair, iso: IsogenyDatum) -> InducedGradedP
     return InducedGradedPair(base_pair=base_pair, isogeny=iso)
 
 
-def _smith_solve(snf: SmithDecomposition, target: Vector) -> tuple[Fraction, ...]:
-    """Exact solution of M x = target over Q for invertible M.
-
-    left @ M @ right == diag, so x = right @ diag^-1 @ left @ target.
-    """
-    mid = [Fraction(y, d) for y, d in zip(mat_vec_mul(snf.left, target), snf.diag)]
-    return tuple(sum(r * m for r, m in zip(row, mid)) for row in snf.right)
-
-
 def pullback_along_covering(chi_small: Character, iso: IsogenyDatum) -> Character:
     """Character of the covering-dual class group induced by one downstairs.
 
@@ -253,6 +234,12 @@ def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
     return total.scale(Fraction(1, fam.size))
 
 
+def _pulled_back_cone(iso: IsogenyDatum, cover: Cone) -> Cone:
+    """{lambda : M lambda in cover}, the dual of the cone on M^T f for the facets f."""
+    pull = transpose(iso.inclusion.matrix)
+    return dual_cone(make_cone([mat_vec_mul(pull, f) for f in cover.facets], iso.rank))
+
+
 def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
                                          base_extension: Character,
                                          order: int) -> TruncatedSeries:
@@ -266,22 +253,14 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
     """
     check_curve_compatibility(pair.isogeny, curve)
     iso = pair.isogeny
-    cover_cone = pair.base_pair.side_x.cone
-    # Pull the covering cone back to the small lattice: membership of
-    # lambda is membership of inclusion(lambda).
+    side = pair.base_pair.side_x
+    small_cone = _pulled_back_cone(iso, side.cone)
     pulled_chi = restrict_character(base_extension, iso)
-    eta_small = tuple(dot(pair.base_pair.side_x.eta, iso.inclusion.column(j))
-                      for j in range(iso.rank))
-    small_rays = []
-    for r in cover_cone.rays:
-        x = _smith_solve(iso.smith, r)
-        den = lcm(*(c.denominator for c in x))
-        small_rays.append(tuple(int(c * den) for c in x))
-    small_cone = make_cone(small_rays, iso.rank)
+    eta_small = mat_vec_mul(transpose(iso.inclusion.matrix), side.eta)
     return prefactored_period(
         automorphic_local_factor, small_cone,
         *engine_input(small_cone, pulled_chi, eta_small),
-        automorphic_prefactor(pair.base_pair.side_x, base_extension), curve, order)
+        automorphic_prefactor(side, base_extension), curve, order)
 
 
 class StackCheck(namedtuple("StackCheck", "name equal mismatch lhs rhs")):

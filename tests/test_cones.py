@@ -22,7 +22,13 @@ from toricperiods.cones import (
     monoid_points,
     points_at_level,
 )
-from toricperiods.intlinalg import LatticeMap, dot, matrix_rank
+from toricperiods.intlinalg import (
+    LatticeMap,
+    determinant,
+    dot,
+    saturate_sublattice,
+    solve_integer,
+)
 
 QUADRIC = make_cone([(1, 0), (1, 2)])
 ORTHANT = make_cone([(1, 0), (0, 1)])
@@ -182,7 +188,7 @@ def full_cones(draw):
     n = draw(st.integers(1, 3))
     entries = st.tuples(*[st.integers(-2, 2)] * n)
     gens = draw(st.lists(entries, min_size=n, max_size=n))
-    assume(matrix_rank(gens) == n)
+    assume(determinant(gens) != 0)
     cone = make_cone(gens, n)
     for extra in draw(st.lists(entries, max_size=2)):
         try:
@@ -239,6 +245,51 @@ def test_hilbert_basis_non_full_dimensional():
     hb = hilbert_basis(c2)
     for h in hb:
         assert c2.contains(h)
+    # Random cones spanning a rank-2 sublattice of Z^3, often not saturated.
+    rng = random.Random(2026)
+    tried = 0
+    while tried < 25:
+        b = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)]
+        a = [tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2)]
+        minors = [determinant([(u[i], u[j]) for u in b])
+                  for i, j in combinations(range(3), 2)]
+        if determinant(a) == 0 or not any(minors):
+            continue
+        tried += 1
+        c = make_cone([tuple(x * b[0][i] + y * b[1][i] for i in range(3))
+                       for x, y in a], 3)
+        assert not c.full_dimensional and c.dim() == 2
+        hb = hilbert_basis(c)
+        assert hb == _hilbert_basis_through_solves(c)
+        # The +/- facet pairs cancel, so the facet sum grades the cone.
+        grading = tuple(sum(col) for col in zip(*c.facets))
+        top = max(dot(grading, h) for h in hb)
+        levels = [points_at_level(c, grading, m) for m in range(2 * top + 1)]
+        monoid = {p for level in levels[1:top + 1] for p in level}
+        for h in hb:
+            assert c.contains(h)
+            for p in monoid:
+                q = tuple(x - y for x, y in zip(h, p))
+                assert not (any(q) and q in monoid), (c, h, p)
+        # Generation, level by level: a point is a basis element plus a
+        # point already generated (brute_force_membership's multiplicity
+        # search is exponential in the basis size on these cones).
+        generated = set(levels[0])
+        for level in levels[1:]:
+            for p in level:
+                assert any(tuple(x - y for x, y in zip(p, h)) in generated
+                           for h in hb), (c, p)
+            generated.update(level)
+
+
+def _hilbert_basis_through_solves(c):
+    """Hilbert basis in integer coordinates on a saturated span basis."""
+    span = saturate_sublattice(c.rays, c.ambient_rank)
+    inner = make_cone([solve_integer(span, r) for r in c.rays], len(span))
+    return tuple(sorted(
+        tuple(sum(h[j] * span[j][i] for j in range(len(span)))
+              for i in range(c.ambient_rank))
+        for h in hilbert_basis(inner)))
 
 
 def test_hilbert_basis_irreducibility_brute_force():

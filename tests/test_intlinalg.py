@@ -13,7 +13,6 @@ from toricperiods.intlinalg import (
     lattice_index,
     mat_mul,
     mat_vec_mul,
-    matrix_rank,
     quotient_lattice,
     saturate_sublattice,
     smith_normal_form,
@@ -38,7 +37,6 @@ def check_decomposition(m, snf):
     assert determinant(snf.left) in (1, -1)
     assert determinant(snf.right) in (1, -1)
     assert mat_mul(snf.left, snf.left_inverse) == identity_matrix(snf.rows)
-    assert mat_mul(snf.right, snf.right_inverse) == identity_matrix(snf.cols)
 
 
 def minor_gcd(m, k):
@@ -161,8 +159,8 @@ def test_quotient_section_is_right_inverse():
         k = rng.randint(0, n)
         gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
         q = quotient_lattice(n, gens)
-        pi_s = q.free_projection.compose(q.section)
-        assert pi_s.matrix == identity_matrix(q.free_rank)
+        pi_s = mat_mul(q.free_projection.matrix, q.section.matrix)
+        assert pi_s == identity_matrix(q.free_rank)
         # Kernel of the combined data is exactly the sublattice.
         for _ in range(10):
             coeffs = [rng.randint(-2, 2) for _ in gens]
@@ -207,12 +205,6 @@ def test_solve_integer():
     assert solve_integer([(2, 0)], (1, 0)) is None
     assert solve_integer([], (0, 0)) == ()
     assert solve_integer([], (1, 0)) is None
-
-
-def test_matrix_rank():
-    assert matrix_rank(((1, 2), (2, 4))) == 1
-    assert matrix_rank(identity_matrix(3)) == 3
-    assert matrix_rank(((0, 0),)) == 0
 
 
 def test_lattice_map_validation():

@@ -183,9 +183,39 @@ def test_mismatch_rows_name_the_differing_coefficients(spectral_extra_term):
     assert report_to_json(report) == oracle(report)
 
 
+def test_failing_stack_identities_show_the_compared_rows(spectral_extra_term):
+    report, ok = run_scenario(parse_scenario(catalog_emit("weight_n_stack", n=2)))
+    assert not ok
+    (row,) = report["checks"]["stack_duality"]["per_character"]
+    assert row["status"] == "mismatch"
+    assert [c["equal"] for c in row["checks"]] == [False, False]
+    for c in row["checks"]:
+        u = c["first_mismatch_exponent"]
+        rows = c["first_mismatch_rows"]
+        assert rows["automorphic"] == _row_at(c["lhs"], u)
+        assert rows["spectral"][0] == u
+        assert rows["automorphic"] != rows["spectral"]
+    assert report_to_json(report) == oracle(report)
+
+
+def test_human_output_prints_failing_stack_rows(tmp_path, capsys,
+                                                spectral_extra_term):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(catalog_emit("weight_n_stack", n=2)),
+                    encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "stack.report.json").read_text(encoding="utf-8"))
+    (row,) = report["checks"]["stack_duality"]["per_character"]
+    for c in row["checks"]:
+        assert f"first mismatch, stack identity {c['name']}:" in out
+        for side in ("automorphic", "spectral"):
+            assert f"{side}: {json.dumps(c['first_mismatch_rows'][side])}" in out
+
+
 def test_mismatch_rows_of_a_passing_report_are_absent():
-    text = report_to_json(report_of(catalog_emit("tate")))
-    assert "first_mismatch" not in text
+    for name in ("tate", "weight_n_stack"):
+        assert "first_mismatch" not in report_to_json(report_of(catalog_emit(name)))
 
 
 def test_human_output_prints_both_rows(tmp_path, capsys, spectral_extra_term):

@@ -273,6 +273,26 @@ def test_height_bridge_skips_a_divergent_character(tmp_path):
                        "witness_ray": ["1"], "weight": "-3"}
 
 
+FAN_A2 = {"cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 1]]], "slopes": [[1, 1], [0, 1]]}
+
+
+def test_height_bridge_compares_the_cone_of_a_larger_fan(tmp_path):
+    # The orthant's own transform is its local factor at every degree; the
+    # transform of the whole fan also counts the second cone's points.
+    data = catalog_emit("orthant_a2")
+    data.update(checks=["height_bridge"], height=FAN_A2)
+    data["characters"].append({"name": "d", "coords": [{"u": 3}, "formal"]})
+    out = tmp_path / "r.json"
+    assert main(["verify", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["checks"]["height_bridge"]
+    formal, skipped = block["per_character"]
+    assert block["status"] == "pass" and formal["status"] == "equal"
+    assert [d["degree"] for d in formal["degrees"] if d["equal"]] == ["1", "2", "3"]
+    # The second cone's ray (-1, 1) is the fan's first bad ray.
+    assert skipped == {"character": "d", "status": "divergent-skip",
+                       "witness_ray": ["-1", "1"], "weight": "-1"}
+
+
 def test_stack_run_reuses_the_parsed_isogeny(monkeypatch):
     import toricperiods.scenario as scenario
     sc = parse_scenario(catalog_emit("weight_n_stack", n=3))

@@ -1,4 +1,5 @@
-from fractions import Fraction
+import random
+from math import prod
 
 import pytest
 
@@ -7,14 +8,18 @@ from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
-from toricperiods.intlinalg import mat_vec_mul, smith_normal_form, transpose
+from toricperiods.intlinalg import (
+    LatticeMap,
+    determinant,
+    lattice_index,
+)
 from toricperiods.periods import automorphic_period, spectral_period
 from toricperiods.series import Monomial, TruncatedSeries
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
     NotALift,
-    _smith_solve,
+    _pulled_back_cone,
     induced_pair,
     make_isogeny,
     pullback_along_covering,
@@ -55,17 +60,32 @@ def test_curve_compatibility():
         verify_stack_duality(tate_stack(3), Curve(q=2), formal_character(1, 3), 4)
 
 
-def test_lifts_of_a_non_diagonal_inclusion():
-    # The direct model pulls covering rays back through M by _smith_solve.
-    # M = [[2, 1], [-1, 3]] (det 7).  M x = (1, 1): x2 = 1 - 2 x1 and
-    # -x1 + 3 - 6 x1 = 1, so x = (2/7, 3/7).
-    # M^T y = (1, 1): y1 = 1 - 3 y2 and 2 - 7 y2 = 1, so y = (4/7, 1/7).
-    m = [[2, 1], [-1, 3]]
-    x = _smith_solve(make_isogeny(m).smith, (1, 1))
-    y = _smith_solve(smith_normal_form(transpose(m)), (1, 1))
-    assert x == (Fraction(2, 7), Fraction(3, 7))
-    assert y == (Fraction(4, 7), Fraction(1, 7))
-    assert all(isinstance(c, Fraction) for c in x + y)
+def test_pulled_back_cone_is_the_preimage():
+    # The direct model's small cone: lambda is in it exactly when
+    # inclusion(lambda) is in the covering cone.
+    for m in ([[2, 1], [-1, 3]], [[2, 1], [0, 3]]):
+        iso = make_isogeny(m)
+        for cover in (make_cone([(1, 0), (0, 1)]), make_cone([(1, 0), (1, 2)])):
+            small = _pulled_back_cone(iso, cover)
+            assert small.strongly_convex and small.full_dimensional
+            for lam in _box(2, 6):
+                assert small.contains(lam) == cover.contains(
+                    iso.inclusion.apply(lam)), (m, cover, lam)
+
+
+def test_isogeny_invariants_against_determinant():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        det = determinant(m)
+        if det == 0:
+            with pytest.raises(ValueError):
+                make_isogeny(m)
+            continue
+        iso = make_isogeny(m)
+        assert iso.index == abs(det) == lattice_index(LatticeMap(n, n, m))
+        assert prod(iso.invariants) == iso.index
 
 
 def test_torsion_twists_fourier_inversion():
