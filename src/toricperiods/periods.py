@@ -36,8 +36,9 @@ from .series import Monomial, TruncatedSeries, _RowPacking
 SAMPLE_DEGREES = 3
 
 # The mapping of the innermost euler_memo() scope, None outside every scope.
-# Its keys are (kind, input), kind "euler", "automorphic" or "spectral": at
-# tate both engines get the same input, and only the kind keeps them apart.
+# Its keys are (kind, input), kind "euler", "automorphic", "spectral" or
+# "rows" (a series' report rows, keyed by its coeffs): at tate both engines
+# get the same input, and only the kind keeps them apart.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
 
 
@@ -261,7 +262,8 @@ def euler_product(local_factor, curve: Curve, order: int,
 def euler_memo():
     """A scope in which both engines and euler_product remember their results.
 
-    One mapping, keyed by (kind, input), lives as long as the scope:
+    `scenario` keeps the report rows of each series there too.  One
+    mapping, keyed by (kind, input), lives as long as the scope:
     leaving it drops every entry, and outside any scope everything is
     computed without caching.
     """
@@ -296,13 +298,15 @@ def prefactored_period(engine, cone: Cone, psi: Character, w: Vector,
                        pref: Monomial, curve: Curve, order: int) -> TruncatedSeries:
     """pref times the Euler product of the local factors engine(cone, psi, w, d, order).
 
+    The product with pref is a shift (`TruncatedSeries.times_monomial`).
+
     The one period formula: both global periods, both orbit
     contributions and the direct stack model are this product, each
     with its own engine, cone and prefactor.
     """
     series = euler_product(lambda d: engine(cone, psi, w, d, order),
                            curve, order, (psi.nvars, psi.order))
-    return series * TruncatedSeries.from_monomial(pref, psi.nvars, psi.order)
+    return series.times_monomial(pref)
 
 
 def _automorphic_input(datum: GradedToricDatum, chi: Character):

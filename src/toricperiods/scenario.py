@@ -34,13 +34,14 @@ from .heights import (
 from .periods import (
     SAMPLE_DEGREES,
     PositivityViolation,
+    _remembered,
     automorphic_local_factor,
     engine_input,
     euler_memo,
     verify_weak_duality,
 )
 from .regularization import verify_langlands_dual_periods
-from .series import serialize_row
+from .series import SeriesRows, rows_json, serialize_row
 from .stacks import (
     IncompatibleField,
     check_curve_compatibility,
@@ -297,6 +298,15 @@ def _scenario_echo(sc: Scenario) -> dict:
     return echo
 
 
+def _rows(series) -> SeriesRows:
+    """series.serialize(), made once per distinct series in a run (the run memo).
+
+    Equal series of one report then share one list, which the writer
+    formats once per indent.
+    """
+    return _remembered("rows", series.coeffs, series.serialize)
+
+
 def _mismatch_rows(mismatch) -> dict:
     """The two differing coefficient rows of a (u, mine, theirs) mismatch."""
     u, mine, theirs = mismatch
@@ -333,8 +343,8 @@ def _run_weak_duality(sc, pair, order):
                 "automorphic_side": d.automorphic_side,
                 "spectral_side": d.spectral_side,
                 "equal": d.equal,
-                "automorphic_series": d.automorphic_series.serialize(),
-                "compared_spectral_series": d.compared_spectral_series.serialize(),
+                "automorphic_series": _rows(d.automorphic_series),
+                "compared_spectral_series": _rows(d.compared_spectral_series),
             }
             if d.mismatch is not None:
                 dd["first_mismatch_exponent"] = str(d.mismatch[0])
@@ -345,7 +355,7 @@ def _run_weak_duality(sc, pair, order):
             "duality_exponent": str(report.duality_exponent),
             "directions": directions,
             "local_samples": {
-                str(deg): {side: s.serialize() for side, s in sample.items()}
+                str(deg): {side: _rows(s) for side, s in sample.items()}
                 for deg, sample in report.local_samples.items()},
         }, report.equal
 
@@ -371,9 +381,9 @@ def _run_orbit_duality(sc, pair, order):
                 if p.spectral.reason:
                     row["spectral_reason"] = p.spectral.reason
                 if p.automorphic.series is not None:
-                    row["automorphic_series"] = p.automorphic.series.serialize()
+                    row["automorphic_series"] = _rows(p.automorphic.series)
                 if p.spectral.series is not None:
-                    row["spectral_series"] = p.spectral.series.serialize()
+                    row["spectral_series"] = _rows(p.spectral.series)
                 if p.mismatch is not None:
                     row["first_mismatch"] = str(p.mismatch[0])
                     if p.mismatch[0] != "support":
@@ -401,7 +411,7 @@ def _run_stack_duality(sc, pair, order):
         checks = []
         for c in rep.checks:
             row = {"name": c.name, "equal": c.equal,
-                   "lhs": c.lhs.serialize(), "rhs": c.rhs.serialize()}
+                   "lhs": _rows(c.lhs), "rhs": _rows(c.rhs)}
             if c.mismatch is not None:
                 row["first_mismatch_exponent"] = str(c.mismatch[0])
                 row["first_mismatch_rows"] = _mismatch_rows(c.mismatch)
@@ -443,12 +453,12 @@ def _run_height_bridge(sc, pair, order):
                 degrees.append({
                     "degree": str(deg),
                     "equal": mism is None,
-                    "transform": lhs.serialize(),
-                    "local_factor": rhs.serialize(),
+                    "transform": _rows(lhs),
+                    "local_factor": _rows(rhs),
                 })
                 good = good and mism is None
         return {"degrees": degrees,
-                "global_transform": global_series.serialize(),
+                "global_transform": _rows(global_series),
                 "status": "equal" if good else "mismatch"}, good
 
     return _per_character(sc, order, check_one)
@@ -512,26 +522,36 @@ def report_to_json(report: dict) -> str:
 
     json.dumps takes its pure-Python encoder whenever indent is set, so
     the same bytes are written here directly: a report holds only dicts
-    with string keys, lists, strings, booleans and None.
+    with string keys, lists, strings, booleans and None.  Series rows
+    (`SeriesRows`) go to `rows_json`, and a rows list held more than once
+    at one indent is written once.
     """
-    return _json_value(report, "\n") + "\n"
+    return _json_value(report, "\n", {}) + "\n"
 
 
-def _json_value(value, pad: str) -> str:
-    """value as indented JSON, pad being the newline and indent of its line."""
+def _json_value(value, pad: str, written: dict) -> str:
+    """value as indented JSON, pad being the newline and indent of its line.
+
+    written maps (id, pad) of each SeriesRows already written to the
+    object and its text; holding the object keeps its id from being reused.
+    """
     inner = pad + " "
+    if type(value) is SeriesRows:
+        if (hit := written.get((id(value), pad))) is None:
+            hit = written[id(value), pad] = (value, rows_json(value, pad))
+        return hit[1]
     if isinstance(value, list):
         if not value:
             return "[]"
         return ("[" + inner + ("," + inner).join(
-            [_json_string(v) if isinstance(v, str) else _json_value(v, inner)
+            [_json_string(v) if isinstance(v, str) else _json_value(v, inner, written)
              for v in value]) + pad + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"
         return ("{" + inner + ("," + inner).join(
             [_json_string(k) + ": " + (_json_string(v) if isinstance(v, str)
-                                       else _json_value(v, inner))
+                                       else _json_value(v, inner, written))
              for k, v in sorted(value.items())]) + pad + "}")
     if isinstance(value, str):
         return _json_string(value)

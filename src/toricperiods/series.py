@@ -87,6 +87,43 @@ def serialize_row(u: int, terms) -> list:
     return [str(u), out]
 
 
+class SeriesRows(list):
+    """The rows of `TruncatedSeries.serialize`, marked for the report writer (`rows_json`)."""
+
+    __slots__ = ()
+
+
+def rows_json(rows, pad: str) -> str:
+    """Series rows as json.dumps(rows, indent=1) writes them, at the indent pad.
+
+    pad is the newline and indent of the line the rows start on.  One
+    loop over rows and terms: every string is a str(int), so none needs
+    escaping.
+    """
+    if not rows:
+        return "[]"
+    p1, p2, p3, p4, p5 = (pad + " " * depth for depth in range(1, 6))
+    row_open = "[" + p2 + '"'
+    terms_open = '",' + p2 + "[" + p3
+    term_open = "[" + p4 + '"'
+    field = '",' + p4 + '"'
+    z_open = '",' + p4 + "[" + p5 + '"'
+    z_sep = '",' + p5 + '"'
+    z_close = '"' + p4 + "]" + p3 + "]"
+    no_z = '",' + p4 + "[]" + p3 + "]"
+    term_sep = "," + p3
+    row_close = p2 + "]" + p1 + "]"
+    out = []
+    for u, terms in rows:
+        texts = []
+        for num, den, k, zs in terms:
+            texts.append(term_open + num + field + den + field + k
+                         + (z_open + z_sep.join(zs) + z_close if zs else no_z))
+        out.append(row_open + u + (terms_open + term_sep.join(texts) + row_close
+                                   if texts else '",' + p2 + "[]" + p1 + "]"))
+    return "[" + p1 + ("," + p1).join(out) + pad + "]"
+
+
 class _RowPacking:
     """One row of z-polynomials over Q(zeta_N) as a dict of integers over one denominator.
 
@@ -352,19 +389,22 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         return self + other.scale(-1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """The product, one Cyc product and one Cyc sum per pair of terms.
+        """The general product, one Cyc product and one Cyc sum per pair of terms.
 
-        This path stays per-term on purpose.  Every product in the package
-        multiplies by a one-term prefactor, where packing both sides into
-        integer rows (as `log` and `exp` do) measured 2.5 times slower:
-        0.026 s against 0.010 s, best of 15, over the 58 products of the
-        catalog scenarios.  It also keeps the binary-powering oracle of
-        the tests, which multiplies with it, apart from the packed kernel.
+        No product of the package runs through it: a prefactor is a
+        `times_monomial` shift.  It stays as the tests' oracle for that
+        shift and for the packed kernel (through `power`), and as the
+        benchmark tracer's hook.
         """
         self._require_compatible(other)
-        if self.is_zero() or other.is_zero():
+        if self.is_zero() and other.is_zero():
             return TruncatedSeries.zero(self.nvars, self.order,
                                         min(self.trunc, other.trunc))
+        if self.is_zero() or other.is_zero():
+            # The zero side's unknown terms start at its trunc + 1.
+            z, s = (self, other) if self.is_zero() else (other, self)
+            return TruncatedSeries.zero(self.nvars, self.order,
+                                        min(z.trunc + s.low, z.trunc + 1 + s.trunc, EXACT))
         # Exactness of the product: a term at exponent e needs every split
         # e = e1 + e2 with e1 from self known and e2 from other known.
         trunc = min(self.trunc + other.low, other.trunc + self.low, EXACT)
@@ -376,6 +416,26 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
                     continue
                 _zp_mul_add(data.setdefault(u, {}), t1, t2)
         return TruncatedSeries.from_dict(data, self.nvars, self.order, trunc)
+
+    def times_monomial(self, mon: Monomial) -> "TruncatedSeries":
+        """The series times zeta^mon.zeta * u^mon.u * z^mon.z: a shift of every term.
+
+        Rows move by mon.u and z-exponents by mon.z, which keeps every
+        order, and each coefficient is multiplied by the root of unity
+        only when it is not 1.  Exact to min(trunc + mon.u, EXACT + low,
+        EXACT), as the general product with the exact monomial is.
+        """
+        du, dz = mon.u, mon.z
+        if self.coeffs:
+            trunc = min(self.trunc + du, EXACT + self.low, EXACT)
+        else:
+            trunc = min(self.trunc + du, EXACT)
+        root = Cyc.root_power(mon.zeta, self.order) if mon.zeta % self.order else None
+        rows = tuple(
+            (u + du, tuple((tuple(map(add, z, dz)), c if root is None else c * root)
+                           for z, c in terms))
+            for u, terms in self.coeffs if u + du <= trunc)
+        return TruncatedSeries(self.nvars, self.order, trunc, rows)
 
     def scale(self, c) -> "TruncatedSeries":
         """Every coefficient times c (a Cyc of the same order, int or Fraction)."""
@@ -469,9 +529,12 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
                 return (u, a, b)
         return None
 
-    def serialize(self) -> list:
-        """[[u_exp, [[num, den, zeta_exp, z_exps], ...]], ...] with string ints."""
-        return [serialize_row(u, terms) for u, terms in self.coeffs]
+    def serialize(self) -> SeriesRows:
+        """[[u_exp, [[num, den, zeta_exp, z_exps], ...]], ...] with string ints.
+
+        A `SeriesRows` list, which `rows_json` writes into a report.
+        """
+        return SeriesRows([serialize_row(u, terms) for u, terms in self.coeffs])
 
     def __str__(self):
         if self.is_zero():

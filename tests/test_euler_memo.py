@@ -2,7 +2,8 @@
 
 euler_memo() opens one mapping, keyed by (kind, input), for Euler
 products and the local factors of both engines; it is dropped with the
-scope.  memo_size and level_memo_size count the keys of one kind.
+scope.  The report rows of each distinct series live there too, under
+the kind "rows".  memo_size and level_memo_size count the keys of one kind.
 """
 
 import importlib
@@ -127,6 +128,28 @@ def test_run_scenario_owns_the_scope(monkeypatch):
     second, _ = run_scenario(sc)
     assert memo_size() is None
     assert report_to_json(first) == report_to_json(second)
+
+
+def test_a_passing_direction_writes_one_rows_list(monkeypatch):
+    seen = []
+    original = scenario._run_weak_duality
+
+    def spy(*args):
+        out = original(*args)
+        seen.append(kind_size("rows"))
+        return out
+
+    monkeypatch.setattr(scenario, "_run_weak_duality", spy)
+    report, ok = run_scenario(parse_scenario(catalog_emit("quadric_cone")))
+    assert ok and seen and seen[0] > 0
+    directions = [d for row in report["checks"]["weak_duality"]["per_character"]
+                  for d in row.get("directions", ())]
+    assert len(directions) == 2
+    for d in directions:
+        assert d["equal"]
+        assert d["automorphic_series"] is d["compared_spectral_series"]
+    # The rows entries go with the run memo.
+    assert kind_size("rows") is None
 
 
 def level_factor(**changes):

@@ -25,7 +25,8 @@ from toricperiods.scenario import (
     report_to_json,
     run_scenario,
 )
-from toricperiods.series import Monomial, TruncatedSeries
+from toricperiods.cyclotomic import Cyc
+from toricperiods.series import Monomial, SeriesRows, TruncatedSeries, rows_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 ENGINE = re.compile(rb'^ "engine": "[^"\n]*"', re.MULTILINE)
@@ -84,6 +85,65 @@ def test_writer_writes_empty_containers_and_literals():
 def test_writer_refuses_values_a_report_never_holds(leaf):
     with pytest.raises(TypeError):
         report_to_json({"rows": ["x", {"value": leaf}]})
+
+
+# Series rows: `rows_json` writes them in one loop, and a rows object held
+# twice at one indent is written once.
+
+PADS = ("\n", "\n ", "\n   ", "\n" + " " * 9)
+
+
+@st.composite
+def random_series(draw):
+    """A series with nvars 0-3, negative exponents and coefficients beyond 2**64."""
+    order = draw(st.sampled_from((1, 3, 4, 12)))
+    nvars = draw(st.integers(0, 3))
+    big = st.integers(-(2 ** 80), 2 ** 80) | st.integers(-5, 5)
+    values = st.builds(lambda nums, den: Cyc.from_integers(order, nums, den),
+                       st.lists(big, min_size=Cyc.degree(order),
+                                max_size=Cyc.degree(order)),
+                       st.integers(1, 2 ** 70))
+    rows = draw(st.dictionaries(
+        st.integers(-4, 6),
+        st.dictionaries(st.tuples(*[st.integers(-12, 12)] * nvars), values, max_size=3),
+        max_size=4))
+    return TruncatedSeries.from_dict(rows, nvars, order, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_series())
+def test_rows_writer_matches_json_dumps(series):
+    rows = series.serialize()
+    assert type(rows) is SeriesRows and rows == json.loads(json.dumps(rows))
+    text = json.dumps(rows, sort_keys=True, indent=1)
+    for pad in PADS:
+        assert rows_json(rows, pad) == text.replace("\n", pad)
+    nested = {"series": rows, "list": [rows, {"deeper": [rows]}]}
+    assert report_to_json(nested) == oracle(nested)
+
+
+def test_rows_writer_writes_empty_rows_and_terms():
+    for rows in (SeriesRows(), SeriesRows([["3", []]]),
+                 SeriesRows([["0", [["1", "1", "0", []]]], ["2", []]])):
+        for pad in PADS:
+            assert rows_json(rows, pad) == json.dumps(rows, indent=1).replace("\n", pad)
+
+
+def test_shared_rows_are_written_once_per_indent_and_only_for_that_object():
+    series = TruncatedSeries.from_dict(
+        {-1: {(2, -3): Cyc.from_integers(4, (5, -7), 3)}, 2: {(0, 1): Cyc.one(4)}}, 2, 4, 5)
+    shared = series.serialize()
+    twin = series.serialize()
+    assert twin == shared and twin is not shared
+    report = {"a": shared, "b": shared, "deep": {"c": shared, "d": [shared, twin]},
+              "twin": twin, "plain": [list(r) for r in shared]}
+    assert report_to_json(report) == oracle(report)
+    # Fresh rows between calls often reuse a dead object's id: no text carries over.
+    for k in range(30):
+        rows = SeriesRows([[str(k), [[str(k), "1", "0", []]]]])
+        report = {"a": rows, "b": [rows]}
+        assert report_to_json(report) == oracle(report)
+        del rows, report
 
 
 # ----------------------------------------------------------------------

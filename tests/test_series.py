@@ -54,6 +54,69 @@ def test_mul_truncation_with_shifts():
     assert prod.coefficient(-1) == {(0,): Cyc.one(1)}
 
 
+def test_zero_times_a_shift_is_exact_only_as_far_as_known():
+    # O(u^6) * u^-2 is O(u^4): exact to u^3, as shift_u(-2) says.
+    zero = TruncatedSeries.zero(1, 1, 5)
+    mon = TruncatedSeries.from_monomial(Monomial(0, -2, (0,)), 1, 1)
+    assert (zero * mon).trunc == (mon * zero).trunc == zero.shift_u(-2).trunc == 3
+    assert (zero * mon).is_zero()
+    # O(u^6) * (u + z u^2 + O(u^4)) is O(u^7): min(5 + low, 5 + 1 + trunc).
+    s = TruncatedSeries.from_dict({1: {(0,): Cyc.one(1)}, 2: {(1,): Cyc.one(1)}}, 1, 1, 3)
+    assert (zero * s).trunc == (s * zero).trunc == 6
+    # A side known only to u^1 (its row at u^4 is not trusted): O(u^6) * O(u^2).
+    vague = TruncatedSeries.from_monomial(Monomial(0, 4, (0,)), 1, 1, 1)
+    assert (zero * vague).trunc == (vague * zero).trunc == 7
+    # Two zero series keep the smaller order.
+    assert (zero * TruncatedSeries.zero(1, 1, 2)).trunc == 2
+
+
+SHIFT_ORDERS = (1, 2, 3, 4, 7, 12)
+
+
+@st.composite
+def shifted_series(draw):
+    """(series, monomial): a random series of a random ring and a monomial of it."""
+    order = draw(st.sampled_from(SHIFT_ORDERS))
+    nvars = draw(st.integers(0, 2))
+    zexps = st.tuples(*[st.integers(-3, 3)] * nvars)
+    coords = st.lists(st.integers(-9, 9), min_size=Cyc.degree(order),
+                      max_size=Cyc.degree(order))
+    values = st.builds(lambda nums, den: Cyc.from_integers(order, nums, den),
+                       coords, st.integers(1, 6))
+    rows = draw(st.dictionaries(st.integers(-3, 6),
+                                st.dictionaries(zexps, values, max_size=3),
+                                max_size=4))
+    trunc = draw(st.integers(-2, 8) | st.just(EXACT))
+    series = TruncatedSeries.from_dict(rows, nvars, order, trunc)
+    mon = Monomial(draw(st.integers(-2 * order, 2 * order)), draw(st.integers(-4, 4)),
+                   draw(zexps))
+    return series, mon
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted_series())
+def test_times_monomial_is_the_product_with_the_monomial(case):
+    series, mon = case
+    shifted = series.times_monomial(mon)
+    product = series * TruncatedSeries.from_monomial(mon, series.nvars, series.order)
+    assert shifted.coeffs == product.coeffs
+    assert shifted.trunc == product.trunc
+
+
+def test_times_monomial_covers_roots_that_are_one():
+    s = geometric(1, 3, 4)
+    assert s.times_monomial(Monomial(3, 0, (0,))) == s
+    assert s.times_monomial(Monomial(-6, 2, (1,))) == s.shift_u(2).times_monomial(
+        Monomial(0, 0, (1,)))
+    assert s.times_monomial(Monomial(1, 0, (0,))).coefficient(0) == {
+        (0,): Cyc.root_power(1, 3)}
+    # A row held above the truncation is dropped, as by the product.
+    high = TruncatedSeries.from_monomial(Monomial(0, 7, (0,)), 1, 3, 5)
+    down = Monomial(0, -1, (0,))
+    assert high.times_monomial(down) == high * TruncatedSeries.from_monomial(down, 1, 3)
+    assert high.times_monomial(down).coeffs == ()
+
+
 def test_monotone_truncation():
     # Recomputing with a larger truncation only extends the series.
     small = geometric(1, 1, 5)
