@@ -12,15 +12,15 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .intlinalg import (
     Vector,
-    annihilator_basis,
     dot,
+    hermite_column_basis,
     identity_matrix,
     neg_vec,
     primitive,
-    saturate_sublattice,
     scale_vec,
     smith_normal_form,
     sub_vec,
@@ -144,13 +144,23 @@ class Cone(namedtuple(
         return f"Cone(rank={self.ambient_rank}, rays={list(self.rays)})"
 
 
+def _facets(gens, n: int) -> tuple[list[Vector], bool]:
+    """Facet covectors of cone(gens) and whether it is full-dimensional.
+
+    A cone that is not full-dimensional gets the +/- pair of each
+    covector vanishing on its span.
+    """
+    lin, dual_rays = dual_description(gens, n)
+    facets = list(dual_rays)
+    for l in lin:
+        facets.extend((l, neg_vec(l)))
+    return facets, not lin
+
+
 def _build_cone(generators, n: int, allow_lines: bool) -> Cone:
     gens = [primitive(vec(g)) for g in generators]
     gens = [g for g in gens if any(g)]
-    lin_f, dual_rays = dual_description(gens, n)
-    facets = list(dual_rays)
-    for l in lin_f:
-        facets.extend((l, neg_vec(l)))
+    facets, full_dimensional = _facets(gens, n)
     lin_r, rays = dual_description(facets, n)
     if lin_r and not allow_lines:
         raise NotStronglyConvex(lin_r[0])
@@ -162,7 +172,7 @@ def _build_cone(generators, n: int, allow_lines: bool) -> Cone:
         rays=_canonical(all_rays),
         facets=_canonical(facets),
         strongly_convex=not lin_r,
-        full_dimensional=not lin_f)
+        full_dimensional=full_dimensional)
 
 
 def make_cone(rays, ambient_rank: int | None = None) -> Cone:
@@ -241,7 +251,12 @@ def faces(c: Cone) -> FaceLattice:
 
     Every face is the intersection of the facet hyperplanes it saturates,
     so enumerating facet subsets and collecting the rays they annihilate
-    finds them all (including {0} and the cone itself).
+    finds them all (including {0} and the cone itself).  The rays of a
+    face are primitive extreme rays of c, so one double description,
+    rays to facets, builds it.  One Smith form of its ray columns gives
+    the rest: the rank is its dimension, the first rank columns of
+    left_inverse span its saturation, and the rows of left past the rank
+    span its annihilator.
     """
     if not c.strongly_convex:
         raise ValueError("face lattice requires a strongly convex cone")
@@ -249,12 +264,23 @@ def faces(c: Cone) -> FaceLattice:
                    for k in range(len(c.facets) + 1)
                    for sel in combinations(c.facets, k)}
     n = c.ambient_rank
-    built = [_build_cone(sorted(rs), n, allow_lines=False) for rs in ray_subsets]
-    built.sort(key=lambda f: (f.dim(), f.rays))
-    return FaceLattice(
-        faces=tuple(built),
-        spans=tuple(tuple(saturate_sublattice(f.rays, n)) for f in built),
-        annihilators=tuple(tuple(annihilator_basis(f.rays, n)) for f in built))
+    built = []
+    for rs in ray_subsets:
+        rays = _canonical(rs)
+        facets, full_dimensional = _facets(rays, n)
+        face = Cone(n, rays, _canonical(facets), True, full_dimensional)
+        if rays:
+            snf = smith_normal_form(transpose(rays))
+            dim = snf.rank()
+            span = [tuple(row[j] for row in snf.left_inverse) for j in range(dim)]
+            annihilator = snf.left[dim:]
+        else:
+            dim, span, annihilator = 0, (), identity_matrix(n)
+        built.append((dim, rays, face, tuple(hermite_column_basis(span, n)),
+                      tuple(hermite_column_basis(annihilator, n))))
+    built.sort(key=lambda b: b[:2])
+    _, _, cones, spans, annihilators = zip(*built)
+    return FaceLattice(cones, spans, annihilators)
 
 
 def face_of(c: Cone, ray_subset) -> Cone:
@@ -344,12 +370,12 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
              big * f[k] - sign * f[j] * w[k], sign * f[j] * m) for f in c.facets]
     out = []
     for head in product(*(range(lo[i], hi[i] + 1) for i in rest)):
-        a = m - sum(x * y for x, y in zip(w_rest, head))
+        a = m - sum(map(mul, w_rest, head))
         if a % g:
             continue
         first, last = lo[k], hi[k]
         for ch, cn, c0 in cuts:
-            s = sum(x * y for x, y in zip(ch, head)) + c0
+            s = sum(map(mul, ch, head)) + c0
             if cn > 0:
                 first = max(first, -(s // cn))
             elif cn < 0:

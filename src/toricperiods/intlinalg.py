@@ -3,13 +3,15 @@
 Vectors are tuples of ints, matrices are tuples of row tuples.  Everything
 runs on unbounded Python integers; no floats appear anywhere.  The run reads
 every invariant off one Smith form; `determinant`, `lattice_index`,
-`solve_integer` and `mat_mul` are the tests' independent oracles for it.
+`solve_integer`, `mat_mul`, `saturate_sublattice` and `annihilator_basis`
+are the tests' independent oracles for it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -36,7 +38,7 @@ def identity_matrix(n: int) -> Matrix:
 def dot(a: Vector, b: Vector) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def sub_vec(a: Vector, b: Vector) -> Vector:

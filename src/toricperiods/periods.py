@@ -4,15 +4,16 @@ Both engines take (cone, psi, w, deg, order): psi is a character
 extended by a grading and w its weight, certified positive on the rays
 of the cone (`engine_input`).  The automorphic engine walks the
 cocharacter lattice and keeps a point when it pairs nonnegatively with
-every Hilbert-basis element of the dual monoid (integrality read off the
-dual description).  The spectral engine sums graded slices of the monoid
-algebra at the fixed point, enumerated through primal level sets.  The
-two code paths share nothing but series arithmetic; their agreement,
-coefficient by coefficient, is the content being verified.  Every
-period, global or orbitwise, is `prefactored_period`: a prefactor
-monomial times the Euler product of one engine's local factors.  Within
-an `euler_memo()` scope both engines and the Euler product remember their
-results in one mapping, keyed by (kind, input), which the scope drops.
+every facet covector of the cone, that is with every ray of the dual
+cone (integrality read off the dual description).  The spectral engine
+sums graded slices of the monoid algebra at the fixed point, enumerated
+through primal level sets.  The two code paths share nothing but series
+arithmetic; their agreement, coefficient by coefficient, is the content
+being verified.  Every period, global or orbitwise, is
+`prefactored_period`: a prefactor monomial times the Euler product of
+one engine's local factors.  Within an `euler_memo()` scope both engines
+and the Euler product remember their results in one mapping, keyed by
+(kind, input), which the scope drops.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .characters import Character, extended_character
-from .cones import Cone, dual_cone, hilbert_basis, monoid_points
+from .cones import Cone, dual_cone, monoid_points
 from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import Vector, dot, vec
@@ -111,11 +113,11 @@ def automorphic_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
     """Local integral over the torus against the integral-point indicator.
 
     psi must carry u-slopes w (see `engine_input`).  Membership of a
-    cocharacter is decided purely through the dual description:
-    nonnegative pairing with every Hilbert-basis element of the dual
-    monoid.  The scan walks the first n - 1 coordinates of a ray-derived
-    box large enough for the requested truncation.  For each such head,
-    every dual basis element, and the truncation <w, x> <= order // deg,
+    cocharacter is decided purely through the dual description: pairing
+    with the facet covectors, the rays of sigma^vee, is nonnegative.
+    The scan walks the first n - 1 coordinates of a ray-derived box large
+    enough for the requested truncation.  For each such head, every
+    facet covector, and the truncation <w, x> <= order // deg,
     bounds the last coordinate by one integer floor or ceiling, so every
     point visited along it is a term; its monomial advances by psi(e_n)^deg
     per step.  Inside an `euler_memo()` scope the factor is remembered
@@ -132,7 +134,7 @@ def _box_scan(cone: Cone, psi: Character, w: Vector, deg: int,
     bound = order // deg
     if bound >= 1 and cone.rays:
         # Half-spaces <c, x> >= b, as (c without its last entry, c_n, b).
-        cuts = [(h[:-1], h[-1], 0) for h in hilbert_basis(dual_cone(cone))]
+        cuts = [(f[:-1], f[-1], 0) for f in cone.facets]
         cuts.append((tuple(-x for x in w[:-1]), -w[-1], -bound))
         weights = [dot(w, r) for r in cone.rays]
         lo, hi = _weight_box(cone.rays, weights, bound, n)
@@ -140,7 +142,7 @@ def _box_scan(cone: Cone, psi: Character, w: Vector, deg: int,
         for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
             first, last = lo[-1], hi[-1]
             for c, cn, b in cuts:
-                s = sum(x * y for x, y in zip(c, head)) - b  # cn * x_n >= -s
+                s = sum(map(mul, c, head)) - b  # cn * x_n >= -s
                 if cn > 0:
                     first = max(first, -(s // cn))
                 elif cn < 0:

@@ -522,46 +522,48 @@ def report_to_json(report: dict) -> str:
 
     json.dumps takes its pure-Python encoder whenever indent is set, so
     the same bytes are written here directly: a report holds only dicts
-    with string keys, lists, strings, booleans and None.  Series rows
-    (`SeriesRows`) go to `rows_json`, and a rows list held more than once
-    at one indent is written once.
+    with string keys, lists, strings, booleans and None.  Every piece
+    goes onto one list, joined once.  Series rows (`SeriesRows`) go to
+    `rows_json`, and a rows list held more than once at one indent is
+    written once.
     """
-    return _json_value(report, "\n", {}) + "\n"
+    out: list[str] = []
+    _write_json(report, "\n", {}, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json_value(value, pad: str, written: dict) -> str:
-    """value as indented JSON, pad being the newline and indent of its line.
+def _write_json(value, pad: str, written: dict, out: list) -> None:
+    """Append value to out as indented JSON; pad is the newline and indent of its line.
 
     written maps (id, pad) of each SeriesRows already written to the
     object and its text; holding the object keeps its id from being reused.
     """
     inner = pad + " "
-    if type(value) is SeriesRows:
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif type(value) is SeriesRows:
         if (hit := written.get((id(value), pad))) is None:
             hit = written[id(value), pad] = (value, rows_json(value, pad))
-        return hit[1]
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return ("[" + inner + ("," + inner).join(
-            [_json_string(v) if isinstance(v, str) else _json_value(v, inner, written)
-             for v in value]) + pad + "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            [_json_string(k) + ": " + (_json_string(v) if isinstance(v, str)
-                                       else _json_value(v, inner, written))
-             for k, v in sorted(value.items())]) + pad + "}")
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"a report holds no {type(value).__name__}")
+        out.append(hit[1])
+    elif isinstance(value, list):
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write_json(v, inner, written, out)
+        out.append(pad + "]" if value else "]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(value.items())):
+            out.append(("," if i else "") + inner + _json_string(k) + ": ")
+            _write_json(v, inner, written, out)
+        out.append(pad + "}" if value else "}")
+    elif value is None:
+        out.append("null")
+    elif type(value) is bool:
+        out.append("true" if value else "false")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ class Monomial(namedtuple("Monomial", "zeta u z")):
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.zeta + other.zeta, self.u + other.u,
-                        tuple(a + b for a, b in zip(self.z, other.z)))
+                        tuple(map(add, self.z, other.z)))
 
     def is_one(self, order: int) -> bool:
         return self.zeta % order == 0 and self.u == 0 and not any(self.z)
@@ -474,11 +474,16 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         A ring endomorphism for d >= 1 and k prime to the order, so it
         commutes with log and exp.  The image is exact to u^(d*trunc + d - 1)
         and is cut there.  Scaling z by d > 0 keeps each row's z-order, so
-        rows and terms stay sorted.
+        rows and terms stay sorted.  sigma_k is skipped when k = 1 mod the
+        order, and psi^1_k is then the identity: the series itself.
         """
         if d < 1:
             raise ValueError("substitution degree must be >= 1")
-        rows = tuple((u * d, tuple((tuple(a * d for a in z), c.conjugate(k))
+        same = k % self.order == 1 % self.order
+        if d == 1 and same:
+            return self
+        rows = tuple((u * d, tuple((tuple(a * d for a in z),
+                                    c if same else c.conjugate(k))
                                    for z, c in terms))
                      for u, terms in self.coeffs)
         trunc = self.trunc * d + d - 1 if self.trunc < EXACT else EXACT

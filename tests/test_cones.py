@@ -11,6 +11,7 @@ from toricperiods.cones import (
     NotAFace,
     NotPositiveGrading,
     NotStronglyConvex,
+    _build_cone,
     contains_point,
     dual_cone,
     face_dual,
@@ -24,11 +25,13 @@ from toricperiods.cones import (
 )
 from toricperiods.intlinalg import (
     LatticeMap,
+    annihilator_basis,
     determinant,
     dot,
     saturate_sublattice,
     solve_integer,
 )
+from toricperiods.scenario import catalog_emit, catalog_names, parse_scenario
 
 QUADRIC = make_cone([(1, 0), (1, 2)])
 ORTHANT = make_cone([(1, 0), (0, 1)])
@@ -227,6 +230,64 @@ def test_face_lattice_against_vertex_enumeration(c):
                     face_of(c, subset)
             else:
                 assert face_dual(face_of(c, subset), c) == expected
+
+
+def faces_by_build_per_subset(c):
+    """(faces, spans, annihilators) of faces(c), each face built from scratch.
+
+    A subset of the rays is a face when the facets vanishing on it cut out
+    exactly it; each face goes through both passes of the double
+    description, and its span and annihilator through their own Smith forms.
+    """
+    n = c.ambient_rank
+    built = []
+    for k in range(len(c.rays) + 1):
+        for subset in combinations(c.rays, k):
+            saturated = [f for f in c.facets if all(dot(f, r) == 0 for r in subset)]
+            if set(subset) == {r for r in c.rays
+                               if all(dot(f, r) == 0 for f in saturated)}:
+                built.append(_build_cone(subset, n, allow_lines=False))
+    built.sort(key=lambda f: (f.dim(), f.rays))
+    return (tuple(built),
+            tuple(tuple(saturate_sublattice(f.rays, n)) for f in built),
+            tuple(tuple(annihilator_basis(f.rays, n)) for f in built))
+
+
+def assert_faces_match_build_per_subset(c):
+    lattice = faces(c)
+    want_faces, want_spans, want_annihilators = faces_by_build_per_subset(c)
+    assert len(lattice.faces) == len(want_faces)
+    for got, want in zip(lattice.faces, want_faces):
+        assert type(got) is Cone
+        for field in Cone._fields:
+            assert getattr(got, field) == getattr(want, field), field
+    assert lattice.spans == want_spans
+    assert lattice.annihilators == want_annihilators
+
+
+@st.composite
+def strongly_convex_cones(draw):
+    """A strongly convex cone of rank <= 3, of any dimension, {0} included."""
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=4))
+    try:
+        return make_cone(gens, n)
+    except NotStronglyConvex:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strongly_convex_cones())
+def test_faces_match_build_per_subset(c):
+    assert_faces_match_build_per_subset(c)
+
+
+def test_catalog_faces_match_build_per_subset():
+    for name in catalog_names():
+        pair = parse_scenario(catalog_emit(name)).build_pair()
+        for c in (pair.side_x.cone, pair.side_xcheck.cone):
+            assert_faces_match_build_per_subset(c)
+            assert_faces_match_build_per_subset(dual_cone(c))
 
 
 def test_hilbert_basis_examples():

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricperiods import periods
+from toricperiods import cones, periods
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import dual_cone, make_cone, points_at_level
 from toricperiods.curve import Curve, divisor_count_series
@@ -273,3 +275,41 @@ def test_engines_agree_off_the_grading(case, deg, trunc):
     except PositivityViolation:
         return
     assert a.first_mismatch(s) is None
+
+
+def forbid(monkeypatch, *originals):
+    """Make every toricperiods binding of each original raise when called."""
+    for original in originals:
+        def refuse(*args, _name=original.__name__):
+            raise AssertionError(f"{_name} called")
+        for name, module in list(sys.modules.items()):
+            if (name.partition(".")[0] == "toricperiods"
+                    and vars(module).get(original.__name__) is original):
+                monkeypatch.setattr(module, original.__name__, refuse)
+
+
+def catalog_engine_inputs(args_of):
+    """Engine inputs (cone, psi, w, deg, order) on both sides of every catalog datum."""
+    inputs = []
+    for datum in CATALOG_DATA:
+        pair = toric_dual(datum)
+        for side in (pair.side_x, pair.side_xcheck):
+            for chi in (formal_character(datum.rank),
+                        character_from_spec([(1, 0)] * datum.rank, order=3)):
+                inputs.extend((*args_of(side, chi), deg, 6) for deg in (1, 2))
+    return inputs
+
+
+def test_automorphic_engine_runs_without_the_spectral_enumeration(monkeypatch):
+    inputs = catalog_engine_inputs(aut_args)
+    expected = [automorphic_local_factor(*args) for args in inputs]
+    forbid(monkeypatch, cones.hilbert_basis, cones.monoid_points,
+           cones.points_at_level, cones._level_box)
+    assert [automorphic_local_factor(*args) for args in inputs] == expected
+
+
+def test_spectral_engine_runs_without_the_box_scan(monkeypatch):
+    inputs = catalog_engine_inputs(spec_args)
+    expected = [spectral_local_factor(*args) for args in inputs]
+    forbid(monkeypatch, periods._box_scan, periods._weight_box)
+    assert [spectral_local_factor(*args) for args in inputs] == expected

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,29 @@ def test_substitute_u_power():
     assert d.coefficient(2) == {(2,): Cyc.one(1)}
     assert d.coefficient(1) == {}
     assert d.trunc == 7
+
+
+def adams_term_by_term(series, d, k):
+    """psi^d_k as the general per-term map: c z^e u^m -> sigma_k(c) z^(d*e) u^(d*m)."""
+    data = {}
+    for u, terms in series.coeffs:
+        for z, c in terms:
+            data.setdefault(u * d, {})[tuple(d * a for a in z)] = c.conjugate(k)
+    trunc = EXACT if series.trunc >= EXACT else series.trunc * d + d - 1
+    return TruncatedSeries.from_dict(data, series.nvars, series.order, trunc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_series(), st.sampled_from((1, 1, 2, 3)), st.data())
+def test_substitute_u_power_is_the_per_term_map(case, d, data):
+    series, order = case[0], case[0].order
+    units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
+    unit = data.draw(st.sampled_from(units))
+    k = unit + order * data.draw(st.integers(0, 2))
+    image = series.substitute_u_power(d, k)
+    assert image == adams_term_by_term(series, d, k)
+    if d == 1 and unit == 1:
+        assert image is series
 
 
 def test_truncate_keeps_the_rows_up_to_the_new_order():
