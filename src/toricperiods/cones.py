@@ -134,9 +134,6 @@ class Cone(namedtuple(
         v = vec(v)
         return all(dot(f, v) >= 0 for f in self.facets)
 
-    def dim(self) -> int:
-        return smith_normal_form(self.rays).rank()
-
     def ray_set(self) -> frozenset:
         return frozenset(self.rays)
 
@@ -200,10 +197,6 @@ def dual_cone(c: Cone) -> Cone:
         facets=c.rays,
         strongly_convex=c.full_dimensional,
         full_dimensional=c.strongly_convex)
-
-
-def contains_point(c: Cone, v) -> bool:
-    return c.contains(v)
 
 
 class FaceLattice:

@@ -128,9 +128,6 @@ class Curve(namedtuple("Curve", "q genus spin", defaults=(0, ((1, -1),)))):
 class PlaceTable(namedtuple("PlaceTable", "counts")):
     __slots__ = ()
 
-    def a(self, d: int) -> int:
-        return self.counts[d - 1]
-
 
 def place_counts(curve: Curve, cutoff: int) -> PlaceTable:
     """Closed points of each degree up to cutoff, by Mobius inversion."""
@@ -164,10 +161,3 @@ def zeta_series(curve: Curve, order: int) -> TruncatedSeries:
             {k: {(): one} for k in range(0, order + 1, d)}, 0, 1, order)
 
     return euler_product(geometric, curve, order, (0, 1))
-
-
-def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:
-    """Closed form: the t^m coefficient is (q^(m+1)-1)/(q-1), genus zero."""
-    data = {m: {(): Cyc.rational((curve.q ** (m + 1) - 1) // (curve.q - 1), 1)}
-            for m in range(order + 1)}
-    return TruncatedSeries.from_dict(data, 0, 1, order)

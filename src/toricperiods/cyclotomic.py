@@ -236,9 +236,6 @@ class Cyc:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_one(self) -> bool:
-        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
-
     def conjugate(self, k: int) -> "Cyc":
         """sigma_k(x): the Galois automorphism zeta -> zeta^k, k prime to the order.
 

@@ -20,10 +20,6 @@ from .periods import euler_product, positivity_certificate
 from .series import TruncatedSeries
 
 
-class OutsideSupport(ValueError):
-    pass
-
-
 class PiecewiseLinearHeight(namedtuple("PiecewiseLinearHeight", "cones slopes")):
     __slots__ = ()
 
@@ -38,10 +34,6 @@ class PiecewiseLinearHeight(namedtuple("PiecewiseLinearHeight", "cones slopes"))
                 raise ValueError("slope has wrong length")
         _check_continuity(self.cones, self.slopes)
         return self
-
-    @property
-    def ambient_rank(self) -> int:
-        return self.cones[0].ambient_rank
 
 
 def _check_continuity(cones, slopes):
@@ -59,15 +51,6 @@ def _check_continuity(cones, slopes):
 def make_height(cone_rays, slopes, ambient_rank: int) -> PiecewiseLinearHeight:
     cones = tuple(make_cone(rs, ambient_rank) for rs in cone_rays)
     return PiecewiseLinearHeight(cones=cones, slopes=tuple(vec(s) for s in slopes))
-
-
-def height_exponent(h: PiecewiseLinearHeight, lam) -> int:
-    """Value of the piecewise-linear function at a lattice point of the support."""
-    lam = vec(lam)
-    for c, s in zip(h.cones, h.slopes):
-        if c.contains(lam):
-            return dot(s, lam)
-    raise OutsideSupport(f"{lam} is outside the fan support")
 
 
 def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,

@@ -1,10 +1,9 @@
-"""Exact linear algebra over Z: Smith form, saturations, quotients, kernels.
+"""Exact linear algebra over Z: Smith form, Hermite bases, quotients.
 
 Vectors are tuples of ints, matrices are tuples of row tuples.  Everything
 runs on unbounded Python integers; no floats appear anywhere.  The run reads
-every invariant off one Smith form; `determinant`, `lattice_index`,
-`solve_integer`, `mat_mul`, `saturate_sublattice` and `annihilator_basis`
-are the tests' independent oracles for it.
+every rank, index, invariant, saturation, kernel and coordinate off one
+Smith form per matrix.
 """
 
 from __future__ import annotations
@@ -53,13 +52,6 @@ def neg_vec(a: Vector) -> Vector:
     return tuple(-x for x in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shapes do not compose")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in a)
 
@@ -81,33 +73,6 @@ def primitive(v: Vector) -> Vector:
     if g <= 1:
         return vec(v)
     return tuple(x // g for x in v)
-
-
-def determinant(m: Matrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class LatticeMap(namedtuple("LatticeMap", "source_rank target_rank matrix")):
@@ -158,10 +123,6 @@ class SmithDecomposition(namedtuple(
     """
 
     __slots__ = ()
-
-    def diagonal_matrix(self) -> Matrix:
-        return tuple(tuple(self.diag[i] if i == j and i < len(self.diag) else 0
-                           for j in range(self.cols)) for i in range(self.rows))
 
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
@@ -310,68 +271,17 @@ def hermite_column_basis(vectors, n: int) -> list[Vector]:
     return [tuple(c) for c in cols]
 
 
-def saturate_sublattice(gens, ambient_rank: int) -> list[Vector]:
-    """Basis of the saturation (Q-span intersected with Z^n) of span(gens)."""
-    gens = [vec(g) for g in gens]
-    for g in gens:
-        if len(g) != ambient_rank:
-            raise ValueError("generator has wrong length")
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return []
-    snf = smith_normal_form(_columns_matrix(gens, ambient_rank))
-    r = snf.rank()
-    # span(gens) = Linv D Rinv-image, so the first r columns of Linv give a
-    # basis of the saturation (they are part of a basis of Z^n).
-    basis = [tuple(row[j] for row in snf.left_inverse) for j in range(r)]
-    return hermite_column_basis(basis, ambient_rank)
-
-
-def kernel_basis(m) -> list[Vector]:
-    """Basis (saturated) of the integer kernel {x : m @ x = 0}."""
-    m = mat(m)
-    if not m:
-        raise ValueError("kernel of a matrix with no rows is ambiguous; pass identity constraints")
-    snf = smith_normal_form(m)
-    r = snf.rank()
-    basis = [tuple(row[j] for row in snf.right) for j in range(r, snf.cols)]
-    return hermite_column_basis(basis, snf.cols)
-
-
-def annihilator_basis(vectors, n: int) -> list[Vector]:
-    """Basis of {x in Z^n : <x, v> = 0 for all v}; all of Z^n when vectors is empty."""
-    vs = [vec(v) for v in vectors if any(v)]
-    if not vs:
-        return [tuple(row) for row in identity_matrix(n)]
-    return kernel_basis(tuple(vs))
-
-
 class QuotientData(namedtuple(
-        "QuotientData",
-        "ambient_rank free_projection section torsion_invariants torsion_rows")):
+        "QuotientData", "free_projection section torsion_invariants")):
     """Presentation of Z^n / span(sub_basis).
 
-    free_projection maps onto the free part; section is a right inverse of
-    it (projection o section = identity).  torsion_invariants lists the
-    invariant factors > 1; torsion_rows paired with them read off the
-    torsion classes of a vector.
+    free_projection maps Z^n onto the free part; section is a right
+    inverse of it (projection o section = identity).  torsion_invariants
+    lists the invariant factors > 1, empty exactly when the span is
+    saturated.
     """
 
     __slots__ = ()
-
-    @property
-    def free_rank(self) -> int:
-        return self.free_projection.target_rank
-
-    def project(self, v: Vector) -> Vector:
-        return self.free_projection.apply(v)
-
-    def torsion_classes(self, v: Vector) -> tuple[int, ...]:
-        return tuple(dot(row, vec(v)) % inv
-                     for row, inv in zip(self.torsion_rows, self.torsion_invariants))
-
-    def in_sublattice(self, v: Vector) -> bool:
-        return (not any(self.project(v))) and (not any(self.torsion_classes(v)))
 
 
 def quotient_lattice(ambient_rank: int, sub_basis) -> QuotientData:
@@ -383,64 +293,15 @@ def quotient_lattice(ambient_rank: int, sub_basis) -> QuotientData:
     subs = [v for v in subs if any(v)]
     if not subs:
         return QuotientData(
-            ambient_rank=ambient_rank,
             free_projection=LatticeMap.identity(ambient_rank),
             section=LatticeMap.identity(ambient_rank),
-            torsion_invariants=(),
-            torsion_rows=())
+            torsion_invariants=())
     snf = smith_normal_form(_columns_matrix(subs, ambient_rank))
     r = snf.rank()
     free_idx = list(range(r, ambient_rank))
-    tors_idx = [i for i in range(r) if snf.diag[i] > 1]
     proj_rows = tuple(snf.left[i] for i in free_idx)
     section_cols = [tuple(row[j] for row in snf.left_inverse) for j in free_idx]
     return QuotientData(
-        ambient_rank=ambient_rank,
         free_projection=LatticeMap(ambient_rank, len(free_idx), proj_rows),
         section=LatticeMap.from_columns(section_cols, ambient_rank),
-        torsion_invariants=tuple(snf.diag[i] for i in tors_idx),
-        torsion_rows=tuple(snf.left[i] for i in tors_idx))
-
-
-def lattice_index(sub: LatticeMap) -> int | None:
-    """Index of the image of `sub` in its target; None when infinite."""
-    if sub.source_rank != sub.target_rank:
-        snf = smith_normal_form(sub.matrix)
-        if snf.rank() < sub.target_rank:
-            return None
-        idx = 1
-        for d in snf.diag:
-            if d:
-                idx *= d
-        return idx
-    det = determinant(sub.matrix)
-    return abs(det) if det else None
-
-
-def solve_integer(columns, target: Vector) -> Vector | None:
-    """Integer coordinates of `target` in the given columns, or None.
-
-    Solves sum_j x_j * columns[j] = target exactly via Smith form.
-    """
-    cols = [vec(c) for c in columns]
-    n = len(target)
-    if not cols:
-        return () if not any(target) else None
-    a = _columns_matrix(cols, n)
-    snf = smith_normal_form(a)
-    y = mat_vec_mul(snf.left, vec(target))
-    x_mid = []
-    for i in range(snf.cols):
-        di = snf.diag[i] if i < len(snf.diag) else 0
-        yi = y[i] if i < len(y) else 0
-        if di == 0:
-            if i < len(y) and yi != 0:
-                return None
-            x_mid.append(0)
-        else:
-            if yi % di != 0:
-                return None
-            x_mid.append(yi // di)
-    if any(y[i] != 0 for i in range(snf.cols, len(y))):
-        return None
-    return mat_vec_mul(snf.right, tuple(x_mid))
+        torsion_invariants=tuple(d for d in snf.diag[:r] if d > 1))

@@ -25,6 +25,7 @@ from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import quotient_lattice
 from .periods import (
     PositivityViolation,
+    _remembered,
     automorphic_local_factor,
     automorphic_prefactor,
     engine_input,
@@ -105,6 +106,12 @@ def is_generic(datum_check: GradedToricDatum, phi: Character):
     return len(fixed) == 1, fixed
 
 
+def _quotient_image(cone: Cone, basis) -> tuple:
+    """The quotient of the ambient lattice by span(basis), and the image of cone in it."""
+    quot = quotient_lattice(cone.ambient_rank, basis)
+    return quot, image_cone(cone, quot.free_projection)
+
+
 def regularized_automorphic_contribution(
         datum: GradedToricDatum, face: Cone, curve: Curve,
         chi: Character, order: int) -> OrbitContribution:
@@ -117,15 +124,17 @@ def regularized_automorphic_contribution(
     scans over the closure cone in the quotient lattice.
     """
     lattice = faces(datum.cone)
-    stab = lattice.spans[lattice.index(face.rays)]
+    i = lattice.index(face.rays)
+    stab = lattice.spans[i]
     psi = extended_character(chi, datum.eta)
     if not psi.is_trivial_on_all(stab):
         return _vanished(VANISHED_TRIVIALITY)
-    quot = quotient_lattice(datum.rank, stab)
+    quot, closure = _remembered(
+        "orbit-closure", (datum.cone, lattice.faces[i].rays),
+        lambda: _quotient_image(datum.cone, stab))
     if quot.torsion_invariants != ():
         raise ValueError("stabilizer basis not saturated")
     psi_bar = psi.compose(quot.section)
-    closure = image_cone(datum.cone, quot.free_projection)
     if _cuspidality_witness(closure, psi_bar) is not None:
         return _vanished(VANISHED_CUSPIDALITY)
     series = prefactored_period(
@@ -157,10 +166,11 @@ def regularized_spectral_contribution(
     if any(other.ray_set() < rays and psi.is_trivial_on_all(ann)
            for other, ann in zip(lattice.faces, lattice.annihilators)):
         return _vanished(VANISHED_DOMINATED)
-    quot = quotient_lattice(datum_check.rank, lattice.annihilators[i])
+    quot, image = _remembered(
+        "orbit-image", (datum_check.cone, lattice.faces[i].rays),
+        lambda: _quotient_image(dual_cone(datum_check.cone), lattice.annihilators[i]))
     if quot.torsion_invariants != ():
         raise ValueError("annihilator of the face is not saturated")
-    image = image_cone(dual_cone(datum_check.cone), quot.free_projection)
     series = prefactored_period(
         spectral_local_factor, image,
         *engine_input(image, psi.compose(quot.section), (0,) * image.ambient_rank),
@@ -181,9 +191,6 @@ class OrbitDualityReport(namedtuple(
     @property
     def equal(self) -> bool:
         return all(p.equal for p in self.pairs)
-
-    def nonzero_pairs(self):
-        return [p for p in self.pairs if not p.automorphic.vanished]
 
 
 def _contribution_or_divergent(contribution, *args) -> OrbitContribution:

@@ -489,32 +489,6 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         trunc = self.trunc * d + d - 1 if self.trunc < EXACT else EXACT
         return TruncatedSeries(self.nvars, self.order, min(trunc, EXACT), rows)
 
-    def _finite_trunc(self, name: str) -> int:
-        if self.trunc >= EXACT:
-            raise ValueError(f"{name} needs a finite truncation order")
-        return self.trunc
-
-    def log(self) -> "TruncatedSeries":
-        """Logarithm of 1 + (terms at u > 0), exact to the same order.
-
-        Runs on packed integer rows (`_RowPacking.log_rows`).
-        """
-        top = self._finite_trunc("log")
-        pack = _RowPacking.spanning((self,), top)
-        return pack.series(pack.log_rows(self, top), top)
-
-    def exp(self) -> "TruncatedSeries":
-        """Exponential of a series with terms at u > 0 only, exact to the same order.
-
-        Runs on packed integer rows (`_RowPacking.exp_rows`).
-        """
-        top = self._finite_trunc("exp")
-        if self.low is not None and self.low <= 0:
-            raise ValueError("exp needs a series with terms at u > 0 only")
-        pack = _RowPacking.spanning((self,), top)
-        rows = {k: pack.pack(terms) for k, terms in self.coeffs if k <= top}
-        return pack.series(pack.exp_rows(rows, top), top)
-
     # --- comparison and output ------------------------------------------
 
     def first_mismatch(self, other: "TruncatedSeries"):

@@ -1,0 +1,190 @@
+"""Oracles the tests compare the package against, and shared random inputs; src/ never calls them.
+
+pytest puts this directory on sys.path and, having no tests to find here,
+does not collect it.  `log` and `exp` run one series through the packed
+kernel that `periods.euler_product` uses only as a whole.
+"""
+
+from toricperiods.characters import character_from_spec
+from toricperiods.cones import NotStronglyConvex, make_cone
+from toricperiods.curve import Curve
+from toricperiods.cyclotomic import Cyc
+from toricperiods.intlinalg import (
+    LatticeMap, Matrix, Vector, _columns_matrix, hermite_column_basis,
+    identity_matrix, mat, mat_vec_mul, smith_normal_form, vec)
+from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shapes do not compose")
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def determinant(m: Matrix) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def diagonal_matrix(snf) -> Matrix:
+    """D in left @ m @ right == D: the Smith diagonal of snf, zeros elsewhere."""
+    return tuple(tuple(snf.diag[i] if i == j else 0 for j in range(snf.cols))
+                 for i in range(snf.rows))
+
+
+def lattice_index(sub: LatticeMap) -> int | None:
+    """Index of the image of `sub` in its target; None when infinite."""
+    if sub.source_rank != sub.target_rank:
+        snf = smith_normal_form(sub.matrix)
+        if snf.rank() < sub.target_rank:
+            return None
+        idx = 1
+        for d in snf.diag:
+            if d:
+                idx *= d
+        return idx
+    det = determinant(sub.matrix)
+    return abs(det) if det else None
+
+
+def solve_integer(columns, target: Vector) -> Vector | None:
+    """Integer coordinates of `target` in the given columns, or None.
+
+    Solves sum_j x_j * columns[j] = target exactly via Smith form.
+    """
+    cols = [vec(c) for c in columns]
+    n = len(target)
+    if not cols:
+        return () if not any(target) else None
+    a = _columns_matrix(cols, n)
+    snf = smith_normal_form(a)
+    y = mat_vec_mul(snf.left, vec(target))
+    x_mid = []
+    for i in range(snf.cols):
+        di = snf.diag[i] if i < len(snf.diag) else 0
+        yi = y[i] if i < len(y) else 0
+        if di == 0:
+            if i < len(y) and yi != 0:
+                return None
+            x_mid.append(0)
+        else:
+            if yi % di != 0:
+                return None
+            x_mid.append(yi // di)
+    if any(y[i] != 0 for i in range(snf.cols, len(y))):
+        return None
+    return mat_vec_mul(snf.right, tuple(x_mid))
+
+
+def saturate_sublattice(gens, ambient_rank: int) -> list[Vector]:
+    """Basis of the saturation (Q-span intersected with Z^n) of span(gens)."""
+    gens = [vec(g) for g in gens]
+    for g in gens:
+        if len(g) != ambient_rank:
+            raise ValueError("generator has wrong length")
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        return []
+    snf = smith_normal_form(_columns_matrix(gens, ambient_rank))
+    r = snf.rank()
+    # span(gens) = Linv D Rinv-image, so the first r columns of Linv give a
+    # basis of the saturation (they are part of a basis of Z^n).
+    basis = [tuple(row[j] for row in snf.left_inverse) for j in range(r)]
+    return hermite_column_basis(basis, ambient_rank)
+
+
+def dim(cone) -> int:
+    """Dimension of a cone: the length of its saturated span."""
+    return len(saturate_sublattice(cone.rays, cone.ambient_rank))
+
+
+def kernel_basis(m) -> list[Vector]:
+    """Basis (saturated) of the integer kernel {x : m @ x = 0}."""
+    m = mat(m)
+    if not m:
+        raise ValueError("kernel of a matrix with no rows is ambiguous; pass identity constraints")
+    snf = smith_normal_form(m)
+    r = snf.rank()
+    basis = [tuple(row[j] for row in snf.right) for j in range(r, snf.cols)]
+    return hermite_column_basis(basis, snf.cols)
+
+
+def annihilator_basis(vectors, n: int) -> list[Vector]:
+    """Basis of {x in Z^n : <x, v> = 0 for all v}; all of Z^n when vectors is empty."""
+    vs = [vec(v) for v in vectors if any(v)]
+    if not vs:
+        return [tuple(row) for row in identity_matrix(n)]
+    return kernel_basis(tuple(vs))
+
+
+def random_cone(rng, rank: int):
+    """A strongly convex cone on 1 to rank + 2 random generators with entries in [-3, 3]."""
+    while True:
+        k = rng.randint(1, rank + 2)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(k)]
+        if not any(any(r) for r in rays):
+            continue
+        try:
+            return make_cone(rays, rank)
+        except NotStronglyConvex:
+            continue
+
+
+def random_character(rng, rank: int, order: int = 4):
+    """A character with a random root of unity and u-slope in [-2, 2] per coordinate."""
+    return character_from_spec(
+        [(rng.randrange(order), rng.randint(-2, 2)) for _ in range(rank)],
+        order=order, nvars=rank)
+
+
+def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:
+    """Closed form: the t^m coefficient is (q^(m+1)-1)/(q-1), genus zero."""
+    data = {m: {(): Cyc.rational((curve.q ** (m + 1) - 1) // (curve.q - 1), 1)}
+            for m in range(order + 1)}
+    return TruncatedSeries.from_dict(data, 0, 1, order)
+
+
+def _finite_trunc(series: TruncatedSeries, name: str) -> int:
+    if series.trunc >= EXACT:
+        raise ValueError(f"{name} needs a finite truncation order")
+    return series.trunc
+
+
+def log(series: TruncatedSeries) -> TruncatedSeries:
+    """Logarithm of 1 + (terms at u > 0), exact to the same order (`_RowPacking.log_rows`)."""
+    top = _finite_trunc(series, "log")
+    pack = _RowPacking.spanning((series,), top)
+    return pack.series(pack.log_rows(series, top), top)
+
+
+def exp(series: TruncatedSeries) -> TruncatedSeries:
+    """Exponential of terms at u > 0 only, exact to the same order (`_RowPacking.exp_rows`)."""
+    top = _finite_trunc(series, "exp")
+    if series.low is not None and series.low <= 0:
+        raise ValueError("exp needs a series with terms at u > 0 only")
+    pack = _RowPacking.spanning((series,), top)
+    rows = {k: pack.pack(terms) for k, terms in series.coeffs if k <= top}
+    return pack.series(pack.exp_rows(rows, top), top)

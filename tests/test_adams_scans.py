@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import determinant, divisor_count_series
 from toricperiods.characters import character_from_spec, extended_character
 from toricperiods.cones import (
     NotStronglyConvex,
@@ -24,10 +25,10 @@ from toricperiods.cones import (
     make_cone,
     points_at_level,
 )
-from toricperiods.curve import Curve, divisor_count_series
+from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
-from toricperiods.intlinalg import determinant, dot
+from toricperiods.intlinalg import dot
 from toricperiods.periods import (
     _weight_box,
     automorphic_local_factor,

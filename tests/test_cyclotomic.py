@@ -92,7 +92,7 @@ def test_rational_embedding():
     b = Cyc.rational(3, 4)
     assert a * b == Cyc.rational(2, 4)
     assert (a - a).is_zero()
-    assert Cyc.one(4).is_one()
+    assert Cyc.rational(1, 4) == Cyc.one(4)
 
 
 def test_inexact_polynomial_division_raises():

@@ -1,6 +1,7 @@
 import pytest
 
-from toricperiods.cones import dual_cone, face_of, faces, image_cone, make_cone
+from oracles import dim
+from toricperiods.cones import dual_cone, faces, image_cone, make_cone
 from toricperiods.duality import (
     GradedToricDatum,
     InvalidEigenform,
@@ -88,7 +89,7 @@ def test_orbit_counts():
 def test_orbit_extremes():
     orbs = list(orbit_geometry(QUADRIC))
     dense = [span for face, span, _, _ in orbs if not face.rays]
-    fixed = [span for _, span, quot, _ in orbs if quot.free_rank == 0]
+    fixed = [span for _, span, quot, _ in orbs if quot.free_projection.target_rank == 0]
     assert len(dense) == 1 and len(fixed) == 1
     assert dense[0] == ()
     assert len(fixed[0]) == 2
@@ -104,7 +105,7 @@ def test_closure_cone_dimensions():
     for datum in CATALOG:
         r = datum.rank
         for face, _, _, closure in orbit_geometry(datum):
-            assert face.dim() + closure.dim() == r
+            assert dim(face) + dim(closure) == r
             assert closure.full_dimensional
 
 

@@ -10,9 +10,11 @@ and the place-count bookkeeping together.
 `reference_log` and `reference_exp` are the same recurrences term by
 term, one `Cyc` product and one `Cyc` sum per pair of terms, through the
 row helper of series multiplication; the packed integer rows of
-`TruncatedSeries.log`/`exp` must give exactly their result.
+`oracles.log`/`exp` (`_RowPacking.log_rows`/`exp_rows` on one series)
+must give exactly their result.
 """
 
+import os
 import subprocess
 import sys
 from collections import defaultdict
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exp, log
 from toricperiods.curve import Curve, place_counts, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.periods import euler_product
@@ -47,7 +50,7 @@ def binary_powering_euler_product(local_factor, curve, order):
     table = place_counts(curve, top)
     out = None
     for d in range(1, top + 1):
-        piece = local_factor(d).power(table.a(d))
+        piece = local_factor(d).power(table.counts[d - 1])
         out = piece if out is None else out * piece
     return out
 
@@ -197,13 +200,13 @@ def packed_case(draw, low):
 @settings(max_examples=80, deadline=None)
 @given(packed_case(low=0))
 def test_packed_log_matches_term_by_term_recurrence(f):
-    assert f.log() == reference_log(f)
+    assert log(f) == reference_log(f)
 
 
 @settings(max_examples=80, deadline=None)
 @given(packed_case(low=1))
 def test_packed_exp_matches_term_by_term_recurrence(g):
-    assert g.exp() == reference_exp(g)
+    assert exp(g) == reference_exp(g)
 
 
 def test_packed_log_of_a_product_is_the_sum_of_logs():
@@ -215,9 +218,9 @@ def test_packed_log_of_a_product_is_the_sum_of_logs():
         a, b = (TruncatedSeries.from_dict({0: one, 1: {(-1, 0): c}}, 2, order, 12)
                 for c in (x, -x))
         f = a * b
-        assert f.log() == a.log() + b.log() == reference_log(f)
-        assert {u % 2 for u, _ in f.log().coeffs} == {0}
-        assert f.log().exp() == f
+        assert log(f) == log(a) + log(b) == reference_log(f)
+        assert {u % 2 for u, _ in log(f).coeffs} == {0}
+        assert exp(log(f)) == f
 
 
 def test_finished_packed_rows_are_reduced_and_in_lowest_terms():
@@ -306,7 +309,7 @@ def test_shared_packing_holds_the_widest_euler_rows(case):
 def test_exp_inverts_log(data):
     nvars, order, trunc = data.draw(ring())
     f = one_plus(data.draw(rows(nvars, order, trunc)), nvars, order, trunc)
-    assert f.log().exp() == f
+    assert exp(log(f)) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,7 +318,7 @@ def test_log_inverts_exp(data):
     nvars, order, trunc = data.draw(ring())
     g = TruncatedSeries.from_dict(data.draw(rows(nvars, order, trunc)),
                                   nvars, order, trunc)
-    assert g.exp().log() == g
+    assert log(exp(g)) == g
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,7 +336,7 @@ def test_adams_operation_is_a_ring_map_that_commutes_with_log(data):
 
     assert psi(f * h) == psi(f) * psi(h)
     assert psi(f + h) == psi(f) + psi(h)
-    assert psi(f.log()) == psi(f).log()
+    assert psi(log(f)) == log(psi(f))
 
 
 def test_zeta_series_matches_binary_powering():
@@ -350,7 +353,7 @@ def test_log_of_geometric_series():
     # log 1/(1 - z u) = sum z^n u^n / n.
     geo = TruncatedSeries.from_dict(
         {k: {(k,): Cyc.one(1)} for k in range(7)}, 1, 1, 6)
-    assert geo.log().coeffs == tuple(
+    assert log(geo).coeffs == tuple(
         (n, (((n,), Cyc.rational(Fraction(1, n), 1)),)) for n in range(1, 7))
 
 
@@ -370,7 +373,7 @@ def _series(rows_, nvars=1, order=1, trunc=4):
 ])
 def test_log_refuses(series, reason):
     with pytest.raises(ValueError, match=reason):
-        series.log()
+        log(series)
 
 
 @pytest.mark.parametrize("series, reason", [
@@ -381,23 +384,25 @@ def test_log_refuses(series, reason):
 ])
 def test_exp_refuses(series, reason):
     with pytest.raises(ValueError, match=reason):
-        series.exp()
+        exp(series)
 
 
 def test_refusals_hold_under_optimize():
     code = (
+        "from oracles import exp, log\n"
         "from toricperiods.cyclotomic import Cyc\n"
         "from toricperiods.series import TruncatedSeries\n"
         "s = TruncatedSeries.from_dict({0: {(): Cyc.rational(2, 1)}}, 0, 1, 3)\n"
-        "for f in (s.log, s.exp):\n"
+        "for f in (log, exp):\n"
         "    try:\n"
-        "        f()\n"
+        "        f(s)\n"
         "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit(f.__name__ + ' accepted a bad series')\n")
-    src = Path(__file__).resolve().parents[1] / "src"
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(here.parent / "src"), str(here)))
     done = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": str(src)},
+                          env={"PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
 

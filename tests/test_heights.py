@@ -6,8 +6,6 @@ from toricperiods.curve import Curve, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum
 from toricperiods.heights import (
-    OutsideSupport,
-    height_exponent,
     height_fourier_global,
     height_fourier_local,
     make_height,
@@ -20,14 +18,6 @@ from toricperiods.periods import (
 
 HALF_LINE = make_height([[(1,)]], [(1,)], 1)
 COMPLETE_LINE = make_height([[(1,)], [(-1,)]], [(1,), (-1,)], 1)
-
-
-def test_height_exponent_examples():
-    assert height_exponent(HALF_LINE, (3,)) == 3
-    assert height_exponent(COMPLETE_LINE, (-2,)) == 2
-    assert height_exponent(HALF_LINE, (0,)) == 0
-    with pytest.raises(OutsideSupport):
-        height_exponent(HALF_LINE, (-1,))
 
 
 def test_continuity_enforced():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import divisor_count_series
 from toricperiods import cones, periods
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import dual_cone, make_cone, points_at_level
-from toricperiods.curve import Curve, divisor_count_series
+from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.heights import (

@@ -3,18 +3,15 @@ from math import prod
 
 import pytest
 
+from oracles import determinant, lattice_index, solve_integer
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
-from toricperiods.intlinalg import (
-    LatticeMap,
-    determinant,
-    lattice_index,
-)
+from toricperiods.intlinalg import LatticeMap
 from toricperiods.periods import automorphic_period, spectral_period
-from toricperiods.series import Monomial, TruncatedSeries
+from toricperiods.series import Monomial
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
@@ -112,7 +109,6 @@ def _box(n, b):
 
 
 def _in_image(iso, y):
-    from toricperiods.intlinalg import solve_integer
     cols = [iso.inclusion.column(j) for j in range(iso.rank)]
     return solve_integer(cols, tuple(y)) is not None
 
