@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .scenario import (
+    CATALOG,
     SchemaError,
     catalog_emit,
     catalog_names,
@@ -23,16 +24,6 @@ from .scenario import (
     report_to_json,
     run_scenario,
 )
-
-CATALOG_SUMMARIES = {
-    "tate": "rank-1 self-dual affine line, formal character",
-    "orthant_a2": "rank-2 orthant, matched gradings",
-    "quadric_cone": "rank-2 quadric cone, formal and specialized characters",
-    "quadric_cone_eta21": "quadric cone with eigenform (2,1): discrepancy -1",
-    "square_cone_3d": "rank-3 non-simplicial cone over the unit square",
-    "weight_n_stack": "rank-1 weight-n quotient (pick n with --n; default 2)",
-    "height_p1": "rank-1 height transform and the local-factor bridge",
-}
 
 
 def _default_outdir() -> Path | None:
@@ -105,7 +96,7 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         for name in catalog_names():
-            print(f"{name}: {CATALOG_SUMMARIES.get(name, '')}")
+            print(f"{name}: {CATALOG[name][0]}")
         return 0
     try:
         data = catalog_emit(args.name, q=args.q, order=args.order, n=args.n)

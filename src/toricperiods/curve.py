@@ -18,10 +18,6 @@ from .cyclotomic import Cyc
 from .series import TruncatedSeries
 
 
-class BranchAmbiguity(ValueError):
-    """A fractional cocharacter forced a fractional power of a formal variable."""
-
-
 class InvalidSpin(ValueError):
     """The spin entry at `index` names a place of degree < 1."""
 

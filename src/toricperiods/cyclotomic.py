@@ -150,10 +150,6 @@ class Cyc:
         return len(cyclotomic_polynomial(order)) - 1
 
     @staticmethod
-    def zero(order: int) -> "Cyc":
-        return _canonical(order, (0,) * Cyc.degree(order), 1)
-
-    @staticmethod
     def rational(value, order: int) -> "Cyc":
         value = Fraction(value)
         nums = (value.numerator,) + (0,) * (Cyc.degree(order) - 1)

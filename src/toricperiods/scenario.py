@@ -4,7 +4,10 @@ A scenario bundles a graded cone, a curve, characters, a truncation
 order and a list of checks; reports echo the scenario and serialize all
 compared series so a failure pinpoints a face/character/coefficient.
 Integers are encoded as strings throughout the JSON so arbitrarily large
-exact values survive round-trips unchanged.
+exact values survive round-trips unchanged.  The catalog is one table,
+`CATALOG`: each name maps to its one-line summary and to the scenario
+fields that differ from a shared default; `catalog_emit` fills in the
+rest.
 """
 
 from __future__ import annotations
@@ -569,35 +572,60 @@ def _write_json(value, pad: str, written: dict, out: list) -> None:
 # ----------------------------------------------------------------------
 # Catalog.
 
-def _catalog_entries():
-    return {
-        "tate": _tate_scenario,
-        "orthant_a2": _orthant_scenario,
-        "quadric_cone": _quadric_scenario,
-        "quadric_cone_eta21": _quadric21_scenario,
-        "square_cone_3d": _square_scenario,
-        "weight_n_stack": _weight_n_scenario,
-        "height_p1": _height_scenario,
-    }
+# name -> (summary, the fields that differ from the shared default: q = 2,
+# cyclotomic order 1, truncation 10 and one formal character).
+# weight_n_stack is built from n by _weight_n_fields.
+CATALOG = {
+    "tate": ("rank-1 self-dual affine line, formal character", {
+        "rank": 1, "rays": [[1]], "rho": [1], "eta": [1], "truncation": 16,
+        "checks": ["weak_duality", "orbit_duality"]}),
+    "orthant_a2": ("rank-2 orthant, matched gradings", {
+        "rank": 2, "rays": [[1, 0], [0, 1]], "rho": [1, 1], "eta": [1, 1],
+        "checks": ["weak_duality", "orbit_duality"]}),
+    "quadric_cone": ("rank-2 quadric cone, formal and specialized characters", {
+        "rank": 2, "rays": [[1, 0], [1, 2]], "rho": [1, 1], "eta": [1, 1],
+        "characters": [{"name": "formal", "coords": ["formal", "formal"]},
+                       {"name": "z1-is-u-inverse",
+                        "coords": [{"zeta": 0, "u": -1}, "formal"]}],
+        "checks": ["weak_duality", "orbit_duality"]}),
+    "quadric_cone_eta21": ("quadric cone with eigenform (2,1): discrepancy -1", {
+        "rank": 2, "rays": [[1, 0], [1, 2]], "rho": [1, 1], "eta": [2, 1],
+        "checks": ["weak_duality"]}),
+    "square_cone_3d": ("rank-3 non-simplicial cone over the unit square", {
+        "rank": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+        "rho": [1, 1, 2], "eta": [1, 0, 1],
+        "checks": ["weak_duality", "orbit_duality"]}),
+    "weight_n_stack": ("rank-1 weight-n quotient (pick n with --n; default 2)", None),
+    "height_p1": ("rank-1 height transform and the local-factor bridge", {
+        "rank": 1, "rays": [[1]], "rho": [1], "eta": [2], "truncation": 8,
+        "checks": ["height_bridge", "weak_duality"],
+        "height": {"cones": [[[1]]], "slopes": [[1]]}}),
+}
 
 
 def catalog_names() -> list[str]:
-    return sorted(_catalog_entries())
+    return sorted(CATALOG)
 
 
 def catalog_emit(name: str, q: int | None = None, order: int | None = None,
                  n: int | None = None) -> dict:
-    """The named catalog scenario, with q and the truncation replaced when given."""
-    entries = _catalog_entries()
-    if name not in entries:
+    """The named catalog scenario, with q and the truncation replaced when given.
+
+    Every call builds a new dict, which the caller may change.
+    """
+    if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"known: {', '.join(catalog_names())}")
     if name == "weight_n_stack":
-        data = entries[name](2 if n is None else n)
+        fields = _weight_n_fields(2 if n is None else n)
     elif n is not None:
         raise KeyError("--n only applies to weight_n_stack")
     else:
-        data = entries[name]()
+        fields = json.loads(json.dumps(CATALOG[name][1]))  # a deep copy
+    data = {"name": name, "curve": {"q": 2, "genus": 0}, "cyclotomic_order": 1,
+            "truncation": 10,
+            "characters": [{"name": "formal", "coords": ["formal"] * fields["rank"]}],
+            **fields}
     if q is not None:
         data["curve"]["q"] = q
     if order is not None:
@@ -605,118 +633,12 @@ def catalog_emit(name: str, q: int | None = None, order: int | None = None,
     return data
 
 
-def _formal_chars(rank):
-    return [{"name": "formal", "coords": ["formal"] * rank}]
-
-
-def _tate_scenario():
-    return {
-        "name": "tate",
-        "rank": 1,
-        "rays": [[1]],
-        "rho": [1],
-        "eta": [1],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 16,
-        "characters": _formal_chars(1),
-        "checks": ["weak_duality", "orbit_duality"],
-    }
-
-
-def _orthant_scenario():
-    return {
-        "name": "orthant_a2",
-        "rank": 2,
-        "rays": [[1, 0], [0, 1]],
-        "rho": [1, 1],
-        "eta": [1, 1],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 10,
-        "characters": _formal_chars(2),
-        "checks": ["weak_duality", "orbit_duality"],
-    }
-
-
-def _quadric_scenario():
-    return {
-        "name": "quadric_cone",
-        "rank": 2,
-        "rays": [[1, 0], [1, 2]],
-        "rho": [1, 1],
-        "eta": [1, 1],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 10,
-        "characters": _formal_chars(2) + [
-            {"name": "z1-is-u-inverse",
-             "coords": [{"zeta": 0, "u": -1}, "formal"]}],
-        "checks": ["weak_duality", "orbit_duality"],
-    }
-
-
-def _quadric21_scenario():
-    return {
-        "name": "quadric_cone_eta21",
-        "rank": 2,
-        "rays": [[1, 0], [1, 2]],
-        "rho": [1, 1],
-        "eta": [2, 1],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 10,
-        "characters": _formal_chars(2),
-        "checks": ["weak_duality"],
-    }
-
-
-def _square_scenario():
-    return {
-        "name": "square_cone_3d",
-        "rank": 3,
-        "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
-        "rho": [1, 1, 2],
-        "eta": [1, 0, 1],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 10,
-        "characters": _formal_chars(3),
-        "checks": ["weak_duality", "orbit_duality"],
-    }
-
-
-def _weight_n_scenario(n):
+def _weight_n_fields(n):
     if n < 1:
         raise KeyError("weight must be >= 1")
-    # The least prime power q = 1 mod n: the field must hold the n-th roots.
-    default_q = next(q for q in count(n + 1, n) if is_prime_power(q))
     return {
-        "name": f"weight_{n}_stack",
-        "rank": 1,
-        "rays": [[1]],
-        "rho": [1],
-        "eta": [1],
-        "curve": {"q": default_q, "genus": 0},
-        "cyclotomic_order": n,
-        "truncation": 10,
-        "characters": _formal_chars(1),
-        "checks": ["stack_duality"],
-        "isogeny": {"inclusion": [[n]]},
-    }
-
-
-def _height_scenario():
-    return {
-        "name": "height_p1",
-        "rank": 1,
-        "rays": [[1]],
-        "rho": [1],
-        "eta": [2],
-        "curve": {"q": 2, "genus": 0},
-        "cyclotomic_order": 1,
-        "truncation": 8,
-        "characters": _formal_chars(1),
-        "checks": ["height_bridge", "weak_duality"],
-        "height": {"cones": [[[1]]], "slopes": [[1]]},
-    }
+        "name": f"weight_{n}_stack", "rank": 1, "rays": [[1]], "rho": [1], "eta": [1],
+        # The least prime power q = 1 mod n: the field must hold the n-th roots.
+        "curve": {"q": next(q for q in count(n + 1, n) if is_prime_power(q)), "genus": 0},
+        "cyclotomic_order": n, "checks": ["stack_duality"],
+        "isogeny": {"inclusion": [[n]]}}

@@ -1,15 +1,17 @@
-"""Finite-stabilizer quotients: isogeny data, lift families, stack periods.
+"""Finite-stabilizer quotients: isogeny data, lifts, stack periods.
 
 A finite subgroup of the torus is presented by a full-rank inclusion of
 cocharacter lattices; the character group of the kernel is the torsion of
 the cokernel, realised through Smith invariants as tuples of roots of
-unity.  Characters of the small class group extend to the covering class
-group in exactly index-many ways, differing by those torsion twists, and
-the two stack periods are assembled from the plain engines on the
-covering pair: the automorphic one by pulling the character back along
-the covering map, the spectral one by summing the covering spectral
-period over the lift family (each lift keeps its own monomial prefactor,
-which is what makes the family sum independent of the chosen base lift).
+unity.  A stack check starts from one character of the covering class
+group, the base lift; the downstairs character is its restriction, and
+its index-many lifts are the base lift times those torsion twists.  The
+two stack periods are assembled from the plain engines on the covering
+pair: the automorphic one by pulling the character back along the
+covering map, the spectral one by summing the covering spectral period
+over the lifts (each lift keeps its own monomial prefactor, which is what
+makes the sum independent of which lift is the base).  The field is
+checked once per verification, by `verify_stack_duality`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import prod
 
 from .characters import Character, formal_character
 from .cones import Cone, dual_cone, make_cone
-from .curve import BranchAmbiguity, Curve
+from .curve import Curve
 from .duality import GradedDualPair
 from .intlinalg import LatticeMap, mat_vec_mul, smith_normal_form, transpose, vec
 from .periods import (
@@ -36,10 +38,6 @@ from .series import Monomial, TruncatedSeries
 
 
 class IncompatibleField(ValueError):
-    pass
-
-
-class NotALift(ValueError):
     pass
 
 
@@ -112,40 +110,24 @@ def torsion_twists(iso: IsogenyDatum, order: int) -> list[tuple[Monomial, ...]]:
     return twists
 
 
-class LiftFamily(namedtuple("LiftFamily", "base_lift twists members")):
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def restrict_character(lift: Character, iso: IsogenyDatum) -> Character:
     """The character of the small class group induced by a covering character."""
     return lift.compose(iso.inclusion)
 
 
-def unramified_lifts(phi: Character | None, iso: IsogenyDatum,
-                     base_lift: Character) -> LiftFamily:
-    """All extensions of phi to the covering class group.
+def unramified_lifts(iso: IsogenyDatum, base_lift: Character) -> tuple[Character, ...]:
+    """All extensions to the covering class group of base_lift's restriction.
 
-    base_lift must restrict to phi along the inclusion (checked as exact
-    monomial identities); the family is base_lift times the torsion
-    twists, pairwise distinct and independent of which member is named
-    the base.
+    They are base_lift times the torsion twists, in the order of
+    `torsion_twists`: pairwise distinct, and the same set whichever of
+    them is named the base.
     """
     if base_lift.rank != iso.rank:
-        raise NotALift("base lift has wrong rank")
-    if phi is not None:
-        got = restrict_character(base_lift, iso)
-        if got.coords != phi.coords:
-            raise NotALift(
-                f"base lift restricts to {got.coords}, expected {phi.coords}")
-    twists = tuple(torsion_twists(iso, base_lift.order))
-    members = tuple(base_lift.twist(t) for t in twists)
-    if len({m.coords for m in members}) != len(members):
+        raise ValueError("base lift has wrong rank")
+    lifts = tuple(base_lift.twist(t) for t in torsion_twists(iso, base_lift.order))
+    if len({lift.coords for lift in lifts}) != len(lifts):
         raise ValueError("torsion twists are not pairwise distinct")
-    return LiftFamily(base_lift=base_lift, twists=twists, members=members)
+    return lifts
 
 
 class InducedGradedPair(namedtuple("InducedGradedPair", "base_pair isogeny")):
@@ -155,10 +137,6 @@ class InducedGradedPair(namedtuple("InducedGradedPair", "base_pair isogeny")):
     """
 
     __slots__ = ()
-
-    @property
-    def index(self) -> int:
-        return self.isogeny.index
 
 
 def induced_pair(base_pair: GradedDualPair, iso: IsogenyDatum) -> InducedGradedPair:
@@ -182,56 +160,43 @@ def stack_automorphic_period(pair: InducedGradedPair, curve: Curve,
 
     Equals the covering automorphic period at the pulled-back character.
     """
-    check_curve_compatibility(pair.isogeny, curve)
     pulled = pullback_along_covering(chi_on_dual, pair.isogeny)
     return automorphic_period(pair.base_pair.side_xcheck, curve, pulled, order)
 
 
 def stack_spectral_period_unramified(pair: InducedGradedPair, curve: Curve,
-                                     phi: Character | None,
-                                     base_lift: Character | None,
+                                     base_lift: Character,
                                      order: int) -> TruncatedSeries:
-    """Sum of covering spectral periods over the unramified lift family.
+    """Sum of covering spectral periods over the lifts of base_lift's restriction.
 
     Each lift carries its own eigenform scalar, so the sum is invariant
-    under replacing the base lift by any other member of its family.  The
-    base lift is mandatory for a nontrivial kernel: without it the dual
-    grading is a rational cocharacter and its prefactor would need a
+    under replacing the base lift by any other lift.  The lift is declared
+    on the covering torus: downstairs, the dual grading of a nontrivial
+    kernel is a rational cocharacter, and its prefactor would need a
     fractional power of a formal variable.
     """
-    check_curve_compatibility(pair.isogeny, curve)
-    if base_lift is None:
-        if pair.index == 1:
-            base_lift = phi
-        else:
-            raise BranchAmbiguity(
-                f"the isogeny has index {pair.index}: declare the character "
-                "on the covering torus to fix the branch")
-    fam = unramified_lifts(phi, pair.isogeny, base_lift)
     total = None
-    for member in fam.members:
-        term = spectral_period(pair.base_pair.side_xcheck, curve, member, order)
+    for lift in unramified_lifts(pair.isogeny, base_lift):
+        term = spectral_period(pair.base_pair.side_xcheck, curve, lift, order)
         total = term if total is None else total + term
     return total
 
 
 def unramified_automorphic_period_liftsum(pair: InducedGradedPair, curve: Curve,
-                                          chi: Character | None,
-                                          base_extension: Character,
+                                          base_lift: Character,
                                           order: int) -> TruncatedSeries:
-    """Average of covering automorphic periods over the extension family.
+    """Average of covering automorphic periods over the lifts of base_lift's restriction.
 
     This is the normative unramified period: (1/index) times the sum over
     all extensions of the downstairs character to the covering class
     group.
     """
-    check_curve_compatibility(pair.isogeny, curve)
-    fam = unramified_lifts(chi, pair.isogeny, base_extension)
+    lifts = unramified_lifts(pair.isogeny, base_lift)
     total = None
-    for member in fam.members:
-        term = automorphic_period(pair.base_pair.side_x, curve, member, order)
+    for lift in lifts:
+        term = automorphic_period(pair.base_pair.side_x, curve, lift, order)
         total = term if total is None else total + term
-    return total.scale(Fraction(1, fam.size))
+    return total.scale(Fraction(1, len(lifts)))
 
 
 def _pulled_back_cone(iso: IsogenyDatum, cover: Cone) -> Cone:
@@ -241,7 +206,7 @@ def _pulled_back_cone(iso: IsogenyDatum, cover: Cone) -> Cone:
 
 
 def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
-                                         base_extension: Character,
+                                         base_lift: Character,
                                          order: int) -> TruncatedSeries:
     """Experimental direct orbit-sum model of the unramified period.
 
@@ -251,16 +216,15 @@ def unramified_automorphic_period_direct(pair: InducedGradedPair, curve: Curve,
     The stack verifier diffs it against the lift-sum period; the
     comparison is informational only.
     """
-    check_curve_compatibility(pair.isogeny, curve)
     iso = pair.isogeny
     side = pair.base_pair.side_x
     small_cone = _pulled_back_cone(iso, side.cone)
-    pulled_chi = restrict_character(base_extension, iso)
+    pulled_chi = restrict_character(base_lift, iso)
     eta_small = mat_vec_mul(transpose(iso.inclusion.matrix), side.eta)
     return prefactored_period(
         automorphic_local_factor, small_cone,
         *engine_input(small_cone, pulled_chi, eta_small),
-        automorphic_prefactor(side, base_extension), curve, order)
+        automorphic_prefactor(side, base_lift), curve, order)
 
 
 class StackCheck(namedtuple("StackCheck", "name equal mismatch lhs rhs")):
@@ -285,11 +249,12 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
     back parameter; (ii) the lift-sum unramified automorphic period
     equals Delta^(a/4)/index times the unramified stack spectral period.
     The experimental direct orbit sum is recorded but never gates.
+    The field is checked here once, for all of them.
     """
     check_curve_compatibility(pair.isogeny, curve)
     base = pair.base_pair
     expo = base.discrepancy
-    m = pair.index
+    m = pair.isogeny.index
 
     # (i): character downstairs on the dual side, engines on the covering.
     chi_dual = formal_character(base.rank, base_lift.order)
@@ -301,11 +266,8 @@ def verify_stack_duality(pair: InducedGradedPair, curve: Curve,
                         mism1 is None, mism1, lhs1, rhs1)
 
     # (ii): lift-sum unramified automorphic vs unramified stack spectral.
-    chi_small = restrict_character(base_lift, pair.isogeny)
-    lhs2 = unramified_automorphic_period_liftsum(
-        pair, curve, chi_small, base_lift, order)
-    rhs2 = stack_spectral_period_unramified(
-        pair, curve, chi_small, base_lift, order)
+    lhs2 = unramified_automorphic_period_liftsum(pair, curve, base_lift, order)
+    rhs2 = stack_spectral_period_unramified(pair, curve, base_lift, order)
     rhs2_scaled = rhs2.scale(Fraction(1, m)).shift_u(expo)
     mism2 = lhs2.first_mismatch(rhs2_scaled)
     check2 = StackCheck("unramified-automorphic-vs-stack-spectral",

@@ -5,6 +5,9 @@ does not collect it.  `log` and `exp` run one series through the packed
 kernel that `periods.euler_product` uses only as a whole.
 """
 
+from fractions import Fraction
+from itertools import combinations
+
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import NotStronglyConvex, make_cone
 from toricperiods.curve import Curve
@@ -140,17 +143,59 @@ def annihilator_basis(vectors, n: int) -> list[Vector]:
     return kernel_basis(tuple(vs))
 
 
-def random_cone(rng, rank: int):
-    """A strongly convex cone on 1 to rank + 2 random generators with entries in [-3, 3]."""
+def in_cone(rays, v) -> bool:
+    """Whether v is a nonnegative rational combination of the rays.
+
+    By Caratheodory's theorem it is exactly when some linearly independent
+    subset of the rays writes v with nonnegative coefficients; each subset
+    is solved by Gauss-Jordan elimination over Fractions.
+    """
+    if not any(v):
+        return True
+    rays = [r for r in rays if any(r)]
+    for k in range(1, min(len(rays), len(v)) + 1):
+        for subset in combinations(rays, k):
+            coeffs = _independent_coordinates(subset, v)
+            if coeffs is not None and min(coeffs) >= 0:
+                return True
+    return False
+
+
+def _independent_coordinates(columns, v):
+    """The coefficients writing v in the columns; None if they are dependent or miss v."""
+    k = len(columns)
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(x)] for i, x in enumerate(v)]
+    for j in range(k):
+        pivot = next((r for r in range(j, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for r in range(len(rows)):
+            if r != j and rows[r][j]:
+                f = rows[r][j]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[j])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
+
+
+def random_generated_cone(rng, rank: int):
+    """(generators, cone): a strongly convex cone on 1 to rank + 2 random generators with entries in [-3, 3]."""
     while True:
         k = rng.randint(1, rank + 2)
         rays = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(k)]
         if not any(any(r) for r in rays):
             continue
         try:
-            return make_cone(rays, rank)
+            return rays, make_cone(rays, rank)
         except NotStronglyConvex:
             continue
+
+
+def random_cone(rng, rank: int):
+    """The cone of random_generated_cone."""
+    return random_generated_cone(rng, rank)[1]
 
 
 def random_character(rng, rank: int, order: int = 4):

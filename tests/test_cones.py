@@ -22,7 +22,8 @@ from toricperiods.cones import (
     points_at_level,
 )
 from oracles import (
-    annihilator_basis, determinant, dim, random_cone, saturate_sublattice, solve_integer)
+    annihilator_basis, determinant, dim, in_cone, random_generated_cone, saturate_sublattice,
+    solve_integer)
 from toricperiods.intlinalg import LatticeMap, dot
 from toricperiods.scenario import catalog_emit, catalog_names, parse_scenario
 
@@ -445,16 +446,15 @@ def test_random_cone_property_suite():
     checked = 0
     for _ in range(220):
         rank = rng.randint(1, 3)
-        c = random_cone(rng, rank)
+        gens, c = random_generated_cone(rng, rank)
         d = dual_cone(c)
         assert dual_cone(d) == c
         if c.full_dimensional:
             assert make_cone(d.rays, rank) == d
-        # Inner and outer descriptions cut out the same set, checked on
-        # random rational points scaled to integers.
+        # The facet description cuts out the cone of the generators: each
+        # random point is checked against nonnegative combinations of them.
         for _ in range(12):
             v = tuple(rng.randint(-6, 6) for _ in range(rank))
-            inner = all(dot(f, v) >= 0 for f in c.facets)
-            assert inner == c.contains(v)
+            assert c.contains(v) == in_cone(gens, v), (gens, v)
         checked += 1
     assert checked == 220

@@ -142,7 +142,7 @@ def adams_factor(terms, g, d1, nvars, order, trunc):
         if a * d1 <= trunc:
             row = data.setdefault(a * d1, {})
             z = tuple(x * d1 for x in e)
-            row[z] = row.get(z, Cyc.zero(order)) + Cyc.root_power(g * j * d1, order) * c
+            row[z] = row.get(z, Cyc.rational(0, order)) + Cyc.root_power(g * j * d1, order) * c
     return TruncatedSeries.from_dict(data, nvars, order, trunc)
 
 

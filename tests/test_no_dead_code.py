@@ -1,17 +1,26 @@
 """Every def and class in src/toricperiods is referenced there; test-only helpers live in tests/oracles.py.
 
 A function or class is referenced when the package names it outside its
-own definition, a method only when the package reads it as an attribute.
+own definition, a method when the package reads it as an attribute.  A
+method name that several classes define cannot be told apart that way,
+so such a method counts only when the package names it through its own
+class (`Cyc.one`, or `self.one` inside `Cyc`) or when it runs while the
+command line lists the catalog and emits and verifies every entry.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import toricperiods
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricperiods"
 
-# Names that nothing in the package calls, and why they stay.
+# Names that nothing in the package calls, and why they stay.  A method
+# whose name another class also defines is keyed "Class.method".
 ALLOWED = {
     "failures": "method of the public ValidationReport record, read on reports",
     "vanished": "property of the public OrbitContribution record, read on orbit verdicts",
@@ -20,34 +29,91 @@ ALLOWED = {
     "inverse": "Cyc.inverse, hooked by bench/tracer.py until the benchmark drops it",
 }
 
+# Run in a fresh process, so no cache that an earlier test filled hides a call.
+PROFILE = r"""
+import json, sys
+from pathlib import Path
+from toricperiods.cli import main
+from toricperiods.scenario import catalog_names
 
-def _definitions(node, in_class=False):
-    """(def or class node, whether it is a method) under node, nested ones included."""
+package, out = sys.argv[1], Path(sys.argv[2])
+codes = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+sys.setprofile(record)
+main(["catalog", "list"])
+for name in catalog_names():
+    scenario = out / f"{name}.json"
+    main(["catalog", "emit", name, "--out", str(scenario)])
+    main(["verify", str(scenario)])
+sys.setprofile(None)
+ran = sorted({(Path(c.co_filename).name, c.co_firstlineno)
+              for c in codes if c.co_filename.startswith(package)})
+(out / "ran.json").write_text(json.dumps(ran))
+"""
+
+
+def _definitions(node, owner=None):
+    """(def or class node, name of the class it is a method of, or None) under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield child, in_class
-        yield from _definitions(child, isinstance(child, ast.ClassDef))
+            yield child, owner
+        yield from _definitions(child, child.name if isinstance(child, ast.ClassDef) else None)
 
 
-def test_every_definition_is_referenced_in_the_package():
+def _ran_in_the_cli(tmp_path):
+    """(module file name, first line) of every package function the CLI run calls."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", PROFILE, str(PACKAGE), str(tmp_path)],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    return {tuple(x) for x in json.loads((tmp_path / "ran.json").read_text())}
+
+
+def test_every_definition_is_referenced_in_the_package(tmp_path):
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     uses = {}  # name -> [(module, line, read as an attribute)]
+    class_uses = {}  # (class, name) -> [(module, line)], read as Class.name, self.name or cls.name
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.setdefault(node.id, []).append((module, node.lineno, False))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append((module, node.lineno, True))
+                if isinstance(node.value, ast.Name):
+                    class_uses.setdefault((node.value.id, node.attr), []).append(
+                        (module, node.lineno))
+            elif isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                            and sub.value.id in ("self", "cls")):
+                        class_uses.setdefault((node.name, sub.attr), []).append(
+                            (module, sub.lineno))
+    methods = [(node.name, owner) for tree in trees.values()
+               for node, owner in _definitions(tree) if owner]
+    shared = {name for name, _ in methods
+              if len({owner for n, owner in methods if n == name}) > 1}
+    ran = _ran_in_the_cli(tmp_path)
     defined, dead = set(), []
     for module, tree in trees.items():
-        for node, is_method in _definitions(tree):
+        for node, owner in _definitions(tree):
             name = node.name
-            defined.add(name)
+            key = f"{owner}.{name}" if name in shared else name
+            defined.add(key)
             if (name.startswith("__") and name.endswith("__")
-                    or name in toricperiods.__all__ or name in ALLOWED):
+                    or name in toricperiods.__all__ or key in ALLOWED):
                 continue
-            if all(m == module and node.lineno <= line <= node.end_lineno
-                   for m, line, attr in uses.get(name, []) if attr or not is_method):
-                dead.append(f"{module}:{node.lineno} {name}")
+            if name in shared:
+                first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+                if (module, first) in ran:
+                    continue
+                used = class_uses.get((owner, name), [])
+            else:
+                used = [(m, line) for m, line, attr in uses.get(name, []) if attr or not owner]
+            if all(m == module and node.lineno <= line <= node.end_lineno for m, line in used):
+                dead.append(f"{module}:{node.lineno} {key}")
     assert not dead, "defined in src/ but never referenced there: " + ", ".join(dead)
-    assert set(ALLOWED) <= defined, "an allowed name is no longer defined"
+    assert set(ALLOWED) <= defined, f"allowed but no longer defined: {set(ALLOWED) - defined}"

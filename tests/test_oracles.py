@@ -49,8 +49,8 @@ def test_weight_two_stack_closed_form_all_orders():
     for q in (3, 5, 9):
         pair = induced_pair(toric_dual(tate), make_isogeny([[2]]))
         w = formal_character(1, 2)
-        lhs = unramified_automorphic_period_liftsum(pair, Curve(q=q), None, w, 7)
-        rhs = stack_spectral_period_unramified(pair, Curve(q=q), None, w, 7)
+        lhs = unramified_automorphic_period_liftsum(pair, Curve(q=q), w, 7)
+        rhs = stack_spectral_period_unramified(pair, Curve(q=q), w, 7)
         for m in range(8):
             if m % 2 == 1:
                 expected = {(m + 1,): Cyc.rational(h(q, m), 2)}

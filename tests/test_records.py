@@ -51,7 +51,7 @@ RECORDS = (
     regularization.OrbitDualityReport,
     scenario.CharacterSpec, scenario.Scenario,
     series.Monomial, series.TruncatedSeries,
-    stacks.IsogenyDatum, stacks.LiftFamily, stacks.InducedGradedPair,
+    stacks.IsogenyDatum, stacks.InducedGradedPair,
     stacks.StackCheck, stacks.StackReport,
 )
 

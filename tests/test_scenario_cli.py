@@ -47,6 +47,43 @@ def test_catalog_emit_overrides():
         catalog_emit("unknown-name")
 
 
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+
+# Each committed bench scenario file and the catalog call that emits it.
+CATALOG_FILES = {
+    "height_p1": ("height_p1", {}),
+    "orthant_a2": ("orthant_a2", {}),
+    "quadric_cone": ("quadric_cone", {}),
+    "quadric_cone_eta21": ("quadric_cone_eta21", {}),
+    "quadric_cone_q5_u14": ("quadric_cone", {"q": 5, "order": 14}),
+    "square_cone_3d": ("square_cone_3d", {}),
+    "tate": ("tate", {}),
+    "weight_12_stack_q13_u10": ("weight_n_stack", {"n": 12, "q": 13, "order": 10}),
+    "weight_2_stack": ("weight_n_stack", {"n": 2}),
+    "weight_3_stack": ("weight_n_stack", {"n": 3}),
+    "weight_7_stack_q8_u14": ("weight_n_stack", {"n": 7, "q": 8, "order": 14}),
+}
+
+
+def test_catalog_pinned_by_the_bench_scenarios():
+    assert sorted(CATALOG_FILES) == sorted(p.stem for p in BENCH_SCENARIOS.glob("*.json"))
+    for stem, (name, kwargs) in CATALOG_FILES.items():
+        text = json.dumps(catalog_emit(name, **kwargs), sort_keys=True, indent=1) + "\n"
+        assert text == (BENCH_SCENARIOS / f"{stem}.json").read_text(encoding="utf-8"), stem
+
+
+def test_catalog_emit_returns_a_fresh_dict():
+    # The caller may change what it gets; the next call is unchanged.
+    for name in catalog_names():
+        before = json.dumps(catalog_emit(name), sort_keys=True)
+        data = catalog_emit(name)
+        data["curve"]["q"] = 99
+        data["rays"][0].append(7)
+        data["characters"][0]["coords"][0] = {"zeta": 1, "u": 1}
+        data["checks"].clear()
+        assert json.dumps(catalog_emit(name), sort_keys=True) == before
+
+
 def test_parse_rejects_missing_fields():
     with pytest.raises(SchemaError) as err:
         parse_scenario({"name": "x"})

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from oracles import determinant, lattice_index, solve_integer
-from toricperiods.characters import character_from_spec, formal_character
+from toricperiods.characters import formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
@@ -15,7 +15,6 @@ from toricperiods.series import Monomial
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
-    NotALift,
     _pulled_back_cone,
     induced_pair,
     make_isogeny,
@@ -94,7 +93,7 @@ def test_torsion_twists_fourier_inversion():
         assert len(twists) == iso.index
         n = iso.rank
         for y in _box(n, 3):
-            total = Cyc.zero(order)
+            total = Cyc.rational(0, order)
             for t in twists:
                 zeta = sum(m.zeta * c for m, c in zip(t, y))
                 total = total + Cyc.root_power(zeta, order)
@@ -116,20 +115,22 @@ def _in_image(iso, y):
 def test_unramified_lifts_weight_two():
     iso = make_isogeny([[2]])
     w = formal_character(1, 2)
-    fam = unramified_lifts(None, iso, w)
-    assert fam.size == 2
-    values = sorted(m.coords[0].zeta for m in fam.members)
+    lifts = unramified_lifts(iso, w)
+    assert len(lifts) == 2
+    values = sorted(m.coords[0].zeta for m in lifts)
     assert values == [0, 1]  # w and -w
 
 
 def test_unramified_lifts_weight_three():
     iso = make_isogeny([[3]])
     w = formal_character(1, 3)
-    fam = unramified_lifts(None, iso, w)
-    assert fam.size == 3
-    assert sorted(m.coords[0].zeta for m in fam.members) == [0, 1, 2]
+    lifts = unramified_lifts(iso, w)
+    assert len(lifts) == 3
+    assert sorted(m.coords[0].zeta for m in lifts) == [0, 1, 2]
     with pytest.raises(MissingRoots):
-        unramified_lifts(None, iso, formal_character(1, 2))
+        unramified_lifts(iso, formal_character(1, 2))
+    with pytest.raises(ValueError, match="wrong rank"):
+        unramified_lifts(iso, formal_character(2, 3))
 
 
 def test_lift_restriction_check():
@@ -137,20 +138,19 @@ def test_lift_restriction_check():
     w = formal_character(1, 2)
     chi = restrict_character(w, iso)
     assert chi.coords[0] == Monomial(0, 0, (2,))
-    unramified_lifts(chi, iso, w)  # passes the projection check
-    wrong = character_from_spec([(1, 0)], order=2)
-    with pytest.raises(NotALift):
-        unramified_lifts(wrong, iso, w)
+    # Every lift restricts to the base lift's restriction.
+    for lift in unramified_lifts(iso, w):
+        assert restrict_character(lift, iso).coords == chi.coords
 
 
 def test_lifts_agree_on_degrees_killed_by_exponent():
     iso = make_isogeny([[3]])
-    fam = unramified_lifts(None, iso, formal_character(1, 3))
+    lifts = unramified_lifts(iso, formal_character(1, 3))
     for lam in ((1,), (2,), (-1,)):
-        vals = {m.value(lam, 3) for m in fam.members}
+        vals = {m.value(lam, 3) for m in lifts}
         assert len(vals) == 1
         vals2 = {(m.value(lam, 1).zeta % 3, m.value(lam, 1).z)
-                 for m in fam.members}
+                 for m in lifts}
         assert len(vals2) == 3
 
 
@@ -168,12 +168,12 @@ def test_index_one_degenerations():
     base = toric_dual(TATE)
     assert stack_automorphic_period(pair, curve, chi, 6) == \
         automorphic_period(base.side_xcheck, curve, chi, 6)
-    assert stack_spectral_period_unramified(pair, curve, None, chi, 6) == \
+    assert stack_spectral_period_unramified(pair, curve, chi, 6) == \
         spectral_period(base.side_xcheck, curve, chi, 6)
-    assert unramified_automorphic_period_liftsum(pair, curve, None, chi, 6) == \
+    assert unramified_automorphic_period_liftsum(pair, curve, chi, 6) == \
         automorphic_period(base.side_x, curve, chi, 6)
     direct = unramified_automorphic_period_direct(pair, curve, chi, 6)
-    liftsum = unramified_automorphic_period_liftsum(pair, curve, None, chi, 6)
+    liftsum = unramified_automorphic_period_liftsum(pair, curve, chi, 6)
     assert direct.first_mismatch(liftsum) is None
 
 
@@ -184,7 +184,7 @@ def test_weight_two_series_against_closed_form():
     pair = tate_stack(2)
     curve = Curve(q=3)
     w = formal_character(1, 2)
-    lhs = unramified_automorphic_period_liftsum(pair, curve, None, w, 6)
+    lhs = unramified_automorphic_period_liftsum(pair, curve, w, 6)
     expected = {1: 4, 3: 40, 5: 364}
     for m in range(7):
         coeff = lhs.coefficient(m)
@@ -193,16 +193,16 @@ def test_weight_two_series_against_closed_form():
         else:
             assert coeff == {}
     # Lift-family independence: replacing the base lift by its twist.
-    other = w.twist(unramified_lifts(None, pair.isogeny, w).twists[1])
-    assert stack_spectral_period_unramified(pair, curve, None, other, 6) == \
-        stack_spectral_period_unramified(pair, curve, None, w, 6)
+    other = w.twist(torsion_twists(pair.isogeny, 2)[1])
+    assert stack_spectral_period_unramified(pair, curve, other, 6) == \
+        stack_spectral_period_unramified(pair, curve, w, 6)
 
 
 def test_weight_three_sum_keeps_multiples_of_three():
     pair = tate_stack(3)
     curve = Curve(q=4)
     w = formal_character(1, 3)
-    rhs = stack_spectral_period_unramified(pair, curve, None, w, 6)
+    rhs = stack_spectral_period_unramified(pair, curve, w, 6)
     h = lambda m: (4 ** (m + 1) - 1) // 3
     for m in range(7):
         coeff = rhs.coefficient(m)
@@ -231,19 +231,6 @@ def test_stack_duality_rank_two_isogeny():
     assert rep.equal
 
 
-def test_branch_ambiguity_without_base_lift():
-    from toricperiods.curve import BranchAmbiguity
-    pair = tate_stack(2)
-    chi = formal_character(1, 2)
-    with pytest.raises(BranchAmbiguity, match="index 2"):
-        stack_spectral_period_unramified(pair, Curve(q=3), chi, None, 4)
-    # Index one needs no covering declaration.
-    trivial = tate_stack(1)
-    out = stack_spectral_period_unramified(trivial, Curve(q=3),
-                                           formal_character(1), None, 4)
-    assert out.coefficient(0) == {(1,): Cyc.one(1)}
-
-
 def test_vectors_must_be_integral():
     from fractions import Fraction as F
     with pytest.raises(ValueError):
@@ -254,15 +241,7 @@ def test_liftsum_independent_of_base_extension():
     pair = tate_stack(2)
     curve = Curve(q=3)
     w = formal_character(1, 2)
-    swapped = w.twist(unramified_lifts(None, pair.isogeny, w).twists[1])
-    a = unramified_automorphic_period_liftsum(pair, curve, None, w, 6)
-    b = unramified_automorphic_period_liftsum(pair, curve, None, swapped, 6)
+    swapped = w.twist(torsion_twists(pair.isogeny, 2)[1])
+    a = unramified_automorphic_period_liftsum(pair, curve, w, 6)
+    b = unramified_automorphic_period_liftsum(pair, curve, swapped, 6)
     assert a == b
-
-
-def test_liftsum_rejects_an_extension_that_does_not_restrict():
-    pair = tate_stack(2)
-    w = formal_character(1, 2)
-    wrong = character_from_spec([(1, 0)], order=2)
-    with pytest.raises(NotALift):
-        unramified_automorphic_period_liftsum(pair, Curve(q=3), wrong, w, 6)
