@@ -32,7 +32,7 @@ from .periods import (
 )
 from .regularization import is_cuspidal, is_generic, verify_langlands_dual_periods
 from .series import TruncatedSeries
-from .stacks import induced_pair, make_isogeny, verify_stack_duality
+from .stacks import make_isogeny, verify_stack_duality
 
 __all__ = [
     "Character",
@@ -50,7 +50,6 @@ __all__ = [
     "faces",
     "formal_character",
     "hilbert_basis",
-    "induced_pair",
     "is_cuspidal",
     "is_generic",
     "make_cone",

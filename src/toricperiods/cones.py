@@ -15,6 +15,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .intlinalg import (
+    LatticeMap,
     Vector,
     dot,
     hermite_column_basis,
@@ -204,17 +205,21 @@ class FaceLattice:
 
     spans[i] is the saturated span of faces[i] (the stabilizer of its
     orbit) and annihilators[i] a basis of the covectors vanishing on it
-    (the character lattice of the orbit); both run parallel to faces.
-    Not a named tuple: its length is the number of faces.  It is
+    (the character lattice of the orbit), both in Hermite form.
+    span_quotients[i] and annihilator_quotients[i] are (projection,
+    section) pairs of lattice maps presenting N / span, where the orbit
+    closure lives, and M / annihilator, onto which the character monoid
+    maps; projection o section is the identity.  All run parallel to
+    faces.  Not a named tuple: its length is the number of faces.  It is
     immutable, since faces() hands the same lattice to every caller.
     """
 
-    __slots__ = ("faces", "spans", "annihilators")
+    __slots__ = ("faces", "spans", "annihilators", "span_quotients",
+                 "annihilator_quotients")
 
-    def __init__(self, faces, spans, annihilators):
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "annihilators", annihilators)
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FaceLattice is immutable; cannot set {name!r}")
@@ -223,8 +228,8 @@ class FaceLattice:
         raise AttributeError(f"FaceLattice is immutable; cannot delete {name!r}")
 
     def __repr__(self):
-        return (f"FaceLattice(faces={self.faces!r}, spans={self.spans!r}, "
-                f"annihilators={self.annihilators!r})")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"FaceLattice({fields})"
 
     def __len__(self):
         return len(self.faces)
@@ -247,9 +252,16 @@ def faces(c: Cone) -> FaceLattice:
     finds them all (including {0} and the cone itself).  The rays of a
     face are primitive extreme rays of c, so one double description,
     rays to facets, builds it.  One Smith form of its ray columns gives
-    the rest: the rank is its dimension, the first rank columns of
-    left_inverse span its saturation, and the rows of left past the rank
-    span its annihilator.
+    the rest.  Its rank dim is the face's dimension, the first dim
+    columns of left_inverse span its saturation and the rows of left
+    past dim span its annihilator.  The same transforms present both
+    orbit quotients: N / span projects by the rows of left past dim, with
+    the remaining columns of left_inverse as section, and M / annihilator
+    pairs with the first dim columns of left_inverse, with the first dim
+    rows of left as section.  The zero face and a full-dimensional face
+    take identity transforms (any basis of Z^n presents {0} and Z^n), so
+    the dense orbit's quotient is the cone's own lattice and its Euler
+    products are the full period's.
     """
     if not c.strongly_convex:
         raise ValueError("face lattice requires a strongly convex cone")
@@ -262,18 +274,23 @@ def faces(c: Cone) -> FaceLattice:
         rays = _canonical(rs)
         facets, full_dimensional = _facets(rays, n)
         face = Cone(n, rays, _canonical(facets), True, full_dimensional)
-        if rays:
+        if rays and not full_dimensional:
             snf = smith_normal_form(transpose(rays))
-            dim = snf.rank()
-            span = [tuple(row[j] for row in snf.left_inverse) for j in range(dim)]
-            annihilator = snf.left[dim:]
+            dim, left, left_inverse = snf.rank(), snf.left, snf.left_inverse
         else:
-            dim, span, annihilator = 0, (), identity_matrix(n)
-        built.append((dim, rays, face, tuple(hermite_column_basis(span, n)),
-                      tuple(hermite_column_basis(annihilator, n))))
+            dim, left = (n if full_dimensional else 0), identity_matrix(n)
+            left_inverse = left
+        columns = transpose(left_inverse)
+        built.append((dim, rays, face,
+                      tuple(hermite_column_basis(columns[:dim], n)),
+                      tuple(hermite_column_basis(left[dim:], n)),
+                      (LatticeMap(n, n - dim, left[dim:]),
+                       LatticeMap.from_columns(columns[dim:], n)),
+                      (LatticeMap(n, dim, columns[:dim]),
+                       LatticeMap.from_columns(left[:dim], n))))
     built.sort(key=lambda b: b[:2])
-    _, _, cones, spans, annihilators = zip(*built)
-    return FaceLattice(cones, spans, annihilators)
+    _, _, *fields = zip(*built)
+    return FaceLattice(*fields)
 
 
 def face_of(c: Cone, ray_subset) -> Cone:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z: Smith form, Hermite bases, quotients.
+"""Exact linear algebra over Z: lattice maps, Smith form, Hermite bases.
 
 Vectors are tuples of ints, matrices are tuples of row tuples.  Everything
 runs on unbounded Python integers; no floats appear anywhere.  The run reads
@@ -90,10 +90,6 @@ class LatticeMap(namedtuple("LatticeMap", "source_rank target_rank matrix")):
         if any(len(row) != self.source_rank for row in self.matrix):
             raise ValueError("column count does not match source rank")
         return self
-
-    @staticmethod
-    def identity(n: int) -> "LatticeMap":
-        return LatticeMap(n, n, identity_matrix(n))
 
     @staticmethod
     def from_columns(columns, target_rank: int) -> "LatticeMap":
@@ -228,10 +224,6 @@ def smith_normal_form(m) -> SmithDecomposition:
         left_inverse=mat(left_inv), rows=rows, cols=cols)
 
 
-def _columns_matrix(vectors, n: int) -> Matrix:
-    return tuple(tuple(v[i] for v in vectors) for i in range(n))
-
-
 def hermite_column_basis(vectors, n: int) -> list[Vector]:
     """Canonical (column-Hermite) basis of the lattice spanned by vectors.
 
@@ -269,39 +261,3 @@ def hermite_column_basis(vectors, n: int) -> list[Vector]:
             if q:
                 cols[i] = [a - q * b for a, b in zip(cols[i], cols[jj])]
     return [tuple(c) for c in cols]
-
-
-class QuotientData(namedtuple(
-        "QuotientData", "free_projection section torsion_invariants")):
-    """Presentation of Z^n / span(sub_basis).
-
-    free_projection maps Z^n onto the free part; section is a right
-    inverse of it (projection o section = identity).  torsion_invariants
-    lists the invariant factors > 1, empty exactly when the span is
-    saturated.
-    """
-
-    __slots__ = ()
-
-
-def quotient_lattice(ambient_rank: int, sub_basis) -> QuotientData:
-    """Quotient of Z^n by the span of sub_basis, split into free and torsion parts."""
-    subs = [vec(v) for v in sub_basis]
-    for v in subs:
-        if len(v) != ambient_rank:
-            raise ValueError("sublattice vector has wrong length")
-    subs = [v for v in subs if any(v)]
-    if not subs:
-        return QuotientData(
-            free_projection=LatticeMap.identity(ambient_rank),
-            section=LatticeMap.identity(ambient_rank),
-            torsion_invariants=())
-    snf = smith_normal_form(_columns_matrix(subs, ambient_rank))
-    r = snf.rank()
-    free_idx = list(range(r, ambient_rank))
-    proj_rows = tuple(snf.left[i] for i in free_idx)
-    section_cols = [tuple(row[j] for row in snf.left_inverse) for j in free_idx]
-    return QuotientData(
-        free_projection=LatticeMap(ambient_rank, len(free_idx), proj_rows),
-        section=LatticeMap.from_columns(section_cols, ambient_rank),
-        torsion_invariants=tuple(d for d in snf.diag[:r] if d > 1))

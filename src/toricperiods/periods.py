@@ -39,8 +39,8 @@ SAMPLE_DEGREES = 3
 
 # The mapping of the innermost euler_memo() scope, None outside every scope.
 # Its keys are (kind, input), kind "euler", "automorphic", "spectral",
-# "orbit-closure", "orbit-image" (the quotient lattice and cone of each
-# side's orbit, keyed by cone and face rays) or "rows" (a series' report
+# "orbit-closure", "orbit-image" (the closure or image cone of each side's
+# orbit, keyed by cone and face rays) or "rows" (a series' report
 # rows, keyed by its coeffs): at tate both engines get the same input, and
 # only the kind keeps them apart.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
@@ -267,7 +267,7 @@ def euler_memo():
     """A scope in which both engines and euler_product remember their results.
 
     `scenario` keeps the report rows of each series there too, and each
-    side's orbit contribution its quotient lattice and cone.  One
+    side's orbit contribution its closure or image cone.  One
     mapping, keyed by (kind, input), lives as long as the scope:
     leaving it drops every entry, and outside any scope everything is
     computed without caching.

@@ -8,10 +8,13 @@ closure cone in the quotient lattice.  On the dual side an orbit
 contributes only when it is fixed by the extended parameter and no
 smaller orbit is, and the surviving trace is the spectral level sets'
 Euler product over the image of the character monoid in the transverse
-quotient.  Both are `periods.prefactored_period` with the prefactor of
-the full period, so the two sides of an orbit pair share nothing but
-series arithmetic.  Orbit by orbit these are compared through the
-inclusion-reversing face bijection.
+quotient.  Both quotients are the (projection, section) pairs that
+`cones.faces` reads off each face's Smith form, so no lattice
+elimination happens here.  Both contributions are
+`periods.prefactored_period` with the prefactor of the full period, so
+the two sides of an orbit pair share nothing but series arithmetic.
+Orbit by orbit these are compared through the inclusion-reversing face
+bijection.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .characters import Character, extended_character
 from .cones import Cone, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
 from .duality import GradedDualPair, GradedToricDatum
-from .intlinalg import quotient_lattice
 from .periods import (
     PositivityViolation,
     _remembered,
@@ -106,12 +108,6 @@ def is_generic(datum_check: GradedToricDatum, phi: Character):
     return len(fixed) == 1, fixed
 
 
-def _quotient_image(cone: Cone, basis) -> tuple:
-    """The quotient of the ambient lattice by span(basis), and the image of cone in it."""
-    quot = quotient_lattice(cone.ambient_rank, basis)
-    return quot, image_cone(cone, quot.free_projection)
-
-
 def regularized_automorphic_contribution(
         datum: GradedToricDatum, face: Cone, curve: Curve,
         chi: Character, order: int) -> OrbitContribution:
@@ -129,12 +125,10 @@ def regularized_automorphic_contribution(
     psi = extended_character(chi, datum.eta)
     if not psi.is_trivial_on_all(stab):
         return _vanished(VANISHED_TRIVIALITY)
-    quot, closure = _remembered(
-        "orbit-closure", (datum.cone, lattice.faces[i].rays),
-        lambda: _quotient_image(datum.cone, stab))
-    if quot.torsion_invariants != ():
-        raise ValueError("stabilizer basis not saturated")
-    psi_bar = psi.compose(quot.section)
+    projection, section = lattice.span_quotients[i]
+    closure = _remembered("orbit-closure", (datum.cone, lattice.faces[i].rays),
+                          lambda: image_cone(datum.cone, projection))
+    psi_bar = psi.compose(section)
     if _cuspidality_witness(closure, psi_bar) is not None:
         return _vanished(VANISHED_CUSPIDALITY)
     series = prefactored_period(
@@ -166,14 +160,12 @@ def regularized_spectral_contribution(
     if any(other.ray_set() < rays and psi.is_trivial_on_all(ann)
            for other, ann in zip(lattice.faces, lattice.annihilators)):
         return _vanished(VANISHED_DOMINATED)
-    quot, image = _remembered(
-        "orbit-image", (datum_check.cone, lattice.faces[i].rays),
-        lambda: _quotient_image(dual_cone(datum_check.cone), lattice.annihilators[i]))
-    if quot.torsion_invariants != ():
-        raise ValueError("annihilator of the face is not saturated")
+    projection, section = lattice.annihilator_quotients[i]
+    image = _remembered("orbit-image", (datum_check.cone, lattice.faces[i].rays),
+                        lambda: image_cone(dual_cone(datum_check.cone), projection))
     series = prefactored_period(
         spectral_local_factor, image,
-        *engine_input(image, psi.compose(quot.section), (0,) * image.ambient_rank),
+        *engine_input(image, psi.compose(section), (0,) * image.ambient_rank),
         spectral_prefactor(datum_check, curve, phi), curve, order)
     return OrbitContribution(status="computed", reason=None, series=series)
 

@@ -48,7 +48,6 @@ from .series import SeriesRows, rows_json, serialize_row
 from .stacks import (
     IncompatibleField,
     check_curve_compatibility,
-    induced_pair,
     make_isogeny,
     verify_stack_duality,
 )
@@ -406,10 +405,8 @@ def _run_orbit_duality(sc, pair, order):
 
 
 def _run_stack_duality(sc, pair, order):
-    induced = induced_pair(pair, sc.isogeny)
-
     def check_one(base_lift):
-        rep = verify_stack_duality(induced, sc.curve, base_lift, sc.truncation)
+        rep = verify_stack_duality(pair, sc.isogeny, sc.curve, base_lift, sc.truncation)
         agrees, difference = rep.direct_comparison
         checks = []
         for c in rep.checks:

@@ -5,6 +5,7 @@ does not collect it.  `log` and `exp` run one series through the packed
 kernel that `periods.euler_product` uses only as a whole.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,9 +14,13 @@ from toricperiods.cones import NotStronglyConvex, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.intlinalg import (
-    LatticeMap, Matrix, Vector, _columns_matrix, hermite_column_basis,
-    identity_matrix, mat, mat_vec_mul, smith_normal_form, vec)
+    LatticeMap, Matrix, Vector, hermite_column_basis, identity_matrix, mat,
+    mat_vec_mul, smith_normal_form, vec)
 from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
+
+
+def _columns_matrix(vectors, n: int) -> Matrix:
+    return tuple(tuple(v[i] for v in vectors) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -117,6 +122,40 @@ def saturate_sublattice(gens, ambient_rank: int) -> list[Vector]:
     # basis of the saturation (they are part of a basis of Z^n).
     basis = [tuple(row[j] for row in snf.left_inverse) for j in range(r)]
     return hermite_column_basis(basis, ambient_rank)
+
+
+class QuotientData(namedtuple(
+        "QuotientData", "free_projection section torsion_invariants")):
+    """Presentation of Z^n / span(sub_basis).
+
+    free_projection maps Z^n onto the free part; section is a right
+    inverse of it (projection o section = identity).  torsion_invariants
+    lists the invariant factors > 1, empty exactly when the span is
+    saturated.
+    """
+
+    __slots__ = ()
+
+
+def quotient_lattice(ambient_rank: int, sub_basis) -> QuotientData:
+    """Quotient of Z^n by the span of sub_basis, split into free and torsion parts."""
+    subs = [vec(v) for v in sub_basis]
+    for v in subs:
+        if len(v) != ambient_rank:
+            raise ValueError("sublattice vector has wrong length")
+    subs = [v for v in subs if any(v)]
+    if not subs:
+        identity = LatticeMap(ambient_rank, ambient_rank, identity_matrix(ambient_rank))
+        return QuotientData(free_projection=identity, section=identity, torsion_invariants=())
+    snf = smith_normal_form(_columns_matrix(subs, ambient_rank))
+    r = snf.rank()
+    free_idx = list(range(r, ambient_rank))
+    proj_rows = tuple(snf.left[i] for i in free_idx)
+    section_cols = [tuple(row[j] for row in snf.left_inverse) for j in free_idx]
+    return QuotientData(
+        free_projection=LatticeMap(ambient_rank, len(free_idx), proj_rows),
+        section=LatticeMap.from_columns(section_cols, ambient_rank),
+        torsion_invariants=tuple(d for d in snf.diag[:r] if d > 1))
 
 
 def dim(cone) -> int:

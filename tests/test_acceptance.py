@@ -17,6 +17,7 @@ from oracles import (
     divisor_count_series,
     lattice_index,
     mat_mul,
+    quotient_lattice,
     random_character,
     random_cone,
     saturate_sublattice,
@@ -36,7 +37,7 @@ from toricperiods.curve import Curve, place_counts, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.heights import height_fourier_local, make_height
-from toricperiods.intlinalg import LatticeMap, dot, quotient_lattice, smith_normal_form
+from toricperiods.intlinalg import LatticeMap, dot, smith_normal_form
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_period,
@@ -46,12 +47,7 @@ from toricperiods.periods import (
 )
 from toricperiods.regularization import is_cuspidal, is_generic, verify_langlands_dual_periods
 from toricperiods.scenario import catalog_emit
-from toricperiods.stacks import (
-    IncompatibleField,
-    induced_pair,
-    make_isogeny,
-    verify_stack_duality,
-)
+from toricperiods.stacks import IncompatibleField, make_isogeny, verify_stack_duality
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
 ORTHANT = GradedToricDatum(cone=make_cone([(1, 0), (0, 1)]), rho=(1, 1), eta=(1, 1))
@@ -213,13 +209,13 @@ def test_criterion_06_orbitwise_duality():
 def test_criterion_07_stack_duality():
     ok = True
     for n, q in ((2, 3), (3, 4)):
-        pair = induced_pair(toric_dual(TATE), make_isogeny([[n]]))
-        rep = verify_stack_duality(pair, Curve(q=q), formal_character(1, n), 10)
+        rep = verify_stack_duality(toric_dual(TATE), make_isogeny([[n]]), Curve(q=q),
+                                   formal_character(1, n), 10)
         ok = ok and rep.equal
         ok = ok and rep.direct_comparison is not None
     try:
-        verify_stack_duality(induced_pair(toric_dual(TATE), make_isogeny([[2]])),
-                             Curve(q=2), formal_character(1, 2), 4)
+        verify_stack_duality(toric_dual(TATE), make_isogeny([[2]]), Curve(q=2),
+                             formal_character(1, 2), 4)
         ok = False
     except IncompatibleField:
         pass

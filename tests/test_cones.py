@@ -22,9 +22,9 @@ from toricperiods.cones import (
     points_at_level,
 )
 from oracles import (
-    annihilator_basis, determinant, dim, in_cone, random_generated_cone, saturate_sublattice,
-    solve_integer)
-from toricperiods.intlinalg import LatticeMap, dot
+    annihilator_basis, determinant, dim, in_cone, mat_mul, quotient_lattice,
+    random_generated_cone, saturate_sublattice, solve_integer)
+from toricperiods.intlinalg import LatticeMap, dot, hermite_column_basis, identity_matrix
 from toricperiods.scenario import catalog_emit, catalog_names, parse_scenario
 
 QUADRIC = make_cone([(1, 0), (1, 2)])
@@ -224,6 +224,38 @@ def test_face_lattice_against_vertex_enumeration(c):
                     face_of(c, subset)
             else:
                 assert face_dual(face_of(c, subset), c) == expected
+
+
+def _kernel(projection):
+    return hermite_column_basis(annihilator_basis(projection.matrix, projection.source_rank),
+                                projection.source_rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_cones())
+def test_face_quotients_against_the_oracle(c):
+    # N / span and M / annihilator of every face of the cone and of its
+    # dual, against the oracle's own elimination of the same bases.
+    n = c.ambient_rank
+    identity = identity_matrix(n)
+    for cone in (c, dual_cone(c)):
+        lattice = faces(cone)
+        for face, span, ann, span_quotient, ann_quotient in zip(
+                lattice.faces, lattice.spans, lattice.annihilators,
+                lattice.span_quotients, lattice.annihilator_quotients):
+            d = len(span)
+            for (projection, section), basis, rank in ((span_quotient, span, n - d),
+                                                       (ann_quotient, ann, d)):
+                assert (projection.source_rank, projection.target_rank) == (n, rank)
+                assert (section.source_rank, section.target_rank) == (rank, n)
+                assert mat_mul(projection.matrix, section.matrix) == identity_matrix(rank)
+                assert not any(any(projection.apply(v)) for v in basis)
+                assert _kernel(projection) == _kernel(
+                    quotient_lattice(n, basis).free_projection)
+            if not face.rays:
+                assert span_quotient[0].matrix == span_quotient[1].matrix == identity
+            if face.full_dimensional:
+                assert ann_quotient[0].matrix == ann_quotient[1].matrix == identity
 
 
 def faces_by_build_per_subset(c):
@@ -429,7 +461,7 @@ def test_image_cone_examples():
     proj2 = LatticeMap(2, 1, ((0, 1),))
     img = image_cone(QUADRIC, proj2)
     assert img.rays == ((1,),)
-    ident = LatticeMap.identity(2)
+    ident = LatticeMap(2, 2, identity_matrix(2))
     assert image_cone(QUADRIC, ident) == QUADRIC
     proj1 = LatticeMap(2, 1, ((1, 0),))
     assert image_cone(ORTHANT, proj1).rays == ((1,),)

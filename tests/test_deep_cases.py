@@ -17,7 +17,7 @@ from toricperiods.periods import (
 )
 from toricperiods.regularization import verify_langlands_dual_periods
 from toricperiods.series import Monomial
-from toricperiods.stacks import induced_pair, make_isogeny, verify_stack_duality
+from toricperiods.stacks import make_isogeny, verify_stack_duality
 
 SQUARE_SYM = GradedToricDatum(
     cone=make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]),
@@ -95,8 +95,8 @@ def test_nondiagonal_rank2_isogeny():
                                rho=(1, 1), eta=(1, 1))
     iso = make_isogeny([[2, 1], [0, 3]])
     assert iso.invariants == (6,)
-    pair = induced_pair(toric_dual(orthant), iso)
-    rep = verify_stack_duality(pair, Curve(q=7), formal_character(2, 6), 6)
+    rep = verify_stack_duality(toric_dual(orthant), iso, Curve(q=7),
+                               formal_character(2, 6), 6)
     assert rep.equal
     assert rep.index == 6
 

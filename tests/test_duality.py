@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import dim
+from oracles import dim, quotient_lattice
 from toricperiods.cones import dual_cone, faces, image_cone, make_cone
 from toricperiods.duality import (
     GradedToricDatum,
@@ -9,7 +9,6 @@ from toricperiods.duality import (
     toric_dual,
     validate_pair,
 )
-from toricperiods.intlinalg import quotient_lattice
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
 QUADRIC = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(1, 1))

@@ -1,5 +1,8 @@
 """Every def and class in src/toricperiods is referenced there; test-only helpers live in tests/oracles.py.
 
+Every name a module of the package imports is used in that module; only
+`__init__.py` imports names to re-export them.
+
 A function or class is referenced when the package names it outside its
 own definition, a method when the package reads it as an attribute.  A
 method name that several classes define cannot be told apart that way,
@@ -117,3 +120,21 @@ def test_every_definition_is_referenced_in_the_package(tmp_path):
                 dead.append(f"{module}:{node.lineno} {key}")
     assert not dead, "defined in src/ but never referenced there: " + ", ".join(dead)
     assert set(ALLOWED) <= defined, f"allowed but no longer defined: {set(ALLOWED) - defined}"
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "imported in src/ but never used there: " + ", ".join(unused)

@@ -40,17 +40,17 @@ def test_weight_two_stack_closed_form_all_orders():
     # Both displayed stack series reduce to odd divisor counts; freeze the
     # identity at several q against the closed form rather than the engines.
     from toricperiods.stacks import (
-        induced_pair,
         make_isogeny,
         stack_spectral_period_unramified,
         unramified_automorphic_period_liftsum,
+        unramified_lifts,
     )
     tate = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
     for q in (3, 5, 9):
-        pair = induced_pair(toric_dual(tate), make_isogeny([[2]]))
-        w = formal_character(1, 2)
-        lhs = unramified_automorphic_period_liftsum(pair, Curve(q=q), w, 7)
-        rhs = stack_spectral_period_unramified(pair, Curve(q=q), w, 7)
+        pair = toric_dual(tate)
+        lifts = unramified_lifts(make_isogeny([[2]]), formal_character(1, 2))
+        lhs = unramified_automorphic_period_liftsum(pair, Curve(q=q), lifts, 7)
+        rhs = stack_spectral_period_unramified(pair, Curve(q=q), lifts, 7)
         for m in range(8):
             if m % 2 == 1:
                 expected = {(m + 1,): Cyc.rational(h(q, m), 2)}

@@ -45,14 +45,13 @@ RECORDS = (
     duality.GradedToricDatum, duality.GradedDualPair,
     duality.ValidationEntry, duality.ValidationReport,
     heights.PiecewiseLinearHeight,
-    intlinalg.LatticeMap, intlinalg.SmithDecomposition, intlinalg.QuotientData,
+    intlinalg.LatticeMap, intlinalg.SmithDecomposition,
     periods.DirectionVerdict, periods.PeriodReport,
     regularization.OrbitContribution, regularization.OrbitPairVerdict,
     regularization.OrbitDualityReport,
     scenario.CharacterSpec, scenario.Scenario,
     series.Monomial, series.TruncatedSeries,
-    stacks.IsogenyDatum, stacks.InducedGradedPair,
-    stacks.StackCheck, stacks.StackReport,
+    stacks.IsogenyDatum, stacks.StackCheck, stacks.StackReport,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 
@@ -166,8 +167,8 @@ def test_automorphic_contribution_rejects_non_face():
 
 
 def test_face_lattice_data_computed_once_per_cone():
-    # Every face's span and annihilator are built inside cones.faces, so
-    # its cache misses count the lattices built.
+    # Every face's span, annihilator and quotients are built inside
+    # cones.faces, so its cache misses count the lattices built.
     cones.faces.cache_clear()
     pair = toric_dual(SQUARE3D)
     # This character reaches the cuspidality test of every orbit closure,
@@ -184,25 +185,29 @@ def test_face_lattice_data_computed_once_per_cone():
     assert cones.faces.cache_info().misses == built
 
 
+def _spy_on_every_binding(monkeypatch, original, spy):
+    """Replace every binding of original in the package, not just the defining one."""
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "toricperiods"
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, spy)
+
+
 def test_orbit_quotients_built_only_past_the_support_test(monkeypatch):
     calls = []
-    original = intlinalg.quotient_lattice
+    original = cones.image_cone
 
-    def quotient_lattice(*args):
+    def image_cone(*args):
         calls.append(args)
         return original(*args)
 
-    # Replace every binding in the package, not just the defining one.
-    for name, module in list(sys.modules.items()):
-        if (name.partition(".")[0] == "toricperiods"
-                and getattr(module, "quotient_lattice", None) is original):
-            monkeypatch.setattr(module, "quotient_lattice", quotient_lattice)
+    _spy_on_every_binding(monkeypatch, original, image_cone)
     pair = toric_dual(SQUARE3D)
     reports = verify_langlands_dual_periods(pair, Curve(q=2),
                                             formal_character(3), 4)
     pairs = [p for report in reports for p in report.pairs]
-    # One quotient per automorphic orbit that passes the triviality test
-    # and one per spectral orbit that is fixed and not dominated; the 20
+    # One image per automorphic orbit that passes the triviality test and
+    # one per spectral orbit that is fixed and not dominated; the 20
     # faces of the two automorphic sides build none up front.
     expected = (sum(p.automorphic.reason != VANISHED_TRIVIALITY for p in pairs)
                 + sum(not p.spectral.vanished for p in pairs))
@@ -212,6 +217,49 @@ def test_orbit_quotients_built_only_past_the_support_test(monkeypatch):
     for datum in (pair.side_x, pair.side_xcheck):
         is_cuspidal(datum, formal_character(3))
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["quadric_cone", "square_cone_3d"])
+def test_orbit_check_makes_no_elimination_of_its_own(monkeypatch, name):
+    # Both orbit quotients come from the Smith forms cones.faces made, and
+    # the dense orbit's quotient is the cone's own lattice, so once the
+    # weak check has run, a formal character's orbit check walks no level
+    # set: its only computed orbits are the dense one and the full face.
+    sc = parse_scenario(catalog_emit(name))
+    pair = sc.build_pair()
+    characters = [(spec.name, spec.build(1, sc.rank)) for spec in sc.characters]
+    faces_code = cones.faces.__wrapped__.__code__
+    outside, levels = [], []
+    snf, points = intlinalg.smith_normal_form, cones.points_at_level
+
+    def smith_normal_form(m):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not faces_code:
+            frame = frame.f_back
+        if frame is None:
+            outside.append(m)
+        return snf(m)
+
+    def points_at_level(*args):
+        levels.append(args)
+        return points(*args)
+
+    with periods.euler_memo():
+        for c in (pair.side_x.cone, pair.side_xcheck.cone):
+            cones.faces(c)
+        for _, chi in characters:
+            # z1-is-u-inverse is divergent there, as in the catalog report.
+            with contextlib.suppress(periods.PositivityViolation):
+                periods.verify_weak_duality(pair, sc.curve, chi, sc.truncation)
+        _spy_on_every_binding(monkeypatch, snf, smith_normal_form)
+        _spy_on_every_binding(monkeypatch, points, points_at_level)
+        for character, chi in characters:
+            levels.clear()
+            verify_langlands_dual_periods(pair, sc.curve, chi, sc.truncation)
+            if character == "formal":
+                assert levels == []
+    assert len(characters) == (2 if name == "quadric_cone" else 1)
+    assert outside == []
 
 
 def test_orbitwise_duality_quadric_specialized():

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from oracles import determinant, lattice_index, solve_integer
+from toricperiods import stacks
 from toricperiods.characters import formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
@@ -16,11 +17,7 @@ from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
     _pulled_back_cone,
-    induced_pair,
     make_isogeny,
-    pullback_along_covering,
-    restrict_character,
-    stack_automorphic_period,
     stack_spectral_period_unramified,
     torsion_twists,
     unramified_automorphic_period_direct,
@@ -30,10 +27,8 @@ from toricperiods.stacks import (
 )
 
 TATE = GradedToricDatum(cone=make_cone([(1,)]), rho=(1,), eta=(1,))
-
-
-def tate_stack(n):
-    return induced_pair(toric_dual(TATE), make_isogeny([[n]]))
+ORTHANT = GradedToricDatum(cone=make_cone([(1, 0), (0, 1)]), rho=(1, 1), eta=(1, 1))
+TATE_PAIR = toric_dual(TATE)
 
 
 def test_isogeny_invariants():
@@ -48,12 +43,13 @@ def test_isogeny_invariants():
 
 
 def test_curve_compatibility():
-    pair = tate_stack(2)
     with pytest.raises(IncompatibleField):
-        verify_stack_duality(pair, Curve(q=2), formal_character(1, 2), 4)
+        verify_stack_duality(TATE_PAIR, make_isogeny([[2]]), Curve(q=2),
+                             formal_character(1, 2), 4)
     # q = 2 against n = 3 likewise fails (2 != 1 mod 3).
     with pytest.raises(IncompatibleField):
-        verify_stack_duality(tate_stack(3), Curve(q=2), formal_character(1, 3), 4)
+        verify_stack_duality(TATE_PAIR, make_isogeny([[3]]), Curve(q=2),
+                             formal_character(1, 3), 4)
 
 
 def test_pulled_back_cone_is_the_preimage():
@@ -136,11 +132,11 @@ def test_unramified_lifts_weight_three():
 def test_lift_restriction_check():
     iso = make_isogeny([[2]])
     w = formal_character(1, 2)
-    chi = restrict_character(w, iso)
+    chi = w.compose(iso.inclusion)
     assert chi.coords[0] == Monomial(0, 0, (2,))
     # Every lift restricts to the base lift's restriction.
     for lift in unramified_lifts(iso, w):
-        assert restrict_character(lift, iso).coords == chi.coords
+        assert lift.compose(iso.inclusion).coords == chi.coords
 
 
 def test_lifts_agree_on_degrees_killed_by_exponent():
@@ -157,23 +153,24 @@ def test_lifts_agree_on_degrees_killed_by_exponent():
 def test_pullback_doubles_degree():
     iso = make_isogeny([[2]])
     chi = formal_character(1, 2)
-    pulled = pullback_along_covering(chi, iso)
+    pulled = chi.compose(iso.transpose)
     assert pulled.coords[0] == Monomial(0, 0, (2,))
+    rank_two = make_isogeny([[2, 1], [0, 3]])
+    assert rank_two.transpose.matrix == ((2, 0), (1, 3))
 
 
 def test_index_one_degenerations():
-    pair = tate_stack(1)
+    iso = make_isogeny([[1]])
     curve = Curve(q=2)
     chi = formal_character(1)
-    base = toric_dual(TATE)
-    assert stack_automorphic_period(pair, curve, chi, 6) == \
-        automorphic_period(base.side_xcheck, curve, chi, 6)
-    assert stack_spectral_period_unramified(pair, curve, chi, 6) == \
-        spectral_period(base.side_xcheck, curve, chi, 6)
-    assert unramified_automorphic_period_liftsum(pair, curve, chi, 6) == \
-        automorphic_period(base.side_x, curve, chi, 6)
-    direct = unramified_automorphic_period_direct(pair, curve, chi, 6)
-    liftsum = unramified_automorphic_period_liftsum(pair, curve, chi, 6)
+    lifts = unramified_lifts(iso, chi)
+    assert chi.compose(iso.transpose) == chi
+    assert [lift.coords for lift in lifts] == [chi.coords]
+    assert stack_spectral_period_unramified(TATE_PAIR, curve, lifts, 6) == \
+        spectral_period(TATE_PAIR.side_xcheck, curve, chi, 6)
+    liftsum = unramified_automorphic_period_liftsum(TATE_PAIR, curve, lifts, 6)
+    assert liftsum == automorphic_period(TATE_PAIR.side_x, curve, chi, 6)
+    direct = unramified_automorphic_period_direct(TATE_PAIR, iso, curve, chi, 6)
     assert direct.first_mismatch(liftsum) is None
 
 
@@ -181,10 +178,11 @@ def test_weight_two_series_against_closed_form():
     # Frozen from the divisor-count closed form: the average of the two
     # twisted products keeps exactly the odd-degree terms,
     # sum_{m odd} h_m w^(m+1) u^m with h_m = (q^(m+1)-1)/(q-1).
-    pair = tate_stack(2)
+    iso = make_isogeny([[2]])
     curve = Curve(q=3)
     w = formal_character(1, 2)
-    lhs = unramified_automorphic_period_liftsum(pair, curve, w, 6)
+    lhs = unramified_automorphic_period_liftsum(
+        TATE_PAIR, curve, unramified_lifts(iso, w), 6)
     expected = {1: 4, 3: 40, 5: 364}
     for m in range(7):
         coeff = lhs.coefficient(m)
@@ -193,16 +191,16 @@ def test_weight_two_series_against_closed_form():
         else:
             assert coeff == {}
     # Lift-family independence: replacing the base lift by its twist.
-    other = w.twist(torsion_twists(pair.isogeny, 2)[1])
-    assert stack_spectral_period_unramified(pair, curve, other, 6) == \
-        stack_spectral_period_unramified(pair, curve, w, 6)
+    other = w.twist(torsion_twists(iso, 2)[1])
+    assert stack_spectral_period_unramified(
+        TATE_PAIR, curve, unramified_lifts(iso, other), 6) == \
+        stack_spectral_period_unramified(TATE_PAIR, curve, unramified_lifts(iso, w), 6)
 
 
 def test_weight_three_sum_keeps_multiples_of_three():
-    pair = tate_stack(3)
     curve = Curve(q=4)
-    w = formal_character(1, 3)
-    rhs = stack_spectral_period_unramified(pair, curve, w, 6)
+    lifts = unramified_lifts(make_isogeny([[3]]), formal_character(1, 3))
+    rhs = stack_spectral_period_unramified(TATE_PAIR, curve, lifts, 6)
     h = lambda m: (4 ** (m + 1) - 1) // 3
     for m in range(7):
         coeff = rhs.coefficient(m)
@@ -214,21 +212,39 @@ def test_weight_three_sum_keeps_multiples_of_three():
 
 def test_verify_stack_duality():
     for n, q in ((2, 3), (3, 4)):
-        pair = tate_stack(n)
-        rep = verify_stack_duality(pair, Curve(q=q), formal_character(1, n), 10)
+        rep = verify_stack_duality(TATE_PAIR, make_isogeny([[n]]), Curve(q=q),
+                                   formal_character(1, n), 10)
         assert rep.equal
         assert rep.index == n
         assert rep.discrepancy == 0
         # The experimental direct sum is recorded but not asserted equal.
         assert rep.direct_comparison is not None
+    with pytest.raises(ValueError, match="isogeny rank does not match"):
+        verify_stack_duality(TATE_PAIR, make_isogeny([[2, 0], [0, 1]]), Curve(q=3),
+                             formal_character(2, 2), 6)
 
 
 def test_stack_duality_rank_two_isogeny():
-    orthant = GradedToricDatum(cone=make_cone([(1, 0), (0, 1)]),
-                               rho=(1, 1), eta=(1, 1))
-    pair = induced_pair(toric_dual(orthant), make_isogeny([[2, 0], [0, 1]]))
-    rep = verify_stack_duality(pair, Curve(q=3), formal_character(2, 2), 6)
+    rep = verify_stack_duality(toric_dual(ORTHANT), make_isogeny([[2, 0], [0, 1]]),
+                               Curve(q=3), formal_character(2, 2), 6)
     assert rep.equal
+
+
+@pytest.mark.parametrize("datum, matrix, q, order", [
+    (TATE, [[3]], 4, 3),
+    (ORTHANT, [[2, 1], [0, 3]], 7, 6),
+], ids=["weight-3", "orthant-2-1-0-3"])
+def test_one_lift_family_per_character(monkeypatch, datum, matrix, q, order):
+    calls = {"unramified_lifts": 0, "torsion_twists": 0}
+    for name in calls:
+        def spy(*args, _original=getattr(stacks, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(stacks, name, spy)
+    rep = verify_stack_duality(toric_dual(datum), make_isogeny(matrix), Curve(q=q),
+                               formal_character(datum.rank, order), 6)
+    assert rep.equal
+    assert calls == {"unramified_lifts": 1, "torsion_twists": 1}
 
 
 def test_vectors_must_be_integral():
@@ -238,10 +254,11 @@ def test_vectors_must_be_integral():
 
 
 def test_liftsum_independent_of_base_extension():
-    pair = tate_stack(2)
+    iso = make_isogeny([[2]])
     curve = Curve(q=3)
     w = formal_character(1, 2)
-    swapped = w.twist(torsion_twists(pair.isogeny, 2)[1])
-    a = unramified_automorphic_period_liftsum(pair, curve, w, 6)
-    b = unramified_automorphic_period_liftsum(pair, curve, swapped, 6)
+    swapped = w.twist(torsion_twists(iso, 2)[1])
+    a = unramified_automorphic_period_liftsum(TATE_PAIR, curve, unramified_lifts(iso, w), 6)
+    b = unramified_automorphic_period_liftsum(
+        TATE_PAIR, curve, unramified_lifts(iso, swapped), 6)
     assert a == b
