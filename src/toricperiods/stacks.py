@@ -12,8 +12,13 @@ the automorphic one at the formal character pulled back along the
 transpose of the inclusion, which `IsogenyDatum` keeps, the spectral one
 by summing the covering spectral period over the lifts (each lift keeps
 its own monomial prefactor, which is what makes the sum independent of
-which lift is the base).  The field is checked once per verification, by
-`verify_stack_duality`.
+which lift is the base).  Both lift sums compute one period per Galois
+orbit of the family (`lift_periods`): sigma_k (zeta -> zeta^k, k prime
+to the order) fixes u and z, the engines only evaluate the character at
+lattice points and the place counts are rational, so the period of a
+conjugate lift is exactly sigma_k of the period.  A family that is not
+Galois-stable falls back to one period per lift through the same loop.
+The field is checked once per verification, by `verify_stack_duality`.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .characters import Character, formal_character
 from .cones import Cone, dual_cone, make_cone
 from .curve import Curve
-from .duality import GradedDualPair
+from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import LatticeMap, smith_normal_form, transpose, vec
 from .periods import (
     automorphic_local_factor,
@@ -128,6 +133,32 @@ def unramified_lifts(iso: IsogenyDatum, base_lift: Character) -> tuple[Character
     return lifts
 
 
+def lift_periods(period, datum: GradedToricDatum, curve: Curve,
+                 lifts: tuple[Character, ...], order: int) -> list[TruncatedSeries]:
+    """[period(datum, curve, lift, order) for lift in lifts], one period per Galois orbit.
+
+    Each lift not yet filled is computed, and every lift of the family
+    that is its conjugate under sigma_k (zeta exponents times k mod the
+    order N, u and z unchanged, k prime to N) is filled with sigma_k of
+    that period, `substitute_u_power(1, k)`, which is exact (see the
+    module docstring).  A lift that no conjugate of a computed lift
+    reaches is computed itself.
+    """
+    n = lifts[0].order
+    units = [k for k in range(2, n) if gcd(k, n) == 1]
+    position = {lift.coords: i for i, lift in enumerate(lifts)}
+    periods: list = [None] * len(lifts)
+    for i, lift in enumerate(lifts):
+        if periods[i] is not None:
+            continue
+        periods[i] = series = period(datum, curve, lift, order)
+        for k in units:
+            j = position.get(tuple(Monomial(m.zeta * k % n, m.u, m.z) for m in lift.coords))
+            if j is not None and periods[j] is None:
+                periods[j] = series.substitute_u_power(1, k)
+    return periods
+
+
 def stack_spectral_period_unramified(pair: GradedDualPair, curve: Curve,
                                      lifts: tuple[Character, ...],
                                      order: int) -> TruncatedSeries:
@@ -139,7 +170,7 @@ def stack_spectral_period_unramified(pair: GradedDualPair, curve: Curve,
     nontrivial kernel is a rational cocharacter, and its prefactor would
     need a fractional power of a formal variable.
     """
-    terms = [spectral_period(pair.side_xcheck, curve, lift, order) for lift in lifts]
+    terms = lift_periods(spectral_period, pair.side_xcheck, curve, lifts, order)
     return sum(terms[1:], terms[0])
 
 
@@ -152,7 +183,7 @@ def unramified_automorphic_period_liftsum(pair: GradedDualPair, curve: Curve,
     all extensions of the downstairs character to the covering class
     group.
     """
-    terms = [automorphic_period(pair.side_x, curve, lift, order) for lift in lifts]
+    terms = lift_periods(automorphic_period, pair.side_x, curve, lifts, order)
     return sum(terms[1:], terms[0]).scale(Fraction(1, len(lifts)))
 
 

@@ -14,7 +14,7 @@ from toricperiods.cones import NotStronglyConvex, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.intlinalg import (
-    LatticeMap, Matrix, Vector, hermite_column_basis, identity_matrix, mat,
+    LatticeMap, Matrix, Vector, dot, hermite_column_basis, identity_matrix, mat,
     mat_vec_mul, smith_normal_form, vec)
 from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
 
@@ -180,6 +180,22 @@ def annihilator_basis(vectors, n: int) -> list[Vector]:
     if not vs:
         return [tuple(row) for row in identity_matrix(n)]
     return kernel_basis(tuple(vs))
+
+
+def face_ray_sets_by_facet_subsets(c) -> set:
+    """The ray sets of the faces of c, one per subset of its facets: 2^facets intersections.
+
+    The reference for `cones.faces`, which closes the full ray set under
+    intersection with each facet's rays instead.
+    """
+    return {frozenset(r for r in c.rays if all(dot(f, r) == 0 for f in sel))
+            for k in range(len(c.facets) + 1)
+            for sel in combinations(c.facets, k)}
+
+
+def lift_periods_per_lift(period, datum, curve, lifts, order) -> list:
+    """One period per lift, each computed: the reference for `stacks.lift_periods`."""
+    return [period(datum, curve, lift, order) for lift in lifts]
 
 
 def in_cone(rays, v) -> bool:

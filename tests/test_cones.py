@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,8 +25,8 @@ from toricperiods.cones import (
     points_at_level,
 )
 from oracles import (
-    annihilator_basis, determinant, dim, in_cone, mat_mul, quotient_lattice,
-    random_generated_cone, saturate_sublattice, solve_integer)
+    annihilator_basis, determinant, dim, face_ray_sets_by_facet_subsets, in_cone, mat_mul,
+    quotient_lattice, random_generated_cone, saturate_sublattice, solve_integer)
 from toricperiods.intlinalg import LatticeMap, dot, hermite_column_basis, identity_matrix
 from toricperiods.scenario import catalog_emit, catalog_names, parse_scenario
 
@@ -289,6 +292,8 @@ def assert_faces_match_build_per_subset(c):
             assert getattr(got, field) == getattr(want, field), field
     assert lattice.spans == want_spans
     assert lattice.annihilators == want_annihilators
+    # The face ray sets also match every intersection of facet ray sets.
+    assert {face.ray_set() for face in lattice.faces} == face_ray_sets_by_facet_subsets(c)
 
 
 @st.composite
@@ -314,6 +319,31 @@ def test_catalog_faces_match_build_per_subset():
         for c in (pair.side_x.cone, pair.side_xcheck.cone):
             assert_faces_match_build_per_subset(c)
             assert_faces_match_build_per_subset(dual_cone(c))
+
+
+def test_faces_of_a_cone_over_a_40_gon_in_seconds():
+    # 40 facets: 2^40 facet subsets would never finish, while the face
+    # lattice has {0}, 40 rays, 40 two-dimensional faces and the cone.  The
+    # polygon's edges are ten primitive directions of slope 0 to 5, turned
+    # by quarter turns, so its 40 vertices are in convex position.
+    code = (
+        "from toricperiods.cones import dual_cone, faces, make_cone\n"
+        "base = [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4), (1, 5)]\n"
+        "edges = base + [(-b, a) for a, b in base] + [(-a, -b) for a, b in base]"
+        " + [(b, -a) for a, b in base]\n"
+        "x = y = 0\n"
+        "rays = []\n"
+        "for a, b in edges:\n"
+        "    rays.append((x, y, 1))\n"
+        "    x, y = x + a, y + b\n"
+        "c = make_cone(rays)\n"
+        "assert len(c.rays) == len(c.facets) == 40\n"
+        "print(len(faces(c)), len(faces(dual_cone(c))))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=5)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.split() == ["82", "82"]
 
 
 def test_hilbert_basis_examples():

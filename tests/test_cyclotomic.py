@@ -110,7 +110,7 @@ def test_inexact_polynomial_division_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit('an inexact division was accepted')\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-O", "-c", code],
                           env={"PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr

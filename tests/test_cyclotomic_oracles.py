@@ -206,7 +206,7 @@ def test_canonical_form_holds_under_optimize():
         "        continue\n"
         "    raise SystemExit('a bad presentation was accepted')\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-O", "-c", code],
                           env={"PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr

@@ -401,7 +401,7 @@ def test_refusals_hold_under_optimize():
         "    raise SystemExit(f.__name__ + ' accepted a bad series')\n")
     here = Path(__file__).resolve().parent
     path = os.pathsep.join((str(here.parent / "src"), str(here)))
-    done = subprocess.run([sys.executable, "-O", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-O", "-c", code],
                           env={"PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -422,7 +422,7 @@ def test_packing_guard_holds_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'packed {z} into radix 11')\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-O", "-c", code],
                           env={"PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr

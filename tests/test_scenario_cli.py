@@ -380,12 +380,12 @@ def test_catalog_emit_unwritable_target_exits_2(tmp_path, capsys, monkeypatch, v
 
 def test_python_m_runs_the_command_line():
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-m", "toricperiods", "catalog", "list"],
+    done = subprocess.run([sys.executable, "-B", "-m", "toricperiods", "catalog", "list"],
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert [line.split(":")[0] for line in done.stdout.splitlines()] == catalog_names()
     # Importing the module (as tools that walk the package do) runs nothing.
-    done = subprocess.run([sys.executable, "-c", "import toricperiods.__main__"],
+    done = subprocess.run([sys.executable, "-B", "-c", "import toricperiods.__main__"],
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 

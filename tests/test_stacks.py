@@ -2,12 +2,14 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import determinant, lattice_index, solve_integer
+from oracles import determinant, lattice_index, lift_periods_per_lift, solve_integer
 from toricperiods import stacks
-from toricperiods.characters import formal_character
+from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
-from toricperiods.curve import Curve
+from toricperiods.curve import Curve, is_prime_power
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.intlinalg import LatticeMap
@@ -17,6 +19,7 @@ from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
     _pulled_back_cone,
+    lift_periods,
     make_isogeny,
     stack_spectral_period_unramified,
     torsion_twists,
@@ -262,3 +265,60 @@ def test_liftsum_independent_of_base_extension():
     b = unramified_automorphic_period_liftsum(
         TATE_PAIR, curve, unramified_lifts(iso, swapped), 6)
     assert a == b
+
+
+# --- one period per Galois orbit -----------------------------------------
+
+PAIRS = {1: TATE_PAIR, 2: toric_dual(ORTHANT)}
+PERIODS = {"automorphic": (automorphic_period, "side_x"),
+           "spectral": (spectral_period, "side_xcheck")}
+
+
+@st.composite
+def lift_families(draw):
+    """(pair, curve, lifts, U): a lift family of a formal or a specialized base lift."""
+    matrix = draw(st.sampled_from([[[n]] for n in range(1, 13)] + [[[2, 1], [0, 3]]]))
+    iso = make_isogeny(matrix)
+    order = iso.exponent * draw(st.integers(1, 2))
+    q = draw(st.sampled_from([q for q in range(2, 50)
+                              if is_prime_power(q) and q % iso.exponent == 1 % iso.exponent]))
+    # A coordinate is formal or zeta^k u^c; c >= 0 keeps both periods convergent.
+    spec = st.one_of(st.just("formal"),
+                     st.tuples(st.integers(0, order - 1), st.integers(0, 2)))
+    base = character_from_spec(draw(st.lists(spec, min_size=iso.rank, max_size=iso.rank)),
+                               order)
+    return PAIRS[iso.rank], Curve(q=q), unramified_lifts(iso, base), draw(st.integers(0, 6))
+
+
+@pytest.mark.parametrize("kind", sorted(PERIODS))
+@settings(max_examples=60, deadline=None)
+@given(family=lift_families())
+def test_lift_periods_against_one_period_per_lift(kind, family):
+    # The whole list, not the sum: a sum cannot see a conjugate filed
+    # under the wrong lift.
+    pair, curve, lifts, order = family
+    period, side = PERIODS[kind]
+    datum = getattr(pair, side)
+    assert lift_periods(period, datum, curve, lifts, order) == \
+        lift_periods_per_lift(period, datum, curve, lifts, order)
+
+
+@pytest.mark.parametrize("matrix, q, base, calls", [
+    ([[7]], 8, formal_character(1, 7), 2),
+    ([[12]], 13, formal_character(1, 12), 6),
+    # zeta and zeta^4 at order 6: sigma_5 sends them to zeta^5 and zeta^2,
+    # outside the family, so each is computed.
+    ([[2]], 3, character_from_spec([(1, 0)], 6), 2),
+], ids=["weight-7", "weight-12", "order-6-not-galois-stable"])
+def test_one_period_per_galois_orbit(monkeypatch, matrix, q, base, calls):
+    lifts = unramified_lifts(make_isogeny(matrix), base)
+    curve = Curve(q=q)
+    made = {"automorphic_period": 0, "spectral_period": 0}
+    for name in made:
+        def spy(*args, _original=getattr(stacks, name), _name=name):
+            made[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(stacks, name, spy)
+    unramified_automorphic_period_liftsum(TATE_PAIR, curve, lifts, 6)
+    stack_spectral_period_unramified(TATE_PAIR, curve, lifts, 6)
+    assert made == {"automorphic_period": calls, "spectral_period": calls}
