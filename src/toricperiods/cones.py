@@ -138,9 +138,6 @@ class Cone(namedtuple(
     def ray_set(self) -> frozenset:
         return frozenset(self.rays)
 
-    def __str__(self):
-        return f"Cone(rank={self.ambient_rank}, rays={list(self.rays)})"
-
 
 def _facets(gens, n: int) -> tuple[list[Vector], bool]:
     """Facet covectors of cone(gens) and whether it is full-dimensional.
@@ -200,39 +197,19 @@ def dual_cone(c: Cone) -> Cone:
         full_dimensional=c.strongly_convex)
 
 
-class FaceLattice:
+class FaceLattice(namedtuple("FaceLattice", "faces spans annihilators transforms")):
     """The faces of a cone with the lattice data of each face.
 
     spans[i] is the saturated span of faces[i] (the stabilizer of its
     orbit) and annihilators[i] a basis of the covectors vanishing on it
     (the character lattice of the orbit), both in Hermite form.
-    span_quotients[i] and annihilator_quotients[i] are (projection,
-    section) pairs of lattice maps presenting N / span, where the orbit
-    closure lives, and M / annihilator, onto which the character monoid
-    maps; projection o section is the identity.  All run parallel to
-    faces.  Not a named tuple: its length is the number of faces.  It is
-    immutable, since faces() hands the same lattice to every caller.
+    transforms[i] is the face's Smith transform (dim, left, left_inverse),
+    which `span_quotient` and `annihilator_quotient` slice into the two
+    orbit quotients.  All run parallel to faces, so the face count is
+    len(faces).
     """
 
-    __slots__ = ("faces", "spans", "annihilators", "span_quotients",
-                 "annihilator_quotients")
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FaceLattice is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FaceLattice is immutable; cannot delete {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"FaceLattice({fields})"
-
-    def __len__(self):
-        return len(self.faces)
+    __slots__ = ()
 
     def index(self, rays) -> int:
         """Position of the face with exactly these rays; NotAFace if none."""
@@ -241,6 +218,28 @@ class FaceLattice:
             if face.rays == key:
                 return i
         raise NotAFace(f"rays {list(key)} do not generate a face")
+
+    def span_quotient(self, i: int) -> tuple[LatticeMap, LatticeMap]:
+        """(projection, section) presenting N / spans[i], where the orbit closure lives.
+
+        The rows of left past dim project and the columns of left_inverse
+        past dim are the section, so projection o section is the identity.
+        """
+        dim, left, left_inverse = self.transforms[i]
+        n = len(left)
+        return (LatticeMap(n, n - dim, left[dim:]),
+                LatticeMap(n - dim, n, tuple(row[dim:] for row in left_inverse)))
+
+    def annihilator_quotient(self, i: int) -> tuple[LatticeMap, LatticeMap]:
+        """(projection, section) presenting M / annihilators[i], onto which the character monoid maps.
+
+        The first dim columns of left_inverse project and the first dim
+        rows of left are the section, so projection o section is the identity.
+        """
+        dim, left, left_inverse = self.transforms[i]
+        n = len(left)
+        return (LatticeMap(n, dim, transpose(left_inverse)[:dim]),
+                LatticeMap.from_columns(left[:dim], n))
 
 
 @lru_cache(maxsize=None)
@@ -257,11 +256,9 @@ def faces(c: Cone) -> FaceLattice:
     builds it.  One Smith form of its ray columns gives the rest.  Its
     rank dim is the face's dimension, the first dim
     columns of left_inverse span its saturation and the rows of left
-    past dim span its annihilator.  The same transforms present both
-    orbit quotients: N / span projects by the rows of left past dim, with
-    the remaining columns of left_inverse as section, and M / annihilator
-    pairs with the first dim columns of left_inverse, with the first dim
-    rows of left as section.  The zero face and a full-dimensional face
+    past dim span its annihilator.  The lattice keeps the transforms,
+    which also present both orbit quotients (`FaceLattice.span_quotient`
+    and `annihilator_quotient`).  The zero face and a full-dimensional face
     take identity transforms (any basis of Z^n presents {0} and Z^n), so
     the dense orbit's quotient is the cone's own lattice and its Euler
     products are the full period's.
@@ -286,14 +283,10 @@ def faces(c: Cone) -> FaceLattice:
         else:
             dim, left = (n if full_dimensional else 0), identity_matrix(n)
             left_inverse = left
-        columns = transpose(left_inverse)
         built.append((dim, rays, face,
-                      tuple(hermite_column_basis(columns[:dim], n)),
+                      tuple(hermite_column_basis(transpose(left_inverse)[:dim], n)),
                       tuple(hermite_column_basis(left[dim:], n)),
-                      (LatticeMap(n, n - dim, left[dim:]),
-                       LatticeMap.from_columns(columns[dim:], n)),
-                      (LatticeMap(n, dim, columns[:dim]),
-                       LatticeMap.from_columns(left[:dim], n))))
+                      (dim, left, left_inverse)))
     built.sort(key=lambda b: b[:2])
     _, _, *fields = zip(*built)
     return FaceLattice(*fields)

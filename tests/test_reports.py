@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import from_integers
 from toricperiods import periods, regularization
 from toricperiods.cli import main
 from toricperiods.scenario import (
@@ -99,7 +100,7 @@ def random_series(draw):
     order = draw(st.sampled_from((1, 3, 4, 12)))
     nvars = draw(st.integers(0, 3))
     big = st.integers(-(2 ** 80), 2 ** 80) | st.integers(-5, 5)
-    values = st.builds(lambda nums, den: Cyc.from_integers(order, nums, den),
+    values = st.builds(lambda nums, den: from_integers(order, nums, den),
                        st.lists(big, min_size=Cyc.degree(order),
                                 max_size=Cyc.degree(order)),
                        st.integers(1, 2 ** 70))
@@ -131,7 +132,7 @@ def test_rows_writer_writes_empty_rows_and_terms():
 
 def test_shared_rows_are_written_once_per_indent_and_only_for_that_object():
     series = TruncatedSeries.from_dict(
-        {-1: {(2, -3): Cyc.from_integers(4, (5, -7), 3)}, 2: {(0, 1): Cyc.one(4)}}, 2, 4, 5)
+        {-1: {(2, -3): from_integers(4, (5, -7), 3)}, 2: {(0, 1): Cyc.one(4)}}, 2, 4, 5)
     shared = series.serialize()
     twin = series.serialize()
     assert twin == shared and twin is not shared
