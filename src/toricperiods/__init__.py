@@ -25,7 +25,7 @@ from .duality import GradedDualPair, GradedToricDatum, toric_dual
 from .periods import (
     automorphic_local_factor,
     automorphic_period,
-    engine_input,
+    certified,
     spectral_local_factor,
     spectral_period,
     verify_weak_duality,
@@ -43,9 +43,9 @@ __all__ = [
     "TruncatedSeries",
     "automorphic_local_factor",
     "automorphic_period",
+    "certified",
     "character_from_spec",
     "dual_cone",
-    "engine_input",
     "face_dual",
     "faces",
     "formal_character",

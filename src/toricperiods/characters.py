@@ -10,6 +10,8 @@ verify (see README, Conventions).
 
 Pullback along a lattice map, descent to a quotient, torsion twists and
 the eigenform shift are all coordinate-wise monomial operations here.
+Both engines take a character extended by a grading, `chi.shift_u(grading)`,
+and read their weight off it: `Character.slopes`, its u-exponents.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ class Character(namedtuple("Character", "order nvars coords")):
     @property
     def rank(self) -> int:
         return len(self.coords)
+
+    @property
+    def slopes(self) -> Vector:
+        """The u-exponent of each coordinate: the weight the engines grade by."""
+        return tuple(m.u for m in self.coords)
 
     def value(self, lam, deg: int = 1) -> Monomial:
         lam = vec(lam)
@@ -112,7 +119,3 @@ def character_from_spec(coord_specs, order: int, nvars: int | None = None) -> Ch
             coords.append(Monomial(int(k) % order, int(c), (0,) * nvars))
     return Character(order, nvars, tuple(coords))
 
-
-def extended_character(chi: Character, grading: Vector) -> Character:
-    """The combined monomial datum chi * u^<grading, .> used by both engines."""
-    return chi.shift_u(grading)

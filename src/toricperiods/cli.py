@@ -160,7 +160,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "emit" and not args.name:
         parser.error("catalog emit requires a name")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the output could not be written.  Point
+        # stdout at the null device, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 A cone is stored with both generators (primitive extreme rays) and an
 outer description (primitive facet covectors); the two are tied together
 by an incremental double-description computation, so equality of cones is
-plain value equality of the canonical sorted data.
+plain value equality of the canonical sorted data.  Each face keeps one
+Smith transform, from which its span, its annihilator and both orbit
+quotients are sliced.  `check_grading` is the one positivity check: a
+level set, a Hilbert basis and every engine input go through it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .intlinalg import (
     LatticeMap,
     Vector,
     dot,
-    hermite_column_basis,
     identity_matrix,
     neg_vec,
     primitive,
@@ -43,7 +45,11 @@ class NotAFace(ValueError):
 
 
 class NotPositiveGrading(ValueError):
-    """Raised when a grading covector is not strictly positive on a ray."""
+    """Raised when a weight covector is not strictly positive on a ray of a cone.
+
+    The weight is a grading, or the u-slopes of an engine's character;
+    witness is the ray and value the weight there.
+    """
 
     def __init__(self, witness: Vector, value: int):
         self.witness = witness
@@ -197,16 +203,13 @@ def dual_cone(c: Cone) -> Cone:
         full_dimensional=c.strongly_convex)
 
 
-class FaceLattice(namedtuple("FaceLattice", "faces spans annihilators transforms")):
-    """The faces of a cone with the lattice data of each face.
+class FaceLattice(namedtuple("FaceLattice", "faces transforms")):
+    """The faces of a cone with the Smith transform of each face.
 
-    spans[i] is the saturated span of faces[i] (the stabilizer of its
-    orbit) and annihilators[i] a basis of the covectors vanishing on it
-    (the character lattice of the orbit), both in Hermite form.
-    transforms[i] is the face's Smith transform (dim, left, left_inverse),
-    which `span_quotient` and `annihilator_quotient` slice into the two
-    orbit quotients.  All run parallel to faces, so the face count is
-    len(faces).
+    transforms[i] is (dim, left, left_inverse) for faces[i]: the saturated
+    span of the face (the stabilizer of its orbit), its annihilator (the
+    character lattice of the orbit) and both orbit quotients are slices
+    of it.  Both run parallel, so the face count is len(faces).
     """
 
     __slots__ = ()
@@ -219,26 +222,36 @@ class FaceLattice(namedtuple("FaceLattice", "faces spans annihilators transforms
                 return i
         raise NotAFace(f"rays {list(key)} do not generate a face")
 
-    def span_quotient(self, i: int) -> tuple[LatticeMap, LatticeMap]:
-        """(projection, section) presenting N / spans[i], where the orbit closure lives.
+    def span(self, i: int) -> tuple[Vector, ...]:
+        """A basis of the saturated span of faces[i]: the first dim columns of left_inverse."""
+        dim, _, left_inverse = self.transforms[i]
+        return transpose(left_inverse)[:dim]
 
-        The rows of left past dim project and the columns of left_inverse
-        past dim are the section, so projection o section is the identity.
+    def annihilator(self, i: int) -> tuple[Vector, ...]:
+        """A basis of the covectors vanishing on faces[i]: the rows of left past dim."""
+        dim, left, _ = self.transforms[i]
+        return left[dim:]
+
+    def span_quotient(self, i: int) -> tuple[LatticeMap, LatticeMap]:
+        """(projection, section) presenting N / span(i), where the orbit closure lives.
+
+        The annihilator projects and the columns of left_inverse past dim
+        are the section, so projection o section is the identity.
         """
         dim, left, left_inverse = self.transforms[i]
         n = len(left)
-        return (LatticeMap(n, n - dim, left[dim:]),
+        return (LatticeMap(n, n - dim, self.annihilator(i)),
                 LatticeMap(n - dim, n, tuple(row[dim:] for row in left_inverse)))
 
     def annihilator_quotient(self, i: int) -> tuple[LatticeMap, LatticeMap]:
-        """(projection, section) presenting M / annihilators[i], onto which the character monoid maps.
+        """(projection, section) presenting M / annihilator(i), onto which the character monoid maps.
 
-        The first dim columns of left_inverse project and the first dim
-        rows of left are the section, so projection o section is the identity.
+        The span projects and the first dim rows of left are the section,
+        so projection o section is the identity.
         """
-        dim, left, left_inverse = self.transforms[i]
+        dim, left, _ = self.transforms[i]
         n = len(left)
-        return (LatticeMap(n, dim, transpose(left_inverse)[:dim]),
+        return (LatticeMap(n, dim, self.span(i)),
                 LatticeMap.from_columns(left[:dim], n))
 
 
@@ -253,12 +266,13 @@ def faces(c: Cone) -> FaceLattice:
     found, so this costs faces x facets intersections, not the 2^facets
     of enumerating facet subsets.  The rays of a face are primitive
     extreme rays of c, so one double description, rays to facets,
-    builds it.  One Smith form of its ray columns gives the rest.  Its
-    rank dim is the face's dimension, the first dim
-    columns of left_inverse span its saturation and the rows of left
-    past dim span its annihilator.  The lattice keeps the transforms,
-    which also present both orbit quotients (`FaceLattice.span_quotient`
-    and `annihilator_quotient`).  The zero face and a full-dimensional face
+    builds it.  One Smith form of its ray columns gives the rest, and
+    the lattice keeps only its transform (dim, left, left_inverse): dim
+    is the face's dimension, the first dim columns of left_inverse span
+    its saturation and the rows of left past dim its annihilator
+    (`FaceLattice.span` and `annihilator`), and the same slices present
+    both orbit quotients (`FaceLattice.span_quotient` and
+    `annihilator_quotient`).  The zero face and a full-dimensional face
     take identity transforms (any basis of Z^n presents {0} and Z^n), so
     the dense orbit's quotient is the cone's own lattice and its Euler
     products are the full period's.
@@ -283,10 +297,7 @@ def faces(c: Cone) -> FaceLattice:
         else:
             dim, left = (n if full_dimensional else 0), identity_matrix(n)
             left_inverse = left
-        built.append((dim, rays, face,
-                      tuple(hermite_column_basis(transpose(left_inverse)[:dim], n)),
-                      tuple(hermite_column_basis(left[dim:], n)),
-                      (dim, left, left_inverse)))
+        built.append((dim, rays, face, (dim, left, left_inverse)))
     built.sort(key=lambda b: b[:2])
     _, _, *fields = zip(*built)
     return FaceLattice(*fields)
@@ -325,7 +336,8 @@ def _level_box(rays, weights, m: int, n: int):
     return lo, hi
 
 
-def _check_grading(c: Cone, w: Vector) -> list[int]:
+def check_grading(c: Cone, w: Vector) -> list[int]:
+    """<w, r> for each ray r of the cone; NotPositiveGrading at the first where it is <= 0."""
     values = []
     for r in c.rays:
         v = dot(w, r)
@@ -352,7 +364,7 @@ def points_at_level(c: Cone, w: Vector, m: int) -> tuple[Vector, ...]:
     +/- facet pairs; at rank 1 the slice is m / w_0 when w_0 divides m.
     """
     w = vec(w)
-    weights = _check_grading(c, w)
+    weights = check_grading(c, w)
     n = c.ambient_rank
     if m < 0:
         return ()
@@ -439,7 +451,7 @@ def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
         return tuple(sorted(tuple(dot(row[:k], h) for row in snf.left_inverse)
                             for h in hilbert_basis(inner)))
     grading = tuple(sum(col) for col in zip(*c.facets))
-    pts = list(monoid_points(c, grading, sum(_check_grading(c, grading))))
+    pts = list(monoid_points(c, grading, sum(check_grading(c, grading))))
     pts.sort(key=lambda p: (dot(grading, p), p))
     basis = []
     for h in pts:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .characters import Character
-from .cones import Cone, dual_description, make_cone, monoid_points
+from .cones import dual_description, make_cone, monoid_points
 from .curve import Curve
-from .intlinalg import Vector, dot, vec
-from .periods import euler_product, positivity_certificate
+from .intlinalg import dot, vec
+from .periods import certified, euler_product
 from .series import TruncatedSeries
 
 
@@ -63,18 +63,18 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
     """
     terms = []
     counted = set()
-    for c, s in zip(h.cones, h.slopes):
-        psi = chi.shift_u(tuple(2 * a for a in s))
-        for pt in monoid_points(c, _combined_weight(c, s, chi), order // place_degree):
+    for c, psi in _doubled_characters(h, chi):
+        for pt in monoid_points(c, psi.slopes, order // place_degree):
             if pt not in counted:
                 counted.add(pt)
                 terms.append(psi.value(pt, place_degree))
     return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
 
 
-def _combined_weight(cone: Cone, slope: Vector, chi: Character) -> Vector:
-    """2*slope + character slope, certified positive on the rays of the cone."""
-    return positivity_certificate(cone, chi, tuple(2 * a for a in slope))
+def _doubled_characters(h: PiecewiseLinearHeight, chi: Character):
+    """(cone, chi * u^<2 * slope, .>) for each cone, every one `certified` first."""
+    return [(c, certified(c, chi.shift_u(tuple(2 * a for a in s))))
+            for c, s in zip(h.cones, h.slopes)]
 
 
 def height_fourier_global(h: PiecewiseLinearHeight, curve: Curve,
@@ -85,7 +85,6 @@ def height_fourier_global(h: PiecewiseLinearHeight, curve: Curve,
     divergent transform raises even at truncation 0, where no local
     transform is computed.
     """
-    for c, s in zip(h.cones, h.slopes):
-        _combined_weight(c, s, chi)
+    _doubled_characters(h, chi)
     return euler_product(lambda d: height_fourier_local(h, chi, d, order),
                          curve, order, (chi.nvars, chi.order))

@@ -1,15 +1,15 @@
 """The two local-factor engines, the period formula and the weak-duality verifier.
 
-Both engines take (cone, psi, w, deg, order): psi is a character
-extended by a grading and w its weight, certified positive on the rays
-of the cone (`engine_input`).  The automorphic engine walks the
-cocharacter lattice and keeps a point when it pairs nonnegatively with
-every facet covector of the cone, that is with every ray of the dual
-cone (integrality read off the dual description).  The spectral engine
-sums graded slices of the monoid algebra at the fixed point, enumerated
-through primal level sets.  The two code paths share nothing but series
-arithmetic; their agreement, coefficient by coefficient, is the content
-being verified.  Every period, global or orbitwise, is
+Both engines take (cone, psi, deg, order): psi is a character extended
+by a grading, `chi.shift_u(grading)`, and `certified` positive on the
+rays of the cone; each engine reads its weight off psi, as its u-slopes
+`psi.slopes`.  The automorphic engine walks the cocharacter lattice and
+keeps a point when it pairs nonnegatively with every facet covector of
+the cone, that is with every ray of the dual cone (integrality read off
+the dual description).  The spectral engine sums graded slices of the
+monoid algebra at the fixed point, enumerated through primal level sets.
+The two code paths share nothing but series arithmetic; their agreement,
+coefficient by coefficient, is the content being verified.  Every period, global or orbitwise, is
 `prefactored_period`: a prefactor monomial times the Euler product of
 one engine's local factors.  Within an `euler_memo()` scope both engines
 and the Euler product remember their results in one mapping, keyed by
@@ -26,11 +26,11 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .characters import Character, extended_character
-from .cones import Cone, dual_cone, monoid_points
+from .characters import Character
+from .cones import Cone, check_grading, dual_cone, monoid_points
 from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
-from .intlinalg import Vector, dot, vec
+from .intlinalg import dot
 from .series import Monomial, TruncatedSeries, _RowPacking
 
 
@@ -56,35 +56,16 @@ def _remembered(kind: str, key, compute):
     return hit
 
 
-class PositivityViolation(ValueError):
-    """The effective weight functional is not strictly positive on a ray."""
+def certified(cone: Cone, psi: Character) -> Character:
+    """psi, once its u-slopes are checked positive on every ray of the cone.
 
-    def __init__(self, witness, value):
-        self.witness = witness
-        self.value = value
-        super().__init__(
-            f"effective weight {value} on ray {witness}: truncation undefined")
-
-
-def effective_weight(chi: Character, eta) -> Vector:
-    """Covector of total u-growth: eigenform weight plus specialization slopes."""
-    eta = vec(eta)
-    return tuple(e + m.u for e, m in zip(eta, chi.coords))
-
-
-def positivity_certificate(cone: Cone, chi: Character, eta) -> Vector:
-    """The effective weight, or PositivityViolation at a ray where it is <= 0.
-
-    Every period calls it, through `engine_input`, before its Euler
-    product, so a divergent character is reported at every truncation, 0
-    included, where no local factor is enumerated.
+    NotPositiveGrading names the first ray where they are not.  Every
+    period certifies its psi before its Euler product, so a divergent
+    character is reported at every truncation, 0 included, where no
+    local factor is enumerated.
     """
-    w = effective_weight(chi, eta)
-    for r in cone.rays:
-        v = dot(w, r)
-        if v <= 0:
-            raise PositivityViolation(r, v)
-    return w
+    check_grading(cone, psi.slopes)
+    return psi
 
 
 def _weight_box(rays, weights, bound: int, n: int):
@@ -100,38 +81,28 @@ def _weight_box(rays, weights, bound: int, n: int):
     return [math.ceil(x) for x in lo], [math.floor(x) for x in hi]
 
 
-def engine_input(cone: Cone, chi: Character, grading) -> tuple[Character, Vector]:
-    """(psi, w) for an engine on cone: chi extended by the grading, and its weight.
-
-    w = grading + the u-slopes of chi is the u-slope vector of psi,
-    certified positive on every ray (PositivityViolation otherwise).
-    """
-    return (extended_character(chi, grading),
-            positivity_certificate(cone, chi, grading))
-
-
-def automorphic_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
+def automorphic_local_factor(cone: Cone, psi: Character, deg: int,
                              order: int) -> TruncatedSeries:
     """Local integral over the torus against the integral-point indicator.
 
-    psi must carry u-slopes w (see `engine_input`).  Membership of a
-    cocharacter is decided purely through the dual description: pairing
-    with the facet covectors, the rays of sigma^vee, is nonnegative.
-    The scan walks the first n - 1 coordinates of a ray-derived box large
-    enough for the requested truncation.  For each such head, every
-    facet covector, and the truncation <w, x> <= order // deg,
-    bounds the last coordinate by one integer floor or ceiling, so every
-    point visited along it is a term; its monomial advances by psi(e_n)^deg
-    per step.  Inside an `euler_memo()` scope the factor is remembered
+    psi must be `certified` on the cone; its u-slopes w are the weight.
+    Membership of a cocharacter is decided purely through the dual
+    description: pairing with the facet covectors, the rays of sigma^vee,
+    is nonnegative.  The scan walks the first n - 1 coordinates of a
+    ray-derived box large enough for the requested truncation.  For each
+    such head, every facet covector, and the truncation
+    <w, x> <= order // deg, bounds the last coordinate by one integer
+    floor or ceiling, so every point visited along it is a term; its
+    monomial advances by psi(e_n)^deg per step.  Inside an `euler_memo()` scope the factor is remembered
     under its whole input, as the spectral engine's is.
     """
-    return _remembered("automorphic", (cone, psi, w, deg, order),
-                       lambda: _box_scan(cone, psi, w, deg, order))
+    return _remembered("automorphic", (cone, psi, deg, order),
+                       lambda: _box_scan(cone, psi, deg, order))
 
 
-def _box_scan(cone: Cone, psi: Character, w: Vector, deg: int,
-              order: int) -> TruncatedSeries:
+def _box_scan(cone: Cone, psi: Character, deg: int, order: int) -> TruncatedSeries:
     n = cone.ambient_rank
+    w = psi.slopes
     terms = []
     bound = order // deg
     if bound >= 1 and cone.rays:
@@ -162,25 +133,26 @@ def _box_scan(cone: Cone, psi: Character, w: Vector, deg: int,
     return TruncatedSeries.from_monomials(terms, psi.nvars, psi.order, order)
 
 
-def spectral_local_factor(cone: Cone, psi: Character, w: Vector, deg: int,
+def spectral_local_factor(cone: Cone, psi: Character, deg: int,
                           order: int) -> TruncatedSeries:
     """Graded trace of Frobenius on the monoid algebra of cone at the fixed point.
 
     1 plus psi summed over the nonzero monoid points of w-level
-    <= order // deg, enumerated by primal level sets; psi must carry
-    u-slopes w (see `engine_input`), so the point x lands at
-    u^(deg * <w, x>): the level bound is the truncation, and no term
-    needs filtering.  Independent of the automorphic scan by construction.
+    <= order // deg, enumerated by primal level sets, where w is the
+    u-slopes of psi (which must be `certified` on the cone), so the
+    point x lands at u^(deg * <w, x>): the level bound is the
+    truncation, and no term needs filtering.  Independent of the
+    automorphic scan by construction.
 
     Inside an `euler_memo()` scope the factor is remembered under its
-    whole input (cone, psi, w, deg, order), so a slice sum that the
+    whole input (cone, psi, deg, order), so a slice sum that the
     spectral period and an orbit contribution both need is enumerated
     once per run.
     """
-    return _remembered("spectral", (cone, psi, w, deg, order),
+    return _remembered("spectral", (cone, psi, deg, order),
                        lambda: TruncatedSeries.from_monomials(
                            (psi.value(pt, deg)
-                            for pt in monoid_points(cone, w, order // deg)),
+                            for pt in monoid_points(cone, psi.slopes, order // deg)),
                            psi.nvars, psi.order, order))
 
 
@@ -299,9 +271,9 @@ def spectral_prefactor(datum_check: GradedToricDatum, curve: Curve,
     return Monomial(scalar.zeta, scalar.u + shift, scalar.z)
 
 
-def prefactored_period(engine, cone: Cone, psi: Character, w: Vector,
-                       pref: Monomial, curve: Curve, order: int) -> TruncatedSeries:
-    """pref times the Euler product of the local factors engine(cone, psi, w, d, order).
+def prefactored_period(engine, cone: Cone, psi: Character, pref: Monomial,
+                       curve: Curve, order: int) -> TruncatedSeries:
+    """pref times the Euler product of the local factors engine(cone, psi, d, order).
 
     The product with pref is a shift (`TruncatedSeries.times_monomial`).
 
@@ -309,21 +281,21 @@ def prefactored_period(engine, cone: Cone, psi: Character, w: Vector,
     contributions and the direct stack model are this product, each
     with its own engine, cone and prefactor.
     """
-    series = euler_product(lambda d: engine(cone, psi, w, d, order),
+    series = euler_product(lambda d: engine(cone, psi, d, order),
                            curve, order, (psi.nvars, psi.order))
     return series.times_monomial(pref)
 
 
 def _automorphic_input(datum: GradedToricDatum, chi: Character):
-    """(cone, psi, w, prefactor) of the automorphic period."""
-    return (datum.cone, *engine_input(datum.cone, chi, datum.eta),
+    """(cone, psi, prefactor) of the automorphic period."""
+    return (datum.cone, certified(datum.cone, chi.shift_u(datum.eta)),
             automorphic_prefactor(datum, chi))
 
 
 def _spectral_input(datum_check: GradedToricDatum, curve: Curve, phi: Character):
-    """(monoid cone, psi, w, prefactor) of the spectral period."""
+    """(monoid cone, psi, prefactor) of the spectral period."""
     monoid_cone = dual_cone(datum_check.cone)
-    return (monoid_cone, *engine_input(monoid_cone, phi, datum_check.rho),
+    return (monoid_cone, certified(monoid_cone, phi.shift_u(datum_check.rho)),
             spectral_prefactor(datum_check, curve, phi))
 
 
@@ -386,7 +358,7 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
         g, d_, k = _adams_index(deg, chi.order)
         samples[deg] = {
-            name: engine(*args[:3], g, order).substitute_u_power(d_, k).truncate(order)
+            name: engine(*args[:2], g, order).substitute_u_power(d_, k).truncate(order)
             for name, engine, args in zip(("automorphic", "spectral"), engines, first)}
     return PeriodReport(duality_exponent=expo, directions=tuple(directions),
                         local_samples=samples)

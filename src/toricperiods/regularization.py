@@ -21,16 +21,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .characters import Character, extended_character
-from .cones import Cone, dual_cone, face_dual, faces, image_cone
+from .characters import Character
+from .cones import Cone, NotPositiveGrading, dual_cone, face_dual, faces, image_cone
 from .curve import Curve
 from .duality import GradedDualPair, GradedToricDatum
 from .periods import (
-    PositivityViolation,
     _remembered,
     automorphic_local_factor,
     automorphic_prefactor,
-    engine_input,
+    certified,
     prefactored_period,
     spectral_local_factor,
     spectral_prefactor,
@@ -69,7 +68,8 @@ def _cuspidality_witness(cone: Cone, psi: Character) -> Cone | None:
     those whose span is neither zero nor the ambient lattice.
     """
     lattice = faces(cone)
-    for face, span in zip(lattice.faces, lattice.spans):
+    for i, face in enumerate(lattice.faces):
+        span = lattice.span(i)
         if 0 < len(span) < cone.ambient_rank and psi.is_trivial_on_all(span):
             return face
     return None
@@ -83,8 +83,7 @@ def is_cuspidal(datum: GradedToricDatum, chi: Character):
     nontrivial proper ones; the trivial stabilizer of the dense orbit
     would make the condition vacuously false and is excluded.
     """
-    witness = _cuspidality_witness(datum.cone,
-                                   extended_character(chi, datum.eta))
+    witness = _cuspidality_witness(datum.cone, chi.shift_u(datum.eta))
     return witness is None, witness
 
 
@@ -96,10 +95,10 @@ def fixed_orbit_faces(datum_check: GradedToricDatum, phi: Character):
     on the annihilator lattice of the face span (the character lattice of
     the orbit torsor).  The full face is always in the list.
     """
-    psi = extended_character(phi, datum_check.rho)
+    psi = phi.shift_u(datum_check.rho)
     lattice = faces(datum_check.cone)
-    return [face for face, ann in zip(lattice.faces, lattice.annihilators)
-            if psi.is_trivial_on_all(ann)]
+    return [face for i, face in enumerate(lattice.faces)
+            if psi.is_trivial_on_all(lattice.annihilator(i))]
 
 
 def is_generic(datum_check: GradedToricDatum, phi: Character):
@@ -121,9 +120,8 @@ def regularized_automorphic_contribution(
     """
     lattice = faces(datum.cone)
     i = lattice.index(face.rays)
-    stab = lattice.spans[i]
-    psi = extended_character(chi, datum.eta)
-    if not psi.is_trivial_on_all(stab):
+    psi = chi.shift_u(datum.eta)
+    if not psi.is_trivial_on_all(lattice.span(i)):
         return _vanished(VANISHED_TRIVIALITY)
     projection, section = lattice.span_quotient(i)
     closure = _remembered("orbit-closure", (datum.cone, lattice.faces[i].rays),
@@ -132,8 +130,7 @@ def regularized_automorphic_contribution(
     if _cuspidality_witness(closure, psi_bar) is not None:
         return _vanished(VANISHED_CUSPIDALITY)
     series = prefactored_period(
-        automorphic_local_factor, closure,
-        *engine_input(closure, psi_bar, (0,) * closure.ambient_rank),
+        automorphic_local_factor, closure, certified(closure, psi_bar),
         automorphic_prefactor(datum, chi), curve, order)
     return OrbitContribution(status="computed", reason=None, series=series)
 
@@ -153,19 +150,18 @@ def regularized_spectral_contribution(
     """
     lattice = faces(datum_check.cone)
     i = lattice.index(face.rays)
-    psi = extended_character(phi, datum_check.rho)
-    if not psi.is_trivial_on_all(lattice.annihilators[i]):
+    psi = phi.shift_u(datum_check.rho)
+    if not psi.is_trivial_on_all(lattice.annihilator(i)):
         return _vanished(VANISHED_NOT_FIXED)
     rays = lattice.faces[i].ray_set()
-    if any(other.ray_set() < rays and psi.is_trivial_on_all(ann)
-           for other, ann in zip(lattice.faces, lattice.annihilators)):
+    if any(other.ray_set() < rays and psi.is_trivial_on_all(lattice.annihilator(j))
+           for j, other in enumerate(lattice.faces)):
         return _vanished(VANISHED_DOMINATED)
     projection, section = lattice.annihilator_quotient(i)
     image = _remembered("orbit-image", (datum_check.cone, lattice.faces[i].rays),
                         lambda: image_cone(dual_cone(datum_check.cone), projection))
     series = prefactored_period(
-        spectral_local_factor, image,
-        *engine_input(image, psi.compose(section), (0,) * image.ambient_rank),
+        spectral_local_factor, image, certified(image, psi.compose(section)),
         spectral_prefactor(datum_check, curve, phi), curve, order)
     return OrbitContribution(status="computed", reason=None, series=series)
 
@@ -188,7 +184,7 @@ class OrbitDualityReport(namedtuple(
 def _contribution_or_divergent(contribution, *args) -> OrbitContribution:
     try:
         return contribution(*args)
-    except PositivityViolation as err:
+    except NotPositiveGrading as err:
         return OrbitContribution(
             "divergent", f"weight {err.value} on ray {err.witness}", None)
 

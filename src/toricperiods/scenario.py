@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
 from .characters import Character, character_from_spec
-from .cones import NotStronglyConvex, make_cone
+from .cones import NotPositiveGrading, NotStronglyConvex, make_cone
 from .curve import Curve, InvalidSpin, is_prime_power
 from .duality import (
     GradedDualPair,
@@ -36,10 +36,9 @@ from .heights import (
 )
 from .periods import (
     SAMPLE_DEGREES,
-    PositivityViolation,
     _remembered,
     automorphic_local_factor,
-    engine_input,
+    certified,
     euler_memo,
     verify_weak_duality,
 )
@@ -327,7 +326,7 @@ def _per_character(sc, order, check_one):
     for spec in sc.characters:
         try:
             row, good = check_one(spec.build(order, sc.rank))
-        except PositivityViolation as err:
+        except NotPositiveGrading as err:
             row, good = {"status": "divergent-skip",
                          "witness_ray": _vec_s(err.witness),
                          "weight": str(err.value)}, True
@@ -444,11 +443,10 @@ def _run_height_bridge(sc, pair, order):
             if cone != pair.side_x.cone:
                 continue
             own = PiecewiseLinearHeight((cone,), (slope,))
-            doubled = tuple(2 * s for s in slope)
+            psi = certified(cone, chi.shift_u(tuple(2 * s for s in slope)))
             for deg in range(1, top + 1):
                 lhs = height_fourier_local(own, chi, deg, sc.truncation)
-                rhs = automorphic_local_factor(
-                    cone, *engine_input(cone, chi, doubled), deg, sc.truncation)
+                rhs = automorphic_local_factor(cone, psi, deg, sc.truncation)
                 mism = lhs.first_mismatch(rhs)
                 degrees.append({
                     "degree": str(deg),

@@ -37,7 +37,7 @@ from .periods import (
     automorphic_local_factor,
     automorphic_period,
     automorphic_prefactor,
-    engine_input,
+    certified,
     prefactored_period,
     spectral_period,
 )
@@ -205,10 +205,9 @@ def unramified_automorphic_period_direct(pair: GradedDualPair, iso: IsogenyDatum
     """
     side = pair.side_x
     small_cone = _pulled_back_cone(iso, side.cone)
+    psi = base_lift.compose(iso.inclusion).shift_u(iso.transpose.apply(side.eta))
     return prefactored_period(
-        automorphic_local_factor, small_cone,
-        *engine_input(small_cone, base_lift.compose(iso.inclusion),
-                      iso.transpose.apply(side.eta)),
+        automorphic_local_factor, small_cone, certified(small_cone, psi),
         automorphic_prefactor(side, base_lift), curve, order)
 
 

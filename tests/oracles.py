@@ -15,8 +15,8 @@ from toricperiods.cones import NotStronglyConvex, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc, _canonical
 from toricperiods.intlinalg import (
-    LatticeMap, Matrix, Vector, dot, hermite_column_basis, identity_matrix, mat,
-    mat_vec_mul, smith_normal_form, vec)
+    LatticeMap, Matrix, Vector, dot, identity_matrix, mat, mat_vec_mul,
+    smith_normal_form, vec)
 from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
 
 
@@ -131,6 +131,45 @@ def solve_integer(columns, target: Vector) -> Vector | None:
     if any(y[i] != 0 for i in range(snf.cols, len(y))):
         return None
     return mat_vec_mul(snf.right, tuple(x_mid))
+
+
+def hermite_column_basis(vectors, n: int) -> list[Vector]:
+    """Canonical (column-Hermite) basis of the lattice spanned by vectors.
+
+    Pivot entries are positive, entries left of a pivot in its row are
+    reduced to [0, pivot).  Used so that equal sublattices always print the
+    same basis.
+    """
+    cols = [list(vec(v)) for v in vectors if any(v)]
+    pivots = []
+    row = 0
+    j = 0
+    while row < n and j < len(cols):
+        k = next((i for i in range(j, len(cols)) if cols[i][row] != 0), None)
+        if k is None:
+            row += 1
+            continue
+        cols[j], cols[k] = cols[k], cols[j]
+        for i in range(j + 1, len(cols)):
+            while cols[i][row] != 0:
+                q = cols[i][row] // cols[j][row]
+                cols[i] = [a - q * b for a, b in zip(cols[i], cols[j])]
+                if cols[i][row] != 0:
+                    cols[i], cols[j] = cols[j], cols[i]
+        if cols[j][row] < 0:
+            cols[j] = [-a for a in cols[j]]
+        pivots.append((row, j))
+        row += 1
+        j += 1
+    cols = cols[:j]
+    # Top-down: a reduction at pivot row r only changes rows >= r, so
+    # entries already normalised at earlier pivot rows stay normalised.
+    for row, jj in pivots:
+        for i in range(jj):
+            q = cols[i][row] // cols[jj][row]
+            if q:
+                cols[i] = [a - q * b for a, b in zip(cols[i], cols[jj])]
+    return [tuple(c) for c in cols]
 
 
 def saturate_sublattice(gens, ambient_rank: int) -> list[Vector]:

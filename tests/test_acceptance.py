@@ -23,7 +23,7 @@ from oracles import (
     saturate_sublattice,
     solve_integer,
 )
-from toricperiods.characters import character_from_spec, extended_character, formal_character
+from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cli import main
 from toricperiods.cones import (
     dual_cone,
@@ -41,7 +41,7 @@ from toricperiods.intlinalg import LatticeMap, dot, smith_normal_form
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_period,
-    engine_input,
+    certified,
     spectral_local_factor,
     verify_weak_duality,
 )
@@ -110,9 +110,9 @@ def test_criterion_03_engine_independence():
         monoid = dual_cone(pair.side_xcheck.cone)
         for deg in range(1, 7):
             a = automorphic_local_factor(
-                datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 12)
+                datum.cone, certified(datum.cone, chi.shift_u(datum.eta)), deg, 12)
             s = spectral_local_factor(
-                monoid, *engine_input(monoid, chi, pair.side_xcheck.rho), deg, 12)
+                monoid, certified(monoid, chi.shift_u(pair.side_xcheck.rho)), deg, 12)
             ok = ok and a.first_mismatch(s) is None
     verdict(3, ok, "dual-membership and primal-level engines agree exactly, "
                    "all catalog data, deg <= 6, U <= 12")
@@ -177,7 +177,7 @@ def test_criterion_05_cuspidal_iff_generic():
         done = 0
         while done < 200:
             chi = random_character(rng, rank)
-            psi = extended_character(chi, datum.eta)
+            psi = chi.shift_u(datum.eta)
             basis = [tuple(1 if i == j else 0 for i in range(rank))
                      for j in range(rank)]
             if psi.is_trivial_on_all(basis):
@@ -275,7 +275,7 @@ def test_criterion_09_height_bridge():
         for deg in (1, 2, 3):
             lhs = height_fourier_local(fan, chi, deg, 8)
             rhs = automorphic_local_factor(
-                datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 8)
+                datum.cone, certified(datum.cone, chi.shift_u(datum.eta)), deg, 8)
             ok = ok and lhs.first_mismatch(rhs) is None
     verdict(9, ok, "height transform with slope eta/2 equals the "
                    "automorphic local factor exactly (rank 1 and orthant, U=8)")

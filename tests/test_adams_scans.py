@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import determinant, divisor_count_series
-from toricperiods.characters import character_from_spec, extended_character
+from toricperiods.characters import character_from_spec
 from toricperiods.cones import (
     NotStronglyConvex,
     dual_cone,
@@ -32,8 +32,7 @@ from toricperiods.intlinalg import dot
 from toricperiods.periods import (
     _weight_box,
     automorphic_local_factor,
-    effective_weight,
-    engine_input,
+    certified,
     euler_product,
     spectral_local_factor,
 )
@@ -55,8 +54,8 @@ def full_box_factor(datum, chi, place_degree, order):
     Every candidate of the ray-derived box meets the dual-basis test and
     Character.value, and the truncation filters the monomials.
     """
-    psi = extended_character(chi, datum.eta)
-    w = effective_weight(chi, datum.eta)
+    psi = chi.shift_u(datum.eta)
+    w = tuple(e + m.u for e, m in zip(datum.eta, chi.coords))
     terms = []
     bound = order // place_degree
     if bound >= 1 and datum.cone.rays:
@@ -134,11 +133,11 @@ def test_smooth_cone_euler_product_closed_form(datum, order, specs):
     # On a smooth cone L_1 = prod_i 1/(1 - m_i), m_i = psi(r_i) at the rays,
     # so the Euler product is prod_i Z(m_i) for every q.
     chi = character_from_spec(specs[:datum.rank], order=order)
-    psi = extended_character(chi, datum.eta)
+    psi = chi.shift_u(datum.eta)
     dual_side = toric_dual(datum).side_xcheck
     monoid = dual_cone(dual_side.cone)
-    aut_args = engine_input(datum.cone, chi, datum.eta)
-    spec_args = engine_input(monoid, chi, dual_side.rho)
+    aut_psi = certified(datum.cone, psi)
+    spec_psi = certified(monoid, chi.shift_u(dual_side.rho))
     ring = (chi.nvars, chi.order)
     trunc = 12
     for q in (2, 3):
@@ -147,10 +146,10 @@ def test_smooth_cone_euler_product_closed_form(datum, order, specs):
         for r in datum.cone.rays:
             want = want * divisor_series_at(curve, psi.value(r), chi.nvars, order, trunc)
         aut = euler_product(
-            lambda d: automorphic_local_factor(datum.cone, *aut_args, d, trunc),
+            lambda d: automorphic_local_factor(datum.cone, aut_psi, d, trunc),
             curve, trunc, ring)
         spec = euler_product(
-            lambda d: spectral_local_factor(monoid, *spec_args, d, trunc),
+            lambda d: spectral_local_factor(monoid, spec_psi, d, trunc),
             curve, trunc, ring)
         assert aut == want
         assert spec == want
@@ -210,9 +209,10 @@ def test_class_factors_above_the_weight_minimum_are_one(datum, sloped):
     for engine, cone, grading in (
             (automorphic_local_factor, datum.cone, datum.eta),
             (spectral_local_factor, dual_cone(dual_side.cone), dual_side.rho)):
-        w_min = brute_weight_minimum(cone, effective_weight(chi, grading))
+        psi = certified(cone, chi.shift_u(grading))
+        w_min = brute_weight_minimum(cone, psi.slopes)
         for g in (1, 2, 3, 6):
-            factor = engine(cone, *engine_input(cone, chi, grading), g, trunc)
+            factor = engine(cone, psi, g, trunc)
             if g * w_min > trunc:
                 assert factor == TruncatedSeries.one(chi.nvars, order, trunc)
             elif not sloped:
@@ -233,7 +233,7 @@ def test_degree_factor_is_adams_image_of_class_factor(datum, trunc, order):
     for engine, cone, grading in (
             (automorphic_local_factor, datum.cone, datum.eta),
             (spectral_local_factor, dual_cone(dual_side.cone), dual_side.rho)):
-        args = (cone, *engine_input(cone, chi, grading))
+        args = (cone, certified(cone, chi.shift_u(grading)))
         for d in range(1, trunc + 1):
             g, d1, k = adams_index(d, order)
             direct = engine(*args, d, trunc)
@@ -287,7 +287,7 @@ def test_clipped_box_scan_matches_full_box(case, order, data):
     chi = character_from_spec(specs, order=order, nvars=n)
     deg = data.draw(st.integers(1, 3))
     trunc = data.draw(st.integers(0, 6))
-    got = automorphic_local_factor(cone, *engine_input(cone, chi, eta), deg, trunc)
+    got = automorphic_local_factor(cone, certified(cone, chi.shift_u(eta)), deg, trunc)
     assert got == full_box_factor(datum, chi, deg, trunc)
 
 
@@ -303,7 +303,7 @@ def test_clipped_scan_drops_heads_cut_off_by_a_flat_facet():
         for deg in (1, 2):
             for trunc in range(7):
                 got = automorphic_local_factor(
-                    cone, *engine_input(cone, chi, datum.eta), deg, trunc)
+                    cone, certified(cone, chi.shift_u(datum.eta)), deg, trunc)
                 assert got == full_box_factor(datum, chi, deg, trunc), (specs, deg, trunc)
 
 

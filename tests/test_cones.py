@@ -25,9 +25,9 @@ from toricperiods.cones import (
     points_at_level,
 )
 from oracles import (
-    annihilator_basis, determinant, dim, face_ray_sets_by_facet_subsets, in_cone, mat_mul,
-    quotient_lattice, random_generated_cone, saturate_sublattice, solve_integer)
-from toricperiods.intlinalg import LatticeMap, dot, hermite_column_basis, identity_matrix
+    annihilator_basis, determinant, dim, face_ray_sets_by_facet_subsets, hermite_column_basis,
+    in_cone, mat_mul, quotient_lattice, random_generated_cone, saturate_sublattice, solve_integer)
+from toricperiods.intlinalg import LatticeMap, dot, identity_matrix
 from toricperiods.scenario import catalog_emit, catalog_names, parse_scenario
 
 QUADRIC = make_cone([(1, 0), (1, 2)])
@@ -205,11 +205,14 @@ def test_face_lattice_against_vertex_enumeration(c):
     d = dual_cone(c)
     lattice, dual_lattice = faces(c), faces(d)
     image = {}
-    for f, span, ann in zip(lattice.faces, lattice.spans, lattice.annihilators):
+    for i, f in enumerate(lattice.faces):
+        span, ann = lattice.span(i), lattice.annihilator(i)
         g = face_dual(f, c)
         assert g == vertex_enumeration_face_dual(f, c)
         assert face_dual(g, d) == f
-        assert span == dual_lattice.annihilators[dual_lattice.index(g.rays)]
+        # The span of a face is the annihilator of its dual face, as a lattice.
+        assert hermite_column_basis(span, n) == hermite_column_basis(
+            dual_lattice.annihilator(dual_lattice.index(g.rays)), n)
         assert len(span) == dim(f) and len(span) + len(ann) == n
         assert all(dot(s, a) == 0 for s in span for a in ann)
         image[f.ray_set()] = g.ray_set()
@@ -243,8 +246,8 @@ def test_face_quotients_against_the_oracle(c):
     identity = identity_matrix(n)
     for cone in (c, dual_cone(c)):
         lattice = faces(cone)
-        for i, (face, span, ann) in enumerate(zip(
-                lattice.faces, lattice.spans, lattice.annihilators)):
+        for i, face in enumerate(lattice.faces):
+            span, ann = lattice.span(i), lattice.annihilator(i)
             span_quotient, ann_quotient = lattice.span_quotient(i), lattice.annihilator_quotient(i)
             d = len(span)
             for (projection, section), basis, rank in ((span_quotient, span, n - d),
@@ -290,8 +293,12 @@ def assert_faces_match_build_per_subset(c):
         assert type(got) is Cone
         for field in Cone._fields:
             assert getattr(got, field) == getattr(want, field), field
-    assert lattice.spans == want_spans
-    assert lattice.annihilators == want_annihilators
+    # Each slice of a face's Smith transform, in Hermite form, is the
+    # oracle's basis of the same lattice.
+    n = c.ambient_rank
+    slices = [(lattice.span(i), lattice.annihilator(i)) for i in range(len(want_faces))]
+    assert tuple(tuple(hermite_column_basis(s, n)) for s, _ in slices) == want_spans
+    assert tuple(tuple(hermite_column_basis(a, n)) for _, a in slices) == want_annihilators
     # The face ray sets also match every intersection of facet ray sets.
     assert {face.ray_set() for face in lattice.faces} == face_ray_sets_by_facet_subsets(c)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import divisor_count_series
-from toricperiods.characters import character_from_spec, extended_character, formal_character
+from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import (
     Curve,
@@ -134,7 +134,8 @@ def test_character_compose_pullback():
 
 def test_extended_character():
     chi = formal_character(2)
-    psi = extended_character(chi, (1, 3))
+    psi = chi.shift_u((1, 3))
+    assert (chi.slopes, psi.slopes) == ((0, 0), (1, 3))
     assert psi.value((1, 1)) == Monomial(0, 4, (1, 1))
     assert not psi.is_trivial_on((1, 0))
 
@@ -142,7 +143,7 @@ def test_extended_character():
 def test_triviality_detection():
     # z = u^{-1} with eta = 1 makes the combined monomial trivial.
     chi = character_from_spec([(0, -1)], order=1)
-    psi = extended_character(chi, (1,))
+    psi = chi.shift_u((1,))
     assert psi.is_trivial_on((1,))
     assert psi.is_trivial_on((5,))
 

@@ -10,7 +10,7 @@ from toricperiods.duality import GradedToricDatum, toric_dual
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_prefactor,
-    engine_input,
+    certified,
     spectral_local_factor,
     spectral_prefactor,
     verify_weak_duality,
@@ -33,7 +33,7 @@ def test_spectral_engine_degree_substitution():
         pair = toric_dual(datum)
         chi = formal_character(datum.rank)
         monoid = dual_cone(pair.side_xcheck.cone)
-        args = (monoid, *engine_input(monoid, chi, pair.side_xcheck.rho))
+        args = (monoid, certified(monoid, chi.shift_u(pair.side_xcheck.rho)))
         base = spectral_local_factor(*args, 1, 4)
         for d in (2, 3):
             direct = spectral_local_factor(*args, d, 12)
@@ -75,7 +75,7 @@ def test_weak_duality_with_root_of_unity_character():
     rep = verify_weak_duality(pair, Curve(q=3), chi, 8)
     assert rep.equal
     f = automorphic_local_factor(
-        quadric.cone, *engine_input(quadric.cone, chi, quadric.eta), 1, 4)
+        quadric.cone, certified(quadric.cone, chi.shift_u(quadric.eta)), 1, 4)
     # lambda = (1,0): value zeta * u^{1+1}; check the zeta lands in Q(i).
     assert f.coefficient(2) == {(0, 0): Cyc.root_power(1, 4)}
 

@@ -13,7 +13,7 @@ import pytest
 
 import toricperiods
 from toricperiods import periods, scenario
-from toricperiods.characters import character_from_spec, extended_character
+from toricperiods.characters import character_from_spec
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve
 from toricperiods.periods import (
@@ -50,11 +50,11 @@ def level_memo_size():
     return kind_size("spectral")
 
 
-# A level-set input: the quadric cone graded by w = (1, 1), and psi
-# carrying u-slopes w, over Q(zeta_3) with two formal variables.
+# A level-set input: the quadric cone and psi with u-slopes (1, 1), the
+# grading of its level sets, over Q(zeta_3) with two formal variables.
 CHI = character_from_spec([(1, 0), "formal"], order=3)
-LEVEL_INPUT = dict(cone=make_cone([(1, 0), (1, 2)]), psi=extended_character(CHI, (1, 1)),
-                   w=(1, 1), deg=1, order=5)
+LEVEL_INPUT = dict(cone=make_cone([(1, 0), (1, 2)]), psi=CHI.shift_u((1, 1)),
+                   deg=1, order=5)
 
 
 def test_memo_hit_equals_uncached_product():
@@ -168,15 +168,14 @@ def test_level_set_hit_equals_uncached_factor():
 
 @pytest.mark.parametrize("field, value", [
     ("cone", make_cone([(1, 0), (1, 1)])),
-    ("psi", extended_character(character_from_spec([(2, 0), "formal"], order=3),
-                               (1, 1))),
-    ("w", (1, 2)),
+    ("psi", character_from_spec([(2, 0), "formal"], order=3).shift_u((1, 1))),
+    ("psi", CHI.shift_u((1, 2))),
     ("deg", 2),
     ("order", 4),
 ])
 def test_level_set_key_is_the_whole_input(field, value):
-    # w = (1, 2) alone breaks the slope contract but keeps the call well
-    # defined: it reaches other points, and (3, 2) at u^5 drops out.
+    # The weight is psi's u-slopes, so it is in the key through psi: the
+    # slopes (1, 2) grade other level sets, and (3, 2) at u^7 drops out.
     with euler_memo():
         base = level_factor()
         changed = level_factor(**{field: value})
@@ -211,10 +210,10 @@ def test_engines_keep_apart_in_one_memo(monkeypatch):
     sc = parse_scenario(catalog_emit("tate"))
     pair = sc.build_pair()
     chi = sc.characters[0].build(sc.cyclotomic_order, sc.rank)
-    x = periods._automorphic_input(pair.side_x, chi)[:3]
-    # At tate both engines get the same (cone, psi, w): only the kind in
+    x = periods._automorphic_input(pair.side_x, chi)[:2]
+    # At tate both engines get the same (cone, psi): only the kind in
     # the key keeps the spectral engine from the automorphic factor.
-    assert periods._spectral_input(pair.side_xcheck, sc.curve, chi)[:3] == x
+    assert periods._spectral_input(pair.side_xcheck, sc.curve, chi)[:2] == x
     slices = []
     monoid_points = periods.monoid_points
     monkeypatch.setattr(periods, "monoid_points",

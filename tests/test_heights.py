@@ -1,7 +1,7 @@
 import pytest
 
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import make_cone
+from toricperiods.cones import NotPositiveGrading, make_cone
 from toricperiods.curve import Curve, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum
@@ -10,11 +10,7 @@ from toricperiods.heights import (
     height_fourier_local,
     make_height,
 )
-from toricperiods.periods import (
-    PositivityViolation,
-    automorphic_local_factor,
-    engine_input,
-)
+from toricperiods.periods import automorphic_local_factor, certified
 
 HALF_LINE = make_height([[(1,)]], [(1,)], 1)
 COMPLETE_LINE = make_height([[(1,)], [(-1,)]], [(1,), (-1,)], 1)
@@ -49,7 +45,7 @@ def test_local_transform_complete_fan():
 
 def test_zero_slope_rejected():
     flat = make_height([[(1,)]], [(0,)], 1)
-    with pytest.raises(PositivityViolation):
+    with pytest.raises(NotPositiveGrading):
         height_fourier_local(flat, formal_character(1), 1, 4)
 
 
@@ -84,7 +80,7 @@ def bridge_case(datum, slope):
     for deg in (1, 2, 3):
         lhs = height_fourier_local(fan, chi, deg, 8)
         rhs = automorphic_local_factor(
-            datum.cone, *engine_input(datum.cone, chi, datum.eta), deg, 8)
+            datum.cone, certified(datum.cone, chi.shift_u(datum.eta)), deg, 8)
         assert lhs.first_mismatch(rhs) is None, deg
 
 
@@ -107,7 +103,7 @@ def test_bridge_odd_eta_via_substitution():
     chi = formal_character(1)
     lhs = height_fourier_local(fan, chi, 1, 8)
     rhs = automorphic_local_factor(
-        datum.cone, *engine_input(datum.cone, chi, datum.eta), 1, 4)
+        datum.cone, certified(datum.cone, chi.shift_u(datum.eta)), 1, 4)
     # Double only the u-exponents of rhs: coefficient at 2m matches.
     for m in range(5):
         assert lhs.coefficient(2 * m) == rhs.coefficient(m)

@@ -35,7 +35,6 @@ ALLOWED = {
                                "packed kernel and the monomial shift",
     # Exceptions that only malformed input raises, which no catalog entry is.
     "NotStronglyConvex.__init__": "test_cones.py::test_make_cone_line_rejected",
-    "NotPositiveGrading.__init__": "test_cones.py::test_points_at_level_rejects_bad_grading",
     "InvalidSpin.__init__": "test_curve_characters.py::test_curve_rejects_bad_spin",
     "SchemaError.__init__": "test_scenario_cli.py::test_parse_rejects_missing_fields",
 }

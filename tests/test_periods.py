@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import divisor_count_series
 from toricperiods import cones, periods
 from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import dual_cone, make_cone, points_at_level
+from toricperiods.cones import NotPositiveGrading, dual_cone, make_cone, points_at_level
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
@@ -17,10 +17,9 @@ from toricperiods.heights import (
     make_height,
 )
 from toricperiods.periods import (
-    PositivityViolation,
     automorphic_local_factor,
     automorphic_period,
-    engine_input,
+    certified,
     prefactored_period,
     spectral_local_factor,
     spectral_period,
@@ -38,14 +37,14 @@ SQUARE3D = GradedToricDatum(
 
 
 def aut_args(datum, chi):
-    """(cone, psi, w) of the automorphic engine on datum at chi."""
-    return (datum.cone, *engine_input(datum.cone, chi, datum.eta))
+    """(cone, psi) of the automorphic engine on datum at chi."""
+    return (datum.cone, certified(datum.cone, chi.shift_u(datum.eta)))
 
 
 def spec_args(datum_check, phi):
-    """(monoid cone, psi, w) of the spectral engine on datum_check at phi."""
+    """(monoid cone, psi) of the spectral engine on datum_check at phi."""
     monoid = dual_cone(datum_check.cone)
-    return (monoid, *engine_input(monoid, phi, datum_check.rho))
+    return (monoid, certified(monoid, phi.shift_u(datum_check.rho)))
 
 
 def test_tate_local_factor_geometric():
@@ -162,9 +161,9 @@ def test_monotone_truncation_of_periods():
 def test_positivity_violation_raised():
     # z1 = u^{-1} cancels the eigenform weight along the ray (1,0).
     chi = character_from_spec([(0, -1), "formal"], order=1, nvars=2)
-    with pytest.raises(PositivityViolation):
+    with pytest.raises(NotPositiveGrading):
         automorphic_local_factor(*aut_args(QUADRIC, chi), 1, 4)
-    with pytest.raises(PositivityViolation):
+    with pytest.raises(NotPositiveGrading):
         spectral_local_factor(*spec_args(toric_dual(QUADRIC).side_xcheck, chi), 1, 4)
 
 
@@ -184,7 +183,7 @@ def test_spectral_level_rescaling_with_negative_slopes():
     assert lhs.first_mismatch(rhs.shift_u(pair.discrepancy)) is None
     # The mirror direction genuinely diverges for this character: the
     # combined weight is negative on the dual ray (2, -1).
-    with pytest.raises(PositivityViolation):
+    with pytest.raises(NotPositiveGrading):
         automorphic_period(pair.side_xcheck, Curve(q=2), chi, 8)
 
 
@@ -206,7 +205,7 @@ def test_products_keep_points_below_the_ray_minimum():
     sloped = character_from_spec([(0, 1), "formal"], order=1, nvars=2)
     orbit = prefactored_period(
         spectral_local_factor, subunit.cone,
-        *engine_input(subunit.cone, sloped, (0, 0)), Monomial(0, 0, (0, 0)),
+        certified(subunit.cone, sloped), Monomial(0, 0, (0, 0)),
         Curve(q=2), 6)
     level_sums = euler_product(
         lambda d: TruncatedSeries.from_monomials(
@@ -236,9 +235,9 @@ def test_automorphic_period_asks_for_every_class_up_to_the_truncation(monkeypatc
     chi = character_from_spec(["formal", "formal"], order=12)
     asked = []
 
-    def recording(cone, psi, w, deg, order):
+    def recording(cone, psi, deg, order):
         asked.append(deg)
-        return automorphic_local_factor(cone, psi, w, deg, order)
+        return automorphic_local_factor(cone, psi, deg, order)
 
     monkeypatch.setattr(periods, "automorphic_local_factor", recording)
     got = periods.automorphic_period(heavy, Curve(q=2), chi, 10)
@@ -273,7 +272,7 @@ def test_engines_agree_off_the_grading(case, deg, trunc):
     try:
         a = automorphic_local_factor(*aut_args(datum, chi), deg, trunc)
         s = spectral_local_factor(*spec_args(dual_side, chi), deg, trunc)
-    except PositivityViolation:
+    except NotPositiveGrading:
         return
     assert a.first_mismatch(s) is None
 
@@ -290,7 +289,7 @@ def forbid(monkeypatch, *originals):
 
 
 def catalog_engine_inputs(args_of):
-    """Engine inputs (cone, psi, w, deg, order) on both sides of every catalog datum."""
+    """Engine inputs (cone, psi, deg, order) on both sides of every catalog datum."""
     inputs = []
     for datum in CATALOG_DATA:
         pair = toric_dual(datum)

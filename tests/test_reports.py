@@ -200,8 +200,8 @@ def spectral_extra_term(monkeypatch):
     local = periods.spectral_local_factor
     orbit = regularization.regularized_spectral_contribution
 
-    def spectral_local_factor(cone, psi, w, d, order):
-        return _plus_one_term(local(cone, psi, w, d, order), 2)
+    def spectral_local_factor(cone, psi, d, order):
+        return _plus_one_term(local(cone, psi, d, order), 2)
 
     def regularized_spectral_contribution(*args):
         c = orbit(*args)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -389,6 +390,31 @@ def test_python_m_runs_the_command_line():
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
+
+
+@pytest.mark.parametrize("command", [
+    ["catalog", "list"], ["catalog", "emit", "tate"], ["verify"], ["verify", "--json"]],
+    ids=["catalog-list", "catalog-emit", "verify", "verify-json"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, command):
+    # The read end of the pipe closes before the child starts, so every
+    # write to stdout fails; the output could not be written, which is
+    # exit code 2, not 1 ("a check failed").
+    src = Path(__file__).resolve().parents[1] / "src"
+    report = tmp_path / "report.json"
+    if command[0] == "verify":
+        path = write_scenario(tmp_path, catalog_emit("tate", order=2))
+        command = [*command, str(path), "--out", str(report)]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-B", "-m", "toricperiods", *command],
+                              env={"PYTHONPATH": str(src)}, stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+    assert report.exists() == (command[0] == "verify")
 
 # ----------------------------------------------------------------------
 # Schema sweep: every single-field mutation of every catalog entry either

@@ -1,8 +1,9 @@
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import from_integers
@@ -75,18 +76,22 @@ def test_zero_times_a_shift_is_exact_only_as_far_as_known():
 SHIFT_ORDERS = (1, 2, 3, 4, 7, 12)
 
 
+def cyc_values(order):
+    """Random elements of Q(zeta_order), zero included."""
+    coords = st.lists(st.integers(-9, 9), min_size=Cyc.degree(order),
+                      max_size=Cyc.degree(order))
+    return st.builds(lambda nums, den: from_integers(order, nums, den),
+                     coords, st.integers(1, 6))
+
+
 @st.composite
 def shifted_series(draw):
     """(series, monomial): a random series of a random ring and a monomial of it."""
     order = draw(st.sampled_from(SHIFT_ORDERS))
     nvars = draw(st.integers(0, 2))
     zexps = st.tuples(*[st.integers(-3, 3)] * nvars)
-    coords = st.lists(st.integers(-9, 9), min_size=Cyc.degree(order),
-                      max_size=Cyc.degree(order))
-    values = st.builds(lambda nums, den: from_integers(order, nums, den),
-                       coords, st.integers(1, 6))
     rows = draw(st.dictionaries(st.integers(-3, 6),
-                                st.dictionaries(zexps, values, max_size=3),
+                                st.dictionaries(zexps, cyc_values(order), max_size=3),
                                 max_size=4))
     trunc = draw(st.integers(-2, 8) | st.just(EXACT))
     series = TruncatedSeries.from_dict(rows, nvars, order, trunc)
@@ -185,6 +190,91 @@ def test_truncate_keeps_the_rows_up_to_the_new_order():
     assert t.coeffs == tuple(row for row in s.coeffs if row[0] <= 2)
     assert s.truncate(9).trunc == 5
 
+
+
+# --- perturbation: a claimed trunc does not depend on the unknown terms --------
+
+class Perturbed(namedtuple("Perturbed", "series perturbed mon t d k")):
+    """A series, one completion of it and the arguments of the shifts.
+
+    perturbed keeps the rows of series up to its trunc, adds nonzero terms
+    at one to three exponents above it, and is exact: it is one series
+    that the truncated one may stand for.  Each shift claims its rows up
+    to its result's trunc, so the completion must give the same rows
+    there.
+    """
+
+    __slots__ = ()
+
+
+@st.composite
+def perturbed_series(draw):
+    series, mon = draw(shifted_series())
+    order, nvars = series.order, series.nvars
+    known = tuple(row for row in series.coeffs if row[0] <= series.trunc)
+    above = []
+    for step in sorted(draw(st.sets(st.integers(1, 3), min_size=1, max_size=3))):
+        value = draw(cyc_values(order).filter(lambda c: not c.is_zero()))
+        above.append((series.trunc + step,
+                      ((draw(st.tuples(*[st.integers(-3, 3)] * nvars)), value),)))
+    perturbed = TruncatedSeries(nvars, order, EXACT, known + tuple(above))
+    units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
+    k = draw(st.sampled_from(units)) + order * draw(st.integers(0, 1))
+    return Perturbed(series, perturbed, mon, draw(st.integers(-3, 10)),
+                     draw(st.sampled_from((1, 2, 3))), k)
+
+
+def rows_up_to(series, top):
+    return tuple(row for row in series.coeffs if row[0] <= top)
+
+
+def claims_hold(series, perturbed, shift):
+    claimed = shift(series)
+    assert rows_up_to(shift(perturbed), claimed.trunc) == rows_up_to(claimed, claimed.trunc)
+
+
+# O(u^5) times zeta u^-2 z is O(u^3): the term at u^5 lands at u^3.
+ZERO_SHIFTED_DOWN = Perturbed(
+    TruncatedSeries.zero(1, 3, 4),
+    TruncatedSeries(1, 3, EXACT, ((5, (((1,), Cyc.one(3)),)),)),
+    Monomial(1, -2, (1,)), 0, 2, 2)
+# Truncation 0 with a term at u^1 above it.
+TRUNCATION_ZERO = Perturbed(
+    TruncatedSeries.one(1, 1, 0),
+    TruncatedSeries(1, 1, EXACT, ((0, (((0,), Cyc.one(1)),)), (1, (((1,), Cyc.one(1)),)))),
+    Monomial(0, -1, (0,)), 0, 3, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_series())
+@example(ZERO_SHIFTED_DOWN)
+@example(TRUNCATION_ZERO)
+def test_times_monomial_claims_only_what_the_input_fixes(case):
+    claims_hold(case.series, case.perturbed, lambda s: s.times_monomial(case.mon))
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_series())
+@example(ZERO_SHIFTED_DOWN)
+@example(TRUNCATION_ZERO)
+def test_shift_u_claims_only_what_the_input_fixes(case):
+    claims_hold(case.series, case.perturbed, lambda s: s.shift_u(case.mon.u))
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_series())
+@example(ZERO_SHIFTED_DOWN)
+@example(TRUNCATION_ZERO)
+def test_truncate_claims_only_what_the_input_fixes(case):
+    claims_hold(case.series, case.perturbed, lambda s: s.truncate(case.t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_series())
+@example(ZERO_SHIFTED_DOWN)
+@example(TRUNCATION_ZERO)
+def test_substitute_u_power_claims_only_what_the_input_fixes(case):
+    claims_hold(case.series, case.perturbed, lambda s: s.substitute_u_power(case.d, case.k))
 
 def test_first_mismatch_reports_lowest():
     a = geometric(1, 1, 5)
