@@ -38,7 +38,8 @@ from .series import Monomial, TruncatedSeries, _RowPacking
 SAMPLE_DEGREES = 3
 
 # The mapping of the innermost euler_memo() scope, None outside every scope.
-# Its keys are (kind, input), kind "euler", "automorphic", "spectral",
+# Its keys are (kind, input), kind "euler", "places" (the place counts,
+# keyed by curve and truncation), "automorphic", "spectral",
 # "orbit-closure", "orbit-image" (the closure or image cone of each side's
 # orbit, keyed by cone and face rays) or "rows" (a series' report
 # rows, keyed by its coeffs): at tate both engines get the same input, and
@@ -156,37 +157,41 @@ def spectral_local_factor(cone: Cone, psi: Character, deg: int,
                            psi.nvars, psi.order, order))
 
 
-def _adams_index(d: int, n: int) -> tuple[int, int, int]:
-    """(g, d', k): g = gcd(d, n), d = g * d', and k = d' mod n/g with gcd(k, n) = 1.
+def _adams_index(d: int, n: int, m: int) -> tuple[int, int, int]:
+    """(g, d', k): g = gcd(d, m), d = g * d', and k = d' mod m/g with gcd(k, n) = 1.
 
-    On Q(zeta_(n/g)), where the degree-g factor's roots of unity live,
-    sigma_k raises zeta to the d'-th power; k exists because d' is prime
-    to n/g, and it is found among d', d' + n/g, d' + 2n/g, ...
+    m | n is the order of the roots of unity that the local factors'
+    coefficients lie in.  On Q(zeta_(m/g)), where the degree-g factor's
+    roots of unity live, sigma_k raises zeta to the d'-th power; k exists
+    by the Chinese remainder theorem, because d' is prime to m/g, and the
+    least positive one is found by steps of m/g.
     """
-    g = math.gcd(d, n)
-    k = d // g
+    g = math.gcd(d, m)
+    k = (d // g - 1) % (m // g) + 1
     while math.gcd(k, n) != 1:
-        k += n // g
+        k += m // g
     return g, d // g, k
 
 
 def euler_product(local_factor, curve: Curve, order: int,
-                  ring: tuple[int, int]) -> TruncatedSeries:
+                  ring: tuple[int, int], field: int | None = None) -> TruncatedSeries:
     """prod over degrees d of L_d^(a_d), a_d the places of degree d, L_d = local_factor(d).
 
     ring = (nvars, N) names the series ring Q(zeta_N)[z_1^{±1}, ..., z_nvars^{±1}].
-    Frobenius at a place of degree d is the d-th power of the degree-one
-    Frobenius, so the contract on local_factor is L_d = psi^(d')_k(L_g):
-    g = gcd(d, N), d = g * d', and the Adams operation u -> u^(d'),
-    z -> z^(d'), sigma_k on coefficients (`substitute_u_power`), with k
-    prime to N and k = d' mod N/g.  (zeta -> zeta^d itself is not an
-    automorphism of Q(zeta_N) when g > 1, so each gcd class needs its
+    field = M, a divisor of N (N when omitted), says that every local
+    factor has its coefficients in Q(zeta_M).  Frobenius at a place of
+    degree d is the d-th power of the degree-one Frobenius, so the
+    contract on local_factor is L_d = psi^(d')_k(L_g): g = gcd(d, M),
+    d = g * d', and the Adams operation u -> u^(d'), z -> z^(d'),
+    sigma_k on coefficients (`substitute_u_power`), with k prime to N and
+    k = d' mod M/g (`_adams_index`).  (zeta -> zeta^d itself is not an
+    automorphism of Q(zeta_M) when g > 1, so each gcd class needs its
     own L_g.)  Every local factor is 1 plus terms at u > 0, and psi is a
     ring endomorphism, so the product is
 
         exp(sum_d a_d * psi^(d')_k(log L_g)):
 
-    local_factor is called once for each g | N with g <= order.  The
+    local_factor is called once for each g | M with g <= order.  The
     whole computation stays in the packed integer rows of one
     `_RowPacking`, sized from every class factor: one exact O(U^2)
     logarithm of each L_g hands over its rows packed; the Adams sum maps
@@ -202,17 +207,19 @@ def euler_product(local_factor, curve: Curve, order: int,
     nonzero points all lie above it is exactly 1 and adds nothing.  At
     truncation 0 the product is 1 and nothing is enumerated.
 
-    Inside an `euler_memo()` scope the result is remembered under the
-    factors L_g in order of g and the place counts a_d.  The product is
-    a function of exactly that key, so a remembered result is never
-    stale, whichever engine enumerated the factors.
+    Inside an `euler_memo()` scope the place counts are remembered under
+    (curve, order), and the result under the factors L_g in order of g,
+    the place counts a_d and M.  The product is a function of exactly
+    that key, so a remembered result is never stale, whichever engine
+    enumerated the factors.
     """
     nvars, n = ring
+    field = n if field is None else field
     top = max(order, 0)
     if top < 1:
         return TruncatedSeries.one(nvars, n, order)
-    counts = place_counts(curve, top).counts
-    classes = [g for g in range(1, top + 1) if n % g == 0]
+    counts = _remembered("places", (curve, top), lambda: place_counts(curve, top).counts)
+    classes = [g for g in range(1, top + 1) if field % g == 0]
     factors = tuple(local_factor(g) for g in classes)
     if any((f.nvars, f.order) != ring for f in factors):
         raise ValueError(f"a local factor lies outside the ring {ring}")
@@ -223,7 +230,7 @@ def euler_product(local_factor, curve: Curve, order: int,
         logs = {g: pack.log_rows(f, exact) for g, f in zip(classes, factors)}
         images: dict = {}  # u -> (a_d, d', k, log row m) with d' * m = u
         for d, a in enumerate(counts, start=1):
-            g, d1, k = _adams_index(d, n)
+            g, d1, k = _adams_index(d, n, field)
             for m, row in logs[g].items():
                 if m * d1 > exact:
                     break
@@ -231,7 +238,7 @@ def euler_product(local_factor, curve: Curve, order: int,
         total = {u: row for u in sorted(images) if (row := pack.adams_sum(images[u]))}
         return pack.series(pack.exp_rows(total, exact), exact)
 
-    return _remembered("euler", (factors, counts), packed)
+    return _remembered("euler", (factors, counts, field), packed)
 
 
 @contextmanager
@@ -276,14 +283,23 @@ def prefactored_period(engine, cone: Cone, psi: Character, pref: Monomial,
     """pref times the Euler product of the local factors engine(cone, psi, d, order).
 
     The product with pref is a shift (`TruncatedSeries.times_monomial`).
+    The engines evaluate psi only at lattice points, so every local
+    factor has its coefficients in the field of psi's values
+    (`_root_field`), and the Euler product asks only for that field's
+    gcd classes.
 
     The one period formula: both global periods, both orbit
     contributions and the direct stack model are this product, each
     with its own engine, cone and prefactor.
     """
     series = euler_product(lambda d: engine(cone, psi, d, order),
-                           curve, order, (psi.nvars, psi.order))
+                           curve, order, (psi.nvars, psi.order), _root_field(psi))
     return series.times_monomial(pref)
+
+
+def _root_field(psi: Character) -> int:
+    """M = N / gcd(N, zeta exponents of psi), the order of the roots psi's values generate."""
+    return psi.order // math.gcd(psi.order, *(m.zeta for m in psi.coords))
 
 
 def _automorphic_input(datum: GradedToricDatum, chi: Character):
@@ -337,8 +353,9 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     the spectral engine on the dual side (scaled by u^(r - epsilon));
     direction two exchanges the roles.  The local samples are those of
     direction one: the sample of degree d is the Adams image
-    psi^(d')_k of the class factor L_g, cut at the truncation order (the
-    contract of `euler_product`).  Inside an `euler_memo()` scope L_g is
+    psi^(d')_k of the class factor L_g, g = gcd(d, M) over the field M of
+    chi's values, cut at the truncation order (the contract of
+    `euler_product`).  Inside an `euler_memo()` scope L_g is
     the factor the products enumerated; it is enumerated directly only
     at truncation 0, where the products enumerate nothing.
     """
@@ -356,7 +373,7 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
         directions.append(DirectionVerdict(*names, mism is None, mism, lhs, rhs))
     samples = {}
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
-        g, d_, k = _adams_index(deg, chi.order)
+        g, d_, k = _adams_index(deg, chi.order, _root_field(chi))
         samples[deg] = {
             name: engine(*args[:2], g, order).substitute_u_power(d_, k).truncate(order)
             for name, engine, args in zip(("automorphic", "spectral"), engines, first)}

@@ -12,12 +12,16 @@ the automorphic one at the formal character pulled back along the
 transpose of the inclusion, which `IsogenyDatum` keeps, the spectral one
 by summing the covering spectral period over the lifts (each lift keeps
 its own monomial prefactor, which is what makes the sum independent of
-which lift is the base).  Both lift sums compute one period per Galois
-orbit of the family (`lift_periods`): sigma_k (zeta -> zeta^k, k prime
-to the order) fixes u and z, the engines only evaluate the character at
-lattice points and the place counts are rational, so the period of a
-conjugate lift is exactly sigma_k of the period.  A family that is not
-Galois-stable falls back to one period per lift through the same loop.
+which lift is the base).  Both lift sums compute one period per orbit
+of the family under the automorphisms tau of Q(zeta_N)[u, z^{±1}] that
+fix u (`lift_periods`): sigma_k (zeta -> zeta^k, k prime to the order)
+followed by z_i -> zeta^(s_i) z_i.  The lifts differ from the base lift
+only by roots of unity on its coordinates, so a formal base lift reaches
+the whole family this way.  The engines only evaluate the character at
+lattice points, the prefactors are character values and the place
+counts are rational, so the period of tau(lift) is exactly tau of the
+period of the lift, truncation included.  A lift that no tau reaches is
+computed itself, through the same loop.
 The field is checked once per verification, by `verify_stack_duality`.
 """
 
@@ -32,7 +36,7 @@ from .characters import Character, formal_character
 from .cones import Cone, dual_cone, make_cone
 from .curve import Curve
 from .duality import GradedDualPair, GradedToricDatum
-from .intlinalg import LatticeMap, smith_normal_form, transpose, vec
+from .intlinalg import LatticeMap, dot, smith_normal_form, transpose, vec
 from .periods import (
     automorphic_local_factor,
     automorphic_period,
@@ -135,28 +139,48 @@ def unramified_lifts(iso: IsogenyDatum, base_lift: Character) -> tuple[Character
 
 def lift_periods(period, datum: GradedToricDatum, curve: Curve,
                  lifts: tuple[Character, ...], order: int) -> list[TruncatedSeries]:
-    """[period(datum, curve, lift, order) for lift in lifts], one period per Galois orbit.
+    """[period(datum, curve, lift, order) for lift in lifts], one period per automorphism orbit.
 
-    Each lift not yet filled is computed, and every lift of the family
-    that is its conjugate under sigma_k (zeta exponents times k mod the
-    order N, u and z unchanged, k prime to N) is filled with sigma_k of
-    that period, `substitute_u_power(1, k)`, which is exact (see the
-    module docstring).  A lift that no conjugate of a computed lift
-    reaches is computed itself.
+    Each lift not yet filled is computed, and every later lift of the
+    family that is its image under some tau = (sigma_k, then
+    z_i -> zeta^(s_i) z_i) (`_automorphism`) is filled with tau of that
+    period, `substitute_u_power(1, k, s)`, which is exact (see the
+    module docstring).  A lift that no image of a computed lift reaches
+    is computed itself.
     """
-    n = lifts[0].order
-    units = [k for k in range(2, n) if gcd(k, n) == 1]
-    position = {lift.coords: i for i, lift in enumerate(lifts)}
     periods: list = [None] * len(lifts)
     for i, lift in enumerate(lifts):
         if periods[i] is not None:
             continue
         periods[i] = series = period(datum, curve, lift, order)
-        for k in units:
-            j = position.get(tuple(Monomial(m.zeta * k % n, m.u, m.z) for m in lift.coords))
-            if j is not None and periods[j] is None:
-                periods[j] = series.substitute_u_power(1, k)
+        for j in range(i + 1, len(lifts)):
+            if periods[j] is None and (tau := _automorphism(lift, lifts[j])):
+                periods[j] = series.substitute_u_power(1, *tau)
     return periods
+
+
+def _automorphism(source: Character, target: Character) -> tuple | None:
+    """(k, s) with tau(source) == target coordinate by coordinate, else None.
+
+    tau is sigma_k (zeta -> zeta^k, k prime to the order N) followed by
+    z_i -> zeta^(s_i) z_i; both fix u.  For each k, s_i is read off a
+    coordinate of source whose z-part is the unit vector e_i (0 where
+    there is none), and tau is accepted only if it maps every
+    coordinate onto target's.
+    """
+    n = source.order
+    for k in range(1, n + 1):
+        if gcd(k, n) != 1:
+            continue
+        s = [0] * source.nvars
+        for a, b in zip(source.coords, target.coords):
+            if a.z.count(1) == 1 and a.z.count(0) == len(a.z) - 1:
+                s[a.z.index(1)] = b.zeta - k * a.zeta
+        if all(a.u == b.u and a.z == b.z
+               and (k * a.zeta + dot(s, a.z) - b.zeta) % n == 0
+               for a, b in zip(source.coords, target.coords)):
+            return k, tuple(x % n for x in s)
+    return None
 
 
 def stack_spectral_period_unramified(pair: GradedDualPair, curve: Curve,

@@ -12,7 +12,7 @@ from math import lcm
 
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import NotStronglyConvex, make_cone
-from toricperiods.curve import Curve
+from toricperiods.curve import Curve, place_counts
 from toricperiods.cyclotomic import Cyc, _canonical
 from toricperiods.intlinalg import (
     LatticeMap, Matrix, Vector, dot, identity_matrix, mat, mat_vec_mul,
@@ -330,6 +330,19 @@ def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:
     data = {m: {(): Cyc.rational((curve.q ** (m + 1) - 1) // (curve.q - 1), 1)}
             for m in range(order + 1)}
     return TruncatedSeries.from_dict(data, 0, 1, order)
+
+
+def binary_powering_euler_product(local_factor, curve, order):
+    """Oracle: prod over degrees d <= order of local_factor(d).power(a_d)."""
+    top = max(order, 0)
+    if top < 1:
+        return local_factor(1).power(0)
+    table = place_counts(curve, top)
+    out = None
+    for d in range(1, top + 1):
+        piece = local_factor(d).power(table.counts[d - 1])
+        out = piece if out is None else out * piece
+    return out
 
 
 def _finite_trunc(series: TruncatedSeries, name: str) -> int:

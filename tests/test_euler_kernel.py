@@ -1,6 +1,6 @@
 """The log/exp Euler-product kernel against binary powering of local factors.
 
-`binary_powering_euler_product` is the direct product: each local factor
+`oracles.binary_powering_euler_product` is the direct product: each local factor
 raised to its place count by repeated squaring, multiplied in degree
 order.  It shares only series multiplication with the kernel, so exact
 agreement on random local factors checks the logarithm, the exponential,
@@ -26,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cyc, exp, log
-from toricperiods.curve import Curve, place_counts, zeta_series
+from oracles import binary_powering_euler_product, cyc, exp, log
+from toricperiods.curve import Curve, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.periods import euler_product
 from toricperiods.series import (
@@ -40,19 +40,6 @@ from toricperiods.series import (
 
 ORDERS = (1, 3, 4, 7, 12)
 PRIME_POWERS = (2, 3, 4, 5, 8, 9)
-
-
-def binary_powering_euler_product(local_factor, curve, order):
-    """Oracle: prod over degrees d <= order of local_factor(d).power(a_d)."""
-    top = max(order, 0)
-    if top < 1:
-        return local_factor(1).power(0)
-    table = place_counts(curve, top)
-    out = None
-    for d in range(1, top + 1):
-        piece = local_factor(d).power(table.counts[d - 1])
-        out = piece if out is None else out * piece
-    return out
 
 
 def reference_log(f):
@@ -147,25 +134,32 @@ def adams_factor(terms, g, d1, nvars, order, trunc):
 
 
 @st.composite
-def euler_inputs(draw):
-    """Local factors that keep the Euler contract L_d = psi^(d')_k(L_g).
+def euler_inputs(draw, narrow=None, extra=0):
+    """(factors, curve, U, ring, M): local factors that keep the contract over Q(zeta_M), M | N.
 
-    One set of terms is drawn per gcd class g | N.  Its factor L_g has
-    the roots zeta^(g*j), so its coefficients lie in Q(zeta_(N/g)), and
-    every L_d with gcd(d, N) = g, d = g * d', is built from the same terms
-    raised to the d'-th power monomial by monomial.  Nothing here calls
-    the Galois action or the substitution that the kernel uses.
+    One set of terms is drawn per gcd class g | M, with the roots
+    zeta^((N/M) j), so every factor lies in Q(zeta_M).  Its factor L_g
+    has the roots zeta^(g*(N/M)*j), and every L_d with gcd(d, M) = g,
+    d = g * d', is built from the same terms raised to the d'-th power
+    monomial by monomial, which is also the factor the contract over N
+    asks for.  Nothing here calls the Galois action or the substitution
+    that the kernel uses.  The factors are exact to their truncation t
+    and drawn for every degree up to U = t + (0 to extra).  narrow picks
+    M < N (True), M = N (False) or any divisor (None).
     """
-    nvars, order, trunc = draw(ring())
-    q = draw(st.sampled_from(PRIME_POWERS))
-    top = max(trunc, 1)
-    terms = {g: draw(class_monomials(nvars, order, trunc))
-             for g in range(1, top + 1) if order % g == 0}
+    nvars, order, trunc = draw(ring().filter(lambda r: r[1] > 1) if narrow else ring())
+    field = draw(st.sampled_from([m for m in range(1, order + 1) if order % m == 0
+                                  and (narrow is None or (m < order) == narrow)]))
+    top = trunc + draw(st.integers(0, extra))
+    terms = {g: [(c, j * (order // field), a, e)
+                 for c, j, a, e in draw(class_monomials(nvars, order, trunc))]
+             for g in range(1, max(top, 1) + 1) if field % g == 0}
     factors = {}
-    for d in range(1, top + 1):
-        g = gcd(d, order)
+    for d in range(1, max(top, 1) + 1):
+        g = gcd(d, field)
         factors[d] = adams_factor(terms[g], g, d // g, nvars, order, trunc)
-    return factors, Curve(q=q), trunc, (nvars, order)
+    q = draw(st.sampled_from(PRIME_POWERS))
+    return factors, Curve(q=q), top, (nvars, order), field
 
 
 PACKED_ORDERS = (1, 2, 3, 4, 7, 12)
@@ -238,10 +232,44 @@ def test_finished_packed_rows_are_reduced_and_in_lowest_terms():
 @settings(max_examples=60, deadline=None)
 @given(euler_inputs())
 def test_log_exp_kernel_matches_binary_powering(case):
-    factors, curve, trunc, ring_ = case
-    got = euler_product(factors.__getitem__, curve, trunc, ring_)
-    want = binary_powering_euler_product(factors.__getitem__, curve, trunc)
-    assert got == want
+    # Over the field M of the factors the product asks only for the classes
+    # g | M, and it equals the product over the whole ring Q(zeta_N).
+    factors, curve, trunc, ring_, field = case
+    asked = []
+
+    def factor(d):
+        asked.append(d)
+        return factors[d]
+
+    got = euler_product(factor, curve, trunc, ring_, field)
+    assert asked == [g for g in range(1, trunc + 1) if field % g == 0]
+    assert got == binary_powering_euler_product(factors.__getitem__, curve, trunc)
+    assert got == euler_product(factors.__getitem__, curve, trunc, ring_)
+
+
+@pytest.mark.parametrize("narrow", [True, False], ids=["M<N", "M=N"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_euler_product_claims_only_what_the_class_factors_fix(narrow, data):
+    # Complete each class factor with nonzero terms of Q(zeta_M) at one to
+    # three exponents above its trunc and make it exact: one set of
+    # factors the truncated ones may stand for.  The product claims its
+    # rows up to the least factor trunc, so the completion must give the
+    # same rows there.
+    factors, curve, order, (nvars, n), field = data.draw(euler_inputs(narrow=narrow, extra=3))
+    completed = {}
+    for d, f in factors.items():
+        above = []
+        for step in sorted(data.draw(st.sets(st.integers(1, 3), min_size=1, max_size=3))):
+            root = Cyc.root_power(data.draw(st.integers(0, field - 1)) * (n // field), n)
+            value = root * data.draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+            above.append((f.trunc + step,
+                          ((data.draw(st.tuples(*[st.integers(-1, 2)] * nvars)), value),)))
+        completed[d] = TruncatedSeries(nvars, n, EXACT, f.coeffs + tuple(above))
+    claimed = euler_product(factors.__getitem__, curve, order, (nvars, n), field)
+    got = euler_product(completed.__getitem__, curve, order, (nvars, n), field)
+    assert claimed.trunc == min(order, factors[1].trunc)
+    assert tuple(row for row in got.coeffs if row[0] <= claimed.trunc) == claimed.coeffs
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,7 +3,8 @@
 euler_memo() opens one mapping, keyed by (kind, input), for Euler
 products and the local factors of both engines; it is dropped with the
 scope.  The report rows of each distinct series live there too, under
-the kind "rows".  memo_size and level_memo_size count the keys of one kind.
+the kind "rows", and the place counts of each curve and truncation,
+under "places".  memo_size and level_memo_size count the keys of one kind.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import toricperiods
 from toricperiods import periods, scenario
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import make_cone
-from toricperiods.curve import Curve
+from toricperiods.curve import Curve, place_counts
 from toricperiods.periods import (
     automorphic_local_factor,
     automorphic_period,
@@ -80,6 +81,18 @@ def test_memo_key_is_the_full_input():
     assert short == euler_product(factor, Curve(q=2), 2, RING)
 
 
+def test_memo_key_holds_the_field():
+    # At U = 2 fields 1 and 3 ask for the same class factor L_1 but carry
+    # it to degree 2 by different sigma_k; factor's zeta terms are outside
+    # Q(zeta_1), so the two products differ, and each keeps its own key.
+    with euler_memo():
+        narrow = euler_product(factor, Curve(q=2), 2, RING, 1)
+        full = euler_product(factor, Curve(q=2), 2, RING)
+        assert memo_size() == 2
+    assert narrow != full
+    assert full == euler_product(factor, Curve(q=2), 2, RING, 3)
+
+
 def test_memo_is_shared_across_engines():
     sc = parse_scenario(catalog_emit("tate"))
     pair = sc.build_pair()
@@ -91,6 +104,20 @@ def test_memo_is_shared_across_engines():
         assert memo_size() == 1
     assert aut == automorphic_period(pair.side_x, sc.curve, chi, sc.truncation)
     assert spec == spectral_period(pair.side_xcheck, sc.curve, chi, sc.truncation)
+
+
+def test_place_counts_are_remembered_per_curve_and_order(monkeypatch):
+    asked = []
+    monkeypatch.setattr(periods, "place_counts",
+                        lambda *args: asked.append(args) or place_counts(*args))
+    with euler_memo():
+        for q in (2, 3, 2):
+            euler_product(factor, Curve(q=q), 6, RING)
+        euler_product(factor, Curve(q=2), 2, RING)
+        assert kind_size("places") == 3
+    assert asked == [(Curve(q=2), 6), (Curve(q=3), 6), (Curve(q=2), 2)]
+    euler_product(factor, Curve(q=2), 6, RING)
+    assert asked[3:] == [(Curve(q=2), 6)]
 
 
 def test_no_cache_outside_a_scope():

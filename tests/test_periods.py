@@ -228,11 +228,13 @@ def test_products_keep_points_below_the_ray_minimum():
 
 
 def test_automorphic_period_asks_for_every_class_up_to_the_truncation(monkeypatch):
-    # eta = (2, 2) weighs at least 2 on every nonzero point of the quadric
-    # cone, so the class-6 factor at U = 10 is exactly 1.  The product
-    # still asks for it: the degree range depends on N and U alone.
+    # At N = 12 the product asks for the classes g | M, g <= U, where M is
+    # the order of the roots of unity the character's values generate: 1
+    # for a zeta-free character, 12 for zeta and 3 for zeta^4.  eta = (2, 2)
+    # weighs at least 2 on every nonzero point of the quadric cone, so the
+    # class-6 factor at U = 10 is exactly 1; zeta still asks for it: the
+    # classes depend on M and U alone.
     heavy = GradedToricDatum(cone=make_cone([(1, 0), (1, 2)]), rho=(1, 1), eta=(2, 2))
-    chi = character_from_spec(["formal", "formal"], order=12)
     asked = []
 
     def recording(cone, psi, deg, order):
@@ -240,12 +242,16 @@ def test_automorphic_period_asks_for_every_class_up_to_the_truncation(monkeypatc
         return automorphic_local_factor(cone, psi, deg, order)
 
     monkeypatch.setattr(periods, "automorphic_local_factor", recording)
-    got = periods.automorphic_period(heavy, Curve(q=2), chi, 10)
-    assert asked == [1, 2, 3, 4, 6]
-    assert automorphic_local_factor(*aut_args(heavy, chi), 6, 10) == TruncatedSeries.one(2, 12, 10)
     pair = toric_dual(heavy)
-    rhs = spectral_period(pair.side_xcheck, Curve(q=2), chi, 10)
-    assert got.first_mismatch(rhs.shift_u(pair.discrepancy)) is None
+    for first, classes in (("formal", [1]), ((1, 0), [1, 2, 3, 4, 6]), ((4, 0), [1, 3])):
+        chi = character_from_spec([first, "formal"], order=12)
+        asked.clear()
+        got = periods.automorphic_period(heavy, Curve(q=2), chi, 10)
+        assert asked == classes, first
+        rhs = spectral_period(pair.side_xcheck, Curve(q=2), chi, 10)
+        assert got.first_mismatch(rhs.shift_u(pair.discrepancy)) is None
+    zeta = character_from_spec([(1, 0), "formal"], order=12)
+    assert automorphic_local_factor(*aut_args(heavy, zeta), 6, 10) == TruncatedSeries.one(2, 12, 10)
 
 
 CATALOG_DATA = (TATE, QUADRIC, QUADRIC21, ORTHANT, SQUARE3D)

@@ -2,12 +2,12 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import determinant, lattice_index, lift_periods_per_lift, solve_integer
 from toricperiods import stacks
-from toricperiods.characters import character_from_spec, formal_character
+from toricperiods.characters import Character, character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve, is_prime_power
 from toricperiods.cyclotomic import Cyc
@@ -267,7 +267,7 @@ def test_liftsum_independent_of_base_extension():
     assert a == b
 
 
-# --- one period per Galois orbit -----------------------------------------
+# --- one period per automorphism orbit ------------------------------------
 
 PAIRS = {1: TATE_PAIR, 2: toric_dual(ORTHANT)}
 PERIODS = {"automorphic": (automorphic_period, "side_x"),
@@ -276,25 +276,42 @@ PERIODS = {"automorphic": (automorphic_period, "side_x"),
 
 @st.composite
 def lift_families(draw):
-    """(pair, curve, lifts, U): a lift family of a formal or a specialized base lift."""
+    """(pair, curve, lifts, U): the lift family of a base lift zeta^j u^c z^e per coordinate.
+
+    e is zero, a unit vector, twice one or the sum of all of them, so a
+    coordinate is a root of unity, formal, formal times a root, or a
+    monomial that z-rescaling cannot read s off; c >= 0 keeps both
+    periods convergent.  A formal coordinate beside a root of unity gives
+    families whose lifts are reached only by sigma_k and z-rescaling
+    together.
+    """
     matrix = draw(st.sampled_from([[[n]] for n in range(1, 13)] + [[[2, 1], [0, 3]]]))
     iso = make_isogeny(matrix)
     order = iso.exponent * draw(st.integers(1, 2))
     q = draw(st.sampled_from([q for q in range(2, 50)
                               if is_prime_power(q) and q % iso.exponent == 1 % iso.exponent]))
-    # A coordinate is formal or zeta^k u^c; c >= 0 keeps both periods convergent.
-    spec = st.one_of(st.just("formal"),
-                     st.tuples(st.integers(0, order - 1), st.integers(0, 2)))
-    base = character_from_spec(draw(st.lists(spec, min_size=iso.rank, max_size=iso.rank)),
-                               order)
-    return PAIRS[iso.rank], Curve(q=q), unramified_lifts(iso, base), draw(st.integers(0, 6))
+    rank = iso.rank
+    units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    exponents = [(0,) * rank, *units, tuple(2 * x for x in units[0]),
+                 tuple(map(sum, zip(*units)))]
+    coord = st.builds(Monomial, st.integers(0, order - 1), st.integers(0, 2),
+                      st.sampled_from(exponents))
+    base = Character(order, rank, tuple(draw(coord) for _ in range(rank)))
+    return PAIRS[rank], Curve(q=q), unramified_lifts(iso, base), draw(st.integers(0, 6))
+
+
+# (z_1, zeta) at order 12: the lifts are (+-z_1, zeta^j) for odd j, and
+# sigma_7 and sigma_11 reach a lift only together with z_1 -> -z_1.
+ORTHANT_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
+    make_isogeny([[2, 1], [0, 3]]), character_from_spec(["formal", (1, 0)], 12)), 6)
 
 
 @pytest.mark.parametrize("kind", sorted(PERIODS))
 @settings(max_examples=60, deadline=None)
 @given(family=lift_families())
+@example(family=ORTHANT_FAMILY)
 def test_lift_periods_against_one_period_per_lift(kind, family):
-    # The whole list, not the sum: a sum cannot see a conjugate filed
+    # The whole list, not the sum: a sum cannot see an image filed
     # under the wrong lift.
     pair, curve, lifts, order = family
     period, side = PERIODS[kind]
@@ -304,14 +321,20 @@ def test_lift_periods_against_one_period_per_lift(kind, family):
 
 
 @pytest.mark.parametrize("matrix, q, base, calls", [
-    ([[7]], 8, formal_character(1, 7), 2),
-    ([[12]], 13, formal_character(1, 12), 6),
+    # A formal base lift reaches every lift zeta^j z by z -> zeta^j z.
+    ([[7]], 8, formal_character(1, 7), 1),
+    ([[12]], 13, formal_character(1, 12), 1),
     # zeta and zeta^4 at order 6: sigma_5 sends them to zeta^5 and zeta^2,
-    # outside the family, so each is computed.
+    # outside the family, and they have no z to rescale, so each is computed.
     ([[2]], 3, character_from_spec([(1, 0)], 6), 2),
-], ids=["weight-7", "weight-12", "order-6-not-galois-stable"])
+    # ORTHANT_FAMILY: zeta^3 and zeta^9 are not unit powers of zeta, so
+    # (z_1, zeta) and (z_1, zeta^9) are computed, and sigma_7 with
+    # z_1 -> -z_1 takes the second to (-z_1, zeta^3).
+    ([[2, 1], [0, 3]], 7, character_from_spec(["formal", (1, 0)], 12), 2),
+], ids=["weight-7", "weight-12", "order-6-not-galois-stable", "orthant-2-1-0-3"])
 def test_one_period_per_galois_orbit(monkeypatch, matrix, q, base, calls):
     lifts = unramified_lifts(make_isogeny(matrix), base)
+    pair = PAIRS[base.rank]
     curve = Curve(q=q)
     made = {"automorphic_period": 0, "spectral_period": 0}
     for name in made:
@@ -319,6 +342,6 @@ def test_one_period_per_galois_orbit(monkeypatch, matrix, q, base, calls):
             made[_name] += 1
             return _original(*args)
         monkeypatch.setattr(stacks, name, spy)
-    unramified_automorphic_period_liftsum(TATE_PAIR, curve, lifts, 6)
-    stack_spectral_period_unramified(TATE_PAIR, curve, lifts, 6)
+    unramified_automorphic_period_liftsum(pair, curve, lifts, 6)
+    stack_spectral_period_unramified(pair, curve, lifts, 6)
     assert made == {"automorphic_period": calls, "spectral_period": calls}
