@@ -1,9 +1,12 @@
 """Command-line interface: scenario verification and the scenario catalog.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
-carries the first-mismatch witness), 2 the scenario file (or, for
-`catalog emit`, the emitted scenario) did not parse or validate against
-the schema, or the report or scenario could not be written.
+carries the first-mismatch witness) or a well-formed pair failed its
+grading conditions (an eta with a pole, say: no check runs, and the
+report is `status: fail` with the witness), 2 the scenario file (or, for
+`catalog emit`, the emitted scenario) could not be read, did not parse
+or failed the schema check, or the report or scenario could not be
+written.
 """
 
 from __future__ import annotations

@@ -121,11 +121,7 @@ class Curve(namedtuple("Curve", "q genus spin", defaults=(0, ((1, -1),)))):
         return self.q ** n + 1
 
 
-class PlaceTable(namedtuple("PlaceTable", "counts")):
-    __slots__ = ()
-
-
-def place_counts(curve: Curve, cutoff: int) -> PlaceTable:
+def place_counts(curve: Curve, cutoff: int) -> tuple[int, ...]:
     """Closed points of each degree up to cutoff, by Mobius inversion."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -138,7 +134,7 @@ def place_counts(curve: Curve, cutoff: int) -> PlaceTable:
         if total % d:
             raise ValueError("point counts are not Mobius-consistent")
         counts.append(total // d)
-    return PlaceTable(counts=tuple(counts))
+    return tuple(counts)
 
 
 def zeta_series(curve: Curve, order: int) -> TruncatedSeries:

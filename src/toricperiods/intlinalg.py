@@ -60,16 +60,9 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def content(v: Vector) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def primitive(v: Vector) -> Vector:
     """v divided by the gcd of its entries; the zero vector stays zero."""
-    g = content(v)
+    g = gcd(*v)
     if g <= 1:
         return vec(v)
     return tuple(x // g for x in v)

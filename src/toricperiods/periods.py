@@ -41,9 +41,10 @@ SAMPLE_DEGREES = 3
 # Its keys are (kind, input), kind "euler", "places" (the place counts,
 # keyed by curve and truncation), "automorphic", "spectral",
 # "orbit-closure", "orbit-image" (the closure or image cone of each side's
-# orbit, keyed by cone and face rays) or "rows" (a series' report
-# rows, keyed by its coeffs): at tate both engines get the same input, and
-# only the kind keeps them apart.
+# orbit, keyed by cone and face rays), "stabilized", "fixed" (each side's
+# face set, keyed by cone and psi) or "rows" (a series' report rows, keyed
+# by its coeffs): at tate both engines get the same input, and only the
+# kind keeps them apart.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
 
 
@@ -218,7 +219,7 @@ def euler_product(local_factor, curve: Curve, order: int,
     top = max(order, 0)
     if top < 1:
         return TruncatedSeries.one(nvars, n, order)
-    counts = _remembered("places", (curve, top), lambda: place_counts(curve, top).counts)
+    counts = _remembered("places", (curve, top), lambda: place_counts(curve, top))
     classes = [g for g in range(1, top + 1) if field % g == 0]
     factors = tuple(local_factor(g) for g in classes)
     if any((f.nvars, f.order) != ring for f in factors):
@@ -246,7 +247,7 @@ def euler_memo():
     """A scope in which both engines and euler_product remember their results.
 
     `scenario` keeps the report rows of each series there too, and each
-    side's orbit contribution its closure or image cone.  One
+    side of the orbit check its face set and closure or image cones.  One
     mapping, keyed by (kind, input), lives as long as the scope:
     leaving it drops every entry, and outside any scope everything is
     computed without caching.

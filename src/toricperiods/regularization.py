@@ -1,13 +1,15 @@
 """Per-orbit regularized contributions and the orbitwise duality check.
 
-An orbit on the primal side contributes only when the combined monomial
-character is trivial on its stabilizer sublattice and stays nontrivial on
-every intermediate stabilizer of the closure (relative cuspidality); the
-surviving integral is the automorphic box scan's Euler product over the
-closure cone in the quotient lattice.  On the dual side an orbit
-contributes only when it is fixed by the extended parameter and no
-smaller orbit is, and the surviving trace is the spectral level sets'
-Euler product over the image of the character monoid in the transverse
+Each side decides the support of every orbit from one face set per
+(cone, psi): the faces whose stabilizer (span) psi kills on the primal
+side, and the faces whose orbit psi fixes (whose annihilator it kills)
+on the dual side.  A primal orbit contributes when its face is
+stabilized and no stabilized face but the cone lies strictly above it
+(relative cuspidality); the surviving integral is the automorphic box
+scan's Euler product over the closure cone in the quotient lattice.  A
+dual orbit contributes when its face is fixed and no fixed face lies
+strictly below it; the surviving trace is the spectral level sets' Euler
+product over the image of the character monoid in the transverse
 quotient.  Both quotients are the (projection, section) pairs that
 `cones.faces` reads off each face's Smith form, so no lattice
 elimination happens here.  Both contributions are
@@ -57,22 +59,27 @@ class OrbitContribution(namedtuple("OrbitContribution", "status reason series"))
         return self.status == "vanished"
 
 
-def _vanished(reason):
-    return OrbitContribution(status="vanished", reason=reason, series=None)
+def _face_set(kind: str, cone: Cone, psi: Character) -> tuple[Cone, ...]:
+    """The faces, in lattice order, whose span ("stabilized") or annihilator ("fixed") psi kills.
 
-
-def _cuspidality_witness(cone: Cone, psi: Character) -> Cone | None:
-    """First face with nontrivial proper stabilizer that psi kills, or None.
-
-    The stabilizer of a face is its saturated span; the faces tested are
-    those whose span is neither zero nor the ambient lattice.
+    Built once per (cone, psi) inside an `euler_memo()` scope; every
+    support test and predicate of its side reads it.
     """
     lattice = faces(cone)
-    for i, face in enumerate(lattice.faces):
-        span = lattice.span(i)
-        if 0 < len(span) < cone.ambient_rank and psi.is_trivial_on_all(span):
-            return face
-    return None
+    sublattice = lattice.span if kind == "stabilized" else lattice.annihilator
+    return _remembered(kind, (cone, psi), lambda: tuple(
+        face for i, face in enumerate(lattice.faces)
+        if psi.is_trivial_on_all(sublattice(i))))
+
+
+def _cuspidality_witness(cone: Cone, stabilized, rays) -> Cone | None:
+    """First stabilized face other than the cone strictly above the face with these rays.
+
+    The faces above a face are those of its orbit closure, and psi kills
+    a closure face's stabilizer exactly when it kills that face's span.
+    """
+    return next((g for g in stabilized
+                 if rays < g.ray_set() and g.rays != cone.rays), None)
 
 
 def is_cuspidal(datum: GradedToricDatum, chi: Character):
@@ -81,9 +88,11 @@ def is_cuspidal(datum: GradedToricDatum, chi: Character):
     Returns (flag, witness_face): the witness is a face whose stabilizer
     sublattice the combined monomial kills.  Stabilizers here are the
     nontrivial proper ones; the trivial stabilizer of the dense orbit
-    would make the condition vacuously false and is excluded.
+    would make the condition vacuously false and is excluded: this is the
+    orbit check's cuspidality test at the zero face.
     """
-    witness = _cuspidality_witness(datum.cone, chi.shift_u(datum.eta))
+    stabilized = _face_set("stabilized", datum.cone, chi.shift_u(datum.eta))
+    witness = _cuspidality_witness(datum.cone, stabilized, frozenset())
     return witness is None, witness
 
 
@@ -93,12 +102,9 @@ def fixed_orbit_faces(datum_check: GradedToricDatum, phi: Character):
     The acting element evaluates on a character mu as z^mu * u^<rho, mu>;
     the orbit of a face is fixed pointwise when that monomial is trivial
     on the annihilator lattice of the face span (the character lattice of
-    the orbit torsor).  The full face is always in the list.
+    the orbit torsor).  The full face is always among them.
     """
-    psi = phi.shift_u(datum_check.rho)
-    lattice = faces(datum_check.cone)
-    return [face for i, face in enumerate(lattice.faces)
-            if psi.is_trivial_on_all(lattice.annihilator(i))]
+    return _face_set("fixed", datum_check.cone, phi.shift_u(datum_check.rho))
 
 
 def is_generic(datum_check: GradedToricDatum, phi: Character):
@@ -112,25 +118,25 @@ def regularized_automorphic_contribution(
         chi: Character, order: int) -> OrbitContribution:
     """Contribution of the orbit of one face; a non-face raises NotAFace.
 
-    Vanishes unless the combined character is trivial on the stabilizer
-    (the span of the face, tested before any lattice work) and its descent
-    to the quotient torus is cuspidal relative to the orbit closure;
-    otherwise it is the prefactored Euler product of automorphic box
-    scans over the closure cone in the quotient lattice.
+    Vanishes unless the face is stabilized and its descent to the
+    quotient torus is cuspidal relative to the orbit closure; otherwise
+    it is the prefactored Euler product of automorphic box scans over the
+    closure cone in the quotient lattice.
     """
     lattice = faces(datum.cone)
     i = lattice.index(face.rays)
+    face = lattice.faces[i]
     psi = chi.shift_u(datum.eta)
-    if not psi.is_trivial_on_all(lattice.span(i)):
-        return _vanished(VANISHED_TRIVIALITY)
+    stabilized = _face_set("stabilized", datum.cone, psi)
+    if face not in stabilized:
+        return OrbitContribution("vanished", VANISHED_TRIVIALITY, None)
+    if _cuspidality_witness(datum.cone, stabilized, face.ray_set()) is not None:
+        return OrbitContribution("vanished", VANISHED_CUSPIDALITY, None)
     projection, section = lattice.span_quotient(i)
-    closure = _remembered("orbit-closure", (datum.cone, lattice.faces[i].rays),
+    closure = _remembered("orbit-closure", (datum.cone, face.rays),
                           lambda: image_cone(datum.cone, projection))
-    psi_bar = psi.compose(section)
-    if _cuspidality_witness(closure, psi_bar) is not None:
-        return _vanished(VANISHED_CUSPIDALITY)
     series = prefactored_period(
-        automorphic_local_factor, closure, certified(closure, psi_bar),
+        automorphic_local_factor, closure, certified(closure, psi.compose(section)),
         automorphic_prefactor(datum, chi), curve, order)
     return OrbitContribution(status="computed", reason=None, series=series)
 
@@ -142,23 +148,22 @@ def regularized_spectral_contribution(
 
     Takes the face, which is all these conditions and the trace depend
     on; a cone that is not a face raises NotAFace.  Not fixed pointwise:
-    zero.  Fixed but dominated by a larger fixed orbit (a smaller fixed
-    face): zero; only the faces whose rays lie among this face's are
-    tested.  Otherwise the Euler product of spectral level-set traces
-    over the image of the character monoid in the transverse quotient,
-    normalized like the full spectral period.
+    zero.  Fixed but dominated by a larger fixed orbit (a fixed face
+    strictly below it): zero.  Otherwise the Euler product of spectral
+    level-set traces over the image of the character monoid in the
+    transverse quotient, normalized like the full spectral period.
     """
     lattice = faces(datum_check.cone)
     i = lattice.index(face.rays)
+    face = lattice.faces[i]
     psi = phi.shift_u(datum_check.rho)
-    if not psi.is_trivial_on_all(lattice.annihilator(i)):
-        return _vanished(VANISHED_NOT_FIXED)
-    rays = lattice.faces[i].ray_set()
-    if any(other.ray_set() < rays and psi.is_trivial_on_all(lattice.annihilator(j))
-           for j, other in enumerate(lattice.faces)):
-        return _vanished(VANISHED_DOMINATED)
+    fixed = fixed_orbit_faces(datum_check, phi)
+    if face not in fixed:
+        return OrbitContribution("vanished", VANISHED_NOT_FIXED, None)
+    if any(g.ray_set() < face.ray_set() for g in fixed):
+        return OrbitContribution("vanished", VANISHED_DOMINATED, None)
     projection, section = lattice.annihilator_quotient(i)
-    image = _remembered("orbit-image", (datum_check.cone, lattice.faces[i].rays),
+    image = _remembered("orbit-image", (datum_check.cone, face.rays),
                         lambda: image_cone(dual_cone(datum_check.cone), projection))
     series = prefactored_period(
         spectral_local_factor, image, certified(image, psi.compose(section)),

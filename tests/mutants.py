@@ -1,0 +1,177 @@
+"""Mutation checks: each mutant of the package must fail the tests named for it.
+
+Run from anywhere, with pytest and Hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants only
+
+Each mutant is a list of edits, (file, snippet, replacement), and the
+test node ids expected to kill it.  The harness copies the repository's
+`src/`, `tests/`, `bench/`, `README.md` and `pyproject.toml` into a
+temporary directory, checks that every snippet occurs there exactly once
+(a snippet that no longer matches fails the harness by name), requires
+the named tests to pass unmutated, then applies each mutant in turn and
+requires its tests to fail.  pytest runs inside the copy with its cache
+and bytecode off, so nothing is written into the checkout.  Exit status:
+0 every mutant killed, 1 otherwise.
+
+A mutant may be re-aimed when its code moves; removing one needs a line
+in CHANGES.md that names it and says why.  pytest does not collect this
+file (it is not named test_*.py), so Tier-1 does not run it.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
+# Seconds for one pytest run; a mutant that makes its tests hang is not killed.
+TIMEOUT = 300
+
+Mutant = namedtuple("Mutant", "name edits tests")
+
+REG = "src/toricperiods/regularization.py"
+PERIODS = "src/toricperiods/periods.py"
+
+MUTANTS = (
+    Mutant("cuspidality-counts-the-whole-cone",
+           [(REG, "if rays < g.ray_set() and g.rays != cone.rays), None)",
+             "if rays < g.ray_set()), None)")],
+           ["tests/test_regularization.py::test_cuspidal_tate_vacuous"]),
+    Mutant("domination-not-strict",
+           [(REG, "if any(g.ray_set() < face.ray_set() for g in fixed):",
+             "if any(g.ray_set() <= face.ray_set() for g in fixed):")],
+           ["tests/test_regularization.py::test_full_face_recovers_spectral_period"]),
+    Mutant("stabilized-set-off-the-annihilator",
+           [(REG, "sublattice = lattice.span if kind == \"stabilized\" else lattice.annihilator",
+             "sublattice = lattice.annihilator")],
+           ["tests/test_regularization.py::test_cuspidal_fails_with_monomial_cancellation"]),
+    Mutant("box-scan-calls-monoid-points",
+           [(PERIODS, "    w = psi.slopes\n    terms = []\n",
+             "    w = psi.slopes\n    terms = []\n    monoid_points(cone, w, 0)\n")],
+           ["tests/test_engine_independence.py"
+            "::test_the_engines_reach_only_shared_definitions_in_common"]),
+    Mutant("lift-twist-sign-flipped",
+           [("src/toricperiods/stacks.py", "return k, tuple(x % n for x in s)",
+             "return k, tuple(-x % n for x in s)")],
+           ["tests/test_stacks.py::test_lift_periods_against_one_period_per_lift"]),
+    Mutant("root-field-is-n",
+           [(PERIODS, "return psi.order // math.gcd(psi.order, *(m.zeta for m in psi.coords))",
+             "return psi.order")],
+           ["tests/test_periods.py"
+            "::test_automorphic_period_asks_for_every_class_up_to_the_truncation"]),
+    Mutant("euler-memo-key-without-field",
+           [(PERIODS, "_remembered(\"euler\", (factors, counts, field), packed)",
+             "_remembered(\"euler\", (factors, counts), packed)")],
+           ["tests/test_euler_memo.py::test_memo_key_holds_the_field"]),
+    Mutant("galois-row-twist-sign",
+           [("src/toricperiods/cyclotomic.py", "enumerate(table[(i * k + t) % n])",
+             "enumerate(table[(i * k - t) % n])")],
+           ["tests/test_stacks.py::test_lift_periods_against_one_period_per_lift"]),
+    Mutant("exp-skips-the-division-by-n",
+           [("src/toricperiods/series.py", "self.combine(products, n)",
+             "self.combine(products, 1)")],
+           ["tests/test_euler_kernel.py::test_zeta_series_matches_binary_powering"]),
+    Mutant("faces-by-closure-drop-a-facet",
+           [("src/toricperiods/cones.py",
+             "facet_rays = [frozenset(r for r in c.rays if dot(f, r) == 0) for f in c.facets]",
+             "facet_rays = [frozenset(r for r in c.rays if dot(f, r) == 0) for f in c.facets[1:]]")],
+           ["tests/test_cones.py::test_faces_counts"]),
+    Mutant("dead-code-guard-is-cuspidal-off-allowed",
+           [("tests/test_no_dead_code.py",
+             "    \"is_cuspidal\": \"test_acceptance.py::test_criterion_05_cuspidal_iff_generic\",\n",
+             "")],
+           ["tests/test_no_dead_code.py::test_every_definition_is_referenced_in_the_package"]),
+    Mutant("dead-code-guard-unused-public-function",
+           [(REG, "def is_generic(", "def unused_helper():\n    return None\n\n\ndef is_generic("),
+            ("src/toricperiods/__init__.py",
+             "import is_cuspidal, is_generic, verify_langlands_dual_periods",
+             "import is_cuspidal, is_generic, unused_helper, verify_langlands_dual_periods"),
+            ("src/toricperiods/__init__.py", "    \"zeta_series\",\n]",
+             "    \"zeta_series\",\n    \"unused_helper\",\n]")],
+           ["tests/test_no_dead_code.py::test_every_definition_is_referenced_in_the_package"]),
+)
+
+
+def _copy(root: Path):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        source = REPO / name
+        if source.is_dir():
+            shutil.copytree(source, root / name, ignore=ignore)
+        else:
+            shutil.copy2(source, root / name)
+
+
+def _pytest(root: Path, tests) -> int | str:
+    """pytest's exit status on the named tests, run inside the copy, or "timeout"."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout"
+
+
+def _stale(root: Path, mutant) -> list[str]:
+    """The edits of the mutant whose snippet does not occur exactly once."""
+    return [f"{path}: {old!r} occurs {(root / path).read_text().count(old)} times"
+            for path, old, _ in mutant.edits if (root / path).read_text().count(old) != 1]
+
+
+def _run(root: Path, mutant) -> int:
+    originals = {}
+    try:
+        for path, old, new in mutant.edits:
+            text = (root / path).read_text()
+            originals.setdefault(path, text)
+            (root / path).write_text(text.replace(old, new))
+        return _pytest(root, mutant.tests)
+    finally:
+        for path, text in originals.items():
+            (root / path).write_text(text)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
+    selected = [m for m in MUTANTS if not args.names or m.name in args.names]
+    with tempfile.TemporaryDirectory(prefix="toricperiods-mutants-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        stale = {m.name: problems for m in selected if (problems := _stale(root, m))}
+        for name, problems in stale.items():
+            print(f"STALE    {name}: " + "; ".join(problems))
+        if stale:
+            return 1
+        tests = sorted({t for m in selected for t in m.tests})
+        if _pytest(root, tests) != 0:
+            print("the named tests do not pass unmutated: " + " ".join(tests))
+            return 1
+        survived = []
+        for mutant in selected:
+            status = _run(root, mutant)
+            # 1: a test failed; 2: collection failed.  Anything else (no
+            # test collected, a usage error, a hang) is not a kill.
+            killed = status in (1, 2)
+            print(f"{'killed' if killed else 'SURVIVED':8s} {mutant.name} (pytest exit {status})")
+            if not killed:
+                survived.append(mutant.name)
+    print(f"{len(selected) - len(survived)} of {len(selected)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

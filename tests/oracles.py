@@ -11,12 +11,14 @@ from itertools import combinations
 from math import lcm
 
 from toricperiods.characters import character_from_spec
-from toricperiods.cones import NotStronglyConvex, make_cone
+from toricperiods.cones import NotStronglyConvex, faces, image_cone, make_cone
 from toricperiods.curve import Curve, place_counts
 from toricperiods.cyclotomic import Cyc, _canonical
 from toricperiods.intlinalg import (
     LatticeMap, Matrix, Vector, dot, identity_matrix, mat, mat_vec_mul,
     smith_normal_form, vec)
+from toricperiods.regularization import (
+    VANISHED_CUSPIDALITY, VANISHED_DOMINATED, VANISHED_NOT_FIXED, VANISHED_TRIVIALITY)
 from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
 
 
@@ -258,6 +260,54 @@ def face_ray_sets_by_facet_subsets(c) -> set:
             for sel in combinations(c.facets, k)}
 
 
+def closure_cuspidality_witness(cone, psi):
+    """First face with nontrivial proper stabilizer that psi kills, or None.
+
+    The stabilizer of a face is its saturated span; the faces tested are
+    those whose span is neither zero nor the ambient lattice.  Applied to
+    an orbit closure cone with the descended character, the reference for
+    the orbit check's cuspidality test on the cone's own stabilized faces.
+    """
+    lattice = faces(cone)
+    for i, face in enumerate(lattice.faces):
+        span = lattice.span(i)
+        if 0 < len(span) < cone.ambient_rank and psi.is_trivial_on_all(span):
+            return face
+    return None
+
+
+def automorphic_support(cone, psi, i):
+    """Why the orbit of faces(cone).faces[i] vanishes on the automorphic side, or None.
+
+    The reference: the span test, then cuspidality on the face lattice of
+    the orbit closure cone, with psi descended along the section.
+    """
+    lattice = faces(cone)
+    if not psi.is_trivial_on_all(lattice.span(i)):
+        return VANISHED_TRIVIALITY
+    projection, section = lattice.span_quotient(i)
+    closure = image_cone(cone, projection)
+    if closure_cuspidality_witness(closure, psi.compose(section)) is not None:
+        return VANISHED_CUSPIDALITY
+    return None
+
+
+def spectral_support(cone, psi, i):
+    """Why the orbit of faces(cone).faces[i] vanishes on the spectral side, or None.
+
+    The reference: the annihilator test, then a rescan of every face for
+    a smaller one that psi also fixes.
+    """
+    lattice = faces(cone)
+    if not psi.is_trivial_on_all(lattice.annihilator(i)):
+        return VANISHED_NOT_FIXED
+    rays = lattice.faces[i].ray_set()
+    if any(other.ray_set() < rays and psi.is_trivial_on_all(lattice.annihilator(j))
+           for j, other in enumerate(lattice.faces)):
+        return VANISHED_DOMINATED
+    return None
+
+
 def lift_periods_per_lift(period, datum, curve, lifts, order) -> list:
     """One period per lift, each computed: the reference for `stacks.lift_periods`."""
     return [period(datum, curve, lift, order) for lift in lifts]
@@ -340,7 +390,7 @@ def binary_powering_euler_product(local_factor, curve, order):
     table = place_counts(curve, top)
     out = None
     for d in range(1, top + 1):
-        piece = local_factor(d).power(table.counts[d - 1])
+        piece = local_factor(d).power(table[d - 1])
         out = piece if out is None else out * piece
     return out
 

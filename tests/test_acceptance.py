@@ -224,7 +224,7 @@ def test_criterion_07_stack_duality():
 
 
 def test_criterion_08_arithmetic_substrate():
-    ok = place_counts(Curve(q=2), 4).counts == (3, 1, 2, 3)
+    ok = place_counts(Curve(q=2), 4) == (3, 1, 2, 3)
     for q in (2, 3, 5):
         got = zeta_series(Curve(q=q), 12)
         ok = ok and got.first_mismatch(divisor_count_series(Curve(q=q), 12)) is None

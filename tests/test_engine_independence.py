@@ -4,7 +4,8 @@ test_periods.py forbids each engine the other's enumeration at run time,
 which sees only the paths the catalog inputs take.  This guard reads the
 package's call graph from its source with `ast`, so it covers every
 path: the definitions reachable from the automorphic box scan and from
-the spectral local factor may meet only in `SHARED`.
+the spectral local factor may meet only in `SHARED`, and those reachable
+from the two orbit contributions only in `ORBIT_SHARED`.
 
 A reference is an edge: a name the module defines or imports from the
 package, `Class.attr` for a package class, `self.attr` for a method of
@@ -14,6 +15,7 @@ shared definition is a leaf of the walk: what it calls is part of it.
 """
 
 import ast
+import shutil
 from collections import deque
 from pathlib import Path
 
@@ -25,9 +27,22 @@ SHARED_MODULES = ("series", "cyclotomic")
 SHARED = {"characters.Character.value", "characters.Character.slopes",
           "intlinalg.vec", "intlinalg.dot", "periods._remembered"}
 
+# The orbit contributions also share the face lattice (its lookup and the
+# quotient maps sliced from it), the closure or image cone, the face sets,
+# the one period formula with its certified input, the character's grading
+# shift and descent, and their result record.
+ORBIT_SHARED = SHARED | {
+    "cones.faces", "cones.FaceLattice.index", "cones.FaceLattice.span_quotient",
+    "cones.FaceLattice.annihilator_quotient", "cones.Cone.ray_set", "cones.image_cone",
+    "regularization._face_set", "periods.prefactored_period", "periods.certified",
+    "characters.Character.shift_u", "characters.Character.compose",
+    "regularization.OrbitContribution"}
+
 AUTOMORPHIC = "periods._box_scan"
 SPECTRAL = "periods.spectral_local_factor"
 POSITIVITY = "cones.check_grading"
+ORBIT_AUTOMORPHIC = "regularization.regularized_automorphic_contribution"
+ORBIT_SPECTRAL = "regularization.regularized_spectral_contribution"
 
 
 def _body_nodes(node):
@@ -101,13 +116,13 @@ class CallGraph:
                     out |= self.by_attr.get(child.attr, set())
         return out
 
-    def reach(self, start):
+    def reach(self, start, shared=SHARED):
         """start and every definition reachable from it; shared ones are not expanded."""
         seen = {start}
         queue = deque([start])
         while queue:
             name = queue.popleft()
-            if name != start and is_shared(name):
+            if name != start and is_shared(name, shared):
                 continue
             for target in self.edges(name):
                 if target not in seen:
@@ -116,8 +131,8 @@ class CallGraph:
         return seen
 
 
-def is_shared(name):
-    return name in SHARED or name.partition(".")[0] in SHARED_MODULES
+def is_shared(name, shared=SHARED):
+    return name in shared or name.partition(".")[0] in SHARED_MODULES
 
 
 def test_the_engines_reach_only_shared_definitions_in_common():
@@ -140,3 +155,31 @@ def test_the_positivity_check_is_reached_only_from_the_level_sets():
     assert POSITIVITY in spectral
     callers = {name for name in spectral if POSITIVITY in graph.edges(name)}
     assert callers == {"cones.points_at_level"}
+
+
+def _orbit_common(root):
+    graph = CallGraph(root)
+    automorphic = graph.reach(ORBIT_AUTOMORPHIC, ORBIT_SHARED)
+    spectral = graph.reach(ORBIT_SPECTRAL, ORBIT_SHARED)
+    return graph, automorphic, spectral, sorted(
+        name for name in automorphic & spectral if not is_shared(name, ORBIT_SHARED))
+
+
+def test_the_orbit_contributions_reach_only_shared_definitions_in_common():
+    graph, automorphic, spectral, common = _orbit_common(PACKAGE)
+    assert ORBIT_SHARED <= set(graph.defs), f"stale entries: {ORBIT_SHARED - set(graph.defs)}"
+    assert {"periods._box_scan", "regularization._cuspidality_witness"} <= automorphic
+    assert {"cones.points_at_level", "cones.dual_cone"} <= spectral
+    assert not common, f"reached from both orbit contributions: {common}"
+
+
+def test_the_orbit_guard_fails_a_spectral_contribution_fed_by_the_box_scan(tmp_path):
+    root = tmp_path / "toricperiods"
+    shutil.copytree(PACKAGE, root, ignore=shutil.ignore_patterns("__pycache__"))
+    path = root / "regularization.py"
+    source = path.read_text()
+    assert source.count("spectral_local_factor, image,") == 1
+    path.write_text(source.replace("spectral_local_factor, image,",
+                                   "automorphic_local_factor, image,"))
+    common = _orbit_common(root)[3]
+    assert "periods._box_scan" in common

@@ -10,7 +10,10 @@ so such a method counts only when the package names it through its own
 class (`Cyc.one`, or `self.one` inside `Cyc`) or when it runs while the
 command line lists the catalog and emits and verifies every entry.  A
 dunder is never named, so it counts only when it runs in that command
-line run, and is keyed "Class.__name__".
+line run, and is keyed "Class.__name__".  A name the package exports in
+`__all__` counts when the package references it or it runs in that
+command line run; otherwise it sits on `ALLOWED`, naming the acceptance
+test that calls it.
 """
 
 import ast
@@ -33,6 +36,12 @@ ALLOWED = {
     "inverse": "Cyc.inverse, hooked by bench/tracer.py until the benchmark drops it",
     "TruncatedSeries.__mul__": "hooked by bench/tracer.py and the tests' oracle for the "
                                "packed kernel and the monomial shift",
+    # Public names that only the acceptance suite calls.
+    "hilbert_basis": "test_acceptance.py::test_criterion_04_cone_property_suite",
+    "is_cuspidal": "test_acceptance.py::test_criterion_05_cuspidal_iff_generic",
+    "is_generic": "test_acceptance.py::test_criterion_05_cuspidal_iff_generic",
+    "toric_dual": "test_acceptance.py::test_criterion_01_tate_self_duality",
+    "zeta_series": "test_acceptance.py::test_criterion_08_arithmetic_substrate",
     # Exceptions that only malformed input raises, which no catalog entry is.
     "NotStronglyConvex.__init__": "test_cones.py::test_make_cone_line_rejected",
     "InvalidSpin.__init__": "test_curve_characters.py::test_curve_rejects_bad_spin",
@@ -114,12 +123,14 @@ def test_every_definition_is_referenced_in_the_package(tmp_path):
             dunder = name.startswith("__") and name.endswith("__")
             key = f"{owner}.{name}" if name in shared or dunder else name
             defined.add(key)
-            if name in toricperiods.__all__ or key in ALLOWED:
+            if key in ALLOWED:
                 continue
-            if name in shared or dunder:
+            public = owner is None and name in toricperiods.__all__
+            if name in shared or dunder or public:
                 first = min([d.lineno for d in node.decorator_list] + [node.lineno])
                 if (module, first) in ran:
                     continue
+            if name in shared or dunder:
                 used = [] if dunder else class_uses.get((owner, name), [])
             else:
                 used = [(m, line) for m, line, attr in uses.get(name, []) if attr or not owner]
@@ -127,6 +138,16 @@ def test_every_definition_is_referenced_in_the_package(tmp_path):
                 dead.append(f"{module}:{node.lineno} {key}")
     assert not dead, "defined in src/ but never referenced there: " + ", ".join(dead)
     assert set(ALLOWED) <= defined, f"allowed but no longer defined: {set(ALLOWED) - defined}"
+
+
+def test_every_allowed_public_name_is_called_by_the_acceptance_test_it_names():
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    tests = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in set(ALLOWED) & set(toricperiods.__all__):
+        path, _, test = ALLOWED[name].partition("::")
+        assert path == "test_acceptance.py" and test in tests, (name, ALLOWED[name])
+        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == name for node in ast.walk(tests[test])), (name, test)
 
 
 def test_every_imported_name_is_used_in_its_module():

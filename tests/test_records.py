@@ -44,7 +44,7 @@ MODULES = (characters, cones, curve, cyclotomic, duality, heights, intlinalg,
 RECORDS = (
     characters.Character,
     cones.Cone, cones.FaceLattice,
-    curve.Curve, curve.PlaceTable,
+    curve.Curve,
     cyclotomic.Cyc,
     duality.GradedToricDatum, duality.GradedDualPair,
     duality.ValidationEntry, duality.ValidationReport,

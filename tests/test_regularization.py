@@ -1,13 +1,22 @@
 import contextlib
 import random
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dim, random_character
+from oracles import (
+    automorphic_support,
+    closure_cuspidality_witness,
+    dim,
+    random_character,
+    spectral_support,
+)
 from toricperiods import cones, intlinalg, periods, regularization
-from toricperiods.characters import character_from_spec, formal_character
-from toricperiods.cones import NotAFace, face_of, make_cone
+from toricperiods.characters import Character, character_from_spec, formal_character
+from toricperiods.cones import NotAFace, NotStronglyConvex, face_of, faces, make_cone
 from toricperiods.curve import Curve
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
@@ -172,13 +181,15 @@ def test_face_lattice_data_computed_once_per_cone():
     # cache misses count the lattices built.
     cones.faces.cache_clear()
     pair = toric_dual(SQUARE3D)
-    # This character reaches the cuspidality test of every orbit closure,
-    # so the first run builds every face lattice the second one reads.
+    # Both support tests read face sets off the two cones' own lattices,
+    # so a run that vanishes orbits by cuspidality builds those two and no
+    # closure's, and the second run reads only them.
     degenerate = character_from_spec([(0, -1), (0, -1), (0, -2)], order=1,
                                      nvars=3)
-    verify_langlands_dual_periods(pair, Curve(q=2), degenerate, 4)
+    fwd, bwd = verify_langlands_dual_periods(pair, Curve(q=2), degenerate, 4)
+    assert VANISHED_CUSPIDALITY in {p.automorphic.reason for p in fwd.pairs + bwd.pairs}
     built = cones.faces.cache_info().misses
-    assert built
+    assert built == 2
     chi = character_from_spec([(0, -1), "formal", (1, 0)], order=2, nvars=3)
     fwd, bwd = verify_langlands_dual_periods(pair, Curve(q=2), chi, 4)
     for report in (fwd, bwd):
@@ -207,11 +218,11 @@ def test_orbit_quotients_built_only_past_the_support_test(monkeypatch):
     reports = verify_langlands_dual_periods(pair, Curve(q=2),
                                             formal_character(3), 4)
     pairs = [p for report in reports for p in report.pairs]
-    # One image per automorphic orbit that passes the triviality test and
-    # one per spectral orbit that is fixed and not dominated; the 20
-    # faces of the two automorphic sides build none up front.
-    expected = (sum(p.automorphic.reason != VANISHED_TRIVIALITY for p in pairs)
-                + sum(not p.spectral.vanished for p in pairs))
+    # One image per orbit that passes its side's support tests; the 20
+    # faces of the two automorphic sides build none up front, and the
+    # cuspidality test builds no closure.
+    expected = sum((not p.automorphic.vanished) + (not p.spectral.vanished)
+                   for p in pairs)
     assert len(pairs) == 20
     assert len(calls) == expected == 4
     calls.clear()
@@ -328,6 +339,75 @@ def test_vanishing_duality_random():
         fwd, bwd = verify_langlands_dual_periods(pair, Curve(q=2), chi, 3)
         for p in fwd.pairs + bwd.pairs:
             assert p.automorphic.status == p.spectral.status
+
+
+@st.composite
+def cones_and_slopes(draw):
+    """(generators, N, (root exponent, u-slope) of psi per coordinate) at rank <= 3."""
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                         min_size=rank, max_size=rank + 2))
+    order = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    specs = draw(st.lists(st.tuples(st.integers(0, order - 1), st.integers(-1, 1)),
+                          min_size=rank, max_size=rank))
+    return gens, order, specs
+
+
+def _reason(contribution):
+    return contribution.reason if contribution.vanished else None
+
+
+@given(cones_and_slopes())
+# psi kills the ray (1,0): the dense orbit is not relatively cuspidal, and
+# on the dual side the full face is dominated.
+@example(([(1, 0), (1, 2)], 1, [(0, 0), (0, 1)]))
+@settings(max_examples=80, deadline=None)
+def test_support_rules_match_their_oracles(case):
+    gens, order, specs = case
+    try:
+        cone = make_cone(gens, len(specs))
+    except NotStronglyConvex:
+        assume(False)
+    assume(cone.full_dimensional)
+    # Graded by the sums of its rays and of its facets, which are interior
+    # and pole-free; chi is drawn through psi = chi.shift_u(eta).
+    datum = GradedToricDatum(cone, tuple(map(sum, zip(*cone.rays))),
+                             tuple(map(sum, zip(*cone.facets))))
+    pair = toric_dual(datum)
+    chi = character_from_spec(specs, order).shift_u(tuple(-e for e in datum.eta))
+    sides = ((pair.side_x, pair.side_xcheck), (pair.side_xcheck, pair.side_x))
+    built = []
+    is_trivial_on_all = Character.is_trivial_on_all
+
+    def spy(psi, vectors):
+        built.append(psi)
+        return is_trivial_on_all(psi, vectors)
+
+    with periods.euler_memo(), mock.patch.object(Character, "is_trivial_on_all", spy):
+        reports = verify_langlands_dual_periods(pair, Curve(q=2), chi, 0)
+        assert verify_langlands_dual_periods(pair, Curve(q=2), chi, 0) == reports
+        predicates = [(is_cuspidal(aut, chi), is_generic(spec, chi)) for aut, spec in sides]
+    # Each face is tested once per face set: one stabilized and one fixed
+    # set per (cone, psi) serve both runs and the predicates.
+    sets = ({("stabilized", aut.cone, chi.shift_u(aut.eta)) for aut, _ in sides}
+            | {("fixed", spec.cone, chi.shift_u(spec.rho)) for _, spec in sides})
+    assert len(built) == sum(len(faces(c).faces) for _, c, _ in sets)
+    for report, (aut, spec), (cuspidal, generic) in zip(reports, sides, predicates):
+        aut_psi, spec_psi = chi.shift_u(aut.eta), chi.shift_u(spec.rho)
+        aut_faces, spec_faces = faces(aut.cone), faces(spec.cone)
+        for p in report.pairs:
+            assert _reason(p.automorphic) == automorphic_support(
+                aut.cone, aut_psi, aut_faces.index(p.face_rays))
+            assert _reason(p.spectral) == spectral_support(
+                spec.cone, spec_psi, spec_faces.index(p.dual_face_rays))
+            if not degenerate(chi, aut):
+                assert p.automorphic.status == p.spectral.status
+        assert cuspidal[1] == closure_cuspidality_witness(aut.cone, aut_psi)
+        assert list(generic[1]) == [
+            face for k, face in enumerate(spec_faces.faces)
+            if spectral_support(spec.cone, spec_psi, k) != VANISHED_NOT_FIXED]
+        if not degenerate(chi, aut):
+            assert cuspidal[0] == generic[0]
 
 
 def _replace_bindings(monkeypatch, original, wrapper):
