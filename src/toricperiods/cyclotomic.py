@@ -84,15 +84,14 @@ def _overflow_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _galois_rows(n: int, k: int, t: int = 0) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (index, value) pairs of x^((ik + t) mod n) mod Phi_n for 0 <= i < deg.
+def _galois_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, value) pairs of x^(ik mod n) mod Phi_n for 0 <= i < deg.
 
-    Row i is zeta^t * sigma_k(zeta^i) in the power basis, read off the
-    reduction table: the image of each basis element under zeta -> zeta^k,
-    times zeta^t.
+    Row i is sigma_k(zeta^i) in the power basis, read off the reduction
+    table: the image of each basis element under zeta -> zeta^k.
     """
     table = _reduction_table(n)
-    return tuple(tuple((j, r) for j, r in enumerate(table[(i * k + t) % n]) if r)
+    return tuple(tuple((j, r) for j, r in enumerate(table[i * k % n]) if r)
                  for i in range(len(table[0])))
 
 
@@ -191,21 +190,19 @@ class Cyc(namedtuple("Cyc", "order nums den")):
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def conjugate(self, k: int, t: int = 0) -> "Cyc":
-        """zeta^t * sigma_k(x): the Galois automorphism zeta -> zeta^k, k prime to the order.
+    def conjugate(self, k: int) -> "Cyc":
+        """sigma_k(x): the Galois automorphism zeta -> zeta^k, k prime to the order.
 
-        sum_i nums[i] zeta^i / den goes to sum_i nums[i] zeta^(ik + t) / den,
-        with each zeta^(ik + t) read off `_galois_rows`: one pass, with
-        no product by the root of unity.
+        sum_i nums[i] zeta^i / den goes to sum_i nums[i] zeta^(ik) / den,
+        with each zeta^(ik) read off `_galois_rows`.
         """
         n = self.order
         if gcd(k, n) != 1:
             raise ValueError(f"sigma_{k} is not an automorphism of Q(zeta_{n})")
-        t %= n
-        if k % n == 1 % n and not t:  # the identity
+        if k % n == 1 % n:  # sigma_k is the identity
             return self
         conj = [0] * len(self.nums)
-        for x, image in zip(self.nums, _galois_rows(n, k, t)):
+        for x, image in zip(self.nums, _galois_rows(n, k)):
             if x:
                 for j, r in image:
                     conj[j] += x * r

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from itertools import groupby
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 
 from .cyclotomic import Cyc, _canonical, _galois_rows, _overflow_rows
 
@@ -371,20 +371,6 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         if self.nvars != other.nvars or self.order != other.order:
             raise ValueError("incompatible series rings")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_compatible(other)
-        trunc = min(self.trunc, other.trunc)
-        data: dict = {}
-        for u, terms in self.coeffs:
-            if u <= trunc:
-                for z, c in terms:
-                    _zp_add_term(data.setdefault(u, {}), z, c)
-        for u, terms in other.coeffs:
-            if u <= trunc:
-                for z, c in terms:
-                    _zp_add_term(data.setdefault(u, {}), z, c)
-        return TruncatedSeries.from_dict(data, self.nvars, self.order, trunc)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The general product, one Cyc product and one Cyc sum per pair of terms.
 
@@ -465,31 +451,26 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         rows = tuple(row for row in self.coeffs if row[0] <= trunc)
         return TruncatedSeries(self.nvars, self.order, min(trunc, self.trunc), rows)
 
-    def substitute_u_power(self, d: int, k: int = 1, twist=()) -> "TruncatedSeries":
+    def substitute_u_power(self, d: int, k: int = 1) -> "TruncatedSeries":
         """The Adams operation psi^d_k: u -> u^d, z -> z^d, sigma_k on every coefficient.
 
         A ring endomorphism for d >= 1 and k prime to the order, so it
-        commutes with log and exp.  With a twist s it is followed by the
-        automorphism z_i -> zeta^(s_i) z_i, which fixes u: a term
-        c z^e goes to zeta^<s, d e> sigma_k(c) z^(d e), one pass per term
-        (`Cyc.conjugate`).  The image is exact to u^(d*trunc + d - 1)
+        commutes with log and exp.  The image is exact to u^(d*trunc + d - 1)
         and is cut there.  Scaling z by d > 0 keeps each row's z-order, so
-        rows and terms stay sorted.  With d = 1, k = 1 mod the order and
-        no twist the map is the identity: the series itself.
+        rows and terms stay sorted.  sigma_k is skipped when k = 1 mod the
+        order, and psi^1_k is then the identity: the series itself.
         """
         if d < 1:
             raise ValueError("substitution degree must be >= 1")
-        if d == 1 and k % self.order == 1 % self.order and not any(twist):
+        same = k % self.order == 1 % self.order
+        if d == 1 and same:
             return self
-        rows = []
-        for u, terms in self.coeffs:
-            images = []
-            for z, c in terms:
-                z = tuple(a * d for a in z)
-                images.append((z, c.conjugate(k, sum(map(mul, twist, z)))))
-            rows.append((u * d, tuple(images)))
+        rows = tuple((u * d, tuple((tuple(a * d for a in z),
+                                    c if same else c.conjugate(k))
+                                   for z, c in terms))
+                     for u, terms in self.coeffs)
         trunc = self.trunc * d + d - 1 if self.trunc < EXACT else EXACT
-        return TruncatedSeries(self.nvars, self.order, min(trunc, EXACT), tuple(rows))
+        return TruncatedSeries(self.nvars, self.order, min(trunc, EXACT), rows)
 
     # --- comparison and output ------------------------------------------
 

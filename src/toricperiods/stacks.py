@@ -14,14 +14,14 @@ by summing the covering spectral period over the lifts (each lift keeps
 its own monomial prefactor, which is what makes the sum independent of
 which lift is the base).  Both lift sums compute one period per orbit
 of the family under the automorphisms tau of Q(zeta_N)[u, z^{±1}] that
-fix u (`lift_periods`): sigma_k (zeta -> zeta^k, k prime to the order)
+fix u (`lift_sum`): sigma_k (zeta -> zeta^k, k prime to the order)
 followed by z_i -> zeta^(s_i) z_i.  The lifts differ from the base lift
 only by roots of unity on its coordinates, so a formal base lift reaches
 the whole family this way.  The engines only evaluate the character at
 lattice points, the prefactors are character values and the place
 counts are rational, so the period of tau(lift) is exactly tau of the
-period of the lift, truncation included.  A lift that no tau reaches is
-computed itself, through the same loop.
+period, truncation included, and the images are summed term by term.
+A lift that no tau reaches is computed itself, through the same loop.
 The field is checked once per verification, by `verify_stack_duality`.
 """
 
@@ -31,10 +31,12 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import mul
 
 from .characters import Character, formal_character
 from .cones import Cone, dual_cone, make_cone
 from .curve import Curve
+from .cyclotomic import _canonical, _reduction_table
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import LatticeMap, dot, smith_normal_form, transpose, vec
 from .periods import (
@@ -45,7 +47,7 @@ from .periods import (
     prefactored_period,
     spectral_period,
 )
-from .series import Monomial, TruncatedSeries
+from .series import EXACT, Monomial, TruncatedSeries, _zp_add_term
 
 
 class IncompatibleField(ValueError):
@@ -137,26 +139,48 @@ def unramified_lifts(iso: IsogenyDatum, base_lift: Character) -> tuple[Character
     return lifts
 
 
-def lift_periods(period, datum: GradedToricDatum, curve: Curve,
-                 lifts: tuple[Character, ...], order: int) -> list[TruncatedSeries]:
-    """[period(datum, curve, lift, order) for lift in lifts], one period per automorphism orbit.
+def lift_sum(period, datum: GradedToricDatum, curve: Curve,
+             lifts: tuple[Character, ...], order: int, den: int) -> TruncatedSeries:
+    """sum(period(datum, curve, lift, order) for lift in lifts) / den, in one pass.
 
-    Each lift not yet filled is computed, and every later lift of the
-    family that is its image under some tau = (sigma_k, then
-    z_i -> zeta^(s_i) z_i) (`_automorphism`) is filled with tau of that
-    period, `substitute_u_power(1, k, s)`, which is exact (see the
-    module docstring).  A lift that no image of a computed lift reaches
-    is computed itself.
+    The first lift not yet reached is computed; the identity (1, 0) and
+    each tau = (k, s) by which `_automorphism` maps it onto a later lift
+    reach the lifts it stands for.  tau sends c z^e to
+    sigma_k(c) zeta^<s, e> z^e, so the images of c z^e add up to
+    sigma_k(c) S_k(e) summed over k, S_k(e) being zeta^<s, e> / den summed
+    over the s paired with k: formed once per exponent, dropped where 0,
+    and a `Fraction` (an integer scale) where rational.
     """
-    periods: list = [None] * len(lifts)
+    n = lifts[0].order
+    reached = [False] * len(lifts)
+    data: dict = {}
+    trunc = EXACT
     for i, lift in enumerate(lifts):
-        if periods[i] is not None:
+        if reached[i]:
             continue
-        periods[i] = series = period(datum, curve, lift, order)
+        shifts = {1: [(0,) * lift.nvars]}
         for j in range(i + 1, len(lifts)):
-            if periods[j] is None and (tau := _automorphism(lift, lifts[j])):
-                periods[j] = series.substitute_u_power(1, *tau)
-    return periods
+            if not reached[j] and (tau := _automorphism(lift, lifts[j])):
+                reached[j] = True
+                shifts.setdefault(tau[0], []).append(tau[1])
+        series = period(datum, curve, lift, order)
+        trunc = min(trunc, series.trunc)
+        exponents = {z for _, terms in series.coeffs for z, _ in terms}
+        sums = {(k, z): _root_sum(ss, z, n, den) for k, ss in shifts.items() for z in exponents}
+        for u, terms in series.coeffs:
+            row = data.setdefault(u, {})
+            for z, c in terms:
+                for k in shifts:
+                    if root := sums[k, z]:
+                        _zp_add_term(row, z, c.conjugate(k) * root)
+    return TruncatedSeries.from_dict(data, series.nvars, n, trunc)
+
+
+def _root_sum(shifts, e, n: int, den: int):
+    """zeta_n^<s, e> summed over the shifts s, over den: a Fraction when rational, else a Cyc."""
+    table = _reduction_table(n)
+    nums = tuple(map(sum, zip(*[table[sum(map(mul, s, e)) % n] for s in shifts])))
+    return _canonical(n, nums, den) if any(nums[1:]) else Fraction(nums[0], den)
 
 
 def _automorphism(source: Character, target: Character) -> tuple | None:
@@ -186,7 +210,7 @@ def _automorphism(source: Character, target: Character) -> tuple | None:
 def stack_spectral_period_unramified(pair: GradedDualPair, curve: Curve,
                                      lifts: tuple[Character, ...],
                                      order: int) -> TruncatedSeries:
-    """Sum of covering spectral periods over a lift family.
+    """Sum of covering spectral periods over a lift family, in one `lift_sum` pass.
 
     Each lift carries its own eigenform scalar, so the sum is invariant
     under replacing the base lift by any other lift.  The lifts are
@@ -194,8 +218,7 @@ def stack_spectral_period_unramified(pair: GradedDualPair, curve: Curve,
     nontrivial kernel is a rational cocharacter, and its prefactor would
     need a fractional power of a formal variable.
     """
-    terms = lift_periods(spectral_period, pair.side_xcheck, curve, lifts, order)
-    return sum(terms[1:], terms[0])
+    return lift_sum(spectral_period, pair.side_xcheck, curve, lifts, order, 1)
 
 
 def unramified_automorphic_period_liftsum(pair: GradedDualPair, curve: Curve,
@@ -205,10 +228,9 @@ def unramified_automorphic_period_liftsum(pair: GradedDualPair, curve: Curve,
 
     This is the normative unramified period: (1/index) times the sum over
     all extensions of the downstairs character to the covering class
-    group.
+    group, formed in one `lift_sum` pass with the 1/index in its root sums.
     """
-    terms = lift_periods(automorphic_period, pair.side_x, curve, lifts, order)
-    return sum(terms[1:], terms[0]).scale(Fraction(1, len(lifts)))
+    return lift_sum(automorphic_period, pair.side_x, curve, lifts, order, len(lifts))
 
 
 def _pulled_back_cone(iso: IsogenyDatum, cover: Cone) -> Cone:

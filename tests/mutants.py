@@ -38,6 +38,7 @@ Mutant = namedtuple("Mutant", "name edits tests")
 
 REG = "src/toricperiods/regularization.py"
 PERIODS = "src/toricperiods/periods.py"
+STACKS = "src/toricperiods/stacks.py"
 
 MUTANTS = (
     Mutant("cuspidality-counts-the-whole-cone",
@@ -58,9 +59,23 @@ MUTANTS = (
            ["tests/test_engine_independence.py"
             "::test_the_engines_reach_only_shared_definitions_in_common"]),
     Mutant("lift-twist-sign-flipped",
-           [("src/toricperiods/stacks.py", "return k, tuple(x % n for x in s)",
+           [(STACKS, "return k, tuple(x % n for x in s)",
              "return k, tuple(-x % n for x in s)")],
-           ["tests/test_stacks.py::test_lift_periods_against_one_period_per_lift"]),
+           ["tests/test_stacks.py::test_automorphism_maps_the_source_onto_the_target"]),
+    Mutant("lift-sum-drops-the-identity",
+           [(STACKS, "shifts = {1: [(0,) * lift.nvars]}", "shifts = {}")],
+           ["tests/test_stacks.py::test_lift_sums_against_one_period_per_lift"]),
+    Mutant("lift-sum-ignores-k",
+           [(STACKS, "c.conjugate(k) * root", "c * root")],
+           ["tests/test_stacks.py::test_lift_sums_against_one_period_per_lift"]),
+    Mutant("box-scan-drops-a-facet-cut",
+           [(PERIODS, "cuts = [(f[:-1], f[-1], 0) for f in cone.facets]",
+             "cuts = [(f[:-1], f[-1], 0) for f in cone.facets[1:]]")],
+           ["tests/test_periods.py::test_engine_independence_catalog"]),
+    Mutant("level-box-one-level-short",
+           [("src/toricperiods/cones.py", "lo, hi = _level_box(c.rays, weights, m, n)",
+             "lo, hi = _level_box(c.rays, weights, m - 1, n)")],
+           ["tests/test_cones.py::test_points_at_level_brute_force_box"]),
     Mutant("root-field-is-n",
            [(PERIODS, "return psi.order // math.gcd(psi.order, *(m.zeta for m in psi.coords))",
              "return psi.order")],
@@ -70,10 +85,6 @@ MUTANTS = (
            [(PERIODS, "_remembered(\"euler\", (factors, counts, field), packed)",
              "_remembered(\"euler\", (factors, counts), packed)")],
            ["tests/test_euler_memo.py::test_memo_key_holds_the_field"]),
-    Mutant("galois-row-twist-sign",
-           [("src/toricperiods/cyclotomic.py", "enumerate(table[(i * k + t) % n])",
-             "enumerate(table[(i * k - t) % n])")],
-           ["tests/test_stacks.py::test_lift_periods_against_one_period_per_lift"]),
     Mutant("exp-skips-the-division-by-n",
            [("src/toricperiods/series.py", "self.combine(products, n)",
              "self.combine(products, 1)")],

@@ -19,7 +19,7 @@ from toricperiods.intlinalg import (
     smith_normal_form, vec)
 from toricperiods.regularization import (
     VANISHED_CUSPIDALITY, VANISHED_DOMINATED, VANISHED_NOT_FIXED, VANISHED_TRIVIALITY)
-from toricperiods.series import EXACT, TruncatedSeries, _RowPacking
+from toricperiods.series import EXACT, TruncatedSeries, _RowPacking, _zp_add_term
 
 
 def from_integers(order: int, nums, den: int = 1) -> Cyc:
@@ -308,8 +308,21 @@ def spectral_support(cone, psi, i):
     return None
 
 
+def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b, exact to the smaller trunc: the general sum, which the package no longer forms."""
+    a._require_compatible(b)
+    trunc = min(a.trunc, b.trunc)
+    data: dict = {}
+    for series in (a, b):
+        for u, terms in series.coeffs:
+            if u <= trunc:
+                for z, c in terms:
+                    _zp_add_term(data.setdefault(u, {}), z, c)
+    return TruncatedSeries.from_dict(data, a.nvars, a.order, trunc)
+
+
 def lift_periods_per_lift(period, datum, curve, lifts, order) -> list:
-    """One period per lift, each computed: the reference for `stacks.lift_periods`."""
+    """One period per lift, each computed: summed, the reference for `stacks.lift_sum`."""
     return [period(datum, curve, lift, order) for lift in lifts]
 
 

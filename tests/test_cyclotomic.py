@@ -43,20 +43,6 @@ def test_conjugate_is_the_galois_action():
         Cyc.root_power(1, 12).conjugate(2)
 
 
-def test_conjugate_with_a_rotation_is_the_conjugate_times_the_root():
-    rng = random.Random(11)
-    for n in (1, 2, 3, 4, 7, 12):
-        units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
-        for x in [cyc(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
-                          for _ in range(Cyc.degree(n))]) for _ in range(3)]:
-            for k in units:
-                for t in range(-n, 2 * n):
-                    assert x.conjugate(k, t) == x.conjugate(k) * Cyc.root_power(t, n)
-            assert x.conjugate(1, n) is x
-    with pytest.raises(ValueError, match="not an automorphism"):
-        Cyc.root_power(1, 12).conjugate(2, 1)
-
-
 def test_root_powers_small_orders():
     # zeta_2 = -1
     assert Cyc.root_power(1, 2) == Cyc.rational(-1, 2)

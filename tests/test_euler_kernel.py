@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binary_powering_euler_product, cyc, exp, log
+from oracles import add, binary_powering_euler_product, cyc, exp, log
 from toricperiods.curve import Curve, zeta_series
 from toricperiods.cyclotomic import Cyc
 from toricperiods.periods import euler_product
@@ -212,7 +212,7 @@ def test_packed_log_of_a_product_is_the_sum_of_logs():
         a, b = (TruncatedSeries.from_dict({0: one, 1: {(-1, 0): c}}, 2, order, 12)
                 for c in (x, x * -1))
         f = a * b
-        assert log(f) == log(a) + log(b) == reference_log(f)
+        assert log(f) == add(log(a), log(b)) == reference_log(f)
         assert {u % 2 for u, _ in log(f).coeffs} == {0}
         assert exp(log(f)) == f
 
@@ -363,7 +363,7 @@ def test_adams_operation_is_a_ring_map_that_commutes_with_log(data):
         return s.substitute_u_power(d, k)
 
     assert psi(f * h) == psi(f) * psi(h)
-    assert psi(f + h) == psi(f) + psi(h)
+    assert psi(add(f, h)) == add(psi(f), psi(h))
     assert psi(log(f)) == log(psi(f))
 
 

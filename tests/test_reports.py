@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_integers
+from oracles import add, from_integers
 from toricperiods import periods, regularization
 from toricperiods.cli import main
 from toricperiods.scenario import (
@@ -164,25 +164,29 @@ def test_reports_match_recorded_digests():
 
 
 # Digests of the scaled variants CI runs end to end, recorded with `engine`
-# blanked before the level-set slice was clipped.  square_cone_3d at U = 14
-# is the rank-3 run where the clipped slice does the most work.
+# blanked before the level-set slice was clipped, by test id: the catalog
+# name, and the reduced weight for the second weight_n_stack run.
+# square_cone_3d at U = 14 is the rank-3 run where the clipped slice does
+# the most work; the weight-12 stack is the one run over Q(zeta_12).
 SCALED_DIGESTS = {
-    ("square_cone_3d", (("order", 14),)):
-        "9f83dcaa1fe946c0266289334c0b4c633cc012f8028e4964dc5c1bb0dc5bf285",
-    ("quadric_cone", (("order", 14), ("q", 5))):
-        "a205e178297b7bfd549acd7875310e6af1a70c187c1ec61f2d398d73c9ba7e0d",
-    ("weight_n_stack", (("n", 7), ("order", 20), ("q", 8))):
-        "e04d79325af3ebde9f2803fdac51ff38f4abd1988f666b03d5de5368e93c898c",
+    "square_cone_3d": ("square_cone_3d", {"order": 14},
+                       "9f83dcaa1fe946c0266289334c0b4c633cc012f8028e4964dc5c1bb0dc5bf285"),
+    "quadric_cone": ("quadric_cone", {"order": 14, "q": 5},
+                     "a205e178297b7bfd549acd7875310e6af1a70c187c1ec61f2d398d73c9ba7e0d"),
+    "weight_n_stack": ("weight_n_stack", {"n": 7, "order": 20, "q": 8},
+                       "e04d79325af3ebde9f2803fdac51ff38f4abd1988f666b03d5de5368e93c898c"),
+    "weight_12_stack": ("weight_n_stack", {"n": 12, "order": 20, "q": 13},
+                        "484bb66de4b2f0b2b2c66e412b0da0ba8e42531a72eb026370575361f98d867b"),
 }
 
 
-@pytest.mark.parametrize("name, overrides", sorted(SCALED_DIGESTS),
-                         ids=[name for name, _ in sorted(SCALED_DIGESTS)])
-def test_scaled_variants_match_recorded_digests(name, overrides):
-    payload = report_to_json(report_of(catalog_emit(name, **dict(overrides))))
+@pytest.mark.parametrize("variant", sorted(SCALED_DIGESTS))
+def test_scaled_variants_match_recorded_digests(variant):
+    name, overrides, recorded = SCALED_DIGESTS[variant]
+    payload = report_to_json(report_of(catalog_emit(name, **overrides)))
     digest = hashlib.sha256(
         ENGINE.sub(b' "engine": ""', payload.encode("utf-8"), count=1)).hexdigest()
-    assert digest == SCALED_DIGESTS[name, overrides]
+    assert digest == recorded
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +195,7 @@ def test_scaled_variants_match_recorded_digests(name, overrides):
 
 def _plus_one_term(series, u):
     extra = Monomial(0, u, (0,) * series.nvars)
-    return series + TruncatedSeries.from_monomial(extra, series.nvars, series.order)
+    return add(series, TruncatedSeries.from_monomial(extra, series.nvars, series.order))
 
 
 @pytest.fixture

@@ -1,25 +1,28 @@
 import random
-from math import prod
+from fractions import Fraction
+from functools import reduce
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import determinant, lattice_index, lift_periods_per_lift, solve_integer
+from oracles import add, determinant, lattice_index, lift_periods_per_lift, solve_integer
 from toricperiods import stacks
 from toricperiods.characters import Character, character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import Curve, is_prime_power
 from toricperiods.cyclotomic import Cyc
 from toricperiods.duality import GradedToricDatum, toric_dual
-from toricperiods.intlinalg import LatticeMap
+from toricperiods.intlinalg import LatticeMap, dot
 from toricperiods.periods import automorphic_period, spectral_period
-from toricperiods.series import Monomial
+from toricperiods.series import EXACT, Monomial, TruncatedSeries
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
+    _automorphism,
     _pulled_back_cone,
-    lift_periods,
+    lift_sum,
     make_isogeny,
     stack_spectral_period_unramified,
     torsion_twists,
@@ -304,20 +307,90 @@ def lift_families(draw):
 # sigma_7 and sigma_11 reach a lift only together with z_1 -> -z_1.
 ORTHANT_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
     make_isogeny([[2, 1], [0, 3]]), character_from_spec(["formal", (1, 0)], 12)), 6)
+# (zeta z_1, 1) at order 6: the lifts are (zeta z_1, zeta^(2j)) and
+# (zeta^4 z_1, zeta^(2j+1)).  sigma_5 followed by z_1 -> zeta^2 z_1 takes
+# (zeta^4 z_1, zeta^5) to (zeta^4 z_1, zeta); with the sign of s flipped it
+# gives (z_1, zeta), which is not a lift.
+ZETA_Z_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
+    make_isogeny([[2, 1], [0, 3]]),
+    Character(6, 2, (Monomial(1, 0, (1, 0)), Monomial(0, 0, (0, 0))))), 6)
+
+
+def _den(kind, lifts):
+    return len(lifts) if kind == "automorphic" else 1
 
 
 @pytest.mark.parametrize("kind", sorted(PERIODS))
 @settings(max_examples=60, deadline=None)
 @given(family=lift_families())
 @example(family=ORTHANT_FAMILY)
-def test_lift_periods_against_one_period_per_lift(kind, family):
-    # The whole list, not the sum: a sum cannot see an image filed
-    # under the wrong lift.
+@example(family=ZETA_Z_FAMILY)
+def test_lift_sums_against_one_period_per_lift(kind, family):
     pair, curve, lifts, order = family
     period, side = PERIODS[kind]
     datum = getattr(pair, side)
-    assert lift_periods(period, datum, curve, lifts, order) == \
-        lift_periods_per_lift(period, datum, curve, lifts, order)
+    den = _den(kind, lifts)
+    want = reduce(add, lift_periods_per_lift(period, datum, curve, lifts, order))
+    want = want.scale(Fraction(1, den))
+    assert lift_sum(period, datum, curve, lifts, order, den) == want
+    public = (unramified_automorphic_period_liftsum if kind == "automorphic"
+              else stack_spectral_period_unramified)
+    assert public(pair, curve, lifts, order) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=lift_families())
+@example(family=ORTHANT_FAMILY)
+@example(family=ZETA_Z_FAMILY)
+def test_automorphism_maps_the_source_onto_the_target(family):
+    # A lift sum need not see a flipped s (in ORTHANT_FAMILY every s is
+    # 6 = -6 mod 12), so apply each tau to the coordinates directly.
+    lifts = family[2]
+    n = lifts[0].order
+    for source in lifts:
+        for target in lifts:
+            tau = _automorphism(source, target)
+            if tau is None:
+                continue
+            k, s = tau
+            assert gcd(k, n) == 1 and len(s) == source.nvars
+            for a, b in zip(source.coords, target.coords):
+                assert (a.u, a.z) == (b.u, b.z)
+                assert (k * a.zeta + dot(s, a.z) - b.zeta) % n == 0
+
+
+def _completed(period, seed):
+    """period, with one to three rows of in-ring terms added above each result's trunc."""
+    rng = random.Random(seed)
+
+    def completed(datum, curve, lift, order):
+        series = period(datum, curve, lift, order)
+        n, nvars = series.order, series.nvars
+        above = tuple(
+            (series.trunc + step, (
+                (tuple(rng.randint(-3, 3) for _ in range(nvars)),
+                 Cyc.root_power(rng.randrange(n), n) * rng.randint(1, 5)),))
+            for step in sorted(rng.sample(range(1, 4), rng.randint(1, 3))))
+        return TruncatedSeries(nvars, n, EXACT, series.coeffs + above)
+    return completed
+
+
+@pytest.mark.parametrize("kind", sorted(PERIODS))
+@settings(max_examples=30, deadline=None)
+@given(family=lift_families(), seed=st.integers(0, 2 ** 16))
+@example(family=ORTHANT_FAMILY, seed=0)
+@example(family=ZETA_Z_FAMILY, seed=1)
+def test_lift_sum_claims_only_what_the_periods_fix(kind, family, seed):
+    pair, curve, lifts, order = family
+    period, side = PERIODS[kind]
+    datum = getattr(pair, side)
+    den = _den(kind, lifts)
+    claimed = lift_sum(period, datum, curve, lifts, order, den)
+    completed = lift_sum(_completed(period, seed), datum, curve, lifts, order, den)
+    assert completed.trunc == EXACT
+    rows = [tuple(row for row in s.coeffs if row[0] <= claimed.trunc)
+            for s in (claimed, completed)]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("matrix, q, base, calls", [
