@@ -11,13 +11,14 @@ two local factors coincide on the nose.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .characters import Character
 from .cones import dual_description, make_cone, monoid_points
 from .curve import Curve
 from .intlinalg import dot, vec
 from .periods import certified, euler_product
-from .series import TruncatedSeries
+from .series import MonomialKeys, TruncatedSeries
 
 
 class PiecewiseLinearHeight(namedtuple("PiecewiseLinearHeight", "cones slopes")):
@@ -61,14 +62,15 @@ def height_fourier_local(h: PiecewiseLinearHeight, chi: Character,
     half-density twist here.  The combined functional 2*slope + character
     slope must be strictly positive on every ray of every cone.
     """
-    terms = []
-    counted = set()
+    points = {}  # point -> the psi of the first cone holding it
     for c, psi in _doubled_characters(h, chi):
         for pt in monoid_points(c, psi.slopes, order // place_degree):
-            if pt not in counted:
-                counted.add(pt)
-                terms.append(psi.value(pt, place_degree))
-    return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
+            points.setdefault(pt, psi)
+    packing = MonomialKeys.spanning(chi, [max(map(abs, col)) for col in zip(*points)],
+                                    place_degree)
+    keys = {psi: packing.keys(psi, place_degree) for psi in set(points.values())}
+    return TruncatedSeries.from_keys(
+        [sum(map(mul, keys[psi], pt)) for pt, psi in points.items()], packing, order)
 
 
 def _doubled_characters(h: PiecewiseLinearHeight, chi: Character):

@@ -11,9 +11,12 @@ monoid algebra at the fixed point, enumerated through primal level sets.
 The two code paths share nothing but series arithmetic; their agreement,
 coefficient by coefficient, is the content being verified.  Every period, global or orbitwise, is
 `prefactored_period`: a prefactor monomial times the Euler product of
-one engine's local factors.  Within an `euler_memo()` scope both engines
-and the Euler product remember their results in one mapping, keyed by
-(kind, input), which the scope drops.
+one engine's local factors.  Neither engine makes an object per lattice
+point: each packs the monomial psi(x)^deg into one integer key
+(`series.MonomialKeys`), and `TruncatedSeries.from_keys` counts the
+keys into the local factor.  Within an `euler_memo()` scope both
+engines, the Euler product and the period formula remember their
+results in one mapping, keyed by (kind, input), which the scope drops.
 """
 
 from __future__ import annotations
@@ -23,23 +26,24 @@ from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import chain, product, repeat
+from operator import mul, neg
 
 from .characters import Character
 from .cones import Cone, check_grading, dual_cone, monoid_points
 from .curve import Curve, place_counts
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import dot
-from .series import Monomial, TruncatedSeries, _RowPacking
+from .series import Monomial, MonomialKeys, TruncatedSeries, _RowPacking
 
 
 # Local factors of degree 1..SAMPLE_DEGREES are reported beside a check.
 SAMPLE_DEGREES = 3
 
 # The mapping of the innermost euler_memo() scope, None outside every scope.
-# Its keys are (kind, input), kind "euler", "places" (the place counts,
-# keyed by curve and truncation), "automorphic", "spectral",
+# Its keys are (kind, input), kind "period" (a prefactored period, keyed by
+# engine, cone, psi, prefactor, curve and truncation), "euler", "places"
+# (the place counts, keyed by curve and truncation), "automorphic", "spectral",
 # "orbit-closure", "orbit-image" (the closure or image cone of each side's
 # orbit, keyed by cone and face rays), "stabilized", "fixed" (each side's
 # face set, keyed by cone and psi) or "rows" (a series' report rows, keyed
@@ -94,9 +98,11 @@ def automorphic_local_factor(cone: Cone, psi: Character, deg: int,
     ray-derived box large enough for the requested truncation.  For each
     such head, every facet covector, and the truncation
     <w, x> <= order // deg, bounds the last coordinate by one integer
-    floor or ceiling, so every point visited along it is a term; its
-    monomial advances by psi(e_n)^deg per step.  Inside an `euler_memo()` scope the factor is remembered
-    under its whole input, as the spectral engine's is.
+    floor or ceiling, so every point visited along it is a term, and
+    the line is one range of packed keys (`series.MonomialKeys`) that
+    steps by the key of psi(e_n)^deg; no point becomes an object.
+    Inside an `euler_memo()` scope the factor is remembered under its
+    whole input, as the spectral engine's is.
     """
     return _remembered("automorphic", (cone, psi, deg, order),
                        lambda: _box_scan(cone, psi, deg, order))
@@ -105,34 +111,41 @@ def automorphic_local_factor(cone: Cone, psi: Character, deg: int,
 def _box_scan(cone: Cone, psi: Character, deg: int, order: int) -> TruncatedSeries:
     n = cone.ambient_rank
     w = psi.slopes
-    terms = []
     bound = order // deg
-    if bound >= 1 and cone.rays:
-        # Half-spaces <c, x> >= b, as (c without its last entry, c_n, b).
-        cuts = [(f[:-1], f[-1], 0) for f in cone.facets]
-        cuts.append((tuple(-x for x in w[:-1]), -w[-1], -bound))
-        weights = [dot(w, r) for r in cone.rays]
-        lo, hi = _weight_box(cone.rays, weights, bound, n)
-        step = psi.value((0,) * (n - 1) + (1,), deg)
-        for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-            first, last = lo[-1], hi[-1]
-            for c, cn, b in cuts:
-                s = sum(map(mul, c, head)) - b  # cn * x_n >= -s
-                if cn > 0:
-                    first = max(first, -(s // cn))
-                elif cn < 0:
-                    last = min(last, s // -cn)
-                elif s < 0:
-                    last = first - 1
-            if first > last:
-                continue
-            mon = psi.value(head + (first,), deg)
-            nonzero_head = any(head)
-            for x in range(first, last + 1):
-                if x or nonzero_head:
-                    terms.append(mon)
-                mon = mon * step
-    return TruncatedSeries.from_monomials(terms, psi.nvars, psi.order, order)
+    if bound < 1 or not cone.rays:
+        return TruncatedSeries.from_keys((), MonomialKeys.spanning(psi, (), deg), order)
+    # Half-spaces <c, x> >= b, as (c without its last entry, c_n, b).
+    cuts = [(f[:-1], f[-1], 0) for f in cone.facets]
+    cuts.append((tuple(-x for x in w[:-1]), -w[-1], -bound))
+    weights = [dot(w, r) for r in cone.rays]
+    lo, hi = _weight_box(cone.rays, weights, bound, n)
+    packing = MonomialKeys.spanning(psi, map(max, map(neg, lo), hi), deg)
+    *head_keys, step = packing.keys(psi, deg)
+    lines = []
+    for head in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        first, last = lo[-1], hi[-1]
+        for c, cn, b in cuts:
+            s = sum(map(mul, c, head)) - b  # cn * x_n >= -s
+            if cn > 0:
+                first = max(first, -(s // cn))
+            elif cn < 0:
+                last = min(last, s // -cn)
+            elif s < 0:
+                last = first - 1
+        if first > last:
+            continue
+        if any(head):
+            lines.append(_line(sum(map(mul, head_keys, head)), step, first, last + 1))
+        else:  # the origin's line: first <= 0 <= last, and x_n = 0 is skipped
+            lines += [_line(0, step, first, 0), _line(0, step, 1, last + 1)]
+    return TruncatedSeries.from_keys(chain.from_iterable(lines), packing, order)
+
+
+def _line(base: int, step: int, start: int, stop: int):
+    """The keys base + x * step for start <= x < stop."""
+    if step:
+        return range(base + start * step, base + stop * step, step)
+    return repeat(base, stop - start)
 
 
 def spectral_local_factor(cone: Cone, psi: Character, deg: int,
@@ -143,7 +156,8 @@ def spectral_local_factor(cone: Cone, psi: Character, deg: int,
     <= order // deg, enumerated by primal level sets, where w is the
     u-slopes of psi (which must be `certified` on the cone), so the
     point x lands at u^(deg * <w, x>): the level bound is the
-    truncation, and no term needs filtering.  Independent of the
+    truncation, and no term needs filtering.  Each point's packed key is
+    one dot product with the keys of psi(e_j)^deg.  Independent of the
     automorphic scan by construction.
 
     Inside an `euler_memo()` scope the factor is remembered under its
@@ -152,10 +166,15 @@ def spectral_local_factor(cone: Cone, psi: Character, deg: int,
     once per run.
     """
     return _remembered("spectral", (cone, psi, deg, order),
-                       lambda: TruncatedSeries.from_monomials(
-                           (psi.value(pt, deg)
-                            for pt in monoid_points(cone, psi.slopes, order // deg)),
-                           psi.nvars, psi.order, order))
+                       lambda: _level_sums(cone, psi, deg, order))
+
+
+def _level_sums(cone: Cone, psi: Character, deg: int, order: int) -> TruncatedSeries:
+    points = list(monoid_points(cone, psi.slopes, order // deg))
+    packing = MonomialKeys.spanning(psi, [max(map(abs, col)) for col in zip(*points)], deg)
+    keys = packing.keys(psi, deg)
+    return TruncatedSeries.from_keys([sum(map(mul, keys, pt)) for pt in points],
+                                     packing, order)
 
 
 def _adams_index(d: int, n: int, m: int) -> tuple[int, int, int]:
@@ -291,11 +310,14 @@ def prefactored_period(engine, cone: Cone, psi: Character, pref: Monomial,
 
     The one period formula: both global periods, both orbit
     contributions and the direct stack model are this product, each
-    with its own engine, cone and prefactor.
+    with its own engine, cone and prefactor.  Inside an `euler_memo()`
+    scope the period is remembered whole under its input, so a period
+    asked for twice in a run is multiplied out and shifted once.
     """
-    series = euler_product(lambda d: engine(cone, psi, d, order),
-                           curve, order, (psi.nvars, psi.order), _root_field(psi))
-    return series.times_monomial(pref)
+    return _remembered("period", (engine, cone, psi, pref, curve, order),
+                       lambda: euler_product(
+                           lambda d: engine(cone, psi, d, order), curve, order,
+                           (psi.nvars, psi.order), _root_field(psi)).times_monomial(pref))
 
 
 def _root_field(psi: Character) -> int:
@@ -376,7 +398,8 @@ def verify_weak_duality(pair: GradedDualPair, curve: Curve, chi: Character,
     for deg in range(1, min(SAMPLE_DEGREES, max(order, 1)) + 1):
         g, d_, k = _adams_index(deg, chi.order, _root_field(chi))
         samples[deg] = {
-            name: engine(*args[:2], g, order).substitute_u_power(d_, k).truncate(order)
+            name: engine(*args[:2], g, order).truncate(order // d_)
+            .substitute_u_power(d_, k).truncate(order)
             for name, engine, args in zip(("automorphic", "spectral"), engines, first)}
     return PeriodReport(duality_exponent=expo, directions=tuple(directions),
                         local_samples=samples)

@@ -11,12 +11,12 @@ Everything is exact; nothing is ever evaluated numerically.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from itertools import groupby
 from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import Cyc, _canonical, _galois_rows, _overflow_rows
+from .cyclotomic import Cyc, _canonical, _galois_rows, _overflow_rows, _reduction_table
 
 ZExp = tuple[int, ...]
 
@@ -305,6 +305,42 @@ class _RowPacking:
         return tuple(reversed(out))
 
 
+class MonomialKeys(namedtuple("MonomialKeys", "order halves")):
+    """The monomials zeta^k u^e z^z of one ring packed into integers.
+
+    A key has balanced digits, most significant first: e, then z_1, ...,
+    z_s with halves[i] bounding |z_(i+1)|, then k with halves[-1]
+    bounding |k| (e is not bounded).  Keys add as the monomials multiply
+    while every digit of the sum stays within its half-width, so the key
+    of psi(x)^deg is the dot product of x with the keys of psi(e_j)^deg
+    (`keys`).  Integer order of keys is lexicographic order of (e, z, k).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def spanning(psi, reach, deg: int) -> "MonomialKeys":
+        """The packing of psi(x)^deg for every x with |x_j| <= reach[j].
+
+        psi is a character: its coords are the monomials psi(e_j), whose
+        zeta exponents are read mod psi.order.
+        """
+        pairs = list(zip(psi.coords, reach))
+        halves = [deg * sum(r * abs(m.z[i]) for m, r in pairs) for i in range(psi.nvars)]
+        halves.append(deg * sum(r * (m.zeta % psi.order) for m, r in pairs))
+        return MonomialKeys(psi.order, tuple(halves))
+
+    def keys(self, psi, deg: int) -> tuple[int, ...]:
+        """The key of psi(e_j)^deg for each coordinate j of the character psi."""
+        out = []
+        for m in psi.coords:
+            key = deg * m.u
+            for e, h in zip(m.z, self.halves):
+                key = key * (2 * h + 1) + deg * e
+            out.append(key * (2 * self.halves[-1] + 1) + deg * (m.zeta % self.order))
+        return tuple(out)
+
+
 class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs")):
     """Coefficients by u-exponent, exact for every exponent <= trunc.
 
@@ -330,14 +366,49 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
         return TruncatedSeries(nvars, order, trunc, ((mon.u, ((mon.z, c),)),))
 
     @staticmethod
-    def from_monomials(monomials, nvars: int, order: int,
-                       trunc: int) -> "TruncatedSeries":
-        """1 plus the sum of the monomials, exact to trunc (a local factor)."""
-        data = {0: {(0,) * nvars: Cyc.one(order)}}
-        for mon in monomials:
-            _zp_add_term(data.setdefault(mon.u, {}), mon.z,
-                         Cyc.root_power(mon.zeta, order))
-        return TruncatedSeries.from_dict(data, nvars, order, trunc)
+    def from_keys(keys, packing: MonomialKeys, trunc: int) -> "TruncatedSeries":
+        """1 plus the sum of the monomials with these packed keys, exact to trunc (a local factor).
+
+        The keys are counted, and each (u, z) coefficient is formed once,
+        as sum count * zeta^k over its keys, from `_reduction_table` rows.
+        The (u, z) are then decoded once each, in sorted order, which is
+        the series' own row and term order.
+        """
+        counts = Counter(keys)
+        counts[0] += 1  # the key of 1
+        order = packing.order
+        table = _reduction_table(order)
+        *halves, half = packing.halves
+        if half:  # the keys of one (u, z) differ in their last digit, k
+            sums = {}
+            for key, c in counts.items():
+                g, k = divmod(key + half, 2 * half + 1)
+                if (nums := sums.get(g)) is None:
+                    nums = sums[g] = [0] * len(table[0])
+                for i, r in enumerate(table[(k - half) % order]):
+                    nums[i] += c * r
+        else:
+            sums = counts
+        zero = (0,) * (len(table[0]) - 1)
+        offset = 0  # the key, without k, of u = 0 and every z_i at its half-width
+        for h in halves:
+            offset = offset * (2 * h + 1) + h
+        digits = [(2 * h + 1, h) for h in reversed(halves)]
+        rows: dict = {}
+        for g in sorted(sums):
+            u = g + offset  # its z digits are now z_i + half_i, in [0, 2 * half_i]
+            z = []
+            for radix, h in digits:
+                u, d = divmod(u, radix)
+                z.append(d - h)
+            if u > trunc:
+                break
+            nums = tuple(sums[g]) if half else (sums[g],) + zero
+            if any(nums):
+                z.reverse()
+                rows.setdefault(u, []).append((tuple(z), _canonical(order, nums, 1)))
+        return TruncatedSeries(len(halves), order, trunc,
+                               tuple((u, tuple(terms)) for u, terms in rows.items()))
 
     @staticmethod
     def from_dict(data: dict, nvars: int, order: int, trunc: int) -> "TruncatedSeries":

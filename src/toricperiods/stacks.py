@@ -148,8 +148,9 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
     reach the lifts it stands for.  tau sends c z^e to
     sigma_k(c) zeta^<s, e> z^e, so the images of c z^e add up to
     sigma_k(c) S_k(e) summed over k, S_k(e) being zeta^<s, e> / den summed
-    over the s paired with k: formed once per exponent, dropped where 0,
-    and a `Fraction` (an integer scale) where rational.
+    over the s paired with k: a function of e mod n, formed once per
+    residue, dropped where 0, and a `Fraction` (an integer scale) where
+    rational.
     """
     n = lifts[0].order
     reached = [False] * len(lifts)
@@ -165,13 +166,15 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
                 shifts.setdefault(tau[0], []).append(tau[1])
         series = period(datum, curve, lift, order)
         trunc = min(trunc, series.trunc)
-        exponents = {z for _, terms in series.coeffs for z, _ in terms}
-        sums = {(k, z): _root_sum(ss, z, n, den) for k, ss in shifts.items() for z in exponents}
+        residue = {z: tuple(e % n for e in z) for _, terms in series.coeffs for z, _ in terms}
+        sums = {(k, r): _root_sum(ss, r, n, den)
+                for k, ss in shifts.items() for r in set(residue.values())}
         for u, terms in series.coeffs:
             row = data.setdefault(u, {})
             for z, c in terms:
+                r = residue[z]
                 for k in shifts:
-                    if root := sums[k, z]:
+                    if root := sums[k, r]:
                         _zp_add_term(row, z, c.conjugate(k) * root)
     return TruncatedSeries.from_dict(data, series.nvars, n, trunc)
 

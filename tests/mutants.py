@@ -15,6 +15,11 @@ requires its tests to fail.  pytest runs inside the copy with its cache
 and bytecode off, so nothing is written into the checkout.  Exit status:
 0 every mutant killed, 1 otherwise.
 
+A mutant that makes its tests hang is not killed, unless it opts in with
+`hang_kills`: its tests then run under HANG_TIMEOUT, and a run past it
+counts as a kill.  The default, and every mutant without the flag, keep
+the long TIMEOUT.
+
 A mutant may be re-aimed when its code moves; removing one needs a line
 in CHANGES.md that names it and says why.  pytest does not collect this
 file (it is not named test_*.py), so Tier-1 does not run it.
@@ -33,12 +38,15 @@ REPO = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 # Seconds for one pytest run; a mutant that makes its tests hang is not killed.
 TIMEOUT = 300
+# Seconds for one pytest run of a `hang_kills` mutant, past which it is killed.
+HANG_TIMEOUT = 30
 
-Mutant = namedtuple("Mutant", "name edits tests")
+Mutant = namedtuple("Mutant", "name edits tests hang_kills", defaults=(False,))
 
 REG = "src/toricperiods/regularization.py"
 PERIODS = "src/toricperiods/periods.py"
 STACKS = "src/toricperiods/stacks.py"
+SERIES = "src/toricperiods/series.py"
 
 MUTANTS = (
     Mutant("cuspidality-counts-the-whole-cone",
@@ -54,8 +62,8 @@ MUTANTS = (
              "sublattice = lattice.annihilator")],
            ["tests/test_regularization.py::test_cuspidal_fails_with_monomial_cancellation"]),
     Mutant("box-scan-calls-monoid-points",
-           [(PERIODS, "    w = psi.slopes\n    terms = []\n",
-             "    w = psi.slopes\n    terms = []\n    monoid_points(cone, w, 0)\n")],
+           [(PERIODS, "    w = psi.slopes\n    bound = order // deg\n",
+             "    w = psi.slopes\n    bound = order // deg\n    monoid_points(cone, w, 0)\n")],
            ["tests/test_engine_independence.py"
             "::test_the_engines_reach_only_shared_definitions_in_common"]),
     Mutant("lift-twist-sign-flipped",
@@ -86,7 +94,7 @@ MUTANTS = (
              "_remembered(\"euler\", (factors, counts), packed)")],
            ["tests/test_euler_memo.py::test_memo_key_holds_the_field"]),
     Mutant("exp-skips-the-division-by-n",
-           [("src/toricperiods/series.py", "self.combine(products, n)",
+           [(SERIES, "self.combine(products, n)",
              "self.combine(products, 1)")],
            ["tests/test_euler_kernel.py::test_zeta_series_matches_binary_powering"]),
     Mutant("faces-by-closure-drop-a-facet",
@@ -94,6 +102,20 @@ MUTANTS = (
              "facet_rays = [frozenset(r for r in c.rays if dot(f, r) == 0) for f in c.facets]",
              "facet_rays = [frozenset(r for r in c.rays if dot(f, r) == 0) for f in c.facets[1:]]")],
            ["tests/test_cones.py::test_faces_counts"]),
+    Mutant("box-scan-keeps-the-origin",
+           [(PERIODS, "lines += [_line(0, step, first, 0), _line(0, step, 1, last + 1)]",
+             "lines.append(_line(0, step, first, last + 1))")],
+           ["tests/test_monomial_keys.py::test_both_engines_match_the_point_by_point_oracle"]),
+    Mutant("monomial-keys-half-width-one-short",
+           [(SERIES, "halves = [deg * sum(r * abs(m.z[i]) for m, r in pairs) for i",
+             "halves = [max(deg * sum(r * abs(m.z[i]) for m, r in pairs) - 1, 0) for i")],
+           ["tests/test_monomial_keys.py::test_digits_at_the_half_widths"]),
+    # It hangs rather than fails: k = d' + 1 mod M/g steps by M/g and, at
+    # N = M = 12 and d = 1, never reaches a unit.
+    Mutant("adams-index-off-by-one",
+           [(PERIODS, "k = (d // g - 1) % (m // g) + 1", "k = (d // g) % (m // g) + 1")],
+           ["tests/test_adams_scans.py::test_smooth_cone_euler_product_closed_form[12-specs3-tate]"],
+           hang_kills=True),
     Mutant("dead-code-guard-is-cuspidal-off-allowed",
            [("tests/test_no_dead_code.py",
              "    \"is_cuspidal\": \"test_acceptance.py::test_criterion_05_cuspidal_iff_generic\",\n",
@@ -120,14 +142,14 @@ def _copy(root: Path):
             shutil.copy2(source, root / name)
 
 
-def _pytest(root: Path, tests) -> int | str:
+def _pytest(root: Path, tests, timeout=TIMEOUT) -> int | str:
     """pytest's exit status on the named tests, run inside the copy, or "timeout"."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
             cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT).returncode
+            timeout=timeout).returncode
     except subprocess.TimeoutExpired:
         return "timeout"
 
@@ -145,7 +167,7 @@ def _run(root: Path, mutant) -> int:
             text = (root / path).read_text()
             originals.setdefault(path, text)
             (root / path).write_text(text.replace(old, new))
-        return _pytest(root, mutant.tests)
+        return _pytest(root, mutant.tests, HANG_TIMEOUT if mutant.hang_kills else TIMEOUT)
     finally:
         for path, text in originals.items():
             (root / path).write_text(text)
@@ -174,9 +196,10 @@ def main(argv=None) -> int:
         survived = []
         for mutant in selected:
             status = _run(root, mutant)
-            # 1: a test failed; 2: collection failed.  Anything else (no
-            # test collected, a usage error, a hang) is not a kill.
-            killed = status in (1, 2)
+            # 1: a test failed; 2: collection failed; a hang when the mutant
+            # opts in.  Anything else (no test collected, a usage error, any
+            # other hang) is not a kill.
+            killed = status in (1, 2) or (status == "timeout" and mutant.hang_kills)
             print(f"{'killed' if killed else 'SURVIVED':8s} {mutant.name} (pytest exit {status})")
             if not killed:
                 survived.append(mutant.name)

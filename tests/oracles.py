@@ -321,6 +321,18 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries.from_dict(data, a.nvars, a.order, trunc)
 
 
+def from_monomials(monomials, nvars: int, order: int, trunc: int) -> TruncatedSeries:
+    """1 plus the sum of the monomials, exact to trunc: a local factor built term by term.
+
+    One `Cyc.root_power` and one `Cyc` sum per monomial, the reference for
+    `TruncatedSeries.from_keys`.
+    """
+    data = {0: {(0,) * nvars: Cyc.one(order)}}
+    for mon in monomials:
+        _zp_add_term(data.setdefault(mon.u, {}), mon.z, Cyc.root_power(mon.zeta, order))
+    return TruncatedSeries.from_dict(data, nvars, order, trunc)
+
+
 def lift_periods_per_lift(period, datum, curve, lifts, order) -> list:
     """One period per lift, each computed: summed, the reference for `stacks.lift_sum`."""
     return [period(datum, curve, lift, order) for lift in lifts]

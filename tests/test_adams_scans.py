@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import determinant, divisor_count_series
+from oracles import determinant, divisor_count_series, from_monomials
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import (
     NotStronglyConvex,
@@ -68,7 +68,7 @@ def full_box_factor(datum, chi, place_degree, order):
             mon = psi.value(cand, place_degree)
             if 0 < mon.u <= order:
                 terms.append(mon)
-    return TruncatedSeries.from_monomials(terms, chi.nvars, chi.order, order)
+    return from_monomials(terms, chi.nvars, chi.order, order)
 
 
 def level_box(rays, weights, m, n):

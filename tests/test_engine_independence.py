@@ -21,21 +21,23 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricperiods"
 
-# Series arithmetic (whole modules), the character's value and u-slopes,
-# the two vector primitives and the run memo.
+# Series arithmetic (whole modules, the packed monomial keys included), the
+# character's u-slopes, the two vector primitives and the run memo.
 SHARED_MODULES = ("series", "cyclotomic")
-SHARED = {"characters.Character.value", "characters.Character.slopes",
-          "intlinalg.vec", "intlinalg.dot", "periods._remembered"}
+SHARED = {"characters.Character.slopes", "intlinalg.vec", "intlinalg.dot",
+          "periods._remembered"}
 
 # The orbit contributions also share the face lattice (its lookup and the
 # quotient maps sliced from it), the closure or image cone, the face sets,
-# the one period formula with its certified input, the character's grading
-# shift and descent, and their result record.
+# the one period formula with its certified input, the character's value
+# (each side's prefactor reads it), grading shift and descent, and their
+# result record.
 ORBIT_SHARED = SHARED | {
     "cones.faces", "cones.FaceLattice.index", "cones.FaceLattice.span_quotient",
     "cones.FaceLattice.annihilator_quotient", "cones.Cone.ray_set", "cones.image_cone",
     "regularization._face_set", "periods.prefactored_period", "periods.certified",
-    "characters.Character.shift_u", "characters.Character.compose",
+    "characters.Character.value", "characters.Character.shift_u",
+    "characters.Character.compose",
     "regularization.OrbitContribution"}
 
 AUTOMORPHIC = "periods._box_scan"
@@ -139,9 +141,15 @@ def test_the_engines_reach_only_shared_definitions_in_common():
     graph = CallGraph(PACKAGE)
     assert SHARED <= set(graph.defs), f"stale SHARED entries: {SHARED - set(graph.defs)}"
     automorphic, spectral = graph.reach(AUTOMORPHIC), graph.reach(SPECTRAL)
-    # Each walk reaches its own enumeration, so the guard is not vacuous.
-    assert {"periods._weight_box", "characters.Character.value"} <= automorphic
-    assert {"cones.monoid_points", "cones.points_at_level", "cones._level_box"} <= spectral
+    # Each walk reaches its own enumeration and the shared packing of its
+    # points, so the guard is not vacuous; neither evaluates the character
+    # point by point.
+    packing = {"series.MonomialKeys.spanning", "series.MonomialKeys.keys",
+               "series.TruncatedSeries.from_keys"}
+    assert {"periods._weight_box", "periods._line"} | packing <= automorphic
+    assert {"cones.monoid_points", "cones.points_at_level", "cones._level_box",
+            "periods._level_sums"} | packing <= spectral
+    assert "characters.Character.value" not in automorphic | spectral
     common = sorted(name for name in automorphic & spectral if not is_shared(name))
     assert not common, f"reached from both engines: {common}"
 

@@ -13,6 +13,7 @@ import pkgutil
 import pytest
 
 import toricperiods
+from oracles import from_monomials
 from toricperiods import periods, scenario
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import make_cone
@@ -26,7 +27,7 @@ from toricperiods.periods import (
     spectral_period,
 )
 from toricperiods.scenario import catalog_emit, parse_scenario, report_to_json, run_scenario
-from toricperiods.series import Monomial, TruncatedSeries
+from toricperiods.series import Monomial
 
 
 RING = (1, 3)  # one formal variable over Q(zeta_3), the ring of `factor`
@@ -35,7 +36,7 @@ RING = (1, 3)  # one formal variable over Q(zeta_3), the ring of `factor`
 def factor(d):
     """A fresh (equal, not identical) local factor on every call."""
     mons = [Monomial(k, d * k, (k,)) for k in range(1, 4)]
-    return TruncatedSeries.from_monomials(mons, 1, 3, 6)
+    return from_monomials(mons, 1, 3, 6)
 
 
 def kind_size(kind):

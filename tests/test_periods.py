@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisor_count_series
+from oracles import divisor_count_series, from_monomials
 from toricperiods import cones, periods
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import NotPositiveGrading, dual_cone, make_cone, points_at_level
@@ -208,7 +208,7 @@ def test_products_keep_points_below_the_ray_minimum():
         certified(subunit.cone, sloped), Monomial(0, 0, (0, 0)),
         Curve(q=2), 6)
     level_sums = euler_product(
-        lambda d: TruncatedSeries.from_monomials(
+        lambda d: from_monomials(
             (sloped.value(pt, d) for level in range(1, 6 // d + 1)
              for pt in points_at_level(subunit.cone, (1, 0), level)),
             2, 1, 6),

@@ -54,7 +54,7 @@ RECORDS = (
     regularization.OrbitContribution, regularization.OrbitPairVerdict,
     regularization.OrbitDualityReport,
     scenario.CharacterSpec, scenario.Scenario,
-    series.Monomial, series.TruncatedSeries,
+    series.Monomial, series.MonomialKeys, series.TruncatedSeries,
     stacks.IsogenyDatum, stacks.StackCheck, stacks.StackReport,
 )
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import add, from_integers
+from oracles import add, from_integers, from_monomials
+from toricperiods.characters import Character
 from toricperiods.cyclotomic import Cyc
-from toricperiods.series import EXACT, Monomial, TruncatedSeries
+from toricperiods.series import EXACT, Monomial, MonomialKeys, TruncatedSeries
 
 
 def geometric(nvars, order, trunc, zexp=(1,)):
@@ -32,10 +33,14 @@ def test_from_monomials_buckets_and_cancels():
     # 1 + zeta_2^0 z u + zeta_2^1 z u (cancels) + 2 u^2 + u^5 (beyond trunc)
     mons = [Monomial(0, 1, (1,)), Monomial(1, 1, (1,)), Monomial(0, 2, (0,)),
             Monomial(2, 2, (0,)), Monomial(0, 5, (0,))]
-    s = TruncatedSeries.from_monomials(mons, 1, 2, 4)
-    assert s.trunc == 4
-    assert s.coeffs == ((0, (((0,), Cyc.one(2)),)), (2, (((0,), Cyc.rational(2, 2)),)))
-    assert TruncatedSeries.from_monomials([], 1, 2, 4) == TruncatedSeries.one(1, 2, 4)
+    # The oracle sums them term by term; from_keys counts their packed keys.
+    packing = MonomialKeys(2, (1, 2))
+    keys = packing.keys(Character(2, 1, tuple(mons)), 1)
+    for s in (from_monomials(mons, 1, 2, 4), TruncatedSeries.from_keys(keys, packing, 4)):
+        assert s.trunc == 4
+        assert s.coeffs == ((0, (((0,), Cyc.one(2)),)), (2, (((0,), Cyc.rational(2, 2)),)))
+    assert from_monomials([], 1, 2, 4) == TruncatedSeries.one(1, 2, 4)
+    assert TruncatedSeries.from_keys([], packing, 4) == TruncatedSeries.one(1, 2, 4)
 
 
 def test_add_and_mul_truncate():
