@@ -11,7 +11,6 @@ makes coefficientwise series comparison exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add
@@ -127,7 +126,7 @@ class Cyc(namedtuple("Cyc", "order nums den")):
 
     @staticmethod
     def rational(value, order: int) -> "Cyc":
-        value = Fraction(value)
+        """value (an int or any rational with numerator and denominator) in Q(zeta_order)."""
         nums = (value.numerator,) + (0,) * (Cyc.degree(order) - 1)
         return _canonical(order, nums, value.denominator)
 
@@ -141,8 +140,11 @@ class Cyc(namedtuple("Cyc", "order nums den")):
         return _canonical(order, _reduction_table(order)[k % order], 1)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
         """The power-basis coordinates as reduced fractions."""
+        # Imported here: the package computes with nums and den alone, and
+        # only bench/tracer.py and the tests read the coordinates this way.
+        from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __add__(self, other: "Cyc") -> "Cyc":
@@ -177,13 +179,10 @@ class Cyc(namedtuple("Cyc", "order nums den")):
                     for t, r in row:
                         acc[t] += c * r
             return _canonical(self.order, tuple(acc), den)
-        if isinstance(other, int):
-            return _canonical(self.order, tuple([x * other for x in a]), self.den)
-        if isinstance(other, Fraction):
-            n = other.numerator
-            return _canonical(self.order, tuple([x * n for x in a]),
-                              self.den * other.denominator)
-        return NotImplemented
+        n = getattr(other, "numerator", None)  # a rational scalar, an int included
+        if n is None:
+            return NotImplemented
+        return _canonical(self.order, tuple([x * n for x in a]), self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -211,8 +210,9 @@ class Cyc(namedtuple("Cyc", "order nums den")):
     def inverse(self) -> "Cyc":
         """x^-1 = prod_{k != 1} sigma_k(x) / N(x), k running over (Z/N)^x.
 
-        The norm N(x) = x * prod_{k != 1} sigma_k(x) is rational, so the
-        only division is one scalar multiply.
+        The norm N(x) = x * prod_{k != 1} sigma_k(x) is a rational s / d,
+        so the division is integer: d, signed as s, times the numerators,
+        over |s| times the denominator.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
@@ -222,4 +222,6 @@ class Cyc(namedtuple("Cyc", "order nums den")):
             if gcd(k, n) == 1:
                 cofactor = cofactor * self.conjugate(k)
         norm = self * cofactor
-        return cofactor * Fraction(norm.den, norm.nums[0])
+        s = norm.nums[0]
+        d = norm.den if s > 0 else -norm.den
+        return _canonical(n, tuple([x * d for x in cofactor.nums]), cofactor.den * abs(s))

@@ -25,7 +25,6 @@ import math
 from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import mul, neg
 
@@ -75,16 +74,23 @@ def certified(cone: Cone, psi: Character) -> Character:
 
 
 def _weight_box(rays, weights, bound: int, n: int):
-    lo = [Fraction(0)] * n
-    hi = [Fraction(0)] * n
+    """(lo, hi): coordinate j lies between the ceiling of the negative and the
+    floor of the positive bound * r[j] / w_r summed over the rays r.
+
+    Each sum is an integer over L = lcm(weights), so the floor and the
+    ceiling are integer divisions by L.
+    """
+    den = math.lcm(*weights)
+    lo = [0] * n
+    hi = [0] * n
     for r, wr in zip(rays, weights):
         for j in range(n):
-            t = Fraction(bound * r[j], wr)
+            t = bound * r[j] * (den // wr)
             if t > 0:
                 hi[j] += t
             else:
                 lo[j] += t
-    return [math.ceil(x) for x in lo], [math.floor(x) for x in hi]
+    return [-(-x // den) for x in lo], [x // den for x in hi]
 
 
 def automorphic_local_factor(cone: Cone, psi: Character, deg: int,

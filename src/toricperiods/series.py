@@ -61,13 +61,10 @@ def _zp_mul_add(acc: dict, a, b):
             _zp_add_term(acc, tuple(map(add, za, zb)), ca * cb)
 
 
-def _zp_scale(a: dict, c) -> dict:
-    out = {}
-    for z, v in a.items():
-        w = v * c
-        if not w.is_zero():
-            out[z] = w
-    return out
+def _zp_scale(a: dict, num: int, den: int) -> dict:
+    """Every term of a z-polynomial times num / den (den > 0)."""
+    return {z: _canonical(v.order, tuple([x * num for x in v.nums]), v.den * den)
+            for z, v in a.items()}
 
 
 def serialize_row(u: int, terms) -> list:
@@ -491,9 +488,9 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "nvars order trunc coeffs"))
             for u, terms in self.coeffs if u + du <= trunc)
         return TruncatedSeries(self.nvars, self.order, trunc, rows)
 
-    def scale(self, c) -> "TruncatedSeries":
-        """Every coefficient times c (a Cyc of the same order, int or Fraction)."""
-        data = {u: _zp_scale(dict(terms), c) for u, terms in self.coeffs}
+    def scale(self, num: int, den: int) -> "TruncatedSeries":
+        """Every coefficient times the rational num / den, den > 0."""
+        data = {u: _zp_scale(dict(terms), num, den) for u, terms in self.coeffs}
         return TruncatedSeries.from_dict(data, self.nvars, self.order, self.trunc)
 
     def power(self, k: int) -> "TruncatedSeries":

@@ -28,7 +28,6 @@ The field is checked once per verification, by `verify_stack_duality`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 from operator import mul
@@ -149,8 +148,7 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
     sigma_k(c) zeta^<s, e> z^e, so the images of c z^e add up to
     sigma_k(c) S_k(e) summed over k, S_k(e) being zeta^<s, e> / den summed
     over the s paired with k: a function of e mod n, formed once per
-    residue, dropped where 0, and a `Fraction` (an integer scale) where
-    rational.
+    residue as a `Cyc`, and dropped where 0.
     """
     n = lifts[0].order
     reached = [False] * len(lifts)
@@ -180,10 +178,10 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
 
 
 def _root_sum(shifts, e, n: int, den: int):
-    """zeta_n^<s, e> summed over the shifts s, over den: a Fraction when rational, else a Cyc."""
+    """zeta_n^<s, e> summed over the shifts s, over den: a Cyc, or None where it is 0."""
     table = _reduction_table(n)
     nums = tuple(map(sum, zip(*[table[sum(map(mul, s, e)) % n] for s in shifts])))
-    return _canonical(n, nums, den) if any(nums[1:]) else Fraction(nums[0], den)
+    return _canonical(n, nums, den) if any(nums) else None
 
 
 def _automorphism(source: Character, target: Character) -> tuple | None:
@@ -303,7 +301,7 @@ def verify_stack_duality(pair: GradedDualPair, iso: IsogenyDatum, curve: Curve,
     # (ii): lift-sum unramified automorphic vs unramified stack spectral.
     lhs2 = unramified_automorphic_period_liftsum(pair, curve, lifts, order)
     rhs2 = stack_spectral_period_unramified(pair, curve, lifts, order)
-    mism2 = lhs2.first_mismatch(rhs2.scale(Fraction(1, iso.index)).shift_u(expo))
+    mism2 = lhs2.first_mismatch(rhs2.scale(1, iso.index).shift_u(expo))
     check2 = StackCheck("unramified-automorphic-vs-stack-spectral",
                         mism2 is None, mism2, lhs2, rhs2)
 

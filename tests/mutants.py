@@ -80,6 +80,10 @@ MUTANTS = (
            [(PERIODS, "cuts = [(f[:-1], f[-1], 0) for f in cone.facets]",
              "cuts = [(f[:-1], f[-1], 0) for f in cone.facets[1:]]")],
            ["tests/test_periods.py::test_engine_independence_catalog"]),
+    Mutant("weight-box-floors-the-low-end",
+           [(PERIODS, "return [-(-x // den) for x in lo], [x // den for x in hi]",
+             "return [x // den for x in lo], [x // den for x in hi]")],
+           ["tests/test_periods.py::test_weight_box_against_the_fraction_oracle"]),
     Mutant("level-box-one-level-short",
            [("src/toricperiods/cones.py", "lo, hi = _level_box(c.rays, weights, m, n)",
              "lo, hi = _level_box(c.rays, weights, m - 1, n)")],

@@ -8,7 +8,7 @@ kernel that `periods.euler_product` uses only as a whole.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import ceil, floor, lcm
 
 from toricperiods.characters import character_from_spec
 from toricperiods.cones import NotStronglyConvex, faces, image_cone, make_cone
@@ -441,3 +441,18 @@ def exp(series: TruncatedSeries) -> TruncatedSeries:
     pack = _RowPacking.spanning((series,), top)
     rows = {k: pack.pack(terms) for k, terms in series.coeffs if k <= top}
     return pack.series(pack.exp_rows(rows, top), top)
+
+
+def weight_box(rays, weights, bound: int, n: int):
+    """`periods._weight_box` over Fractions: per coordinate, the ceiling of the
+    negative and the floor of the positive bound * r[j] / w_r summed over the rays."""
+    lo = [Fraction(0)] * n
+    hi = [Fraction(0)] * n
+    for r, wr in zip(rays, weights):
+        for j in range(n):
+            t = Fraction(bound * r[j], wr)
+            if t > 0:
+                hi[j] += t
+            else:
+                lo[j] += t
+    return [ceil(x) for x in lo], [floor(x) for x in hi]

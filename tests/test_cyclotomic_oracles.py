@@ -18,7 +18,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cyc, from_integers
@@ -130,6 +130,8 @@ def test_scalar_multiples_match_fraction_oracle(case, k, r):
 
 @settings(max_examples=150, deadline=None)
 @given(operands(count=1))
+@example(case=(1, (Fraction(-3),)))  # a negative norm: its sign moves to the numerators
+@example(case=(2, (Fraction(-3, 2),)))
 def test_inverse_matches_fraction_oracle(case):
     order, a = case
     x = cyc(order, a)

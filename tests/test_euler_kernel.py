@@ -48,13 +48,13 @@ def reference_log(f):
     neg = {u: [(z, c * -1) for z, c in terms] for u, terms in rows.items()}
     dg = {}
     for n in range(1, f.trunc + 1):
-        acc = _zp_scale(dict(rows.get(n, ())), n)
+        acc = _zp_scale(dict(rows.get(n, ())), n, 1)
         for k, row in dg.items():
             if neg.get(n - k):
                 _zp_mul_add(acc, row.items(), neg[n - k])
         if acc:
             dg[n] = acc
-    data = {n: _zp_scale(row, Fraction(1, n)) for n, row in dg.items()}
+    data = {n: _zp_scale(row, 1, n) for n, row in dg.items()}
     return TruncatedSeries.from_dict(data, f.nvars, f.order, f.trunc)
 
 
@@ -68,7 +68,7 @@ def reference_exp(g):
             if k <= n and h.get(n - k):
                 _zp_mul_add(acc, row, h[n - k].items())
         if acc:
-            h[n] = _zp_scale(acc, Fraction(1, n))
+            h[n] = _zp_scale(acc, 1, n)
     return TruncatedSeries.from_dict(h, g.nvars, g.order, g.trunc)
 
 

@@ -1,10 +1,10 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import divisor_count_series, from_monomials
+from oracles import divisor_count_series, from_monomials, weight_box
 from toricperiods import cones, periods
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import NotPositiveGrading, dual_cone, make_cone, points_at_level
@@ -319,3 +319,24 @@ def test_spectral_engine_runs_without_the_box_scan(monkeypatch):
     expected = [spectral_local_factor(*args) for args in inputs]
     forbid(monkeypatch, periods._box_scan, periods._weight_box)
     assert [spectral_local_factor(*args) for args in inputs] == expected
+
+
+@st.composite
+def weight_box_inputs(draw):
+    """(rays, weights, bound, n): rank <= 3 rays with coordinates of both
+    signs, and weights that need not divide bound * r[j]."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=count, max_size=count))
+    weights = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))
+    return rays, weights, draw(st.integers(0, 12)), n
+
+
+# Coordinate 0 sums to -3/2 - 9/4 = -15/4 below and 0 above, coordinate 1 to
+# -3/4 below and 3 above: the low ends are the ceilings -3 and 0, not the
+# floors -4 and -1.
+@settings(max_examples=200, deadline=None)
+@given(weight_box_inputs())
+@example(([(-1, 2), (-3, -1)], [2, 4], 3, 2))
+def test_weight_box_against_the_fraction_oracle(case):
+    assert periods._weight_box(*case) == weight_box(*case)

@@ -485,3 +485,16 @@ def test_schema_sweep_runs_or_points_at_the_mutated_field():
                     cross.add((field, err.pointer))
     assert cases > 2000
     assert cross == CROSS_FIELD
+
+
+def test_the_package_imports_no_fraction_arithmetic():
+    """Every scalar is an integer over one denominator: a run's imports load
+    neither `fractions` nor the `decimal` and `numbers` it pulls in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "import toricperiods.cli, toricperiods.scenario\n"
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

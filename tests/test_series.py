@@ -151,9 +151,9 @@ def test_power_binary():
 
 def test_scale_and_subtract():
     s = geometric(1, 1, 3)
-    z = add(s, s.scale(-1))
+    z = add(s, s.scale(-1, 1))
     assert z.is_zero()
-    half = s.scale(Fraction(1, 2))
+    half = s.scale(1, 2)
     assert half.coefficient(0) == {(0,): Cyc.rational(Fraction(1, 2), 1)}
 
 
@@ -292,7 +292,7 @@ def test_first_mismatch_reports_lowest():
 
 def test_serialize_shape():
     s = TruncatedSeries.from_monomial(Monomial(1, 2, (0, -1)), 2, 4,
-                                      trunc=5).scale(Fraction(3, 2))
+                                      trunc=5).scale(3, 2)
     ser = s.serialize()
     assert ser == [["2", [["3", "2", "1", ["0", "-1"]]]]]
 
