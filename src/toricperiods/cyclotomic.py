@@ -198,8 +198,6 @@ class Cyc(namedtuple("Cyc", "order nums den")):
         n = self.order
         if gcd(k, n) != 1:
             raise ValueError(f"sigma_{k} is not an automorphism of Q(zeta_{n})")
-        if k % n == 1 % n:  # sigma_k is the identity
-            return self
         conj = [0] * len(self.nums)
         for x, image in zip(self.nums, _galois_rows(n, k)):
             if x:

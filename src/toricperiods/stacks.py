@@ -12,30 +12,29 @@ the automorphic one at the formal character pulled back along the
 transpose of the inclusion, which `IsogenyDatum` keeps, the spectral one
 by summing the covering spectral period over the lifts (each lift keeps
 its own monomial prefactor, which is what makes the sum independent of
-which lift is the base).  Both lift sums compute one period per orbit
-of the family under the automorphisms tau of Q(zeta_N)[u, z^{±1}] that
-fix u (`lift_sum`): sigma_k (zeta -> zeta^k, k prime to the order)
-followed by z_i -> zeta^(s_i) z_i.  The lifts differ from the base lift
-only by roots of unity on its coordinates, so a formal base lift reaches
-the whole family this way.  The engines only evaluate the character at
-lattice points, the prefactors are character values and the place
-counts are rational, so the period of tau(lift) is exactly tau of the
-period, truncation included, and the images are summed term by term.
-A lift that no tau reaches is computed itself, through the same loop.
-The field is checked once per verification, by `verify_stack_duality`.
+which lift is the base).  Both lift sums compute one period per coset of
+the family under the rescalings z_i -> zeta^(s_i) z_i that map one lift
+onto another (`lift_sum`); they fix u.  The lifts differ from the base
+lift only by roots of unity on its coordinates, so a formal base lift
+reaches the whole family this way.  The engines only evaluate the
+character at lattice points and the prefactors are character values,
+so the period of a rescaled lift is exactly the rescaled period,
+truncation included.  Summed over a coset, the rescalings keep the
+terms c z^e that they all fix and cancel the others (orthogonality of
+characters).  A lift that no rescaling reaches is computed itself,
+through the same loop.  The field is checked once per verification, by
+`verify_stack_duality`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
-from math import gcd, prod
-from operator import mul
+from math import prod
 
 from .characters import Character, formal_character
 from .cones import Cone, dual_cone, make_cone
 from .curve import Curve
-from .cyclotomic import _canonical, _reduction_table
 from .duality import GradedDualPair, GradedToricDatum
 from .intlinalg import LatticeMap, dot, smith_normal_form, transpose, vec
 from .periods import (
@@ -108,7 +107,7 @@ def torsion_twists(iso: IsogenyDatum, order: int) -> list[tuple[Monomial, ...]]:
     for d in snf.diag:
         if d > 1 and order % d != 0:
             raise MissingRoots(
-                f"cyclotomic order {order} lacks roots of order {d}")
+                f"order {order} lacks roots of unity of order {d}")
     twists = []
     counters = [range(d) for d in snf.diag]
     for ks in product(*counters):
@@ -142,13 +141,14 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
              lifts: tuple[Character, ...], order: int, den: int) -> TruncatedSeries:
     """sum(period(datum, curve, lift, order) for lift in lifts) / den, in one pass.
 
-    The first lift not yet reached is computed; the identity (1, 0) and
-    each tau = (k, s) by which `_automorphism` maps it onto a later lift
-    reach the lifts it stands for.  tau sends c z^e to
-    sigma_k(c) zeta^<s, e> z^e, so the images of c z^e add up to
-    sigma_k(c) S_k(e) summed over k, S_k(e) being zeta^<s, e> / den summed
-    over the s paired with k: a function of e mod n, formed once per
-    residue as a `Cyc`, and dropped where 0.
+    The first lift not yet reached is computed, and reaches the lifts
+    that `_rescaling` maps it onto, itself included: its coset of a
+    group H of twists, so every coset has |H| lifts.  A rescaling by s
+    sends c z^e to zeta^<s, e> c z^e, and <s, e> mod n is additive in
+    the twist, so summed over the coset the images of c z^e are |H| c z^e
+    when every shift fixes e and 0 otherwise.  Each computed period
+    keeps its terms at such e, checked once per distinct z, and the sum
+    is scaled by |H| / den once.
     """
     n = lifts[0].order
     reached = [False] * len(lifts)
@@ -157,54 +157,38 @@ def lift_sum(period, datum: GradedToricDatum, curve: Curve,
     for i, lift in enumerate(lifts):
         if reached[i]:
             continue
-        shifts = {1: [(0,) * lift.nvars]}
-        for j in range(i + 1, len(lifts)):
-            if not reached[j] and (tau := _automorphism(lift, lifts[j])):
+        shifts = []
+        for j in range(i, len(lifts)):
+            if (s := _rescaling(lift, lifts[j])) is not None:
                 reached[j] = True
-                shifts.setdefault(tau[0], []).append(tau[1])
+                shifts.append(s)
         series = period(datum, curve, lift, order)
         trunc = min(trunc, series.trunc)
-        residue = {z: tuple(e % n for e in z) for _, terms in series.coeffs for z, _ in terms}
-        sums = {(k, r): _root_sum(ss, r, n, den)
-                for k, ss in shifts.items() for r in set(residue.values())}
+        fixed = {z for z in {z for _, terms in series.coeffs for z, _ in terms}
+                 if all(dot(s, z) % n == 0 for s in shifts)}
         for u, terms in series.coeffs:
             row = data.setdefault(u, {})
             for z, c in terms:
-                r = residue[z]
-                for k in shifts:
-                    if root := sums[k, r]:
-                        _zp_add_term(row, z, c.conjugate(k) * root)
-    return TruncatedSeries.from_dict(data, series.nvars, n, trunc)
+                if z in fixed:
+                    _zp_add_term(row, z, c)
+    return TruncatedSeries.from_dict(data, series.nvars, n, trunc).scale(len(shifts), den)
 
 
-def _root_sum(shifts, e, n: int, den: int):
-    """zeta_n^<s, e> summed over the shifts s, over den: a Cyc, or None where it is 0."""
-    table = _reduction_table(n)
-    nums = tuple(map(sum, zip(*[table[sum(map(mul, s, e)) % n] for s in shifts])))
-    return _canonical(n, nums, den) if any(nums) else None
+def _rescaling(source: Character, target: Character) -> tuple | None:
+    """s with z_i -> zeta^(s_i) z_i mapping source onto target coordinate by coordinate, else None.
 
-
-def _automorphism(source: Character, target: Character) -> tuple | None:
-    """(k, s) with tau(source) == target coordinate by coordinate, else None.
-
-    tau is sigma_k (zeta -> zeta^k, k prime to the order N) followed by
-    z_i -> zeta^(s_i) z_i; both fix u.  For each k, s_i is read off a
-    coordinate of source whose z-part is the unit vector e_i (0 where
-    there is none), and tau is accepted only if it maps every
-    coordinate onto target's.
+    The rescaling fixes u.  s_i is read off a coordinate of source whose
+    z-part is the unit vector e_i (0 where there is none), and s is
+    accepted only if it maps every coordinate onto target's.
     """
     n = source.order
-    for k in range(1, n + 1):
-        if gcd(k, n) != 1:
-            continue
-        s = [0] * source.nvars
-        for a, b in zip(source.coords, target.coords):
-            if a.z.count(1) == 1 and a.z.count(0) == len(a.z) - 1:
-                s[a.z.index(1)] = b.zeta - k * a.zeta
-        if all(a.u == b.u and a.z == b.z
-               and (k * a.zeta + dot(s, a.z) - b.zeta) % n == 0
-               for a, b in zip(source.coords, target.coords)):
-            return k, tuple(x % n for x in s)
+    s = [0] * source.nvars
+    for a, b in zip(source.coords, target.coords):
+        if a.z.count(1) == 1 and a.z.count(0) == len(a.z) - 1:
+            s[a.z.index(1)] = b.zeta - a.zeta
+    if all(a.u == b.u and a.z == b.z and (a.zeta + dot(s, a.z) - b.zeta) % n == 0
+           for a, b in zip(source.coords, target.coords)):
+        return tuple(x % n for x in s)
     return None
 
 
@@ -229,7 +213,7 @@ def unramified_automorphic_period_liftsum(pair: GradedDualPair, curve: Curve,
 
     This is the normative unramified period: (1/index) times the sum over
     all extensions of the downstairs character to the covering class
-    group, formed in one `lift_sum` pass with the 1/index in its root sums.
+    group, formed in one `lift_sum` pass that scales by 1/index once.
     """
     return lift_sum(automorphic_period, pair.side_x, curve, lifts, order, len(lifts))
 

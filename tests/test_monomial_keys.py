@@ -99,6 +99,23 @@ def test_from_keys_matches_the_term_by_term_sum(nvars, order, data):
                 == from_monomials(mons, nvars, order, trunc))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.sampled_from((1, 2, 3, 5, 12)), st.sampled_from((-1, 0, 2, 5)),
+       st.data())
+def test_from_keys_claims_only_rows_up_to_trunc(nvars, order, trunc, data):
+    # Perturbation: keys of the same ring above trunc change no claimed row.
+    mons = data.draw(st.lists(monomials(nvars, order), max_size=8))
+    above = data.draw(st.lists(st.builds(
+        Monomial, st.integers(0, 2 * order), st.integers(trunc + 1, trunc + 3),
+        st.tuples(*[st.integers(-2, 2)] * nvars)), min_size=1, max_size=4))
+    psi = Character(order, nvars, tuple(mons + above))
+    packing = MonomialKeys.spanning(psi, [1] * len(psi.coords), 1)
+    keys = packing.keys(psi, 1)
+    want = from_monomials(mons, nvars, order, trunc)
+    assert TruncatedSeries.from_keys(keys[:len(mons)], packing, trunc) == want
+    assert TruncatedSeries.from_keys(keys, packing, trunc) == want
+
+
 def test_digits_at_the_half_widths():
     # On the ray (1,), psi(x) = zeta_3^(2x) u^x z_1^x z_2^(-x): at order 3
     # the point x = 3 puts z_1 at +half, z_2 at -half and k at +half.

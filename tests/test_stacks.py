@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +19,8 @@ from toricperiods.series import EXACT, Monomial, TruncatedSeries
 from toricperiods.stacks import (
     IncompatibleField,
     MissingRoots,
-    _automorphism,
     _pulled_back_cone,
+    _rescaling,
     lift_sum,
     make_isogeny,
     stack_spectral_period_unramified,
@@ -269,7 +269,7 @@ def test_liftsum_independent_of_base_extension():
     assert a == b
 
 
-# --- one period per automorphism orbit ------------------------------------
+# --- one period per coset of rescalings -----------------------------------
 
 PAIRS = {1: TATE_PAIR, 2: toric_dual(ORTHANT)}
 PERIODS = {"automorphic": (automorphic_period, "side_x"),
@@ -284,10 +284,11 @@ def lift_families(draw):
     coordinate is a root of unity, formal, formal times a root, or a
     monomial that z-rescaling cannot read s off; c >= 0 keeps both
     periods convergent.  A formal coordinate beside a root of unity gives
-    families whose lifts are reached only by sigma_k and z-rescaling
-    together.
+    families whose cosets of rescalings hold more than one lift and
+    leave some lifts unreached.
     """
-    matrix = draw(st.sampled_from([[[n]] for n in range(1, 13)] + [[[2, 1], [0, 3]]]))
+    matrix = draw(st.sampled_from([[[n]] for n in range(1, 13)]
+                                  + [[[2, 1], [0, 3]], [[2, 0], [0, 3]]]))
     iso = make_isogeny(matrix)
     order = iso.exponent * draw(st.integers(1, 2))
     q = draw(st.sampled_from([q for q in range(2, 50)
@@ -302,17 +303,25 @@ def lift_families(draw):
     return PAIRS[rank], Curve(q=q), unramified_lifts(iso, base), draw(st.integers(0, 6))
 
 
-# (z_1, zeta) at order 12: the lifts are (+-z_1, zeta^j) for odd j, and
-# sigma_7 and sigma_11 reach a lift only together with z_1 -> -z_1.
+# (z_1, zeta) at order 12: the lifts are (+-z_1, zeta^j) for odd j, one
+# sign each, and no rescaling maps one onto another: six cosets of one.
 ORTHANT_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
     make_isogeny([[2, 1], [0, 3]]), character_from_spec(["formal", (1, 0)], 12)), 6)
 # (zeta z_1, 1) at order 6: the lifts are (zeta z_1, zeta^(2j)) and
-# (zeta^4 z_1, zeta^(2j+1)).  sigma_5 followed by z_1 -> zeta^2 z_1 takes
-# (zeta^4 z_1, zeta^5) to (zeta^4 z_1, zeta); with the sign of s flipped it
-# gives (z_1, zeta), which is not a lift.
+# (zeta^4 z_1, zeta^(2j+1)), each with its own root on the coordinate that
+# has no z, so every lift is computed.
 ZETA_Z_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
     make_isogeny([[2, 1], [0, 3]]),
     Character(6, 2, (Monomial(1, 0, (1, 0)), Monomial(0, 0, (0, 0))))), 6)
+# (z_1, zeta) at order 6: the lifts are (+-z_1, zeta^(2j+1)).  z_1 -> -z_1
+# pairs them, so three cosets of |H| = 2 are computed and the automorphic
+# sum is scaled by 2/6 once.
+SPLIT_FAMILY = (PAIRS[2], Curve(q=7), unramified_lifts(
+    make_isogeny([[2, 0], [0, 3]]), character_from_spec(["formal", (1, 0)], 6)), 6)
+# z_1 at order 7: z_1 -> zeta^s z_1 reaches every lift, with s of order 7,
+# so -s differs from s.
+WEIGHT_SEVEN_FAMILY = (PAIRS[1], Curve(q=8), unramified_lifts(
+    make_isogeny([[7]]), formal_character(1, 7)), 6)
 
 
 def _den(kind, lifts):
@@ -324,6 +333,7 @@ def _den(kind, lifts):
 @given(family=lift_families())
 @example(family=ORTHANT_FAMILY)
 @example(family=ZETA_Z_FAMILY)
+@example(family=SPLIT_FAMILY)
 def test_lift_sums_against_one_period_per_lift(kind, family):
     pair, curve, lifts, order = family
     period, side = PERIODS[kind]
@@ -340,22 +350,21 @@ def test_lift_sums_against_one_period_per_lift(kind, family):
 @settings(max_examples=60, deadline=None)
 @given(family=lift_families())
 @example(family=ORTHANT_FAMILY)
-@example(family=ZETA_Z_FAMILY)
+@example(family=WEIGHT_SEVEN_FAMILY)
 def test_automorphism_maps_the_source_onto_the_target(family):
-    # A lift sum need not see a flipped s (in ORTHANT_FAMILY every s is
-    # 6 = -6 mod 12), so apply each tau to the coordinates directly.
+    # A lift sum cannot see a flipped s (s and -s fix the same z^e), so
+    # apply each rescaling z_i -> zeta^(s_i) z_i to the coordinates directly.
     lifts = family[2]
     n = lifts[0].order
     for source in lifts:
         for target in lifts:
-            tau = _automorphism(source, target)
-            if tau is None:
+            s = _rescaling(source, target)
+            if s is None:
                 continue
-            k, s = tau
-            assert gcd(k, n) == 1 and len(s) == source.nvars
+            assert len(s) == source.nvars
             for a, b in zip(source.coords, target.coords):
                 assert (a.u, a.z) == (b.u, b.z)
-                assert (k * a.zeta + dot(s, a.z) - b.zeta) % n == 0
+                assert (a.zeta + dot(s, a.z) - b.zeta) % n == 0
 
 
 def _completed(period, seed):
@@ -379,6 +388,7 @@ def _completed(period, seed):
 @given(family=lift_families(), seed=st.integers(0, 2 ** 16))
 @example(family=ORTHANT_FAMILY, seed=0)
 @example(family=ZETA_Z_FAMILY, seed=1)
+@example(family=SPLIT_FAMILY, seed=2)
 def test_lift_sum_claims_only_what_the_periods_fix(kind, family, seed):
     pair, curve, lifts, order = family
     period, side = PERIODS[kind]
@@ -396,15 +406,15 @@ def test_lift_sum_claims_only_what_the_periods_fix(kind, family, seed):
     # A formal base lift reaches every lift zeta^j z by z -> zeta^j z.
     ([[7]], 8, formal_character(1, 7), 1),
     ([[12]], 13, formal_character(1, 12), 1),
-    # zeta and zeta^4 at order 6: sigma_5 sends them to zeta^5 and zeta^2,
-    # outside the family, and they have no z to rescale, so each is computed.
+    # zeta and zeta^4 at order 6 have no z to rescale, so each is computed.
     ([[2]], 3, character_from_spec([(1, 0)], 6), 2),
-    # ORTHANT_FAMILY: zeta^3 and zeta^9 are not unit powers of zeta, so
-    # (z_1, zeta) and (z_1, zeta^9) are computed, and sigma_7 with
-    # z_1 -> -z_1 takes the second to (-z_1, zeta^3).
-    ([[2, 1], [0, 3]], 7, character_from_spec(["formal", (1, 0)], 12), 2),
-], ids=["weight-7", "weight-12", "order-6-not-galois-stable", "orthant-2-1-0-3"])
-def test_one_period_per_galois_orbit(monkeypatch, matrix, q, base, calls):
+    # ORTHANT_FAMILY: the roots on the second coordinate differ, so each
+    # of the six lifts is computed.
+    ([[2, 1], [0, 3]], 7, character_from_spec(["formal", (1, 0)], 12), 6),
+    # SPLIT_FAMILY: three cosets of two.
+    ([[2, 0], [0, 3]], 7, character_from_spec(["formal", (1, 0)], 6), 3),
+], ids=["weight-7", "weight-12", "order-6-no-z", "orthant-2-1-0-3", "orthant-2-0-0-3"])
+def test_one_period_per_coset(monkeypatch, matrix, q, base, calls):
     lifts = unramified_lifts(make_isogeny(matrix), base)
     pair = PAIRS[base.rank]
     curve = Curve(q=q)
