@@ -6,61 +6,40 @@ formal series over a cyclotomic field, that the automorphic and spectral
 period computations agree: globally, orbit by orbit under regularization,
 and through finite-quotient (stack) variants.  Everything is exact; no
 floating point appears anywhere.
+
+The public names are listed once, by module, in `_EXPORTS`.  A name, or a
+submodule, is imported when it is first read (PEP 562), so `import
+toricperiods` alone loads no submodule.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .characters import Character, character_from_spec, formal_character
-from .cones import (
-    Cone,
-    dual_cone,
-    face_dual,
-    faces,
-    hilbert_basis,
-    make_cone,
-    points_at_level,
-)
-from .curve import Curve, place_counts, zeta_series
-from .duality import GradedDualPair, GradedToricDatum, toric_dual
-from .periods import (
-    automorphic_local_factor,
-    automorphic_period,
-    certified,
-    spectral_local_factor,
-    spectral_period,
-    verify_weak_duality,
-)
-from .regularization import is_cuspidal, is_generic, verify_langlands_dual_periods
-from .series import TruncatedSeries
-from .stacks import make_isogeny, verify_stack_duality
+_EXPORTS = {
+    "characters": ("Character", "character_from_spec", "formal_character"),
+    "cones": ("Cone", "dual_cone", "face_dual", "faces", "hilbert_basis", "make_cone",
+              "points_at_level"),
+    "curve": ("Curve", "place_counts", "zeta_series"),
+    "duality": ("GradedDualPair", "GradedToricDatum", "toric_dual"),
+    "periods": ("automorphic_local_factor", "automorphic_period", "certified",
+                "spectral_local_factor", "spectral_period", "verify_weak_duality"),
+    "regularization": ("is_cuspidal", "is_generic", "verify_langlands_dual_periods"),
+    "series": ("TruncatedSeries",),
+    "stacks": ("make_isogeny", "verify_stack_duality"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [
-    "Character",
-    "Cone",
-    "Curve",
-    "GradedDualPair",
-    "GradedToricDatum",
-    "TruncatedSeries",
-    "automorphic_local_factor",
-    "automorphic_period",
-    "certified",
-    "character_from_spec",
-    "dual_cone",
-    "face_dual",
-    "faces",
-    "formal_character",
-    "hilbert_basis",
-    "is_cuspidal",
-    "is_generic",
-    "make_cone",
-    "make_isogeny",
-    "place_counts",
-    "points_at_level",
-    "spectral_local_factor",
-    "spectral_period",
-    "toric_dual",
-    "verify_langlands_dual_periods",
-    "verify_stack_duality",
-    "verify_weak_duality",
-    "zeta_series",
-]
+
+def __getattr__(name):
+    """A public name, or a submodule, imported when it is first read (PEP 562)."""
+    module = _MODULE_OF.get(name, name)
+    path = f"{__name__}.{module}"
+    try:
+        value = import_module(path)
+    except ModuleNotFoundError as err:
+        if err.name != path:
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return value if module == name else getattr(value, name)

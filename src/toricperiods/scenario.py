@@ -28,12 +28,6 @@ from .duality import (
     unchecked_dual,
     validate_pair,
 )
-from .heights import (
-    PiecewiseLinearHeight,
-    height_fourier_global,
-    height_fourier_local,
-    make_height,
-)
 from .periods import (
     SAMPLE_DEGREES,
     _remembered,
@@ -44,12 +38,9 @@ from .periods import (
 )
 from .regularization import verify_langlands_dual_periods
 from .series import SeriesRows, rows_json, serialize_row
-from .stacks import (
-    IncompatibleField,
-    check_curve_compatibility,
-    make_isogeny,
-    verify_stack_duality,
-)
+
+# `stacks` and `heights` are imported where an isogeny or a height block is
+# parsed or checked, so a scenario without one never compiles them.
 
 KNOWN_CHECKS = ("weak_duality", "orbit_duality", "stack_duality", "height_bridge")
 
@@ -201,6 +192,7 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
         checks.append(chk)
     iso = None
     if "isogeny" in data:
+        from .stacks import IncompatibleField, check_curve_compatibility, make_isogeny
         iso_raw = _expect(data, "isogeny", pointer, dict)
         inc = _expect(iso_raw, "inclusion", f"{pointer}.isogeny", list)
         iso_matrix = tuple(_int_vector(r, f"{pointer}.isogeny.inclusion[{i}]", rank)
@@ -218,6 +210,7 @@ def parse_scenario(data: dict, pointer: str = "scenario") -> Scenario:
             raise SchemaError(f"{pointer}.isogeny", str(err)) from None
     height_cones = height_slopes = None
     if "height" in data:
+        from .heights import make_height
         h = _expect(data, "height", pointer, dict)
         cones_raw = _expect(h, "cones", f"{pointer}.height", list)
         slopes_raw = _expect(h, "slopes", f"{pointer}.height", list)
@@ -404,6 +397,8 @@ def _run_orbit_duality(sc, pair, order):
 
 
 def _run_stack_duality(sc, pair, order):
+    from .stacks import verify_stack_duality
+
     def check_one(base_lift):
         rep = verify_stack_duality(pair, sc.isogeny, sc.curve, base_lift, sc.truncation)
         agrees, difference = rep.direct_comparison
@@ -431,6 +426,8 @@ def _run_stack_duality(sc, pair, order):
 
 
 def _run_height_bridge(sc, pair, order):
+    from .heights import (
+        PiecewiseLinearHeight, height_fourier_global, height_fourier_local, make_height)
     height = make_height(sc.height_cones, sc.height_slopes, sc.rank)
     top = min(SAMPLE_DEGREES, max(sc.truncation, 1))
 

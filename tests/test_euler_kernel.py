@@ -203,6 +203,35 @@ def test_packed_exp_matches_term_by_term_recurrence(g):
     assert exp(g) == reference_exp(g)
 
 
+@st.composite
+def terms_above(draw, series, half):
+    """{u: {z: Cyc}}: nonzero terms of the series' ring at one to three exponents
+    above its trunc, with z-exponents that a packing of half-width half holds."""
+    reach = min(half, 2)
+    above = {}
+    for step in draw(st.sets(st.integers(1, 3), min_size=1, max_size=3)):
+        z = draw(st.tuples(*[st.integers(-reach, reach)] * series.nvars))
+        above[series.trunc + step] = {
+            z: draw(cyc_elements(series.order).filter(lambda c: not c.is_zero()))}
+    return above
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_case(low=0), st.data())
+def test_packed_log_and_exp_claim_only_rows_up_to_top(f, data):
+    # A series exact to top stands for every completion of it above top, so
+    # log_rows and exp_rows must return the same rows up to top for each.
+    top = f.trunc
+    packing = _RowPacking.spanning([f], top)
+    above = data.draw(terms_above(f, packing.half))
+    completed = TruncatedSeries.from_dict(
+        {**{u: dict(terms) for u, terms in f.coeffs}, **above}, f.nvars, f.order, EXACT)
+    rows = packing.log_rows(f, top)
+    assert packing.log_rows(completed, top) == rows
+    more = {u: packing.pack(terms.items()) for u, terms in above.items()}
+    assert packing.exp_rows({**rows, **more}, top) == packing.exp_rows(rows, top)
+
+
 def test_packed_log_of_a_product_is_the_sum_of_logs():
     # (1 + x u)(1 - x u) = 1 - x^2 u^2 with x = zeta/2 * z1^-1: the odd rows
     # cancel, and the powers of zeta^2 reduce modulo Phi_N for N > 2.

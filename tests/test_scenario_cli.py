@@ -332,11 +332,11 @@ def test_height_bridge_compares_the_cone_of_a_larger_fan(tmp_path):
 
 
 def test_stack_run_reuses_the_parsed_isogeny(monkeypatch):
-    import toricperiods.scenario as scenario
+    import toricperiods.stacks as stacks
     sc = parse_scenario(catalog_emit("weight_n_stack", n=3))
     calls = []
-    build = scenario.make_isogeny
-    monkeypatch.setattr(scenario, "make_isogeny",
+    build = stacks.make_isogeny
+    monkeypatch.setattr(stacks, "make_isogeny",
                         lambda matrix: calls.append(matrix) or build(matrix))
     _, ok = run_scenario(sc)
     assert ok and calls == []
@@ -498,3 +498,61 @@ def test_the_package_imports_no_fraction_arithmetic():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# The package's 28 public names, written out apart from its export table.
+PUBLIC_NAMES = [
+    "Character", "Cone", "Curve", "GradedDualPair", "GradedToricDatum", "TruncatedSeries",
+    "automorphic_local_factor", "automorphic_period", "certified", "character_from_spec",
+    "dual_cone", "face_dual", "faces", "formal_character", "hilbert_basis", "is_cuspidal",
+    "is_generic", "make_cone", "make_isogeny", "place_counts", "points_at_level",
+    "spectral_local_factor", "spectral_period", "toric_dual",
+    "verify_langlands_dual_periods", "verify_stack_duality", "verify_weak_duality",
+    "zeta_series",
+]
+
+IMPORT_GRAPH = r"""
+import json, sys
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("toricperiods.")}
+
+import toricperiods
+seen = {"package": sorted(loaded())}
+import toricperiods.scenario as scenario
+before = loaded()
+seen["scenario"] = sorted(before & {"toricperiods.stacks", "toricperiods.heights"})
+for name in ("weight_n_stack", "height_p1"):
+    scenario.parse_scenario(scenario.catalog_emit(name))
+    seen[name] = sorted(loaded() - before)
+    before = loaded()
+seen["all"] = toricperiods.__all__
+seen["defined_by_module"] = [
+    name for name in toricperiods.__all__
+    if (value := getattr(toricperiods, name)).__module__.startswith("toricperiods.")
+    and vars(sys.modules[value.__module__])[name] is value]
+namespace = {}
+exec("from toricperiods import *", namespace)
+seen["star"] = sorted(set(namespace) - {"__builtins__"})
+seen["submodule"] = toricperiods.cones is sys.modules["toricperiods.cones"]
+try:
+    toricperiods.no_such_name
+except AttributeError:
+    seen["unknown"] = "AttributeError"
+print(json.dumps(seen))
+"""
+
+
+def test_block_modules_load_only_with_their_blocks():
+    """`import toricperiods` loads no submodule; `stacks` and `heights` load while
+    an isogeny or a height block is parsed, and with nothing else."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-B", "-c", IMPORT_GRAPH],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["package"] == [] and seen["scenario"] == []
+    assert seen["weight_n_stack"] == ["toricperiods.stacks"]
+    assert seen["height_p1"] == ["toricperiods.heights"]
+    assert seen["all"] == seen["defined_by_module"] == seen["star"] == PUBLIC_NAMES
+    assert seen["submodule"] is True and seen["unknown"] == "AttributeError"
