@@ -428,7 +428,6 @@ def monoid_points(c: Cone, w: Vector, bound: int):
         yield from points_at_level(c, w, m)
 
 
-@lru_cache(maxsize=None)
 def hilbert_basis(c: Cone) -> tuple[Vector, ...]:
     """Minimal generating set of the monoid (cone intersect Z^n).
 

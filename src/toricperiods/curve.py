@@ -1,18 +1,17 @@
 """The base projective line over F_q: places, zeta series, normalizations.
 
-Only genus zero is supported; the place-count machinery is driven by the
-point counts N_n = q^n + 1, inverted to closed-point counts by Mobius
-summation.  The half-canonical divisor data (one marked degree-one place
-with twist -1) realises the degree constraint 2 * sum(m_v deg v) = -2, so
-the spin idele has degree 1 - g = 1 and the period prefactors
-(`periods.automorphic_prefactor`, `periods.spectral_prefactor`) need no
-spin datum.
+Only genus zero is supported.  A place of degree e has e points over
+F_(q^d) when e | d, so the point counts N_d = q^d + 1 = sum_(e | d) e a_e
+give the closed-point counts a_d degree by degree.  The half-canonical
+divisor data (one marked degree-one place with twist -1) realises the
+degree constraint 2 * sum(m_v deg v) = -2, so the spin idele has degree
+1 - g = 1 and the period prefactors (`periods.automorphic_prefactor`,
+`periods.spectral_prefactor`) need no spin datum.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .cyclotomic import Cyc
 from .series import TruncatedSeries
@@ -26,30 +25,16 @@ class InvalidSpin(ValueError):
         super().__init__(f"place degree {degree} is not >= 1")
 
 
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m = 1
-    p = 2
-    rest = n
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return 0
-            m = -m
-        p += 1
-    if rest > 1:
-        m = -m
-    return m
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    """Miller-Rabin on the first thirteen prime bases.
+
+    Exact below psi_13 = 3317044064679887385961981, the least strong
+    pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017);
+    above that bound it is a strong probable-prime test.
+    """
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -122,17 +107,14 @@ class Curve(namedtuple("Curve", "q genus spin", defaults=(0, ((1, -1),)))):
 
 
 def place_counts(curve: Curve, cutoff: int) -> tuple[int, ...]:
-    """Closed points of each degree up to cutoff, by Mobius inversion."""
+    """Closed points of each degree up to cutoff: a_d = (N_d - sum_(e | d, e < d) e a_e) / d."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     counts = []
     for d in range(1, cutoff + 1):
-        total = 0
-        for e in range(1, d + 1):
-            if d % e == 0:
-                total += mobius(e) * curve.point_count(d // e)
+        total = curve.point_count(d) - sum(e * counts[e - 1] for e in range(1, d) if d % e == 0)
         if total % d:
-            raise ValueError("point counts are not Mobius-consistent")
+            raise ValueError(f"{total} points of degree {d} are not a whole number of places")
         counts.append(total // d)
     return tuple(counts)
 

@@ -40,6 +40,7 @@ REG = "src/toricperiods/regularization.py"
 PERIODS = "src/toricperiods/periods.py"
 STACKS = "src/toricperiods/stacks.py"
 SERIES = "src/toricperiods/series.py"
+CURVE = "src/toricperiods/curve.py"
 
 MUTANTS = (
     Mutant("cuspidality-counts-the-whole-cone",
@@ -111,8 +112,13 @@ MUTANTS = (
            [(PERIODS, "return g, d // g, k", "return g, d // g, 1")],
            ["tests/test_adams_scans.py::test_smooth_cone_euler_product_closed_form[12-specs3-tate]"]),
     Mutant("place-counts-of-the-affine-line",
-           [("src/toricperiods/curve.py", "return self.q ** n + 1", "return self.q ** n")],
+           [(CURVE, "return self.q ** n + 1", "return self.q ** n")],
            ["tests/test_zeta_products.py::test_catalog_periods_are_zeta_products[tate]"]),
+    Mutant("place-counts-drop-degree-one",
+           [(CURVE, "for e in range(1, d) if d % e == 0)",
+             "for e in range(2, d) if d % e == 0)")],
+           ["tests/test_curve_characters.py::test_place_counts_q2",
+            "tests/test_curve_characters.py::test_place_counts_match_mobius_inversion"]),
     Mutant("spectral-prefactor-sign-flipped",
            [(PERIODS, "shift = (1 - curve.genus) * (epsilon - datum_check.rank)",
              "shift = (1 - curve.genus) * (datum_check.rank - epsilon)")],
@@ -122,6 +128,10 @@ MUTANTS = (
            [(SERIES, "            trunc = min(self.trunc + du, EXACT)\n",
              "            trunc = self.trunc\n")],
            ["tests/test_series.py::test_times_monomial_claims_only_what_the_input_fixes"]),
+    Mutant("first-mismatch-skips-the-last-exact-row",
+           [(SERIES, "top = min(self.trunc, other.trunc)\n",
+             "top = min(self.trunc, other.trunc) - 1\n")],
+           ["tests/test_series.py::test_first_mismatch_compares_up_to_the_smaller_trunc"]),
     Mutant("dead-code-guard-is-cuspidal-off-allowed",
            [("tests/test_no_dead_code.py",
              "    \"is_cuspidal\": \"test_acceptance.py::test_criterion_05_cuspidal_iff_generic\",\n",

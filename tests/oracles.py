@@ -407,6 +407,26 @@ def divisor_count_series(curve: Curve, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_dict(data, 0, 1, order)
 
 
+def mobius(n: int) -> int:
+    """The Mobius function, by trial division."""
+    m, p, rest = 1, 2, n
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return 0
+            m = -m
+        p += 1
+    return -m if rest > 1 else m
+
+
+def mobius_place_counts(curve: Curve, cutoff: int) -> tuple[int, ...]:
+    """Closed points of each degree up to cutoff: a_d = (1/d) sum_(e | d) mu(e) N_(d/e)."""
+    return tuple(sum(mobius(e) * curve.point_count(d // e)
+                     for e in range(1, d + 1) if d % e == 0) // d
+                 for d in range(1, cutoff + 1))
+
+
 def binary_powering_euler_product(local_factor, curve, order):
     """Oracle: prod over degrees d <= order of local_factor(d).power(a_d)."""
     top = max(order, 0)

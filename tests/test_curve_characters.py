@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from oracles import divisor_count_series
+from oracles import divisor_count_series, mobius, mobius_place_counts
 from toricperiods.characters import character_from_spec, formal_character
 from toricperiods.cones import make_cone
 from toricperiods.curve import (
     Curve,
     InvalidSpin,
     is_prime_power,
-    mobius,
     place_counts,
     zeta_series,
 )
@@ -32,6 +31,13 @@ def test_place_counts_q3():
 def test_place_counts_degree_one():
     for q in (2, 3, 4, 5, 7):
         assert place_counts(Curve(q=q), 1) == (q + 1,)
+
+
+def test_place_counts_match_mobius_inversion():
+    for q in (2, 3, 4, 5, 7, 8, 9, 13, 1009):
+        curve = Curve(q=q)
+        for cutoff in range(1, 41):
+            assert place_counts(curve, cutoff) == mobius_place_counts(curve, cutoff), (q, cutoff)
 
 
 def test_place_counts_mobius_consistency():
@@ -88,9 +94,13 @@ def test_curve_requires_a_prime_power():
     assert not any(is_prime_power(q) for q in (-4, 0, 1))
     assert is_prime_power(3 ** 80) and is_prime_power(2 ** 127 - 1)
     assert not is_prime_power((2 ** 61 - 1) * (2 ** 31 - 1))
+    # psi_12 = 318665857834031151167461, the least strong pseudoprime to
+    # every prime base up to 37; the base 41 exposes it.
+    psi_12 = 399165290221 * 798330580441
+    assert not is_prime_power(psi_12)
     for q in (4, 8, 9, 25, 27):
         Curve(q=q)
-    for q in (-3, 0, 1, 6, 10, 12, 36, 100):
+    for q in (-3, 0, 1, 6, 10, 12, 36, 100, psi_12):
         with pytest.raises(ValueError, match="prime power"):
             Curve(q=q)
 

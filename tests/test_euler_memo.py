@@ -273,8 +273,7 @@ def cached_functions():
 def test_only_bounded_caches_outlive_a_run():
     cached = cached_functions()
     assert set(cached) == {
-        "toricperiods.cones.faces", "toricperiods.cones.hilbert_basis",
-        "toricperiods.curve.mobius", "toricperiods.cyclotomic.cyclotomic_polynomial",
+        "toricperiods.cones.faces", "toricperiods.cyclotomic.cyclotomic_polynomial",
         "toricperiods.cyclotomic._reduction_table",
         "toricperiods.cyclotomic._overflow_rows", "toricperiods.cyclotomic._galois_rows"}
     run_scenario(parse_scenario(catalog_emit("square_cone_3d", order=6)))
@@ -282,7 +281,6 @@ def test_only_bounded_caches_outlive_a_run():
     run_scenario(parse_scenario(catalog_emit("square_cone_3d", order=10)))
     grown = {name: fn.cache_info().currsize - before[name]
              for name, fn in cached.items()}
-    # mobius is keyed by a place degree, so only the degrees 7..10 that
-    # the larger truncation reaches can be new; nothing else grows.
-    assert grown.pop("toricperiods.curve.mobius") <= 10 - 6
+    # faces is keyed by cone and the cyclotomic tables by order: a larger
+    # truncation adds nothing to any of them.
     assert set(grown.values()) == {0}

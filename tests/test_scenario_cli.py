@@ -228,6 +228,16 @@ def test_non_prime_power_q_is_schema_error(tmp_path, capsys):
     assert "scenario.curve.q" in capsys.readouterr().err
 
 
+def test_strong_pseudoprime_q_is_schema_error(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every prime base to 37.
+    data = catalog_emit("tate", q=318665857834031151167461)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.pointer == "scenario.curve.q"
+    assert main(["verify", str(write_scenario(tmp_path, data))]) == 2
+    assert "scenario.curve.q" in capsys.readouterr().err
+
+
 def test_invalid_utf8_scenario_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(catalog_emit("tate")).encode("utf-8")

@@ -290,6 +290,20 @@ def test_first_mismatch_reports_lowest():
     assert mism is not None and mism[0] == 3
 
 
+def test_first_mismatch_compares_up_to_the_smaller_trunc():
+    # Both pairs agree below t = min(trunc) = 5; row t is exact on both sides
+    # and must be compared, row t + 1 is exact only on one side and must not.
+    t = 5
+    short = geometric(1, 1, t)
+    for row, expected in ((t, t), (t + 1, None)):
+        data = {u: dict(terms) for u, terms in geometric(1, 1, t + 2).coeffs}
+        data[row] = {(row,): Cyc.rational(2, 1)}
+        long = TruncatedSeries.from_dict(data, 1, 1, t + 2)
+        for a, b in ((short, long), (long, short)):
+            mism = a.first_mismatch(b)
+            assert (mism and mism[0]) == expected, (row, a.trunc)
+
+
 def test_serialize_shape():
     s = TruncatedSeries.from_monomial(Monomial(1, 2, (0, -1)), 2, 4,
                                       trunc=5).scale(3, 2)

@@ -187,6 +187,27 @@ def test_catalog_periods_are_zeta_products(name):
     check_closed_form(SCENARIOS[name])
 
 
+def _graded(draw, entry, rays, top):
+    """The catalog entry on the rays at q <= 5 and U <= top, with rho inside
+    the cone and eta inside its dual (weights 1 or 2 on each ray) and a
+    character of formal and u-power coordinates."""
+    n = len(rays[0])
+    base = catalog_emit(entry, q=draw(st.sampled_from([2, 3, 4, 5])),
+                        order=draw(st.integers(2, top)))
+
+    def inside(generators):
+        weights = draw(st.lists(st.integers(1, 2), min_size=len(generators),
+                                max_size=len(generators)))
+        return [sum(w * g[j] for w, g in zip(weights, generators)) for j in range(n)]
+
+    coord = st.one_of(st.just("formal"), st.builds(lambda c: {"zeta": 0, "u": c},
+                                                   st.integers(-1, 1)))
+    return {**base, "rays": [list(r) for r in rays], "rho": inside(rays),
+            "eta": inside(_inequalities(rays)),
+            "characters": [{"name": "drawn", "coords": draw(st.lists(
+                coord, min_size=n, max_size=n))}]}
+
+
 @st.composite
 def rank_two_scenarios(draw):
     """A rank-2 cone on two independent rays, gradings inside it and its dual,
@@ -194,20 +215,29 @@ def rank_two_scenarios(draw):
     ray = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     rays = draw(st.lists(ray, min_size=2, max_size=2))
     assume(rays[0][0] * rays[1][1] != rays[0][1] * rays[1][0])
-    facets = _inequalities(rays)
-    weights = st.lists(st.integers(1, 2), min_size=2, max_size=2)
-    rho = [sum(w * r[j] for w, r in zip(draw(weights), rays)) for j in range(2)]
-    eta = [sum(w * f[j] for w, f in zip(draw(weights), facets)) for j in range(2)]
-    coord = st.one_of(st.just("formal"), st.builds(lambda c: {"zeta": 0, "u": c},
-                                                   st.integers(-1, 1)))
-    return {**catalog_emit("orthant_a2", q=draw(st.sampled_from([2, 3, 4, 5])),
-                           order=draw(st.integers(2, 8))),
-            "rays": [list(r) for r in rays], "rho": rho, "eta": eta,
-            "characters": [{"name": "drawn", "coords": draw(st.lists(
-                coord, min_size=2, max_size=2))}]}
+    return _graded(draw, "orthant_a2", rays, 8)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rank_two_scenarios())
 def test_rank_two_periods_are_zeta_products(data):
+    check_closed_form(data)
+
+
+@st.composite
+def rank_three_scenarios(draw):
+    """A rank-3 cone, simplicial or on four extremal rays with entries in
+    [-2, 2], gradings inside it and its dual, a character of formal and
+    u-power coordinates, q and U <= 6."""
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=3, max_size=4))
+    # A rank-3 cone has as many facets as extremal rays, and only a strongly
+    # convex, full-dimensional one has more than two: so three rays on three
+    # facets span a simplicial cone, and four on four a quadrilateral one.
+    assume(len(_inequalities(rays)) == len(rays))
+    return _graded(draw, "square_cone_3d", rays, 6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank_three_scenarios())
+def test_rank_three_periods_are_zeta_products(data):
     check_closed_form(data)
