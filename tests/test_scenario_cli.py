@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -466,7 +467,8 @@ DELETE = object()
 
 
 def _mutations(base):
-    """(mutated field, scenario) for each wrong value and each deleted key."""
+    """(mutated field, its JSON value or "deleted", scenario) for each wrong
+    value and each deleted key."""
     for pointer, path in _fields(base):
         deletion = (DELETE,) if isinstance(path[-1], str) else ()
         for value in SWEEP_VALUES + deletion:
@@ -478,15 +480,20 @@ def _mutations(base):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = json.loads(json.dumps(value))
-            yield pointer, data
+            yield pointer, "deleted" if value is DELETE else json.dumps(value), data
+
+
+def _sweep_bases():
+    for name in catalog_names():
+        base = catalog_emit(name)
+        base["truncation"] = min(base["truncation"], SWEEP_TRUNCATION)
+        yield name, base
 
 
 def test_schema_sweep_runs_or_points_at_the_mutated_field():
     cases, cross = 0, set()
-    for name in catalog_names():
-        base = catalog_emit(name)
-        base["truncation"] = min(base["truncation"], SWEEP_TRUNCATION)
-        for field, data in _mutations(base):
+    for _, base in _sweep_bases():
+        for field, _, data in _mutations(base):
             cases += 1
             try:
                 run_scenario(parse_scenario(data))
@@ -495,6 +502,26 @@ def test_schema_sweep_runs_or_points_at_the_mutated_field():
                     cross.add((field, err.pointer))
     assert cases > 2000
     assert cross == CROSS_FIELD
+
+
+# sha256 of the sorted sweep lines "entry field value: message-or-ok"; any
+# reworded message, moved pointer or newly accepted value changes it.
+SCHEMA_MESSAGES_SHA256 = "cbf2e670d3b41408dd8cde28f416ca98382292e75563ed108277ac6b4740361d"
+
+
+def test_schema_sweep_pins_every_message():
+    lines = []
+    for name, base in _sweep_bases():
+        for field, value, data in _mutations(base):
+            try:
+                parse_scenario(data).build_pair()
+                outcome = "ok"
+            except SchemaError as err:
+                outcome = str(err)
+            lines.append(f"{name} {field} {value}: {outcome}")
+    assert len(lines) > 2000
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == SCHEMA_MESSAGES_SHA256
 
 
 def test_the_package_imports_no_fraction_arithmetic():
