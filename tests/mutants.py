@@ -41,6 +41,7 @@ PERIODS = "src/toricperiods/periods.py"
 STACKS = "src/toricperiods/stacks.py"
 SERIES = "src/toricperiods/series.py"
 CURVE = "src/toricperiods/curve.py"
+SCENARIO = "src/toricperiods/scenario.py"
 
 MUTANTS = (
     Mutant("cuspidality-counts-the-whole-cone",
@@ -132,6 +133,15 @@ MUTANTS = (
            [(SERIES, "top = min(self.trunc, other.trunc)\n",
              "top = min(self.trunc, other.trunc) - 1\n")],
            ["tests/test_series.py::test_first_mismatch_compares_up_to_the_smaller_trunc"]),
+    Mutant("scenario-rank-may-be-zero",
+           [(SCENARIO, "_where(lambda n: n >= 1, \"rank must be >= 1\")",
+             "_where(lambda n: n >= 0, \"rank must be >= 1\")")],
+           ["tests/test_scenario_cli.py::test_schema_sweep_pins_every_message"]),
+    Mutant("scenario-unknown-field-accepted",
+           [(SCENARIO, "        for key in value:\n            if key not in keys:\n"
+                       "                raise SchemaError(f\"{pointer}.{key}\", "
+                       "\"unknown field\")\n", "")],
+           ["tests/test_scenario_cli.py::test_unknown_field_is_schema_error"]),
     Mutant("dead-code-guard-is-cuspidal-off-allowed",
            [("tests/test_no_dead_code.py",
              "    \"is_cuspidal\": \"test_acceptance.py::test_criterion_05_cuspidal_iff_generic\",\n",

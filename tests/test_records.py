@@ -102,8 +102,17 @@ def test_repr_names_the_fields():
 
 def test_defaults_and_normalization():
     assert Curve(5) == Curve(q=5) == Curve(5, 0, ((1, -1),))
-    assert scenario.Scenario._field_defaults == {
-        "isogeny": None, "height_cones": None, "height_slopes": None}
+    # A Scenario has no defaults of its own: the parser fills them into `fields`.
+    assert scenario.Scenario._field_defaults == {}
+    sc = scenario.parse_scenario({
+        "name": "t", "rank": 1, "rays": [[1]], "rho": [1], "eta": ["1"], "curve": {"q": 3},
+        "truncation": 2, "characters": [{"name": "c", "coords": [{}]}], "checks": []})
+    assert sc.fields["curve"] == {"q": 3, "genus": 0, "spin": ((1, -1),)}
+    assert sc.fields["cyclotomic_order"] == sc.cyclotomic_order == 1
+    assert sc.fields["eta"] == sc.eta == (1,)
+    assert sc.fields["characters"] == ({"name": "c", "coords": ({"zeta": 0, "u": 0},)},)
+    assert sc.characters[0].coords == ((0, 0),)
+    assert "isogeny" not in sc.fields and sc.isogeny is sc.height is None
     datum = GradedToricDatum(cone=CONE, rho=[1, 1], eta=(1.0, 1))
     assert datum == GradedToricDatum(CONE, (1, 1), (1, 1))
     assert type(datum.rho) is tuple and type(datum.eta[0]) is int

@@ -353,6 +353,69 @@ def test_stack_run_reuses_the_parsed_isogeny(monkeypatch):
     assert ok and calls == []
 
 
+def test_height_run_reuses_the_parsed_height(monkeypatch):
+    import toricperiods.heights as heights
+    sc = parse_scenario(catalog_emit("height_p1", order=4))
+
+    def refuse(*args):
+        raise AssertionError("the height was built again")
+
+    monkeypatch.setattr(heights, "make_height", refuse)
+    _, ok = run_scenario(sc)
+    assert ok
+
+
+def _set(data, path, key, value):
+    for step in path:
+        data = data[step]
+    data[key] = value
+
+
+# One misspelt key at each level of the schema.
+@pytest.mark.parametrize("base, path, key, pointer", [
+    ("tate", (), "cyclotomic_ordr", "scenario.cyclotomic_ordr"),
+    ("tate", ("curve",), "genuss", "scenario.curve.genuss"),
+    ("tate", ("characters", 0), "coord", "scenario.characters[0].coord"),
+    ("quadric_cone", ("characters", 1, "coords", 0), "U", "scenario.characters[1].coords[0].U"),
+    ("weight_n_stack", ("isogeny",), "inclusions", "scenario.isogeny.inclusions"),
+    ("height_p1", ("height",), "slope", "scenario.height.slope"),
+], ids=["top", "curve", "character", "coordinate", "isogeny", "height"])
+def test_unknown_field_is_schema_error(base, path, key, pointer):
+    data = catalog_emit(base)
+    _set(data, path, key, 1)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert str(err.value) == f"{pointer}: unknown field"
+
+
+def test_first_unknown_field_in_input_order_is_reported():
+    data = catalog_emit("tate")
+    data["curve"] = {"zz": 1, "q": 2, "aa": 1}
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(data)
+    assert err.value.pointer == "scenario.curve.zz"
+
+
+def test_a_null_is_read_not_taken_as_missing():
+    # A missing key takes its default; a present null is a wrong value.
+    data = catalog_emit("tate")
+    del data["curve"]["genus"], data["cyclotomic_order"]
+    sc = parse_scenario(data)
+    assert sc.curve.spin == ((1, -1),) and sc.cyclotomic_order == 1
+    for path, key, message in [
+            (("curve",), "spin", "scenario.curve.spin: expected a list of pairs"),
+            (("curve",), "genus", "scenario.curve.genus: expected an integer, got NoneType"),
+            ((), "cyclotomic_order",
+             "scenario.cyclotomic_order: expected an integer, got NoneType"),
+            (("characters", 0, "coords"), 0,
+             'scenario.characters[0].coords[0]: expected "formal" or {"zeta": k, "u": c}')]:
+        data = catalog_emit("tate")
+        _set(data, path, key, None)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(data)
+        assert str(err.value) == message
+
+
 def test_catalog_emit_keeps_zero_overrides(tmp_path):
     target = tmp_path / "tate.json"
     assert main(["catalog", "emit", "tate", "--order", "0", "--out", str(target)]) == 0
